@@ -11,6 +11,7 @@ import pathlib
 import warnings
 
 import gaussent as ge
+from gaussent.cli import sweep_csv
 
 
 def write_surface(name: str, out_dir: pathlib.Path, t_max: float, n_t: int, n_c: int):
@@ -28,13 +29,7 @@ def write_surface(name: str, out_dir: pathlib.Path, t_max: float, n_t: int, n_c:
         result = ge.sweep(spec)
 
     surface_path = out_dir / f"surface_{name}.csv"
-    with open(surface_path, "w", newline="") as handle:
-        handle.write("t,c,S,L,defined\n")
-        for t, c, s, degree, defined in result.rows():
-            degree_text = format(degree, ".17g") if defined else "nan"
-            handle.write(
-                f"{t:.17g},{c:.17g},{s:.17g},{degree_text},{int(defined)}\n"
-            )
+    surface_path.write_text(sweep_csv(result), newline="")
 
     labels_path = out_dir / f"labels_{name}.csv"
     with open(labels_path, "w", newline="") as handle:

@@ -12,6 +12,7 @@ import pathlib
 import numpy as np
 
 import gaussent as ge
+from gaussent.cli import phase_diagram_csv
 
 
 def main():
@@ -29,11 +30,7 @@ def main():
     cs = np.linspace(1.0, args.c_max, args.n_c)
     diagram = ge.asymptotic_phase_diagram(args.lam, args.omega, d_values, cs)
 
-    with open(args.out, "w", newline="") as handle:
-        handle.write("d_xpy,c,status\n")
-        for i, d_xpy in enumerate(diagram.d_xpy_values):
-            for j, c in enumerate(diagram.thermal_cs):
-                handle.write(f"{d_xpy:.17g},{c:.17g},{diagram.status(i, j)}\n")
+    args.out.write_text(phase_diagram_csv(diagram), newline="")
     print(f"wrote {args.out}")
 
     print("d_xpy    last entangled C    analytic C*")

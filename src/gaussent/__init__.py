@@ -25,7 +25,6 @@ from .core import (
 )
 from .dynamics import (
     Trajectory,
-    closed_form_steady,
     evolve,
     ode_residual,
     propagator,
@@ -77,7 +76,6 @@ __all__ = [
     "thermal_environment",
     "validate_diffusion",
     "Trajectory",
-    "closed_form_steady",
     "evolve",
     "ode_residual",
     "propagator",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -32,7 +33,14 @@ from .core import (
 )
 from .dynamics import evolve, steady_covariance
 from .entanglement import metrics
-from .experiments import SweepSpec, asymptotic_phase_diagram, classify_phase, sweep
+from .experiments import (
+    PhaseDiagram,
+    SweepResult,
+    SweepSpec,
+    asymptotic_phase_diagram,
+    classify_phase,
+    sweep,
+)
 from .presets import PRESET_NAMES, initial_state
 
 COMMANDS = ("evolve", "steady", "metrics", "sweep", "classify", "phase-diagram")
@@ -42,24 +50,29 @@ EXIT_CONFIG = 2
 EXIT_PHYSICALITY = 3
 EXIT_NUMERICAL = 4
 
-# key -> (parser, default); None defaults are resolved during validation.
-_FLOAT_KEYS = {
-    "lambda": 0.1,
-    "m": 1.0,
-    "omega": 1.0,
-    "d_xy": 0.0,
-    "d_xpy": 0.049,
-    "c": None,
-    "temperature": None,
-    "t": 0.0,
-    "t_max": 50.0,
-    "c_min": 1.0,
-    "c_max": 1.5,
-    "d_xpy_min": 0.0,
-    "d_xpy_max": 0.06,
+#: Configuration keys besides the sigma_* entries: name -> (type, default,
+#: bound), where a bound (">", x) or (">=", x) is checked after parsing.  The
+#: order is that of the --help list and of the flat and JSON config.
+_KEYS: dict[str, tuple[type, object, tuple[str, int] | None]] = {
+    "lambda": (float, 0.1, (">", 0)),
+    "m": (float, 1.0, (">", 0)),
+    "omega": (float, 1.0, (">", 0)),
+    "d_xy": (float, 0.0, None),
+    "d_xpy": (float, 0.049, None),
+    "c": (float, 1.0, (">=", 1)),
+    "temperature": (float, None, (">=", 0)),
+    "t": (float, 0.0, (">=", 0)),
+    "t_max": (float, 50.0, (">", 0)),
+    "n_t": (int, 500, (">=", 2)),
+    "c_min": (float, 1.0, (">=", 1)),
+    "c_max": (float, 1.5, None),
+    "n_c": (int, 20, (">=", 1)),
+    "d_xpy_min": (float, 0.0, None),
+    "d_xpy_max": (float, 0.06, None),
+    "n_d": (int, 13, (">=", 1)),
+    "initial": (str, "vacuum", None),
 }
-_INT_KEYS = {"n_t": 500, "n_c": 20, "n_d": 13}
-_KNOWN_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | {"initial"} | set(ENTRY_NAMES)
+_COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
 class ConfigError(Exception):
@@ -72,64 +85,37 @@ class PhysicalityError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully resolved run: command, environment, initial state and grids."""
+    """A fully resolved run: command, configuration values and output options.
+
+    ``values`` maps the keys of the key table to their resolved values: ``c``
+    holds the thermal parameter (also when it was given as a temperature,
+    which is not kept), and explicit ``sigma_*`` entries take the place of
+    ``initial``.  ``cfg[key]`` reads one value.
+    """
 
     command: str
-    lam: float
-    m: float
-    omega: float
-    d_xy: float
-    d_xpy: float
-    thermal_c: float
-    initial_name: str | None
-    initial_entries: dict[str, float] | None
-    t: float
-    t_max: float
-    n_t: int
-    c_min: float
-    c_max: float
-    n_c: int
-    d_xpy_min: float
-    d_xpy_max: float
-    n_d: int
-    strict: bool
-    out: str | None
-    fmt: str
+    values: dict[str, float | int | str]
+    strict: bool = False
+    out: str | None = None
+    fmt: str = "csv"
+
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     def environment(self) -> EnvironmentSpec:
-        return thermal_environment(
-            self.lam, self.thermal_c, self.d_xy, self.d_xpy, self.m, self.omega
-        )
+        v = self.values
+        return thermal_environment(v["lambda"], v["c"], v["d_xy"], v["d_xpy"], v["m"], v["omega"])
 
     def initial_state(self) -> CovarianceMatrix:
-        if self.initial_entries is not None:
-            return covariance_from_entries(self.initial_entries)
-        return initial_state(self.initial_name or "vacuum")
+        if "initial" in self.values:
+            return initial_state(self.values["initial"])
+        return covariance_from_entries(
+            {name: self.values[name] for name in ENTRY_NAMES if name in self.values}
+        )
 
     def to_flat(self) -> dict[str, str]:
         """Canonical flat form; re-parsing it reproduces this configuration."""
-        flat = {
-            "lambda": repr(self.lam),
-            "m": repr(self.m),
-            "omega": repr(self.omega),
-            "d_xy": repr(self.d_xy),
-            "d_xpy": repr(self.d_xpy),
-            "c": repr(self.thermal_c),
-            "t": repr(self.t),
-            "t_max": repr(self.t_max),
-            "n_t": str(self.n_t),
-            "c_min": repr(self.c_min),
-            "c_max": repr(self.c_max),
-            "n_c": str(self.n_c),
-            "d_xpy_min": repr(self.d_xpy_min),
-            "d_xpy_max": repr(self.d_xpy_max),
-            "n_d": str(self.n_d),
-        }
-        if self.initial_entries is not None:
-            flat.update({name: repr(value) for name, value in self.initial_entries.items()})
-        else:
-            flat["initial"] = self.initial_name or "vacuum"
-        return flat
+        return {key: str(value) for key, value in self.values.items()}
 
 
 def parse_flat_file(path: str) -> dict[str, str]:
@@ -151,21 +137,18 @@ def parse_flat_file(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse(key: str, raw: str):
+    kind = _KEYS[key][0] if key in _KEYS else float
+    if kind is str:
+        return raw
     try:
-        value = float(raw)
+        value = kind(raw)
     except ValueError:
-        raise ConfigError(f"value for {key!r} is not a number: {raw!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"value for {key!r} is not {what}: {raw!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"value for {key!r} must be finite, got {raw!r}")
     return value
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"value for {key!r} is not an integer: {raw!r}") from None
 
 
 def build_config(
@@ -178,103 +161,60 @@ def build_config(
 ) -> RunConfig:
     """Validate raw key=value strings and resolve them into a RunConfig."""
     for key in provided:
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS and key not in ENTRY_NAMES:
             raise ConfigError(f"unknown configuration key {key!r}")
-
-    floats = {
-        key: _parse_float(key, provided[key]) if key in provided else default
-        for key, default in _FLOAT_KEYS.items()
+    values = {
+        key: _parse(key, provided[key]) if key in provided else default
+        for key, (_, default, _) in _KEYS.items()
     }
-    ints = {
-        key: _parse_int(key, provided[key]) if key in provided else default
-        for key, default in _INT_KEYS.items()
-    }
+    for key, (_, _, bound) in _KEYS.items():
+        value = values[key]
+        if bound and value is not None and not _COMPARE[bound[0]](value, bound[1]):
+            raise ConfigError(f"{key} must be {bound[0]} {bound[1]}, got {value}")
 
-    if "c" in provided and "temperature" in provided:
-        raise ConfigError("give either c= or temperature=, not both")
-    if floats["temperature"] is not None:
-        if floats["temperature"] < 0:
-            raise ConfigError("temperature must be nonnegative")
-        thermal_c = thermal_c_from_temperature(floats["temperature"], floats["omega"])
-    else:
-        thermal_c = floats["c"] if floats["c"] is not None else 1.0
+    temperature = values.pop("temperature")
+    if temperature is not None:
+        if "c" in provided:
+            raise ConfigError("give either c= or temperature=, not both")
+        values["c"] = thermal_c_from_temperature(temperature, values["omega"])
 
     sigma_keys = [name for name in ENTRY_NAMES if name in provided]
-    initial_entries: dict[str, float] | None = None
-    initial_name: str | None = None
     if sigma_keys:
         if "initial" in provided:
             raise ConfigError("explicit sigma_* entries conflict with an initial= preset")
-        initial_entries = {name: _parse_float(name, provided[name]) for name in sigma_keys}
-    else:
-        initial_name = provided.get("initial", "vacuum")
-        if initial_name not in PRESET_NAMES:
-            raise ConfigError(
-                f"unknown initial-state preset {initial_name!r}; "
-                f"valid names: {', '.join(PRESET_NAMES)}"
-            )
+        del values["initial"]
+        values.update((name, _parse(name, provided[name])) for name in sigma_keys)
+    elif values["initial"] not in PRESET_NAMES:
+        raise ConfigError(
+            f"unknown initial-state preset {values['initial']!r}; "
+            f"valid names: {', '.join(PRESET_NAMES)}"
+        )
 
-    if not floats["lambda"] > 0:
-        raise ConfigError("lambda must be positive")
-    if not floats["m"] > 0 or not floats["omega"] > 0:
-        raise ConfigError("m and omega must be positive")
-    if thermal_c < 1.0:
-        raise ConfigError("c must be >= 1 (c = coth(omega/2T))")
-    if floats["t"] < 0:
-        raise ConfigError("t must be nonnegative")
-    if not floats["t_max"] > 0:
-        raise ConfigError("t_max must be positive")
-    if ints["n_t"] < 2:
-        raise ConfigError("n_t must be at least 2")
-    if ints["n_c"] < 1 or ints["n_d"] < 1:
-        raise ConfigError("n_c and n_d must be at least 1")
-    if floats["c_min"] < 1.0 or floats["c_max"] < floats["c_min"]:
-        raise ConfigError("require 1 <= c_min <= c_max")
-    if floats["d_xpy_max"] < floats["d_xpy_min"]:
+    if values["c_max"] < values["c_min"]:
+        raise ConfigError("require c_min <= c_max")
+    if values["d_xpy_max"] < values["d_xpy_min"]:
         raise ConfigError("require d_xpy_min <= d_xpy_max")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-
-    return RunConfig(
-        command=command,
-        lam=floats["lambda"],
-        m=floats["m"],
-        omega=floats["omega"],
-        d_xy=floats["d_xy"],
-        d_xpy=floats["d_xpy"],
-        thermal_c=thermal_c,
-        initial_name=initial_name,
-        initial_entries=initial_entries,
-        t=floats["t"],
-        t_max=floats["t_max"],
-        n_t=ints["n_t"],
-        c_min=floats["c_min"],
-        c_max=floats["c_max"],
-        n_c=ints["n_c"],
-        d_xpy_min=floats["d_xpy_min"],
-        d_xpy_max=floats["d_xpy_max"],
-        n_d=ints["n_d"],
-        strict=strict,
-        out=out,
-        fmt=fmt,
-    )
+    return RunConfig(command, values, strict, out, fmt)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _fmt(value) -> str:
+    """One CSV cell: 17 significant digits, None (undefined) as nan, bools as 0/1."""
+    if isinstance(value, float):
+        return format(float(value), ".17g")  # numpy floats format more slowly
+    return "nan" if value is None else str(int(value))
 
 
-def _csv(header: str, rows: list[str]) -> str:
+def _csv(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
 def _entries_output(cfg: RunConfig, sigma: CovarianceMatrix) -> str:
     entries = independent_entries(sigma)
     if cfg.fmt == "json":
-        payload = {name: float(value) for name, value in entries.items()}
-        return _json_output(cfg, {"entries": payload})
-    rows = [f"{name},{_fmt(value)}" for name, value in entries.items()]
-    return _csv("entry,value", rows)
+        return _json_output(cfg, {"entries": entries})
+    return _csv("entry,value", (f"{name},{_fmt(value)}" for name, value in entries.items()))
 
 
 def _json_output(cfg: RunConfig, result: dict) -> str:
@@ -284,45 +224,31 @@ def _json_output(cfg: RunConfig, result: dict) -> str:
 
 
 def _run_metrics(cfg: RunConfig, env: EnvironmentSpec, initial: CovarianceMatrix) -> str:
-    state = evolve(initial, env, cfg.t)
-    met = metrics(state)
-    defined = met.log_negativity is not None
+    met = metrics(evolve(initial, env, cfg["t"]))
+    result = {
+        "simon_s": met.simon_s,
+        "seralian_tilde": met.seralian_tilde,
+        "nu_tilde_minus_sq": met.nu_tilde_minus_sq,
+        "log_negativity": met.log_negativity,
+        "defined": met.log_negativity is not None,
+        "separable": met.separable,
+        "boundary": met.boundary,
+    }
     if cfg.fmt == "json":
-        return _json_output(
-            cfg,
-            {
-                "t": cfg.t,
-                "simon_s": met.simon_s,
-                "seralian_tilde": met.seralian_tilde,
-                "nu_tilde_minus_sq": met.nu_tilde_minus_sq,
-                "log_negativity": met.log_negativity,
-                "defined": defined,
-                "separable": met.separable,
-                "boundary": met.boundary,
-            },
-        )
-    rows = [
-        f"simon_s,{_fmt(met.simon_s)}",
-        f"seralian_tilde,{_fmt(met.seralian_tilde)}",
-        f"nu_tilde_minus_sq,{_fmt(met.nu_tilde_minus_sq)}",
-        f"log_negativity,{_fmt(met.log_negativity) if defined else 'nan'}",
-        f"defined,{int(defined)}",
-        f"separable,{int(met.separable)}",
-        f"boundary,{int(met.boundary)}",
-    ]
-    return _csv("quantity,value", rows)
+        return _json_output(cfg, {"t": cfg["t"], **result})
+    return _csv("quantity,value", (f"{name},{_fmt(value)}" for name, value in result.items()))
 
 
-def _run_sweep(cfg: RunConfig, env: EnvironmentSpec, initial: CovarianceMatrix) -> str:
-    spec = SweepSpec(
-        env_base=env,
-        initial=initial,
-        t_max=cfg.t_max,
-        n_t=cfg.n_t,
-        c_min=cfg.c_min,
-        c_max=cfg.c_max,
-        n_c=cfg.n_c,
+def sweep_csv(result: SweepResult) -> str:
+    """CSV of a sweep: header t,c,S,L,defined and one row per cell, t-major."""
+    rows = (
+        f"{_fmt(t)},{_fmt(c)},{_fmt(s)},{_fmt(degree)},{int(defined)}"
+        for t, c, s, degree, defined in result.rows()
     )
+    return _csv("t,c,S,L,defined", rows)
+
+
+def _run_sweep(cfg: RunConfig, spec: SweepSpec) -> str:
     result = sweep(spec)
     if cfg.fmt == "json":
         rows = [
@@ -337,23 +263,14 @@ def _run_sweep(cfg: RunConfig, env: EnvironmentSpec, initial: CovarianceMatrix) 
                 "rows": rows,
             },
         )
-    rows = [
-        f"{_fmt(t)},{_fmt(c)},{_fmt(s)},{_fmt(degree) if defined else 'nan'},{int(defined)}"
-        for t, c, s, degree, defined in result.rows()
+    return sweep_csv(result)
+
+
+def _run_classify(cfg: RunConfig, spec: SweepSpec) -> str:
+    results = [
+        (c, classify_phase(spec.initial, spec.environment_at(c), spec.t_max, spec.n_t))
+        for c in map(float, spec.thermal_cs())
     ]
-    return _csv("t,c,S,L,defined", rows)
-
-
-def _run_classify(cfg: RunConfig, env: EnvironmentSpec, initial: CovarianceMatrix) -> str:
-    cs = (
-        np.array([cfg.c_min])
-        if cfg.n_c == 1
-        else np.linspace(cfg.c_min, cfg.c_max, cfg.n_c)
-    )
-    results = []
-    for c in cs:
-        env_c = thermal_environment(cfg.lam, float(c), cfg.d_xy, cfg.d_xpy, cfg.m, cfg.omega)
-        results.append((float(c), classify_phase(initial, env_c, cfg.t_max, cfg.n_t)))
     if cfg.fmt == "json":
         return _json_output(
             cfg,
@@ -369,52 +286,52 @@ def _run_classify(cfg: RunConfig, env: EnvironmentSpec, initial: CovarianceMatri
                 ]
             },
         )
-    rows = [
+    rows = (
         f"{_fmt(c)},{phase.label},{';'.join(_fmt(t) for t in phase.event_times)}"
         for c, phase in results
-    ]
+    )
     return _csv("c,label,event_times", rows)
 
 
+def phase_diagram_csv(diagram: PhaseDiagram) -> str:
+    """CSV of a phase diagram: header d_xpy,c,status and one row per cell."""
+    rows = (
+        f"{_fmt(d)},{_fmt(c)},{diagram.status(i, j)}"
+        for i, d in enumerate(diagram.d_xpy_values)
+        for j, c in enumerate(diagram.thermal_cs)
+    )
+    return _csv("d_xpy,c,status", rows)
+
+
 def _run_phase_diagram(cfg: RunConfig) -> str:
-    d_values = (
-        np.array([cfg.d_xpy_min])
-        if cfg.n_d == 1
-        else np.linspace(cfg.d_xpy_min, cfg.d_xpy_max, cfg.n_d)
+    diagram = asymptotic_phase_diagram(
+        cfg["lambda"],
+        cfg["omega"],
+        np.linspace(cfg["d_xpy_min"], cfg["d_xpy_max"], cfg["n_d"]),
+        np.linspace(cfg["c_min"], cfg["c_max"], cfg["n_c"]),
+        m=cfg["m"],
     )
-    cs = (
-        np.array([cfg.c_min])
-        if cfg.n_c == 1
-        else np.linspace(cfg.c_min, cfg.c_max, cfg.n_c)
-    )
-    diagram = asymptotic_phase_diagram(cfg.lam, cfg.omega, d_values, cs, m=cfg.m)
     if cfg.fmt == "json":
-        rows = [
-            [float(d), float(c), diagram.status(i, j)]
-            for i, d in enumerate(diagram.d_xpy_values)
-            for j, c in enumerate(diagram.thermal_cs)
-        ]
         return _json_output(
             cfg,
             {
                 "d_xpy": [float(v) for v in diagram.d_xpy_values],
                 "c": [float(v) for v in diagram.thermal_cs],
-                "rows": rows,
+                "rows": [
+                    [float(d), float(c), diagram.status(i, j)]
+                    for i, d in enumerate(diagram.d_xpy_values)
+                    for j, c in enumerate(diagram.thermal_cs)
+                ],
             },
         )
-    rows = [
-        f"{_fmt(d)},{_fmt(c)},{diagram.status(i, j)}"
-        for i, d in enumerate(diagram.d_xpy_values)
-        for j, c in enumerate(diagram.thermal_cs)
-    ]
-    return _csv("d_xpy,c,status", rows)
+    return phase_diagram_csv(diagram)
 
 
 def run(cfg: RunConfig) -> str:
     """Execute a resolved configuration and return the output text.
 
-    Raises ConfigError / PhysicalityError / numpy.linalg.LinAlgError; the
-    caller maps those to exit codes.
+    Raises ConfigError / PhysicalityError / numpy.linalg.LinAlgError /
+    OverflowError; the caller maps those to exit codes.
     """
     if cfg.command == "phase-diagram":
         return _run_phase_diagram(cfg)
@@ -445,13 +362,16 @@ def run(cfg: RunConfig) -> str:
         )
 
     if cfg.command == "evolve":
-        return _entries_output(cfg, evolve(initial, env, cfg.t))
+        return _entries_output(cfg, evolve(initial, env, cfg["t"]))
     if cfg.command == "metrics":
         return _run_metrics(cfg, env, initial)
+    spec = SweepSpec(
+        env, initial, cfg["t_max"], cfg["n_t"], cfg["c_min"], cfg["c_max"], cfg["n_c"]
+    )
     if cfg.command == "sweep":
-        return _run_sweep(cfg, env, initial)
+        return _run_sweep(cfg, spec)
     if cfg.command == "classify":
-        return _run_classify(cfg, env, initial)
+        return _run_classify(cfg, spec)
     raise ConfigError(f"unknown command {cfg.command!r}")
 
 
@@ -464,9 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Configuration keys (key=value, via --config file or --set): "
-            "lambda, m, omega, d_xy, d_xpy, c | temperature, initial "
-            f"({'|'.join(PRESET_NAMES)}) or explicit sigma_* entries, t, "
-            "t_max, n_t, c_min, c_max, n_c, d_xpy_min, d_xpy_max, n_d."
+            f"{', '.join(_KEYS)}.  Give c or temperature, not both; initial is "
+            f"one of {'|'.join(PRESET_NAMES)}, or give explicit sigma_* entries."
         ),
     )
     parser.add_argument("command", choices=COMMANDS)
@@ -508,25 +427,21 @@ def main(argv: list[str] | None = None) -> int:
         cfg = build_config(
             args.command, provided, strict=args.strict, out=args.out, fmt=args.format
         )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.dump_config:
-        flat = cfg.to_flat()
-        for key in sorted(flat):
-            print(f"{key}={flat[key]}")
-        return EXIT_OK
-
-    try:
-        text = run(cfg)
+        if args.dump_config:
+            flat = cfg.to_flat()
+            for key in sorted(flat):
+                print(f"{key}={flat[key]}")
+            return EXIT_OK
+        # overflow is reported once, as exit code 4, not also as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            text = run(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PhysicalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICALITY
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, OverflowError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -22,6 +22,9 @@ SYMMETRY_TOL = 1e-12
 #: Slack applied to physicality margins so exact boundary cases pass.
 MARGIN_TOL = 1e-12
 
+#: Relative tolerance of the Gibbs-state relations tested by ``is_thermal``.
+THERMAL_RTOL = 1e-12
+
 # Upper-triangle entry names in row order; these are the ten independent
 # components of a symmetric 4x4 covariance matrix.
 _ENTRY_INDEX: dict[str, tuple[int, int]] = {
@@ -49,7 +52,8 @@ class EnvironmentSpec:
     so on); the mirrored values are exposed as read-only properties.
 
     ``lam`` must be positive: the drift eigenvalues are -lam +/- i*omega and a
-    decaying propagator (hence a steady state) exists only for lam > 0.
+    decaying propagator (hence a steady state) exists only for lam > 0.  Every
+    parameter must be finite.
     """
 
     m: float
@@ -64,6 +68,10 @@ class EnvironmentSpec:
     d_pxpy: float
 
     def __post_init__(self) -> None:
+        # the sum is finite exactly when every parameter is, short of overflow
+        if not math.isfinite(self.m + self.omega + self.lam + self.thermal_c + self.d_xx
+                             + self.d_xpx + self.d_pxpx + self.d_xy + self.d_xpy + self.d_pxpy):
+            raise ValueError(f"environment parameters are not finite or overflow: {self}")
         if not self.m > 0:
             raise ValueError(f"mass must be positive, got {self.m}")
         if not self.omega > 0:
@@ -91,20 +99,20 @@ class EnvironmentSpec:
     def d_ypx(self) -> float:
         return self.d_xpy
 
-    def is_thermal(self, rtol: float = 1e-12) -> bool:
+    def is_thermal(self) -> bool:
         """True when the coefficients give a Gibbs state at long times.
 
         Checks m*omega*d_xx == d_pxpx/(m*omega) == lam*thermal_c/2, d_xpx == 0
-        and d_pxpy == m^2*omega^2*d_xy, all within ``rtol``.
+        and d_pxpy == m^2*omega^2*d_xy, all within ``THERMAL_RTOL``.
         """
         ref = 0.5 * self.lam * self.thermal_c
         mw = self.m * self.omega
-        tol = rtol * max(1.0, abs(ref))
+        tol = THERMAL_RTOL * max(1.0, abs(ref))
         return (
             abs(mw * self.d_xx - ref) <= tol
             and abs(self.d_pxpx / mw - ref) <= tol
             and abs(self.d_xpx) <= tol
-            and abs(self.d_pxpy - mw * mw * self.d_xy) <= rtol * max(1.0, abs(self.d_pxpy))
+            and abs(self.d_pxpy - mw * mw * self.d_xy) <= THERMAL_RTOL * max(1.0, abs(self.d_pxpy))
         )
 
 
@@ -174,6 +182,7 @@ class CovarianceMatrix:
     Construction symmetrizes the input via (M + M^T)/2 when the asymmetry
     residual is at most ``SYMMETRY_TOL`` and rejects it otherwise, so small
     floating-point drift is absorbed but genuinely asymmetric data is not.
+    Non-finite entries are rejected.
     With ``strict=True`` the matrix must also describe a physical state
     (positive semidefinite with both symplectic eigenvalues >= 1/2).
     """
@@ -185,7 +194,10 @@ class CovarianceMatrix:
         if arr.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got shape {arr.shape}")
         residual = float(np.max(np.abs(arr - arr.T)))
-        if residual > SYMMETRY_TOL:
+        # a NaN or infinite entry makes the residual NaN or infinite
+        if not residual <= SYMMETRY_TOL:
+            if not np.isfinite(arr).all():
+                raise ValueError("covariance matrix entries must be finite")
             raise ValueError(
                 f"matrix is not symmetric (max asymmetry {residual:.3e} > {SYMMETRY_TOL})"
             )
@@ -217,19 +229,6 @@ class CovarianceMatrix:
         """Cross-correlation block (upper-right 2x2)."""
         return self._entries[:2, 2:].copy()
 
-    @classmethod
-    def from_blocks(cls, a, c, b=None, *, strict: bool = False) -> "CovarianceMatrix":
-        """Assemble [[A, C], [C^T, B]]; B defaults to A (identical modes)."""
-        a = np.asarray(a, dtype=float)
-        c = np.asarray(c, dtype=float)
-        b = a if b is None else np.asarray(b, dtype=float)
-        out = np.zeros((4, 4))
-        out[:2, :2] = a
-        out[:2, 2:] = c
-        out[2:, :2] = c.T
-        out[2:, 2:] = b
-        return cls(out, strict=strict)
-
     def __array__(self, dtype=None):
         return np.asarray(self._entries, dtype=dtype)
 
@@ -244,7 +243,7 @@ class CovarianceMatrix:
         return f"CovarianceMatrix({self._entries.tolist()!r})"
 
 
-def covariance_from_entries(values, *, strict: bool = False) -> CovarianceMatrix:
+def covariance_from_entries(values) -> CovarianceMatrix:
     """Build a covariance matrix from named independent entries.
 
     ``values`` maps entry names (``sigma_xx`` ... ``sigma_pypy``) to floats;
@@ -259,7 +258,7 @@ def covariance_from_entries(values, *, strict: bool = False) -> CovarianceMatrix
                 f"unknown covariance entry {name!r}; valid names: {', '.join(ENTRY_NAMES)}"
             ) from None
         out[i, j] = out[j, i] = float(value)
-    return CovarianceMatrix(out, strict=strict)
+    return CovarianceMatrix(out)
 
 
 def independent_entries(sigma: CovarianceMatrix) -> dict[str, float]:
@@ -380,21 +379,37 @@ class StateReport:
         return self.positive_semidefinite and self.uncertainty_ok
 
 
+def det2(block: Matrix) -> float:
+    """Determinant of a 2x2 block."""
+    return float(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
+
+
+def symplectic_invariants(entries: Matrix, partial_transpose: bool) -> tuple[float, float]:
+    """The seralian and the determinant of a symmetric 4x4 matrix.
+
+    With blocks [[A, C], [C^T, B]] the seralian is Delta = det A + det B
+    + 2 det C, or Delta~ = det A + det B - 2 det C for the partial transpose
+    (which keeps det sigma).  The squared symplectic eigenvalues are the roots
+    of nu^4 - Delta nu^2 + det sigma.  Finite entries can still overflow here,
+    so callers check the results for finiteness.
+    """
+    sign = -2.0 if partial_transpose else 2.0
+    delta = det2(entries[:2, :2]) + det2(entries[2:, 2:]) + sign * det2(entries[:2, 2:])
+    return delta, float(np.linalg.det(entries))
+
+
 def check_physical_state(sigma) -> StateReport:
     """Report symmetry, positivity and the uncertainty test for ``sigma``.
 
     Accepts a :class:`CovarianceMatrix` or a raw 4x4 array; never raises.
+    Overflowing invariants report NaN eigenvalues and an unphysical state.
     """
     arr = np.asarray(getattr(sigma, "entries", sigma), dtype=float)
     residual = float(np.max(np.abs(arr - arr.T)))
     sym = 0.5 * (arr + arr.T)
     min_eig = float(np.min(np.linalg.eigvalsh(sym)))
-    a = sym[:2, :2]
-    b = sym[2:, 2:]
-    c = sym[:2, 2:]
-    det2 = lambda blk: float(blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0])
-    delta = det2(a) + det2(b) + 2.0 * det2(c)
-    disc = delta * delta - 4.0 * float(np.linalg.det(sym))
+    delta, det = symplectic_invariants(sym, partial_transpose=False)
+    disc = delta * delta - 4.0 * det
     slack = UNCERTAINTY_TOL * max(1.0, abs(delta))
     if disc < -1e-12 * max(1.0, delta * delta):
         nu_minus_sq = nu_plus_sq = math.nan

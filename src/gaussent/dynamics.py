@@ -25,8 +25,8 @@ from .core import (
 
 def propagator(env: EnvironmentSpec, t: float) -> Matrix:
     """Closed-form exp(Y t); identity at t = 0, determinant e^{-4 lam t}."""
-    if t < 0:
-        raise ValueError(f"propagation time must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"propagation time must be finite and nonnegative, got {t}")
     mw = env.m * env.omega
     decay = math.exp(-env.lam * t)
     cos = math.cos(env.omega * t)
@@ -38,47 +38,41 @@ def propagator(env: EnvironmentSpec, t: float) -> Matrix:
     return out
 
 
+def _steady_block(env: EnvironmentSpec, d11: float, d12: float, d22: float):
+    """Entries (a, b, c) of the symmetric 2x2 block s = [[a, b], [b, c]] solving
+    Y0 s + s Y0^T = -2 [[d11, d12], [d12, d22]] for one oscillator block Y0."""
+    mw2 = env.m * env.omega**2
+    b = (2.0 * env.lam * d12 - mw2 * d11 + d22 / env.m) / (
+        2.0 * (env.lam**2 + env.omega**2)
+    )
+    return (d11 + b / env.m) / env.lam, b, (d22 - mw2 * b) / env.lam
+
+
 def steady_covariance(env: EnvironmentSpec) -> CovarianceMatrix:
     """Solve Y s + s Y^T = -2 D for the asymptotic covariance matrix.
 
-    The equation is vectorized into a 16x16 linear system and solved with a
-    dense LU factorization; the residual is checked against
-    1e-12 * (1 + max|D|) and a failure raises ``numpy.linalg.LinAlgError``.
+    The drift is block-diagonal with two equal blocks Y0, so the equation
+    splits into one 2x2 equation per block of s = [[A, C], [C^T, B]]: each
+    block has a symmetric right-hand side (the matching block of D, whose
+    cross block is symmetric because d_ypx = d_xpy) and is solved in closed
+    form for any diffusion coefficients, with B = A.  The residual is checked
+    against 1e-12 * (1 + max|D|) and a failure raises
+    ``numpy.linalg.LinAlgError``.
     """
+    xx, xp, pp = _steady_block(env, env.d_xx, env.d_xpx, env.d_pxpx)
+    cx, cm, cp = _steady_block(env, env.d_xy, env.d_xpy, env.d_pxpy)
+    sigma = np.array(
+        [[xx, xp, cx, cm], [xp, pp, cm, cp], [cx, cm, xx, xp], [cm, cp, xp, pp]]
+    )
     y = drift_matrix(env)
     d = diffusion_matrix(env)
-    eye = np.eye(4)
-    coeff = np.kron(eye, y) + np.kron(y, eye)
-    vec = np.linalg.solve(coeff, (-2.0 * d).reshape(-1, order="F"))
-    sigma = vec.reshape((4, 4), order="F")
-    sigma = 0.5 * (sigma + sigma.T)
     residual = float(np.max(np.abs(y @ sigma + sigma @ y.T + 2.0 * d)))
     bound = 1e-12 * (1.0 + float(np.max(np.abs(d))))
-    if residual > bound:
+    if not residual <= bound:
         raise np.linalg.LinAlgError(
             f"Lyapunov solve residual {residual:.3e} exceeds {bound:.3e}"
         )
     return CovarianceMatrix(sigma)
-
-
-def closed_form_steady(env: EnvironmentSpec) -> CovarianceMatrix:
-    """Asymptotic covariance of a thermal environment from its closed form.
-
-    The unimodal blocks are diag(thermal_c/(2 m omega), thermal_c m omega / 2)
-    and the cross block follows from the diffusion cross coefficients.  This
-    duplicates :func:`steady_covariance` on purpose: the numeric solver stays
-    authoritative for general coefficients and this route is the cross-check.
-    """
-    if not env.is_thermal():
-        raise ValueError("closed-form steady state requires a thermal environment")
-    mw = env.m * env.omega
-    den = env.lam**2 + env.omega**2
-    a = np.diag([0.5 * env.thermal_c / mw, 0.5 * env.thermal_c * mw])
-    c_xy = env.d_xy / env.lam + env.d_xpy / (env.m * den)
-    c_xpy = env.lam * env.d_xpy / den
-    c_pxpy = mw * mw * env.d_xy / env.lam - env.m * env.omega**2 * env.d_xpy / den
-    c = np.array([[c_xy, c_xpy], [c_xpy, c_pxpy]])
-    return CovarianceMatrix.from_blocks(a, c)
 
 
 def evolve(
@@ -90,16 +84,15 @@ def evolve(
 ) -> CovarianceMatrix:
     """Propagate ``initial`` for time ``t``: M(t) (s0 - s_inf) M(t)^T + s_inf.
 
-    ``t = 0`` returns ``initial`` unchanged.  ``steady`` may carry a
-    precomputed steady-state covariance to avoid repeated Lyapunov solves in
-    sweep loops.  The result is re-symmetrized via (s + s^T)/2.
+    ``t = 0`` returns ``initial`` unchanged; ``t`` must be finite and
+    nonnegative.  ``steady`` may carry a precomputed steady-state covariance
+    to avoid repeated Lyapunov solves in sweep loops.  The result is
+    re-symmetrized via (s + s^T)/2.
     """
-    if t < 0:
-        raise ValueError(f"propagation time must be nonnegative, got {t}")
     if t == 0:
         return initial
-    fixed = steady.entries if steady is not None else steady_covariance(env).entries
     m = propagator(env, t)
+    fixed = steady.entries if steady is not None else steady_covariance(env).entries
     out = m @ (initial.entries - fixed) @ m.T + fixed
     return CovarianceMatrix(0.5 * (out + out.T))
 

@@ -14,27 +14,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CovarianceMatrix, EnvironmentSpec, Matrix
+from .core import CovarianceMatrix, EnvironmentSpec, det2, symplectic_invariants
 
 #: Width of the boundary band for the PPT sign-agreement classification.
 BOUNDARY_TOL = 1e-12
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def _det2(block: Matrix) -> float:
-    return float(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
-
-
-def _block_invariants(sigma: CovarianceMatrix) -> tuple[float, float, float, float]:
-    """(det A, det B, det C, det sigma) for the standard block decomposition."""
-    e = sigma.entries
-    return (
-        _det2(e[:2, :2]),
-        _det2(e[2:, 2:]),
-        _det2(e[:2, 2:]),
-        float(np.linalg.det(e)),
-    )
 
 
 def simon_function(sigma: CovarianceMatrix) -> float:
@@ -44,16 +29,20 @@ def simon_function(sigma: CovarianceMatrix) -> float:
         - (det A + det B)/4,
     with J the 2x2 symplectic unit.  Defined for any symmetric 4x4 matrix;
     S >= 0 is necessary and sufficient for separability of physical states.
+    Raises ``OverflowError`` when S overflows.
     """
     e = sigma.entries
     a_blk = e[:2, :2]
     b_blk = e[2:, 2:]
     c_blk = e[:2, 2:]
-    det_a = _det2(a_blk)
-    det_b = _det2(b_blk)
-    det_c = _det2(c_blk)
+    det_a = det2(a_blk)
+    det_b = det2(b_blk)
+    det_c = det2(c_blk)
     trace = float(np.trace(a_blk @ _J @ c_blk @ _J @ b_blk @ _J @ c_blk.T @ _J))
-    return det_a * det_b + (0.25 - abs(det_c)) ** 2 - trace - 0.25 * (det_a + det_b)
+    value = det_a * det_b + (0.25 - abs(det_c)) ** 2 - trace - 0.25 * (det_a + det_b)
+    if not math.isfinite(value):
+        raise OverflowError(f"Simon function is not finite ({value})")
+    return value
 
 
 class PtSpectrum(NamedTuple):
@@ -72,9 +61,15 @@ class PtSpectrum(NamedTuple):
 
 
 def symplectic_spectrum_pt(sigma: CovarianceMatrix) -> PtSpectrum:
-    """Seralian and squared PT symplectic eigenvalues of ``sigma``."""
-    det_a, det_b, det_c, det_sigma = _block_invariants(sigma)
-    delta = det_a + det_b - 2.0 * det_c
+    """Seralian and squared PT symplectic eigenvalues of ``sigma``.
+
+    Raises ``OverflowError`` when the invariants overflow.
+    """
+    delta, det_sigma = symplectic_invariants(sigma.entries, partial_transpose=True)
+    if not (math.isfinite(delta) and math.isfinite(det_sigma)):
+        raise OverflowError(
+            f"PT symplectic invariants are not finite (seralian {delta}, determinant {det_sigma})"
+        )
     disc = delta * delta - 4.0 * det_sigma
     if disc < 0.0:
         return PtSpectrum(delta, math.nan, math.nan, True)
@@ -82,29 +77,17 @@ def symplectic_spectrum_pt(sigma: CovarianceMatrix) -> PtSpectrum:
     return PtSpectrum(delta, 0.5 * (delta - root), 0.5 * (delta + root), False)
 
 
-def _pt_f(sigma: CovarianceMatrix) -> float | None:
-    """f(sigma) = (det A + det B)/2 - det C - sqrt([...]^2 - det sigma).
-
-    Equals nu~_-^2; None when the square root argument is negative.
-    """
-    det_a, det_b, det_c, det_sigma = _block_invariants(sigma)
-    half = 0.5 * (det_a + det_b) - det_c
-    disc = half * half - det_sigma
-    if disc < 0.0:
-        return None
-    return half - math.sqrt(disc)
-
-
 def log_negativity(sigma: CovarianceMatrix) -> float | None:
-    """Logarithmic negativity max{0, -(1/2) log2(4 f(sigma))}.
+    """Logarithmic negativity max{0, -(1/2) log2(4 nu~_-^2)}.
 
-    Returns None when f <= 0 or f is not real: the PT symplectic eigenvalue is
-    degenerate or the input is unphysical, and no value is fabricated there.
+    Returns None when nu~_-^2 <= 0 or is not real: the PT symplectic
+    eigenvalue is degenerate or the input is unphysical, and no value is
+    fabricated there.  Raises ``OverflowError`` when the invariants overflow.
     """
-    f = _pt_f(sigma)
-    if f is None or f <= 0.0:
+    nu_sq = symplectic_spectrum_pt(sigma).nu_minus_sq
+    if not nu_sq > 0.0:
         return None
-    return max(0.0, -0.5 * math.log2(4.0 * f))
+    return max(0.0, -0.5 * math.log2(4.0 * nu_sq))
 
 
 @dataclass(frozen=True)
@@ -126,14 +109,12 @@ class EntanglementMetrics:
 
 
 def metrics(sigma: CovarianceMatrix) -> EntanglementMetrics:
-    """Bundle Simon function, PT spectrum and logarithmic negativity."""
+    """Bundle Simon function, PT spectrum and logarithmic negativity.
+
+    Raises ``OverflowError`` when S or the symplectic invariants overflow.
+    """
     s = simon_function(sigma)
     spectrum = symplectic_spectrum_pt(sigma)
-    f = _pt_f(sigma)
-    if f is not None and not spectrum.complex_pair:
-        # Two independent code paths to the same invariant; a mismatch means a
-        # transcription error in one of them.
-        assert abs(f - spectrum.nu_minus_sq) <= 1e-12 * max(1.0, abs(f))
     return EntanglementMetrics(
         simon_s=s,
         seralian_tilde=spectrum.delta_tilde,

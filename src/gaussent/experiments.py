@@ -209,8 +209,6 @@ class SweepSpec:
         return np.linspace(0.0, self.t_max, self.n_t)
 
     def thermal_cs(self) -> Matrix:
-        if self.n_c == 1:
-            return np.array([self.c_min])
         return np.linspace(self.c_min, self.c_max, self.n_c)
 
     def environment_at(self, thermal_c: float) -> EnvironmentSpec:

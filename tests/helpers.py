@@ -1,9 +1,9 @@
 """Shared test oracles: independent implementations used to cross-check the package.
 
 Nothing here may call back into the code paths under test; the matrix
-exponential is a plain scaling-and-squaring Taylor sum, the Simon oracle runs
-in exact rational arithmetic, and symplectic spectra come from eigenvalues of
-i*Omega*sigma.
+exponential is a plain scaling-and-squaring Taylor sum, the Lyapunov oracle is
+a dense Kronecker solve, the Simon oracle runs in exact rational arithmetic,
+and symplectic spectra come from eigenvalues of i*Omega*sigma.
 """
 
 from __future__ import annotations
@@ -40,6 +40,15 @@ def matrix_exp_oracle(mat: np.ndarray, terms: int = 30) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def lyapunov_oracle(y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Solve Y s + s Y^T = -2 D as one dense 16x16 system (Kronecker form, LU)."""
+    eye = np.eye(4)
+    coeff = np.kron(eye, y) + np.kron(y, eye)
+    vec = np.linalg.solve(coeff, (-2.0 * d).reshape(-1, order="F"))
+    sigma = vec.reshape((4, 4), order="F")
+    return 0.5 * (sigma + sigma.T)
 
 
 def _frac_matmul(a, b):

@@ -75,6 +75,15 @@ class TestMetricsCommand:
         assert payload["result"]["log_negativity"] is None
         assert payload["result"]["defined"] is False
 
+    def test_overflow_is_a_numerical_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, "metrics", "--set", "sigma_xx=1e200", "--set", "sigma_pxpx=1e200"
+        )
+        assert code == 4
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: numerical failure:")
+
     def test_evaluates_at_time(self, capsys):
         code, out, _ = run_cli(capsys, "metrics", "--set", "initial=fig1", "--set", "t=30")
         assert code == 0

@@ -42,6 +42,10 @@ class TestThermalEnvironment:
             dict(lam=0.1, thermal_c=0.99),
             dict(lam=0.1, thermal_c=1.0, m=0.0),
             dict(lam=0.1, thermal_c=1.0, omega=-1.0),
+            dict(lam=0.1, thermal_c=1.0, d_xpy=math.nan),
+            dict(lam=0.1, thermal_c=1.0, d_xy=math.inf),
+            dict(lam=math.inf, thermal_c=1.0),
+            dict(lam=0.1, thermal_c=math.inf),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -195,12 +199,22 @@ class TestCheckPhysicalState:
 
 
 class TestCovarianceMatrix:
+    # an infinite entry makes numpy warn in the symmetry check before it raises
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_rejects_asymmetry(self):
         bad = 0.5 * np.eye(4)
         bad = bad.copy()
         bad[0, 1] = 1e-3
         with pytest.raises(ValueError, match="symmetric"):
             ge.CovarianceMatrix(bad)
+        for value in (math.nan, math.inf, -math.inf):
+            for i, j in ((0, 0), (0, 1)):
+                bad = 0.5 * np.eye(4)
+                bad[i, j] = bad[j, i] = value
+                with pytest.raises(ValueError, match="finite"):
+                    ge.CovarianceMatrix(bad)
+        with pytest.raises(ValueError, match="finite"):
+            ge.CovarianceMatrix(np.full((4, 4), math.nan))
 
     def test_symmetrizes_small_drift(self):
         noisy = 0.5 * np.eye(4)
@@ -225,16 +239,11 @@ class TestCovarianceMatrix:
     def test_block_roundtrip(self, data):
         values = dict(zip(ge.ENTRY_NAMES, data))
         sigma = ge.covariance_from_entries(values)
-        rebuilt = ge.CovarianceMatrix.from_blocks(
-            sigma.block_a, sigma.block_c, sigma.block_b
+        rebuilt = np.block(
+            [[sigma.block_a, sigma.block_c], [sigma.block_c.T, sigma.block_b]]
         )
-        np.testing.assert_array_equal(rebuilt.entries, sigma.entries)
+        np.testing.assert_array_equal(rebuilt, sigma.entries)
         assert ge.independent_entries(sigma) == pytest.approx(values)
-
-    def test_from_blocks_defaults_to_equal_modes(self):
-        a = np.diag([0.75, 1.0 / 3.0])
-        sigma = ge.CovarianceMatrix.from_blocks(a, np.zeros((2, 2)))
-        np.testing.assert_array_equal(sigma.block_b, a)
 
     def test_unknown_entry_name(self):
         with pytest.raises(ValueError, match="unknown covariance entry"):

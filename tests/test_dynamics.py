@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussent as ge
-from helpers import matrix_exp_oracle
+from helpers import lyapunov_oracle, matrix_exp_oracle
 
 LAM = st.floats(0.01, 1.0)
 OMEGA = st.floats(0.5, 2.0)
@@ -34,8 +34,9 @@ class TestPropagator:
         assert np.max(np.abs(m)) <= math.exp(-20.0) * (1 + 1e-12)
 
     def test_rejects_negative_time(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ge.propagator(_env(), -0.1)
+        for t in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ge.propagator(_env(), t)
 
     def test_block_structure(self):
         env = _env(lam=0.3, m=1.7, omega=0.8)
@@ -104,17 +105,9 @@ class TestSteadyCovariance:
     @pytest.mark.parametrize("m,omega", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.7)])
     def test_closed_form_cross_check(self, m, omega):
         env = _env(lam=0.1, c=1.4, d_xy=0.004, d_xpy=0.03, m=m, omega=omega)
-        numeric = ge.steady_covariance(env)
-        closed = ge.closed_form_steady(env)
-        assert np.max(np.abs(numeric.entries - closed.entries)) <= 1e-12
-
-    def test_closed_form_rejects_non_thermal(self):
-        env = ge.EnvironmentSpec(
-            m=1.0, omega=1.0, lam=0.1, thermal_c=1.0,
-            d_xx=0.07, d_xpx=0.0, d_pxpx=0.05, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0,
-        )
-        with pytest.raises(ValueError, match="thermal"):
-            ge.closed_form_steady(env)
+        closed = ge.steady_covariance(env)
+        dense = lyapunov_oracle(ge.drift_matrix(env), ge.diffusion_matrix(env))
+        assert np.max(np.abs(closed.entries - dense)) <= 1e-12
 
 
 class TestEvolve:
@@ -137,8 +130,9 @@ class TestEvolve:
         assert np.max(np.abs(out.entries - fixed.entries)) <= 1e-8
 
     def test_rejects_negative_time(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ge.evolve(ge.presets.initial_state("vacuum"), _env(), -1.0)
+        for t in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ge.evolve(ge.presets.initial_state("vacuum"), _env(), t)
 
     @given(
         lam=st.floats(0.02, 0.5),
