@@ -3,7 +3,8 @@
 
 Each preset initial state is swept over the reference bath (lam = 0.1,
 d_xy = 0, d_xpy = 0.049) for thermal parameters C in [1, 1.5], writing one
-long-form CSV per preset plus a summary of the per-column phase labels.
+long-form CSV per preset (as ``gauss-ent sweep``) plus its per-column phase
+labels (as ``gauss-ent classify``).
 """
 
 import argparse
@@ -11,7 +12,7 @@ import pathlib
 import warnings
 
 import gaussent as ge
-from gaussent.cli import sweep_csv
+from gaussent.cli import classify_csv, sweep_csv
 
 
 def write_surface(name: str, out_dir: pathlib.Path, t_max: float, n_t: int, n_c: int):
@@ -32,11 +33,8 @@ def write_surface(name: str, out_dir: pathlib.Path, t_max: float, n_t: int, n_c:
     surface_path.write_text(sweep_csv(result), newline="")
 
     labels_path = out_dir / f"labels_{name}.csv"
-    with open(labels_path, "w", newline="") as handle:
-        handle.write("c,label,n_events,first_event\n")
-        for c, phase in zip(result.thermal_cs, result.classifications):
-            first = format(phase.event_times[0], ".17g") if phase.event_times else ""
-            handle.write(f"{c:.17g},{phase.label},{len(phase.event_times)},{first}\n")
+    labels = zip(map(float, result.thermal_cs), result.classifications)
+    labels_path.write_text(classify_csv(labels), newline="")
     return surface_path, labels_path
 
 

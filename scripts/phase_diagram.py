@@ -3,7 +3,7 @@
 
 Writes a long-form CSV of cell statuses and prints, per d_xpy row, the last
 entangled grid column against the analytic threshold
-C* = 1 + 2 d_xpy / sqrt(lam^2 + omega^2).
+C* = 1 + 2 |d_xpy| / sqrt(lam^2 + omega^2).
 """
 
 import argparse

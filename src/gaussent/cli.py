@@ -266,6 +266,16 @@ def _run_sweep(cfg: RunConfig, spec: SweepSpec) -> str:
     return sweep_csv(result)
 
 
+def classify_csv(results) -> str:
+    """CSV of phase labels from (c, PhaseClassification) pairs: header
+    c,label,event_times, with the event times separated by semicolons."""
+    rows = (
+        f"{_fmt(c)},{phase.label},{';'.join(_fmt(t) for t in phase.event_times)}"
+        for c, phase in results
+    )
+    return _csv("c,label,event_times", rows)
+
+
 def _run_classify(cfg: RunConfig, spec: SweepSpec) -> str:
     results = [
         (c, classify_phase(spec.initial, spec.environment_at(c), spec.t_max, spec.n_t))
@@ -286,11 +296,7 @@ def _run_classify(cfg: RunConfig, spec: SweepSpec) -> str:
                 ]
             },
         )
-    rows = (
-        f"{_fmt(c)},{phase.label},{';'.join(_fmt(t) for t in phase.event_times)}"
-        for c, phase in results
-    )
-    return _csv("c,label,event_times", rows)
+    return classify_csv(results)
 
 
 def phase_diagram_csv(diagram: PhaseDiagram) -> str:

@@ -7,7 +7,6 @@ the dimensionless parameter C = coth(omega / (2 T)) >= 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -283,14 +282,14 @@ class DiffusionReport:
     ``checks`` holds the six pairwise Cauchy-Schwarz bounds; ``passed`` is
     their conjunction and is the gate used by strict construction and the CLI.
     ``semigroup_psd`` reports whether the full 4x4 complex coefficient matrix
-    of the semigroup is positive semidefinite (all principal minors
-    nonnegative); it is informational, since standard benchmark environments
-    with a nonzero x-p_y cross coefficient satisfy the pairwise bounds while
-    failing the full-matrix test.
+    of the semigroup is positive semidefinite (its smallest eigenvalue is
+    ``semigroup_min_eigenvalue``); it is informational, since standard
+    benchmark environments with a nonzero x-p_y cross coefficient satisfy the
+    pairwise bounds while failing the full-matrix test.
     """
 
     checks: tuple[DiffusionCheck, ...]
-    semigroup_minor_min: float
+    semigroup_min_eigenvalue: float
     semigroup_psd: bool
 
     @property
@@ -314,40 +313,44 @@ def _semigroup_coefficient_matrix(env: EnvironmentSpec) -> NDArray[np.complex128
     )
 
 
+# The pairwise bounds in report order, each the 2x2 principal minor of the
+# coefficient matrix at (row, column).
+_PAIRWISE_BOUNDS = {
+    "xx_pxpx": (0, 1),
+    "yy_pypy": (2, 3),
+    "xx_yy": (0, 2),
+    "pxpx_pypy": (1, 3),
+    "xx_pypy": (0, 3),
+    "yy_pxpx": (1, 2),
+}
+_BOUND_ROWS, _BOUND_COLS = np.array(list(_PAIRWISE_BOUNDS.values())).T
+
+
 def validate_diffusion(env: EnvironmentSpec) -> DiffusionReport:
     """Check the diffusion coefficients against the semigroup positivity bounds.
 
-    The six pairwise bounds are
+    The six pairwise bounds are the 2x2 principal minors of the complex
+    coefficient matrix of the semigroup:
     d_xx*d_pxpx - d_xpx^2 >= lam^2/4 (and its y twin),
     d_xx*d_yy >= d_xy^2, d_pxpx*d_pypy >= d_pxpy^2,
     d_xx*d_pypy >= d_xpy^2 and d_yy*d_pxpx >= d_ypx^2.
     Each is reported with its margin (left side minus right side).  The full
-    4x4 complex coefficient matrix is additionally tested for positive
-    semidefiniteness via all of its principal minors.  Never raises.
+    matrix is additionally tested for positive semidefiniteness through its
+    smallest eigenvalue.  Never raises.
     """
-    quarter = 0.25 * env.lam**2
-    margins = (
-        ("xx_pxpx", env.d_xx * env.d_pxpx - env.d_xpx**2 - quarter),
-        ("yy_pypy", env.d_yy * env.d_pypy - env.d_ypy**2 - quarter),
-        ("xx_yy", env.d_xx * env.d_yy - env.d_xy**2),
-        ("pxpx_pypy", env.d_pxpx * env.d_pypy - env.d_pxpy**2),
-        ("xx_pypy", env.d_xx * env.d_pypy - env.d_xpy**2),
-        ("yy_pxpx", env.d_yy * env.d_pxpx - env.d_ypx**2),
-    )
-    checks = tuple(
-        DiffusionCheck(name=name, margin=float(margin), passed=margin >= -MARGIN_TOL)
-        for name, margin in margins
-    )
     coef = _semigroup_coefficient_matrix(env)
-    minor_min = math.inf
-    for size in range(1, 5):
-        for rows in itertools.combinations(range(4), size):
-            sub = coef[np.ix_(rows, rows)]
-            minor_min = min(minor_min, float(np.linalg.det(sub).real))
+    diag = coef.diagonal().real
+    off = coef[_BOUND_ROWS, _BOUND_COLS]
+    margins = diag[_BOUND_ROWS] * diag[_BOUND_COLS] - off.real * off.real - off.imag * off.imag
+    checks = tuple(
+        DiffusionCheck(name=name, margin=float(margin), passed=bool(margin >= -MARGIN_TOL))
+        for name, margin in zip(_PAIRWISE_BOUNDS, margins)
+    )
+    min_eigenvalue = float(np.linalg.eigvalsh(coef)[0])
     return DiffusionReport(
         checks=checks,
-        semigroup_minor_min=minor_min,
-        semigroup_psd=minor_min >= -MARGIN_TOL,
+        semigroup_min_eigenvalue=min_eigenvalue,
+        semigroup_psd=min_eigenvalue >= -MARGIN_TOL,
     )
 
 
@@ -390,19 +393,26 @@ def symplectic_invariants(entries: Matrix, partial_transpose: bool) -> tuple[flo
     With blocks [[A, C], [C^T, B]] the seralian is Delta = det A + det B
     + 2 det C, or Delta~ = det A + det B - 2 det C for the partial transpose
     (which keeps det sigma).  The squared symplectic eigenvalues are the roots
-    of nu^4 - Delta nu^2 + det sigma.  Finite entries can still overflow here,
-    so callers check the results for finiteness.
+    of nu^4 - Delta nu^2 + det sigma.  Finite entries can still overflow
+    here; that raises ``OverflowError``.
     """
     sign = -2.0 if partial_transpose else 2.0
     delta = det2(entries[:2, :2]) + det2(entries[2:, 2:]) + sign * det2(entries[:2, 2:])
-    return delta, float(np.linalg.det(entries))
+    det = float(np.linalg.det(entries))
+    if not (math.isfinite(delta) and math.isfinite(det)):
+        which = "PT symplectic" if partial_transpose else "symplectic"
+        raise OverflowError(
+            f"{which} invariants are not finite (seralian {delta}, determinant {det})"
+        )
+    return delta, det
 
 
 def check_physical_state(sigma) -> StateReport:
     """Report symmetry, positivity and the uncertainty test for ``sigma``.
 
-    Accepts a :class:`CovarianceMatrix` or a raw 4x4 array; never raises.
-    Overflowing invariants report NaN eigenvalues and an unphysical state.
+    Accepts a :class:`CovarianceMatrix` or a raw 4x4 array.  Raises
+    ``OverflowError`` when the symplectic invariants overflow, since the
+    uncertainty test cannot be evaluated then.
     """
     arr = np.asarray(getattr(sigma, "entries", sigma), dtype=float)
     residual = float(np.max(np.abs(arr - arr.T)))

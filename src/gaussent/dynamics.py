@@ -10,7 +10,6 @@ computed directly from t = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,68 +94,3 @@ def evolve(
     fixed = steady.entries if steady is not None else steady_covariance(env).entries
     out = m @ (initial.entries - fixed) @ m.T + fixed
     return CovarianceMatrix(0.5 * (out + out.T))
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Uniformly sampled covariance trajectory starting at t = 0."""
-
-    times: Matrix
-    states: tuple[CovarianceMatrix, ...]
-    env: EnvironmentSpec
-    initial: CovarianceMatrix
-
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if len(self.times) < 2:
-            raise ValueError("a trajectory needs at least two samples")
-        if self.times[0] != 0.0:
-            raise ValueError("trajectories start at t = 0")
-        if not np.all(np.diff(self.times) > 0):
-            raise ValueError("sample times must be strictly increasing")
-        if not np.array_equal(self.states[0].entries, self.initial.entries):
-            raise ValueError("first sample must equal the initial state exactly")
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-def sample_trajectory(
-    initial: CovarianceMatrix,
-    env: EnvironmentSpec,
-    t_max: float,
-    n_steps: int,
-) -> Trajectory:
-    """Sample the exact flow on a uniform grid of n_steps + 1 instants.
-
-    Every sample is computed in closed form from t = 0, so no step-to-step
-    integration error accumulates.
-    """
-    if not t_max > 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    if n_steps < 2:
-        raise ValueError(f"n_steps must be at least 2, got {n_steps}")
-    times = np.linspace(0.0, t_max, n_steps + 1)
-    fixed = steady_covariance(env)
-    states = tuple(evolve(initial, env, float(t), steady=fixed) for t in times)
-    return Trajectory(times=times, states=states, env=env, initial=initial)
-
-
-def ode_residual(trajectory: Trajectory) -> float:
-    """Max norm of d(sigma)/dt - (Y sigma + sigma Y^T + 2 D) on interior samples.
-
-    The derivative is a centered finite difference, so for the exact flow the
-    residual is O(dt^2); halving the grid spacing should divide it by about 4.
-    """
-    if len(trajectory) < 3:
-        raise ValueError("residual check needs at least three samples")
-    y = drift_matrix(trajectory.env)
-    d = diffusion_matrix(trajectory.env)
-    times = trajectory.times
-    mats = np.stack([state.entries for state in trajectory.states])
-    span = (times[2:] - times[:-2])[:, None, None]
-    lhs = (mats[2:] - mats[:-2]) / span
-    inner = mats[1:-1]
-    rhs = np.matmul(y, inner) + np.matmul(inner, y.T) + 2.0 * d
-    return float(np.max(np.abs(lhs - rhs)))

@@ -66,10 +66,6 @@ def symplectic_spectrum_pt(sigma: CovarianceMatrix) -> PtSpectrum:
     Raises ``OverflowError`` when the invariants overflow.
     """
     delta, det_sigma = symplectic_invariants(sigma.entries, partial_transpose=True)
-    if not (math.isfinite(delta) and math.isfinite(det_sigma)):
-        raise OverflowError(
-            f"PT symplectic invariants are not finite (seralian {delta}, determinant {det_sigma})"
-        )
     disc = delta * delta - 4.0 * det_sigma
     if disc < 0.0:
         return PtSpectrum(delta, math.nan, math.nan, True)
@@ -137,86 +133,48 @@ def asymptotic_simon(env: EnvironmentSpec) -> float:
     Tr[...] = thermal_c^2 (g + d)/2, where g = (m omega d_xy / lam)^2 and
     d = d_xpy^2/(lam^2 + omega^2).  The |det C| term keeps the expression
     equal to simon_function(steady_covariance(env)) in both sign regimes of
-    det C(inf).
+    det C(inf).  Raises ``OverflowError`` when the value overflows.
     """
     _require_thermal(env, "the asymptotic Simon value")
-    theta_sq = env.thermal_c**2
-    den = env.lam**2 + env.omega**2
-    g = (env.m * env.omega * env.d_xy / env.lam) ** 2
-    d = env.d_xpy**2 / den
-    det_c_inf = g - d
+    theta_sq = env.thermal_c * env.thermal_c
+    den = env.lam * env.lam + env.omega * env.omega
+    g = env.m * env.omega * env.d_xy / env.lam
+    g *= g
+    d = env.d_xpy * env.d_xpy / den
     det_a_inf = 0.25 * theta_sq
-    return (
+    mixed = 0.25 - abs(g - d)
+    value = (
         det_a_inf * det_a_inf
-        + (0.25 - abs(det_c_inf)) ** 2
+        + mixed * mixed
         - 0.5 * theta_sq * (g + d)
         - 0.5 * det_a_inf
     )
+    if not math.isfinite(value):
+        raise OverflowError(f"asymptotic Simon function is not finite ({value})")
+    return value
 
 
-class ThresholdResult(NamedTuple):
-    """Entangled-at-infinity window in the thermal parameter, for d_xy = 0.
+def asymptotic_threshold(env: EnvironmentSpec) -> float:
+    """Thermal parameter C* = 1 + 2|d_xpy|/sqrt(lam^2 + omega^2), for d_xy = 0.
 
-    The steady state is entangled exactly for
-    c_lower_rule < thermal_c < c_threshold with
-    c_threshold = 1 + 2|d_xpy|/sqrt(lam^2 + omega^2); the lower edge
-    c_lower_rule = c_threshold - 2 is below 1 whenever the diffusion
-    constraint holds, so the upper edge is the operative one.
-    ``constraint_ok`` evaluates (lam/2) thermal_c >= d_xpy at the
-    environment's own thermal parameter.
+    The steady state is entangled exactly when thermal_c < C*.
     """
-
-    c_lower_rule: float
-    c_threshold: float
-    constraint_ok: bool
-
-
-def asymptotic_threshold(env: EnvironmentSpec) -> ThresholdResult:
-    """Thermal-parameter threshold below which the asymptote is entangled."""
     _require_thermal(env, "the asymptotic threshold")
     if env.d_xy != 0.0:
         raise ValueError("the closed-form threshold is stated for d_xy = 0")
-    span = 2.0 * abs(env.d_xpy) / math.hypot(env.lam, env.omega)
-    return ThresholdResult(
-        c_lower_rule=span - 1.0,
-        c_threshold=span + 1.0,
-        constraint_ok=0.5 * env.lam * env.thermal_c >= env.d_xpy,
-    )
+    return 1.0 + 2.0 * abs(env.d_xpy) / math.hypot(env.lam, env.omega)
 
 
 def asymptotic_log_negativity(env: EnvironmentSpec) -> float | None:
     """Entanglement degree of the steady state for d_xy = 0.
 
-    Evaluates max{0, -log2 |thermal_c - 2|d_xpy|/sqrt(lam^2+omega^2)|}, which
-    coincides with log_negativity(steady_covariance(env)).  Returns None when
-    the absolute-value argument vanishes (degenerate PT eigenvalue).
+    Evaluates max{0, -log2 |thermal_c - 2|d_xpy|/sqrt(lam^2+omega^2)|}, that
+    is max{0, -log2 |thermal_c - (C* - 1)|} with C* the
+    :func:`asymptotic_threshold`, which coincides with
+    log_negativity(steady_covariance(env)).  Returns None when the
+    absolute-value argument vanishes (degenerate PT eigenvalue).
     """
-    _require_thermal(env, "the asymptotic logarithmic negativity")
-    if env.d_xy != 0.0:
-        raise ValueError("the closed-form asymptotic degree is stated for d_xy = 0")
-    arg = abs(env.thermal_c - 2.0 * abs(env.d_xpy) / math.hypot(env.lam, env.omega))
+    arg = abs(env.thermal_c - (asymptotic_threshold(env) - 1.0))
     if arg == 0.0:
         return None
     return max(0.0, -math.log2(arg))
-
-
-@dataclass(frozen=True)
-class AsymptoticEntanglement:
-    """Long-time entanglement summary of a thermal environment with d_xy = 0."""
-
-    s_infinity: float
-    l_infinity: float | None
-    entangled_at_infinity: bool
-    c_threshold: float
-
-
-def asymptotic_entanglement(env: EnvironmentSpec) -> AsymptoticEntanglement:
-    """Bundle the closed-form asymptotic quantities for d_xy = 0."""
-    s_inf = asymptotic_simon(env)
-    threshold = asymptotic_threshold(env)
-    return AsymptoticEntanglement(
-        s_infinity=s_inf,
-        l_infinity=asymptotic_log_negativity(env),
-        entangled_at_infinity=s_inf < 0.0,
-        c_threshold=threshold.c_threshold,
-    )

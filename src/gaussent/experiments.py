@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import CovarianceMatrix, EnvironmentSpec, Matrix, thermal_environment
 from .dynamics import evolve, steady_covariance
-from .entanglement import asymptotic_simon, log_negativity, simon_function
+from .entanglement import asymptotic_simon, asymptotic_threshold, log_negativity, simon_function
 
 #: Bisection window below which a crossing instant is considered resolved.
 EVENT_TIME_TOL = 1e-8
@@ -283,9 +283,10 @@ def sweep(spec: SweepSpec) -> SweepResult:
 class PhaseDiagram:
     """Entangled-at-infinity map over a (d_xpy, thermal_c) grid, d_xy = 0.
 
-    Cells violating the diffusion constraint (lam/2) thermal_c >= d_xpy are
+    Cells violating the diffusion constraint (lam/2) thermal_c >= |d_xpy| are
     marked unphysical and excluded from the entangled set.  ``c_thresholds``
-    holds the analytic boundary 1 + 2 d_xpy / sqrt(lam^2 + omega^2) per row.
+    holds the analytic boundary C* = 1 + 2|d_xpy| / sqrt(lam^2 + omega^2) per
+    row; a physical cell is entangled iff thermal_c < C*.
     """
 
     d_xpy_values: Matrix
@@ -307,19 +308,26 @@ def asymptotic_phase_diagram(
     c_grid: Sequence[float],
     m: float = 1.0,
 ) -> PhaseDiagram:
-    """Mark each (d_xpy, thermal_c) cell entangled iff the asymptote has S < 0."""
+    """Mark each (d_xpy, thermal_c) cell entangled iff the asymptote has S < 0.
+
+    Raises ``ValueError`` for parameters that ``thermal_environment`` rejects
+    (non-positive lam, omega or m, thermal_c < 1, non-finite values).
+    """
     d_values = np.asarray(d_xpy_grid, dtype=float)
     cs = np.asarray(c_grid, dtype=float)
-    entangled = np.zeros((len(d_values), len(cs)), dtype=bool)
-    unphysical = np.zeros_like(entangled)
-    for i, d_xpy in enumerate(d_values):
-        for j, c in enumerate(cs):
-            if 0.5 * lam * c < d_xpy:
-                unphysical[i, j] = True
-                continue
-            env = thermal_environment(lam, float(c), 0.0, float(d_xpy), m, omega)
-            entangled[i, j] = asymptotic_simon(env) < 0.0
-    thresholds = 1.0 + 2.0 * np.abs(d_values) / np.hypot(lam, omega)
+    if not np.all(cs >= 1.0):
+        raise ValueError(f"thermal parameters must be >= 1, got {cs.min()}")
+    # one environment per row at the largest c, whose coefficients are the
+    # row's largest, validates every cell of the row
+    c_top = float(cs.max(initial=1.0))
+    thresholds = np.array(
+        [
+            asymptotic_threshold(thermal_environment(lam, c_top, 0.0, float(d), m, omega))
+            for d in d_values
+        ]
+    )
+    unphysical = 0.5 * lam * cs[None, :] < np.abs(d_values)[:, None]
+    entangled = ~unphysical & (cs[None, :] < thresholds[:, None])
     return PhaseDiagram(
         d_xpy_values=d_values,
         thermal_cs=cs,

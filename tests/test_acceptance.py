@@ -13,9 +13,18 @@ import numpy as np
 import pytest
 
 import gaussent as ge
+from gaussent.core import EnvironmentSpec, covariance_from_entries, diffusion_matrix, drift_matrix
+from gaussent.dynamics import propagator, steady_covariance
+from gaussent.entanglement import (
+    asymptotic_simon,
+    log_negativity,
+    simon_function,
+    symplectic_spectrum_pt,
+)
 from helpers import (
     lyapunov_oracle,
     matrix_exp_oracle,
+    ode_residual_oracle,
     pt_symplectic_eigs_oracle,
     random_physical_cm,
     simon_oracle_exact,
@@ -37,9 +46,9 @@ def test_c01_propagator_exactness():
         (0.01, 0.1, 1.0), (0.5, 1.0, 2.0), (0.5, 1.0, 2.0)
     ):
         env = ge.thermal_environment(lam, 1.0, m=m, omega=omega)
-        y = ge.drift_matrix(env)
+        y = drift_matrix(env)
         for t in (0.1, 1.0, 10.0, 100.0):
-            diff = np.max(np.abs(ge.propagator(env, t) - matrix_exp_oracle(y * t)))
+            diff = np.max(np.abs(propagator(env, t) - matrix_exp_oracle(y * t)))
             worst = max(worst, float(diff))
     elapsed = time.perf_counter() - start
     _report(
@@ -63,7 +72,7 @@ def _non_thermal_baths(n: int = 100):
     for _ in range(n):
         lam, omega, m = rng.uniform(0.02, 1.0), rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
         d = rng.uniform(-1.0, 1.0, size=6)
-        yield ge.EnvironmentSpec(
+        yield EnvironmentSpec(
             m=m, omega=omega, lam=lam, thermal_c=1.0,
             d_xx=abs(d[0]), d_xpx=d[1], d_pxpx=abs(d[2]), d_xy=d[3], d_xpy=d[4], d_pxpy=d[5],
         )
@@ -77,9 +86,9 @@ def test_c02_lyapunov_correctness():
     count = 0
     for env in itertools.chain(_thermal_grid(), _non_thermal_baths()):
         count += 1
-        sigma = ge.steady_covariance(env)
-        y = ge.drift_matrix(env)
-        d = ge.diffusion_matrix(env)
+        sigma = steady_covariance(env)
+        y = drift_matrix(env)
+        d = diffusion_matrix(env)
         residual = np.max(np.abs(y @ sigma.entries + sigma.entries @ y.T + 2 * d))
         worst_residual = max(
             worst_residual, float(residual) / (1.0 + float(np.max(np.abs(d))))
@@ -103,8 +112,8 @@ def test_c03_asymptotic_simon_cross_check():
     count = 0
     for env in _thermal_grid():
         count += 1
-        direct = ge.simon_function(ge.steady_covariance(env))
-        worst = max(worst, abs(ge.asymptotic_simon(env) - direct))
+        direct = simon_function(steady_covariance(env))
+        worst = max(worst, abs(asymptotic_simon(env) - direct))
     _report(
         "03 asymptotic Simon cross-check",
         count == 72 and worst <= 1e-10,
@@ -116,7 +125,7 @@ def test_c04_threshold_identity():
     """Bisection root of S(inf) in C sits at 1 + 2 d_xpy / sqrt(lam^2 + omega^2)."""
 
     def s_of_c(c):
-        return ge.asymptotic_simon(ge.thermal_environment(0.1, c, 0.0, 0.049))
+        return asymptotic_simon(ge.thermal_environment(0.1, c, 0.0, 0.049))
 
     lo, hi = 1.0 + 1e-15, 1.5
     assert s_of_c(lo) < 0 < s_of_c(hi)
@@ -147,7 +156,7 @@ def test_c05_asymptotic_degree_convergence():
     worst = 0.0
     for name in ("fig1", "fig2", "vacuum"):
         state = ge.evolve(ge.presets.initial_state(name), env, 300.0 / 0.1)
-        degree = ge.log_negativity(state)
+        degree = log_negativity(state)
         worst = max(worst, abs(degree - expected))
     _report(
         "05 asymptotic degree convergence",
@@ -168,7 +177,7 @@ def test_c06_benchmark_regime_reproduction():
         and phase.s_infinity_sign == -1
         and phase.label in ("generation_persistent", "collapse_revival")
     )
-    separable_tail = ge.asymptotic_simon(ge.presets.benchmark_environment(1.5)) > 0
+    separable_tail = asymptotic_simon(ge.presets.benchmark_environment(1.5)) > 0
     start = time.perf_counter()
     ge.sweep(
         ge.SweepSpec(
@@ -194,7 +203,7 @@ def test_c06_benchmark_regime_reproduction():
 def test_c07_entangled_preset_exact_simon():
     """Preset fig3 Simon value equals -133/576 against exact rational evaluation."""
     sigma = ge.presets.initial_state("fig3")
-    value = ge.simon_function(sigma)
+    value = simon_function(sigma)
     reference = -133.0 / 576.0
     oracle = simon_oracle_exact(sigma.entries)
     rel_vs_reference = abs(value - reference) / abs(reference)
@@ -218,13 +227,13 @@ def test_c08_ppt_consistency_property():
     entangled = separable = 0
     for _ in range(1000):
         sigma = ge.CovarianceMatrix(random_physical_cm(rng))
-        spectrum = ge.symplectic_spectrum_pt(sigma)
+        spectrum = symplectic_spectrum_pt(sigma)
         nu_minus = pt_symplectic_eigs_oracle(sigma.entries)[0]
         worst_nu = max(
             worst_nu, abs(spectrum.nu_minus_sq - nu_minus**2) / max(1.0, spectrum.nu_plus_sq)
         )
-        s = ge.simon_function(sigma)
-        degree = ge.log_negativity(sigma)
+        s = simon_function(sigma)
+        degree = log_negativity(sigma)
         if s < -1e-12:
             entangled += 1
             if not degree > 0:
@@ -245,7 +254,7 @@ def test_c08_ppt_consistency_property():
 def test_c09_fixed_point_and_flow():
     """The steady state is a fixed point; the flow composes as a semigroup."""
     env = ge.thermal_environment(0.1, 1.2, 0.0, 0.049)
-    fixed = ge.steady_covariance(env)
+    fixed = steady_covariance(env)
     worst_fixed = max(
         float(np.max(np.abs(ge.evolve(fixed, env, t).entries - fixed.entries)))
         for t in (1.0, 10.0, 100.0)
@@ -272,8 +281,19 @@ def test_c10_ode_residual_convergence():
     """Centered-difference residual of the covariance ODE drops ~4x when dt halves."""
     env = ge.presets.benchmark_environment(1.0)
     initial = ge.presets.initial_state("fig1")
-    coarse = ge.ode_residual(ge.sample_trajectory(initial, env, 10.0, 1000))
-    fine = ge.ode_residual(ge.sample_trajectory(initial, env, 10.0, 2000))
+    fixed = steady_covariance(env)
+
+    def residual(n_steps):
+        return ode_residual_oracle(
+            lambda t: ge.evolve(initial, env, t, steady=fixed).entries,
+            drift_matrix(env),
+            diffusion_matrix(env),
+            10.0,
+            n_steps,
+        )
+
+    coarse = residual(1000)
+    fine = residual(2000)
     ratio = coarse / fine
     _report(
         "10 ODE residual convergence",
@@ -287,13 +307,13 @@ def test_c11_two_mode_squeezed_oracle():
     r = 0.5
     ch = 0.5 * math.cosh(2 * r)
     sh = 0.5 * math.sinh(2 * r)
-    sigma = ge.covariance_from_entries(
+    sigma = covariance_from_entries(
         {
             "sigma_xx": ch, "sigma_pxpx": ch, "sigma_yy": ch, "sigma_pypy": ch,
             "sigma_xy": sh, "sigma_pxpy": -sh,
         }
     )
-    value = ge.log_negativity(sigma)
+    value = log_negativity(sigma)
     expected = 2 * r / math.log(2)
     _report(
         "11 two-mode squeezed oracle",

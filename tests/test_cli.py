@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 import gaussent as ge
+from gaussent.core import ENTRY_NAMES, independent_entries, temperature_from_thermal_c
+from gaussent.entanglement import simon_function
+from gaussent.experiments import LABELS
 from gaussent.cli import main
 
 
@@ -27,7 +30,7 @@ class TestSteadyCommand:
         header, rows = parse_csv(out)
         assert header == ["entry", "value"]
         values = {name: float(value) for name, value in rows}
-        assert set(values) == set(ge.ENTRY_NAMES)
+        assert set(values) == set(ENTRY_NAMES)
         assert values["sigma_xpy"] == pytest.approx(0.0049 / 1.01, abs=1e-15)
         assert values["sigma_xx"] == pytest.approx(0.5, rel=1e-12)
 
@@ -76,13 +79,18 @@ class TestMetricsCommand:
         assert payload["result"]["defined"] is False
 
     def test_overflow_is_a_numerical_failure(self, capsys):
-        code, out, err = run_cli(
-            capsys, "metrics", "--set", "sigma_xx=1e200", "--set", "sigma_pxpx=1e200"
-        )
-        assert code == 4
-        assert out == ""
-        assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith("error: numerical failure:")
+        for entries in (
+            ("sigma_xx=1e200", "sigma_pxpx=1e200"),
+            # a physical thermal state whose invariants overflow
+            ("sigma_xx=1e160", "sigma_pxpx=1e160", "sigma_yy=1e160", "sigma_pypy=1e160"),
+        ):
+            sets = [arg for entry in entries for arg in ("--set", entry)]
+            code, out, err = run_cli(capsys, "metrics", *sets)
+            assert code == 4
+            assert out == ""
+            assert "Traceback" not in err
+            assert "unphysical" not in err
+            assert err.splitlines()[-1].startswith("error: numerical failure:")
 
     def test_evaluates_at_time(self, capsys):
         code, out, _ = run_cli(capsys, "metrics", "--set", "initial=fig1", "--set", "t=30")
@@ -90,7 +98,7 @@ class TestMetricsCommand:
         values = dict(parse_csv(out)[1])
         env = ge.presets.benchmark_environment(thermal_c=1.0)
         state = ge.evolve(ge.presets.initial_state("fig1"), env, 30.0)
-        assert float(values["simon_s"]) == pytest.approx(ge.simon_function(state), abs=0)
+        assert float(values["simon_s"]) == pytest.approx(simon_function(state), abs=0)
 
 
 class TestEvolveCommand:
@@ -98,7 +106,7 @@ class TestEvolveCommand:
         code, out, _ = run_cli(capsys, "evolve", "--set", "initial=fig1")
         assert code == 0
         values = {name: float(v) for name, v in parse_csv(out)[1]}
-        expected = ge.independent_entries(ge.presets.initial_state("fig1"))
+        expected = independent_entries(ge.presets.initial_state("fig1"))
         assert values == pytest.approx(expected)
 
     def test_explicit_entries(self, capsys):
@@ -113,7 +121,7 @@ class TestEvolveCommand:
         values = {name: float(v) for name, v in parse_csv(out)[1]}
         env = ge.presets.benchmark_environment(thermal_c=1.0)
         expected = ge.evolve(ge.presets.initial_state("fig1"), env, 5.0)
-        assert values == pytest.approx(ge.independent_entries(expected), abs=1e-15)
+        assert values == pytest.approx(independent_entries(expected), abs=1e-15)
 
 
 class TestSweepCommand:
@@ -157,7 +165,7 @@ class TestClassifyCommand:
         header, rows = parse_csv(out)
         assert header == ["c", "label", "event_times"]
         assert len(rows) == 3
-        assert rows[0][1] in ge.LABELS
+        assert rows[0][1] in LABELS
         assert rows[0][2]  # benchmark generates entanglement: events present
         for event in rows[0][2].split(";"):
             float(event)
@@ -178,6 +186,18 @@ class TestPhaseDiagramCommand:
         statuses = {row[2] for row in rows}
         assert statuses <= {"entangled", "separable", "unphysical"}
         assert "unphysical" in statuses  # d_xpy = 0.06 needs c >= 1.2
+
+    def test_negative_cross_coefficient_is_bounded_by_magnitude(self, capsys):
+        # lam/2 * c <= 0.075 < |d_xpy| on the whole c grid, as for metrics
+        code, out, _ = run_cli(
+            capsys,
+            "phase-diagram",
+            "--set", "d_xpy_min=-0.2", "--set", "d_xpy_max=-0.2",
+            "--set", "n_d=1", "--set", "n_c=2",
+        )
+        assert code == 0
+        assert [row[2] for row in parse_csv(out)[1]] == ["unphysical", "unphysical"]
+        assert run_cli(capsys, "metrics", "--set", "d_xpy=-0.2")[0] == 3
 
 
 class TestConfigHandling:
@@ -227,7 +247,7 @@ class TestConfigHandling:
 
     def test_temperature_key_matches_thermal_c(self, capsys):
         c = 1.4
-        temperature = ge.temperature_from_thermal_c(c)
+        temperature = temperature_from_thermal_c(c)
         code_a, out_a, _ = run_cli(capsys, "steady", "--set", f"c={c}")
         code_b, out_b, _ = run_cli(capsys, "steady", "--set", f"temperature={temperature}")
         assert code_a == code_b == 0

@@ -6,7 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussent as ge
-from gaussent.core import MARGIN_TOL
+from gaussent.core import (
+    ENTRY_NAMES,
+    MARGIN_TOL,
+    EnvironmentSpec,
+    check_physical_state,
+    covariance_from_entries,
+    diffusion_matrix,
+    drift_matrix,
+    independent_entries,
+    temperature_from_thermal_c,
+    thermal_c_from_temperature,
+    validate_diffusion,
+)
 
 
 def _check(report, name):
@@ -61,7 +73,7 @@ class TestThermalEnvironment:
 
     def test_is_thermal(self):
         assert ge.thermal_environment(0.1, 1.2, 0.01, 0.02).is_thermal()
-        lopsided = ge.EnvironmentSpec(
+        lopsided = EnvironmentSpec(
             m=1.0, omega=1.0, lam=0.1, thermal_c=1.0,
             d_xx=0.06, d_xpx=0.0, d_pxpx=0.05, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0,
         )
@@ -70,7 +82,7 @@ class TestThermalEnvironment:
 
 def test_environment_requires_positive_dissipation():
     with pytest.raises(ValueError):
-        ge.EnvironmentSpec(
+        EnvironmentSpec(
             m=1.0, omega=1.0, lam=0.0, thermal_c=1.0,
             d_xx=0.0, d_xpx=0.0, d_pxpx=0.0, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0,
         )
@@ -79,7 +91,7 @@ def test_environment_requires_positive_dissipation():
 class TestDriftDiffusion:
     def test_drift_structure(self):
         env = ge.thermal_environment(0.1, 1.0, m=2.0, omega=0.5)
-        y = ge.drift_matrix(env)
+        y = drift_matrix(env)
         block = np.array([[-0.1, 0.5], [-0.5, -0.1]])
         np.testing.assert_allclose(y[:2, :2], block, rtol=0, atol=0)
         np.testing.assert_allclose(y[2:, 2:], block, rtol=0, atol=0)
@@ -93,7 +105,7 @@ class TestDriftDiffusion:
     @settings(max_examples=60, deadline=None)
     def test_drift_eigenvalues(self, lam, omega, m):
         env = ge.thermal_environment(lam, 1.0, m=m, omega=omega)
-        eigs = np.linalg.eigvals(ge.drift_matrix(env))
+        eigs = np.linalg.eigvals(drift_matrix(env))
         # every eigenvalue is a root of (s + lam)^2 + omega^2
         residuals = np.abs((eigs + lam) ** 2 + omega**2)
         assert np.max(residuals) <= 1e-10
@@ -101,7 +113,7 @@ class TestDriftDiffusion:
 
     def test_diffusion_matrix_symmetric(self):
         env = ge.thermal_environment(0.1, 1.5, d_xy=0.01, d_xpy=0.049)
-        d = ge.diffusion_matrix(env)
+        d = diffusion_matrix(env)
         np.testing.assert_array_equal(d, d.T)
         assert d[0, 0] == env.d_xx
         assert d[0, 3] == env.d_xpy
@@ -110,16 +122,16 @@ class TestDriftDiffusion:
 
 class TestValidateDiffusion:
     def test_zero_temperature_boundary_margin(self):
-        report = ge.validate_diffusion(ge.thermal_environment(0.1, 1.0))
+        report = validate_diffusion(ge.thermal_environment(0.1, 1.0))
         check = _check(report, "xx_pxpx")
         assert abs(check.margin) <= 1e-15
         assert check.passed
         assert report.passed
         assert report.semigroup_psd  # boundary case still passes with slack
-        assert abs(report.semigroup_minor_min) <= 1e-15
+        assert abs(report.semigroup_min_eigenvalue) <= 1e-15
 
     def test_excessive_cross_coefficient_fails(self):
-        report = ge.validate_diffusion(ge.thermal_environment(0.1, 1.0, d_xpy=0.06))
+        report = validate_diffusion(ge.thermal_environment(0.1, 1.0, d_xpy=0.06))
         check = _check(report, "xx_pypy")
         assert not check.passed
         assert check.margin == pytest.approx(0.0025 - 0.0036, rel=1e-12)
@@ -127,7 +139,7 @@ class TestValidateDiffusion:
         assert check in report.failures()
 
     def test_benchmark_cross_coefficient_passes(self):
-        report = ge.validate_diffusion(ge.thermal_environment(0.1, 1.0, d_xpy=0.049))
+        report = validate_diffusion(ge.thermal_environment(0.1, 1.0, d_xpy=0.049))
         check = _check(report, "xx_pypy")
         assert check.passed
         assert check.margin == pytest.approx(0.0025 - 0.049**2, rel=1e-12)
@@ -135,24 +147,24 @@ class TestValidateDiffusion:
         # all pairwise bounds hold, yet the full 4x4 coefficient matrix is
         # indefinite for this benchmark; the report keeps the two facts apart
         assert not report.semigroup_psd
-        assert report.semigroup_minor_min < -1e-6
+        assert report.semigroup_min_eigenvalue < -1e-6
 
     def test_pure_thermal_full_matrix_psd(self):
-        report = ge.validate_diffusion(ge.thermal_environment(0.1, 2.0))
+        report = validate_diffusion(ge.thermal_environment(0.1, 2.0))
         assert report.passed
         assert report.semigroup_psd
 
     @given(lam=st.floats(1e-3, 10.0), thermal_c=st.floats(1.0, 100.0))
     @settings(max_examples=80, deadline=None)
     def test_thermal_environments_always_pass(self, lam, thermal_c):
-        report = ge.validate_diffusion(ge.thermal_environment(lam, thermal_c))
+        report = validate_diffusion(ge.thermal_environment(lam, thermal_c))
         assert report.passed
         assert report.semigroup_psd
 
 
 class TestCheckPhysicalState:
     def test_vacuum(self):
-        report = ge.check_physical_state(ge.presets.initial_state("vacuum"))
+        report = check_physical_state(ge.presets.initial_state("vacuum"))
         assert report.physical
         assert report.nu_minus_sq == pytest.approx(0.25, abs=1e-15)
         assert report.nu_plus_sq == pytest.approx(0.25, abs=1e-15)
@@ -160,7 +172,7 @@ class TestCheckPhysicalState:
     def test_entangled_squeezed_preset_is_unphysical(self):
         sigma = ge.presets.initial_state("fig3")
         assert np.linalg.det(sigma.entries) == pytest.approx(-25.0 / 576.0, rel=1e-12)
-        report = ge.check_physical_state(sigma)
+        report = check_physical_state(sigma)
         assert not report.positive_semidefinite
         assert report.min_eigenvalue < -0.1
         assert not report.physical
@@ -168,19 +180,19 @@ class TestCheckPhysicalState:
     def test_squeezed_preset_is_physical_boundary(self):
         # pure squeezed: nu_- sits exactly at 1/2; the degenerate spectrum
         # carries sqrt(eps) noise, hence the loose tolerance
-        report = ge.check_physical_state(ge.presets.initial_state("fig1"))
+        report = check_physical_state(ge.presets.initial_state("fig1"))
         assert report.physical
         assert report.nu_minus_sq == pytest.approx(0.25, abs=1e-7)
 
     def test_entangled_mixed_preset_violates_uncertainty(self):
-        report = ge.check_physical_state(ge.presets.initial_state("fig4"))
+        report = check_physical_state(ge.presets.initial_state("fig4"))
         assert report.positive_semidefinite
         assert report.nu_minus_sq == pytest.approx(0.0, abs=1e-14)
         assert not report.uncertainty_ok
         assert not report.physical
 
     def test_accepts_raw_arrays(self):
-        report = ge.check_physical_state(0.5 * np.eye(4))
+        report = check_physical_state(0.5 * np.eye(4))
         assert report.physical
         assert report.symmetry_residual == 0.0
 
@@ -195,7 +207,7 @@ class TestCheckPhysicalState:
         sigma = ge.CovarianceMatrix(
             0.5 * thermal_c * np.diag([1.0 / mw, mw, 1.0 / mw, mw])
         )
-        assert ge.check_physical_state(sigma).physical
+        assert check_physical_state(sigma).physical
 
 
 class TestCovarianceMatrix:
@@ -237,36 +249,36 @@ class TestCovarianceMatrix:
     @given(data=st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10))
     @settings(max_examples=60, deadline=None)
     def test_block_roundtrip(self, data):
-        values = dict(zip(ge.ENTRY_NAMES, data))
-        sigma = ge.covariance_from_entries(values)
+        values = dict(zip(ENTRY_NAMES, data))
+        sigma = covariance_from_entries(values)
         rebuilt = np.block(
             [[sigma.block_a, sigma.block_c], [sigma.block_c.T, sigma.block_b]]
         )
         np.testing.assert_array_equal(rebuilt, sigma.entries)
-        assert ge.independent_entries(sigma) == pytest.approx(values)
+        assert independent_entries(sigma) == pytest.approx(values)
 
     def test_unknown_entry_name(self):
         with pytest.raises(ValueError, match="unknown covariance entry"):
-            ge.covariance_from_entries({"sigma_zz": 1.0})
+            covariance_from_entries({"sigma_zz": 1.0})
 
 
 class TestTemperatureConversion:
     def test_zero_temperature(self):
-        assert ge.thermal_c_from_temperature(0.0) == 1.0
-        assert ge.temperature_from_thermal_c(1.0) == 0.0
+        assert thermal_c_from_temperature(0.0) == 1.0
+        assert temperature_from_thermal_c(1.0) == 0.0
 
     @given(temperature=st.floats(0.5, 50.0), omega=st.floats(0.5, 2.0))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip(self, temperature, omega):
         # mild omega/2T ratios only: coth saturates to 1 exponentially fast,
         # so the low-temperature direction is not invertible in floats
-        c = ge.thermal_c_from_temperature(temperature, omega)
+        c = thermal_c_from_temperature(temperature, omega)
         assert c > 1.0
-        back = ge.temperature_from_thermal_c(c, omega)
+        back = temperature_from_thermal_c(c, omega)
         assert back == pytest.approx(temperature, rel=1e-9)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            ge.thermal_c_from_temperature(-1.0)
+            thermal_c_from_temperature(-1.0)
         with pytest.raises(ValueError):
-            ge.temperature_from_thermal_c(0.5)
+            temperature_from_thermal_c(0.5)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussent as ge
-from helpers import lyapunov_oracle, matrix_exp_oracle
+from gaussent.core import ENTRY_NAMES, covariance_from_entries, diffusion_matrix, drift_matrix
+from gaussent.dynamics import propagator, steady_covariance
+from helpers import lyapunov_oracle, matrix_exp_oracle, ode_residual_oracle
 
 LAM = st.floats(0.01, 1.0)
 OMEGA = st.floats(0.5, 2.0)
@@ -36,11 +38,11 @@ class TestPropagator:
     def test_rejects_negative_time(self):
         for t in (-0.1, math.inf, math.nan):
             with pytest.raises(ValueError, match="nonnegative"):
-                ge.propagator(_env(), t)
+                propagator(_env(), t)
 
     def test_block_structure(self):
         env = _env(lam=0.3, m=1.7, omega=0.8)
-        m = ge.propagator(env, 2.3)
+        m = propagator(env, 2.3)
         assert np.all(m[:2, 2:] == 0) and np.all(m[2:, :2] == 0)
         np.testing.assert_array_equal(m[:2, :2], m[2:, 2:])
 
@@ -48,34 +50,34 @@ class TestPropagator:
     @settings(max_examples=80, deadline=None)
     def test_determinant(self, lam, omega, m, t):
         env = _env(lam=lam, m=m, omega=omega)
-        det = np.linalg.det(ge.propagator(env, t))
+        det = np.linalg.det(propagator(env, t))
         assert det == pytest.approx(math.exp(-4.0 * lam * t), rel=1e-10, abs=1e-300)
 
     @given(lam=LAM, omega=OMEGA, m=MASS, t=st.floats(0.0, 100.0))
     @settings(max_examples=80, deadline=None)
     def test_matches_series_oracle(self, lam, omega, m, t):
         env = _env(lam=lam, m=m, omega=omega)
-        oracle = matrix_exp_oracle(ge.drift_matrix(env) * t)
-        assert np.max(np.abs(ge.propagator(env, t) - oracle)) <= 1e-12
+        oracle = matrix_exp_oracle(drift_matrix(env) * t)
+        assert np.max(np.abs(propagator(env, t) - oracle)) <= 1e-12
 
     @given(lam=LAM, omega=OMEGA, m=MASS, s=st.floats(0.0, 20.0), t=st.floats(0.0, 20.0))
     @settings(max_examples=80, deadline=None)
     def test_semigroup_property(self, lam, omega, m, s, t):
         env = _env(lam=lam, m=m, omega=omega)
-        lhs = ge.propagator(env, s) @ ge.propagator(env, t)
-        rhs = ge.propagator(env, s + t)
+        lhs = propagator(env, s) @ propagator(env, t)
+        rhs = propagator(env, s + t)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def _prop(t):
-    return ge.propagator(_env(), t)
+    return propagator(_env(), t)
 
 
 class TestSteadyCovariance:
     @given(lam=st.floats(0.02, 1.0), c=st.floats(1.0, 5.0), omega=OMEGA, m=MASS)
     @settings(max_examples=60, deadline=None)
     def test_thermal_diagonal(self, lam, c, omega, m):
-        sigma = ge.steady_covariance(_env(lam=lam, c=c, m=m, omega=omega))
+        sigma = steady_covariance(_env(lam=lam, c=c, m=m, omega=omega))
         mw = m * omega
         assert sigma.entries[0, 0] == pytest.approx(0.5 * c / mw, rel=1e-10)
         assert sigma.entries[1, 1] == pytest.approx(0.5 * c * mw, rel=1e-10)
@@ -83,37 +85,37 @@ class TestSteadyCovariance:
         np.testing.assert_allclose(sigma.block_c, 0.0, atol=1e-12)
 
     def test_momentum_position_cross(self):
-        sigma = ge.steady_covariance(_env(d_xpy=0.049))
+        sigma = steady_covariance(_env(d_xpy=0.049))
         expected = 0.1 * 0.049 / (0.1**2 + 1.0)
         assert expected == pytest.approx(0.00485148514851485, rel=1e-12)
         assert sigma.entries[0, 3] == pytest.approx(expected, rel=1e-10)
         assert sigma.entries[1, 2] == pytest.approx(expected, rel=1e-10)
 
     def test_position_cross(self):
-        sigma = ge.steady_covariance(_env(d_xy=0.01))
+        sigma = steady_covariance(_env(d_xy=0.01))
         assert sigma.entries[0, 2] == pytest.approx(0.1, rel=1e-10)
         assert sigma.entries[1, 3] == pytest.approx(0.1, rel=1e-10)
 
     def test_residual_bound(self):
         env = _env(lam=0.05, c=1.7, d_xy=0.005, d_xpy=0.02)
-        sigma = ge.steady_covariance(env)
-        y = ge.drift_matrix(env)
-        d = ge.diffusion_matrix(env)
+        sigma = steady_covariance(env)
+        y = drift_matrix(env)
+        d = diffusion_matrix(env)
         residual = np.max(np.abs(y @ sigma.entries + sigma.entries @ y.T + 2 * d))
         assert residual <= 1e-12 * (1 + np.max(np.abs(d)))
 
     @pytest.mark.parametrize("m,omega", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.7)])
     def test_closed_form_cross_check(self, m, omega):
         env = _env(lam=0.1, c=1.4, d_xy=0.004, d_xpy=0.03, m=m, omega=omega)
-        closed = ge.steady_covariance(env)
-        dense = lyapunov_oracle(ge.drift_matrix(env), ge.diffusion_matrix(env))
+        closed = steady_covariance(env)
+        dense = lyapunov_oracle(drift_matrix(env), diffusion_matrix(env))
         assert np.max(np.abs(closed.entries - dense)) <= 1e-12
 
 
 class TestEvolve:
     def test_fixed_point(self):
         env = _env(d_xpy=0.049)
-        fixed = ge.steady_covariance(env)
+        fixed = steady_covariance(env)
         for t in (1.0, 10.0, 100.0):
             out = ge.evolve(fixed, env, t)
             assert np.max(np.abs(out.entries - fixed.entries)) <= 1e-12
@@ -126,7 +128,7 @@ class TestEvolve:
         env = _env(d_xpy=0.049)
         initial = ge.presets.initial_state("fig1")
         out = ge.evolve(initial, env, 200.0 / 0.1)
-        fixed = ge.steady_covariance(env)
+        fixed = steady_covariance(env)
         assert np.max(np.abs(out.entries - fixed.entries)) <= 1e-8
 
     def test_rejects_negative_time(self):
@@ -144,7 +146,7 @@ class TestEvolve:
     @settings(max_examples=60, deadline=None)
     def test_flow_composition(self, lam, c, s, t, data):
         env = _env(lam=lam, c=c, d_xpy=0.02)
-        initial = ge.covariance_from_entries(dict(zip(ge.ENTRY_NAMES, data)))
+        initial = covariance_from_entries(dict(zip(ENTRY_NAMES, data)))
         two_step = ge.evolve(ge.evolve(initial, env, s), env, t)
         one_step = ge.evolve(initial, env, s + t)
         assert np.max(np.abs(two_step.entries - one_step.entries)) <= 1e-11
@@ -159,64 +161,36 @@ class TestEvolve:
             np.testing.assert_allclose(state.block_c, state.block_c.T, atol=1e-12)
 
 
-class TestTrajectory:
-    def test_grid_construction(self):
-        traj = ge.sample_trajectory(ge.presets.initial_state("vacuum"), _env(), 10.0, 10)
-        assert len(traj) == 11
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == 10.0
-        assert traj.states[0] is traj.initial
-
-    def test_samples_match_evolve_exactly(self):
-        env = _env(d_xpy=0.049)
-        initial = ge.presets.initial_state("fig1")
-        traj = ge.sample_trajectory(initial, env, 20.0, 40)
-        fixed = ge.steady_covariance(env)
-        for k in (1, 7, 25, 40):
-            direct = ge.evolve(initial, env, float(traj.times[k]), steady=fixed)
-            np.testing.assert_array_equal(traj.states[k].entries, direct.entries)
-
-    def test_final_sample_near_steady(self):
-        env = _env(d_xpy=0.049)
-        traj = ge.sample_trajectory(ge.presets.initial_state("fig1"), env, 50.0, 500)
-        fixed = ge.steady_covariance(env)
-        assert np.max(np.abs(traj.states[-1].entries - fixed.entries)) <= 1e-4
-
-    @pytest.mark.parametrize("t_max,n", [(0.0, 10), (-1.0, 10), (1.0, 1)])
-    def test_rejects_bad_grids(self, t_max, n):
-        with pytest.raises(ValueError):
-            ge.sample_trajectory(ge.presets.initial_state("vacuum"), _env(), t_max, n)
+def _residual(initial, env, t_max, n_steps):
+    fixed = steady_covariance(env)
+    return ode_residual_oracle(
+        lambda t: ge.evolve(initial, env, t, steady=fixed).entries,
+        drift_matrix(env),
+        diffusion_matrix(env),
+        t_max,
+        n_steps,
+    )
 
 
 class TestOdeResidual:
     def test_fixed_point_residual(self):
         env = _env(d_xpy=0.049)
-        fixed = ge.steady_covariance(env)
-        traj = ge.sample_trajectory(fixed, env, 5.0, 50)
-        assert ge.ode_residual(traj) <= 1e-10
+        assert _residual(steady_covariance(env), env, 5.0, 50) <= 1e-10
 
     def test_magnitude_at_benchmark_resolution(self):
         env = _env(d_xpy=0.049)
         initial = ge.presets.initial_state("fig1")
-        traj = ge.sample_trajectory(initial, env, 10.0, 1000)  # dt = 0.01
-        assert ge.ode_residual(traj) <= 1e-3
+        assert _residual(initial, env, 10.0, 1000) <= 1e-3  # dt = 0.01
 
     def test_second_order_convergence(self):
         env = _env(d_xpy=0.049)
         initial = ge.presets.initial_state("fig1")
-        coarse = ge.ode_residual(ge.sample_trajectory(initial, env, 10.0, 1000))
-        fine = ge.ode_residual(ge.sample_trajectory(initial, env, 10.0, 2000))
+        coarse = _residual(initial, env, 10.0, 1000)
+        fine = _residual(initial, env, 10.0, 2000)
         assert 3.5 <= coarse / fine <= 4.5
 
     def test_needs_three_samples(self):
-        env = _env()
-        traj = ge.sample_trajectory(ge.presets.initial_state("vacuum"), env, 1.0, 2)
-        ge.ode_residual(traj)  # three samples is the minimum
-        short = ge.Trajectory(
-            times=traj.times[:2],
-            states=traj.states[:2],
-            env=env,
-            initial=traj.initial,
-        )
+        initial = ge.presets.initial_state("vacuum")
+        _residual(initial, _env(), 1.0, 2)  # three samples is the minimum
         with pytest.raises(ValueError):
-            ge.ode_residual(short)
+            _residual(initial, _env(), 1.0, 1)

@@ -7,6 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gaussent as ge
+from gaussent.core import ENTRY_NAMES, EnvironmentSpec, covariance_from_entries
+from gaussent.dynamics import steady_covariance
+from gaussent.entanglement import (
+    asymptotic_simon,
+    log_negativity,
+    simon_function,
+    symplectic_spectrum_pt,
+)
 from helpers import (
     pt_symplectic_eigs_oracle,
     random_physical_cm,
@@ -30,7 +38,7 @@ COMPLEX_PAIR_EXAMPLE = np.array(
 def two_mode_squeezed(r: float) -> ge.CovarianceMatrix:
     ch = 0.5 * math.cosh(2 * r)
     sh = 0.5 * math.sinh(2 * r)
-    return ge.covariance_from_entries(
+    return covariance_from_entries(
         {
             "sigma_xx": ch,
             "sigma_pxpx": ch,
@@ -49,16 +57,16 @@ def thermal_product(c: float) -> ge.CovarianceMatrix:
 class TestSimonFunction:
     def test_thermal_product(self):
         # det A = det B = 1 at C = 2: S = 1 + 1/16 - 1/2
-        assert ge.simon_function(thermal_product(2.0)) == pytest.approx(0.5625, abs=1e-15)
+        assert simon_function(thermal_product(2.0)) == pytest.approx(0.5625, abs=1e-15)
 
     def test_squeezed_preset_on_boundary(self):
-        assert ge.simon_function(ge.presets.initial_state("fig1")) == pytest.approx(
+        assert simon_function(ge.presets.initial_state("fig1")) == pytest.approx(
             0.0, abs=1e-16
         )
 
     def test_entangled_squeezed_preset(self):
         sigma = ge.presets.initial_state("fig3")
-        value = ge.simon_function(sigma)
+        value = simon_function(sigma)
         reference = -133.0 / 576.0
         assert value == pytest.approx(reference, rel=1e-15)
         # term-by-term evaluation in exact rational arithmetic on the same floats
@@ -67,12 +75,12 @@ class TestSimonFunction:
         assert abs(oracle - Fraction(-133, 576)) < Fraction(1, 10**12)
 
     def test_vacuum_boundary(self):
-        assert ge.simon_function(thermal_product(1.0)) == pytest.approx(0.0, abs=1e-16)
+        assert simon_function(thermal_product(1.0)) == pytest.approx(0.0, abs=1e-16)
 
 
 class TestPtSpectrum:
     def test_vacuum(self):
-        spectrum = ge.symplectic_spectrum_pt(thermal_product(1.0))
+        spectrum = symplectic_spectrum_pt(thermal_product(1.0))
         assert not spectrum.complex_pair
         assert spectrum.delta_tilde == pytest.approx(0.5, abs=1e-15)
         assert spectrum.nu_minus_sq == pytest.approx(0.25, abs=1e-12)
@@ -80,7 +88,7 @@ class TestPtSpectrum:
 
     def test_two_mode_squeezed(self):
         r = 0.5
-        spectrum = ge.symplectic_spectrum_pt(two_mode_squeezed(r))
+        spectrum = symplectic_spectrum_pt(two_mode_squeezed(r))
         assert math.sqrt(spectrum.nu_minus_sq) == pytest.approx(
             0.5 * math.exp(-2 * r), rel=1e-12
         )
@@ -92,12 +100,12 @@ class TestPtSpectrum:
     def test_entangled_mixed_preset_degenerate(self):
         sigma = ge.presets.initial_state("fig4")
         assert np.linalg.det(sigma.entries) == pytest.approx(0.0, abs=1e-15)
-        spectrum = ge.symplectic_spectrum_pt(sigma)
+        spectrum = symplectic_spectrum_pt(sigma)
         assert spectrum.delta_tilde == pytest.approx(1.5, abs=1e-15)
         assert spectrum.nu_minus_sq == pytest.approx(0.0, abs=1e-15)
 
     def test_complex_pair_flagged(self):
-        spectrum = ge.symplectic_spectrum_pt(ge.CovarianceMatrix(COMPLEX_PAIR_EXAMPLE))
+        spectrum = symplectic_spectrum_pt(ge.CovarianceMatrix(COMPLEX_PAIR_EXAMPLE))
         assert spectrum.complex_pair
         assert math.isnan(spectrum.nu_minus_sq)
         assert math.isnan(spectrum.nu_plus_sq)
@@ -105,27 +113,31 @@ class TestPtSpectrum:
 
 class TestLogNegativity:
     def test_vacuum_separable(self):
-        assert ge.log_negativity(thermal_product(1.0)) == 0.0
+        assert log_negativity(thermal_product(1.0)) == 0.0
 
     def test_two_mode_squeezed_value(self):
         r = 0.5
-        value = ge.log_negativity(two_mode_squeezed(r))
+        value = log_negativity(two_mode_squeezed(r))
         assert value == pytest.approx(2 * r / math.log(2), abs=1e-12)
 
     def test_degenerate_returns_none(self):
-        assert ge.log_negativity(ge.presets.initial_state("fig4")) is None
+        assert log_negativity(ge.presets.initial_state("fig4")) is None
 
     def test_complex_pair_returns_none(self):
-        assert ge.log_negativity(ge.CovarianceMatrix(COMPLEX_PAIR_EXAMPLE)) is None
+        assert log_negativity(ge.CovarianceMatrix(COMPLEX_PAIR_EXAMPLE)) is None
 
     def test_overflow_raises_instead_of_zero(self):
         # finite entries whose invariants overflow: no NaN may become L = 0
-        sigma = ge.covariance_from_entries({"sigma_xx": 1e200, "sigma_pxpx": 1e200})
+        sigma = covariance_from_entries({"sigma_xx": 1e200, "sigma_pxpx": 1e200})
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(OverflowError):
-                ge.log_negativity(sigma)
+                log_negativity(sigma)
             with pytest.raises(OverflowError):
                 ge.metrics(sigma)
+        # the closed-form asymptote overflows the same way, not to inf
+        for thermal_c in (1e100, 1e200):
+            with pytest.raises(OverflowError, match="asymptotic Simon function is not finite"):
+                asymptotic_simon(ge.thermal_environment(0.1, thermal_c))
 
 
 class TestMetrics:
@@ -165,55 +177,48 @@ def _thermal_grid():
 
 class TestAsymptoticSimon:
     def test_zero_cross_zero_temperature(self):
-        assert ge.asymptotic_simon(ge.thermal_environment(0.1, 1.0)) == 0.0
+        assert asymptotic_simon(ge.thermal_environment(0.1, 1.0)) == 0.0
 
     def test_entangled_asymptote(self):
         env = ge.thermal_environment(0.1, 1.0, 0.0, 0.049)
         d = 0.049**2 / 1.01
-        assert ge.asymptotic_simon(env) == pytest.approx(d * d - d, rel=1e-14)
-        assert ge.asymptotic_simon(env) == pytest.approx(-2.37158e-3, rel=1e-4)
+        assert asymptotic_simon(env) == pytest.approx(d * d - d, rel=1e-14)
+        assert asymptotic_simon(env) == pytest.approx(-2.37158e-3, rel=1e-4)
 
     def test_separable_asymptote(self):
         env = ge.thermal_environment(0.1, 1.2, 0.0, 0.049)
         d = 0.049**2 / 1.01
         expected = (0.11 + d) ** 2 - d * 1.44
-        assert ge.asymptotic_simon(env) == pytest.approx(expected, rel=1e-12)
+        assert asymptotic_simon(env) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(9.206e-3, rel=1e-3)
 
     def test_matches_lyapunov_route_on_grid(self):
         for env in _thermal_grid():
-            direct = ge.simon_function(ge.steady_covariance(env))
-            assert ge.asymptotic_simon(env) == pytest.approx(direct, abs=1e-10), env
+            direct = simon_function(steady_covariance(env))
+            assert asymptotic_simon(env) == pytest.approx(direct, abs=1e-10), env
 
     def test_matches_lyapunov_route_off_unit_mass(self):
         env = ge.thermal_environment(0.08, 1.3, 0.002, 0.03, m=0.5, omega=2.0)
-        direct = ge.simon_function(ge.steady_covariance(env))
-        assert ge.asymptotic_simon(env) == pytest.approx(direct, abs=1e-12)
+        direct = simon_function(steady_covariance(env))
+        assert asymptotic_simon(env) == pytest.approx(direct, abs=1e-12)
 
     def test_rejects_non_thermal(self):
-        env = ge.EnvironmentSpec(
+        env = EnvironmentSpec(
             m=1.0, omega=1.0, lam=0.1, thermal_c=1.0,
             d_xx=0.06, d_xpx=0.0, d_pxpx=0.05, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0,
         )
         with pytest.raises(ValueError, match="thermal"):
-            ge.asymptotic_simon(env)
+            asymptotic_simon(env)
 
 
 class TestAsymptoticThreshold:
     def test_benchmark_threshold(self):
         env = ge.thermal_environment(0.1, 1.0, 0.0, 0.049)
-        result = ge.asymptotic_threshold(env)
-        assert result.c_threshold == pytest.approx(1 + 0.098 / math.sqrt(1.01), abs=1e-15)
-        assert result.constraint_ok  # lam/2 * C = 0.05 >= 0.049
+        threshold = ge.asymptotic_threshold(env)
+        assert threshold == pytest.approx(1 + 0.098 / math.sqrt(1.01), abs=1e-15)
 
     def test_no_cross_coefficient(self):
-        result = ge.asymptotic_threshold(ge.thermal_environment(0.1, 1.5))
-        assert result.c_threshold == 1.0
-        assert result.c_lower_rule == -1.0
-
-    def test_constraint_flag(self):
-        env = ge.thermal_environment(0.1, 1.0, 0.0, 0.051)
-        assert not ge.asymptotic_threshold(env).constraint_ok
+        assert ge.asymptotic_threshold(ge.thermal_environment(0.1, 1.5)) == 1.0
 
     def test_rejects_position_cross(self):
         env = ge.thermal_environment(0.1, 1.0, 0.01, 0.0)
@@ -223,7 +228,7 @@ class TestAsymptoticThreshold:
     @pytest.mark.parametrize("lam,d_xpy", [(0.05, 0.02), (0.1, 0.049), (0.2, 0.03)])
     def test_bisection_root_matches(self, lam, d_xpy):
         def s_of_c(c):
-            return ge.asymptotic_simon(ge.thermal_environment(lam, c, 0.0, d_xpy))
+            return asymptotic_simon(ge.thermal_environment(lam, c, 0.0, d_xpy))
 
         lo, hi = 1.0 + 1e-15, 3.0
         assert s_of_c(lo) < 0 < s_of_c(hi)
@@ -251,9 +256,7 @@ class TestAsymptoticLogNegativity:
         assert ge.asymptotic_log_negativity(ge.thermal_environment(0.1, 2.0)) == 0.0
 
     def test_zero_at_threshold(self):
-        threshold = ge.asymptotic_threshold(
-            ge.thermal_environment(0.1, 1.0, 0.0, 0.049)
-        ).c_threshold
+        threshold = ge.asymptotic_threshold(ge.thermal_environment(0.1, 1.0, 0.0, 0.049))
         env = ge.thermal_environment(0.1, threshold, 0.0, 0.049)
         assert abs(ge.asymptotic_log_negativity(env)) <= 1e-10
 
@@ -265,14 +268,14 @@ class TestAsymptoticLogNegativity:
     @pytest.mark.parametrize("c", [1.0, 1.05, 1.2, 1.6])
     def test_matches_steady_state_route(self, c):
         env = ge.thermal_environment(0.1, c, 0.0, 0.049)
-        direct = ge.log_negativity(ge.steady_covariance(env))
+        direct = log_negativity(steady_covariance(env))
         assert ge.asymptotic_log_negativity(env) == pytest.approx(direct, abs=1e-10)
 
     def test_initial_state_independence(self):
         env = ge.thermal_environment(0.1, 1.0, 0.0, 0.049)
         expected = ge.asymptotic_log_negativity(env)
         values = [
-            ge.log_negativity(ge.evolve(ge.presets.initial_state(name), env, 300.0 / 0.1))
+            log_negativity(ge.evolve(ge.presets.initial_state(name), env, 300.0 / 0.1))
             for name in ("fig1", "fig2", "vacuum")
         ]
         for value in values:
@@ -280,21 +283,12 @@ class TestAsymptoticLogNegativity:
         assert max(values) - min(values) <= 1e-6
 
 
-def test_asymptotic_entanglement_bundle():
-    env = ge.thermal_environment(0.1, 1.0, 0.0, 0.049)
-    bundle = ge.asymptotic_entanglement(env)
-    assert bundle.entangled_at_infinity
-    assert bundle.s_infinity == pytest.approx(ge.asymptotic_simon(env), abs=0)
-    assert bundle.l_infinity == pytest.approx(0.14802297474805887, abs=1e-12)
-    assert bundle.c_threshold == pytest.approx(1 + 0.098 / math.sqrt(1.01), abs=1e-15)
-
-
 class TestInvariantProperties:
     @given(data=st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10))
     @settings(max_examples=120, deadline=None)
     def test_f_equals_pt_eigenvalue(self, data):
-        sigma = ge.covariance_from_entries(dict(zip(ge.ENTRY_NAMES, data)))
-        spectrum = ge.symplectic_spectrum_pt(sigma)
+        sigma = covariance_from_entries(dict(zip(ENTRY_NAMES, data)))
+        spectrum = symplectic_spectrum_pt(sigma)
         assume(not spectrum.complex_pair)
         # the moduli of eig(i Omega sigma~) are sqrt|nu~^2|, also for the
         # negative nu~^2 of unphysical input
@@ -330,9 +324,9 @@ class TestInvariantProperties:
         local[2:, 2:] = rotation(thetas[1]) @ squeezer(squeezes[1])
         transformed = local @ sigma @ local.T
         transformed = 0.5 * (transformed + transformed.T)
-        s_before = ge.simon_function(ge.CovarianceMatrix(sigma))
-        s_after = ge.simon_function(ge.CovarianceMatrix(transformed))
+        s_before = simon_function(ge.CovarianceMatrix(sigma))
+        s_after = simon_function(ge.CovarianceMatrix(transformed))
         assert s_after == pytest.approx(s_before, abs=1e-10 * max(1.0, abs(s_before)))
-        l_before = ge.log_negativity(ge.CovarianceMatrix(sigma))
-        l_after = ge.log_negativity(ge.CovarianceMatrix(transformed))
+        l_before = log_negativity(ge.CovarianceMatrix(sigma))
+        l_after = log_negativity(ge.CovarianceMatrix(transformed))
         assert l_after == pytest.approx(l_before, abs=1e-10)

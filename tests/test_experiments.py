@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 import gaussent as ge
+from gaussent.core import MARGIN_TOL, EnvironmentSpec, validate_diffusion
+from gaussent.dynamics import steady_covariance
+from gaussent.entanglement import asymptotic_simon, simon_function
 
 
 def _benchmark(c):
@@ -59,13 +62,13 @@ class TestClassifyPhase:
 
     def test_events_bracket_true_sign_changes(self, fig1_initial):
         env = _benchmark(1.5)
-        fixed = ge.steady_covariance(env)
+        fixed = steady_covariance(env)
         phase = ge.classify_phase(fig1_initial, env, 50.0, 500)
         for event in phase.event_times:
             lo = max(0.0, event - 1e-6)
             hi = event + 1e-6
-            s_lo = ge.simon_function(ge.evolve(fig1_initial, env, lo, steady=fixed))
-            s_hi = ge.simon_function(ge.evolve(fig1_initial, env, hi, steady=fixed))
+            s_lo = simon_function(ge.evolve(fig1_initial, env, lo, steady=fixed))
+            s_hi = simon_function(ge.evolve(fig1_initial, env, hi, steady=fixed))
             assert (s_lo < 0) != (s_hi < 0)
 
     def test_stable_under_grid_refinement(self, fig3_initial):
@@ -176,7 +179,7 @@ class TestSweep:
         with pytest.raises(ValueError, match="c_min"):
             ge.SweepSpec(env_base=_benchmark(1.0), initial=fig1_initial, c_min=0.5)
         with pytest.raises(ValueError, match="thermal"):
-            lopsided = ge.EnvironmentSpec(
+            lopsided = EnvironmentSpec(
                 m=1.0, omega=1.0, lam=0.1, thermal_c=1.0,
                 d_xx=0.06, d_xpx=0.0, d_pxpx=0.05, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0,
             )
@@ -223,3 +226,36 @@ class TestPhaseDiagram:
                 assert entangled_cs.max() <= threshold
                 assert threshold - entangled_cs.max() <= cell
             assert separable_cs.min() >= threshold - cell
+
+    def test_matches_per_cell_bounds_and_asymptote(self):
+        # negative d_xpy rows too: the diffusion bound is on |d_xpy|
+        lam, omega, m = 0.1, 0.8, 1.5
+        d_rows = np.linspace(-0.08, 0.08, 17)
+        cs = np.linspace(1.0, 1.6, 13)
+        diagram = ge.asymptotic_phase_diagram(lam, omega, d_rows, cs, m=m)
+        for i, d_xpy in enumerate(d_rows):
+            for j, c in enumerate(cs):
+                env = ge.thermal_environment(lam, float(c), 0.0, float(d_xpy), m, omega)
+                report = validate_diffusion(env)
+                margin = next(check.margin for check in report.checks if check.name == "xx_pypy")
+                if abs(margin) > MARGIN_TOL:
+                    assert diagram.unphysical[i, j] == (not report.passed), (d_xpy, c)
+                s_inf = asymptotic_simon(env)
+                if not diagram.unphysical[i, j] and abs(s_inf) > 1e-12:
+                    assert diagram.entangled[i, j] == (s_inf < 0.0), (d_xpy, c)
+        assert diagram.unphysical[0, 0] and diagram.unphysical[-1, 0]
+
+    def test_rejects_what_environments_reject(self):
+        for args in (
+            (0.0, 1.0, [0.0], [1.0]),
+            (0.1, -1.0, [0.01], [1.0]),
+            (0.1, 1.0, [0.01], [0.99, 1.2]),
+            (0.1, 1.0, [0.01], [1.0, math.nan]),
+            (0.1, 1.0, [0.01], [1.0, math.inf]),
+            (0.1, 1.0, [math.nan], [1.0]),
+        ):
+            with pytest.raises(ValueError):
+                ge.asymptotic_phase_diagram(*args)
+        with pytest.raises(ValueError):
+            ge.asymptotic_phase_diagram(0.1, 1.0, [0.01], [1.0], m=0.0)
+
