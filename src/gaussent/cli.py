@@ -74,6 +74,9 @@ _KEYS: dict[str, tuple[type, object, tuple[str, int] | None]] = {
 }
 _COMPARE = {">": operator.gt, ">=": operator.ge}
 
+#: Largest grid accepted, in cells: n_t*n_c (sweep, classify) or n_d*n_c.
+MAX_GRID_CELLS = 10**6
+
 
 class ConfigError(Exception):
     """Invalid configuration: unknown key, bad value, or conflicting options."""
@@ -190,6 +193,10 @@ def build_config(
             f"valid names: {', '.join(PRESET_NAMES)}"
         )
 
+    for rows in ("n_t", "n_d"):
+        cells = values[rows] * values["n_c"]
+        if cells > MAX_GRID_CELLS:
+            raise ConfigError(f"{rows}*n_c = {cells} grid cells exceed the cap {MAX_GRID_CELLS}")
     if values["c_max"] < values["c_min"]:
         raise ConfigError("require c_min <= c_max")
     if values["d_xpy_max"] < values["d_xpy_min"]:
@@ -310,10 +317,13 @@ def phase_diagram_csv(diagram: PhaseDiagram) -> str:
 
 
 def _run_phase_diagram(cfg: RunConfig) -> str:
+    d_xpy_values = np.linspace(cfg["d_xpy_min"], cfg["d_xpy_max"], cfg["n_d"])
+    if not np.isfinite(d_xpy_values).all():  # the width d_xpy_max - d_xpy_min overflowed
+        raise OverflowError(f"d_xpy grid is not finite: {d_xpy_values.tolist()}")
     diagram = asymptotic_phase_diagram(
         cfg["lambda"],
         cfg["omega"],
-        np.linspace(cfg["d_xpy_min"], cfg["d_xpy_max"], cfg["n_d"]),
+        d_xpy_values,
         np.linspace(cfg["c_min"], cfg["c_max"], cfg["n_c"]),
         m=cfg["m"],
     )
@@ -337,7 +347,8 @@ def run(cfg: RunConfig) -> str:
     """Execute a resolved configuration and return the output text.
 
     Raises ConfigError / PhysicalityError / numpy.linalg.LinAlgError /
-    OverflowError; the caller maps those to exit codes.
+    ArithmeticError (overflow, or division by an underflowed value); the
+    caller maps those to exit codes.
     """
     if cfg.command == "phase-diagram":
         return _run_phase_diagram(cfg)
@@ -356,10 +367,7 @@ def run(cfg: RunConfig) -> str:
     initial = cfg.initial_state()
     state_report = check_physical_state(initial)
     if not state_report.physical:
-        detail = (
-            f"min eigenvalue {state_report.min_eigenvalue:.6g}, "
-            f"nu_minus^2 {state_report.nu_minus_sq:.6g}"
-        )
+        detail = f"min eigenvalue of sigma + i Omega/2 {state_report.min_eigenvalue:.6g}"
         if cfg.strict:
             raise PhysicalityError(f"unphysical initial state ({detail})")
         print(
@@ -438,8 +446,9 @@ def main(argv: list[str] | None = None) -> int:
             for key in sorted(flat):
                 print(f"{key}={flat[key]}")
             return EXIT_OK
-        # overflow is reported once, as exit code 4, not also as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
+        # overflow is reported once, as exit code 4, not also as numpy warnings;
+        # numpy's det divides by zero on singular matrices and returns 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             text = run(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -447,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     except PhysicalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICALITY
-    except (np.linalg.LinAlgError, OverflowError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -24,6 +24,9 @@ MARGIN_TOL = 1e-12
 #: Relative tolerance of the Gibbs-state relations tested by ``is_thermal``.
 THERMAL_RTOL = 1e-12
 
+#: Two-mode symplectic form, diag(J, J) with J = [[0, 1], [-1, 0]].
+OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+
 # Upper-triangle entry names in row order; these are the ten independent
 # components of a symmetric 4x4 covariance matrix.
 _ENTRY_INDEX: dict[str, tuple[int, int]] = {
@@ -67,10 +70,8 @@ class EnvironmentSpec:
     d_pxpy: float
 
     def __post_init__(self) -> None:
-        # the sum is finite exactly when every parameter is, short of overflow
-        if not math.isfinite(self.m + self.omega + self.lam + self.thermal_c + self.d_xx
-                             + self.d_xpx + self.d_pxpx + self.d_xy + self.d_xpy + self.d_pxpy):
-            raise ValueError(f"environment parameters are not finite or overflow: {self}")
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError(f"environment parameters are not finite: {self}")
         if not self.m > 0:
             raise ValueError(f"mass must be positive, got {self.m}")
         if not self.omega > 0:
@@ -128,24 +129,23 @@ def thermal_environment(
     The diagonal diffusion coefficients are tied to the thermal parameter by
     m*omega*d_xx = d_pxpx/(m*omega) = (lam/2)*thermal_c with d_xpx = 0, and the
     momentum cross-coefficient by d_pxpy = m^2*omega^2*d_xy.  The two cross
-    coefficients ``d_xy`` and ``d_xpy`` remain free knobs.
+    coefficients ``d_xy`` and ``d_xpy`` remain free knobs.  Raises
+    ``OverflowError`` when valid parameters overflow m*omega or a coefficient,
+    or underflow it to zero.
     """
-    if not m > 0 or not omega > 0:
-        raise ValueError(f"mass and frequency must be positive, got m={m}, omega={omega}")
+    # validates the given parameters before anything is derived from them
+    EnvironmentSpec(m, omega, lam, thermal_c, 0.0, 0.0, 0.0, d_xy, d_xpy, 0.0)
     half = 0.5 * lam * thermal_c
     mw = m * omega
-    return EnvironmentSpec(
-        m=m,
-        omega=omega,
-        lam=lam,
-        thermal_c=thermal_c,
-        d_xx=half / mw,
-        d_xpx=0.0,
-        d_pxpx=half * mw,
-        d_xy=d_xy,
-        d_xpy=d_xpy,
-        d_pxpy=mw * mw * d_xy,
-    )
+    d_xx = half / mw if mw else math.inf
+    d_pxpx = half * mw
+    d_pxpy = mw * mw * d_xy
+    if not (0.0 < d_xx < math.inf and 0.0 < d_pxpx < math.inf and math.isfinite(d_pxpy)):
+        raise OverflowError(
+            f"thermal diffusion coefficients overflow: m*omega={mw}, d_xx={d_xx}, "
+            f"d_pxpx={d_pxpx}, d_pxpy={d_pxpy}"
+        )
+    return EnvironmentSpec(m, omega, lam, thermal_c, d_xx, 0.0, d_pxpx, d_xy, d_xpy, d_pxpy)
 
 
 def drift_matrix(env: EnvironmentSpec) -> Matrix:
@@ -181,14 +181,13 @@ class CovarianceMatrix:
     Construction symmetrizes the input via (M + M^T)/2 when the asymmetry
     residual is at most ``SYMMETRY_TOL`` and rejects it otherwise, so small
     floating-point drift is absorbed but genuinely asymmetric data is not.
-    Non-finite entries are rejected.
-    With ``strict=True`` the matrix must also describe a physical state
-    (positive semidefinite with both symplectic eigenvalues >= 1/2).
+    Non-finite entries are rejected.  Physicality is not required here; see
+    :func:`check_physical_state`.
     """
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries, *, strict: bool = False) -> None:
+    def __init__(self, entries) -> None:
         arr = np.array(entries, dtype=float)
         if arr.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got shape {arr.shape}")
@@ -200,13 +199,10 @@ class CovarianceMatrix:
             raise ValueError(
                 f"matrix is not symmetric (max asymmetry {residual:.3e} > {SYMMETRY_TOL})"
             )
-        arr = 0.5 * (arr + arr.T)
+        arr = 0.5 * arr  # halving first: the sum below cannot overflow
+        arr = arr + arr.T
         arr.setflags(write=False)
         object.__setattr__(self, "_entries", arr)
-        if strict:
-            report = check_physical_state(self)
-            if not report.physical:
-                raise ValueError(f"covariance matrix is not a physical state: {report}")
 
     @property
     def entries(self) -> Matrix:
@@ -280,7 +276,7 @@ class DiffusionReport:
     """Result of :func:`validate_diffusion`.
 
     ``checks`` holds the six pairwise Cauchy-Schwarz bounds; ``passed`` is
-    their conjunction and is the gate used by strict construction and the CLI.
+    their conjunction and is the gate used by the CLI.
     ``semigroup_psd`` reports whether the full 4x4 complex coefficient matrix
     of the semigroup is positive semidefinite (its smallest eigenvalue is
     ``semigroup_min_eigenvalue``); it is informational, since standard
@@ -300,17 +296,12 @@ class DiffusionReport:
         return tuple(check for check in self.checks if not check.passed)
 
 
+_MOMENTUM_FLIP = np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
+
+
 def _semigroup_coefficient_matrix(env: EnvironmentSpec) -> NDArray[np.complex128]:
-    half = 0.5j * env.lam
-    return np.array(
-        [
-            [env.d_xx, -env.d_xpx - half, env.d_xy, -env.d_xpy],
-            [-env.d_xpx + half, env.d_pxpx, -env.d_ypx, env.d_pxpy],
-            [env.d_xy, -env.d_ypx, env.d_yy, -env.d_ypy - half],
-            [-env.d_xpy, env.d_pxpy, -env.d_ypy + half, env.d_pypy],
-        ],
-        dtype=complex,
-    )
+    """P D P - (i lam/2) Omega, with P = diag(1, -1, 1, -1)."""
+    return diffusion_matrix(env) * _MOMENTUM_FLIP - (0.5j * env.lam) * OMEGA
 
 
 # The pairwise bounds in report order, each the 2x2 principal minor of the
@@ -336,7 +327,8 @@ def validate_diffusion(env: EnvironmentSpec) -> DiffusionReport:
     d_xx*d_pypy >= d_xpy^2 and d_yy*d_pxpx >= d_ypx^2.
     Each is reported with its margin (left side minus right side).  The full
     matrix is additionally tested for positive semidefiniteness through its
-    smallest eigenvalue.  Never raises.
+    smallest eigenvalue.  Raises ``OverflowError`` when a margin or that
+    eigenvalue is not finite, since the bounds cannot be decided then.
     """
     coef = _semigroup_coefficient_matrix(env)
     diag = coef.diagonal().real
@@ -347,6 +339,11 @@ def validate_diffusion(env: EnvironmentSpec) -> DiffusionReport:
         for name, margin in zip(_PAIRWISE_BOUNDS, margins)
     )
     min_eigenvalue = float(np.linalg.eigvalsh(coef)[0])
+    if not (np.isfinite(margins).all() and math.isfinite(min_eigenvalue)):
+        raise OverflowError(
+            f"diffusion bounds are not finite (margins {margins.tolist()}, "
+            f"min eigenvalue {min_eigenvalue})"
+        )
     return DiffusionReport(
         checks=checks,
         semigroup_min_eigenvalue=min_eigenvalue,
@@ -354,100 +351,42 @@ def validate_diffusion(env: EnvironmentSpec) -> DiffusionReport:
     )
 
 
-#: Slack for the nu >= 1/2 test.  At degenerate points (equal symplectic
-#: eigenvalues, e.g. pure states) the spectrum carries sqrt(machine-eps)
-#: noise, so the uncertainty margin cannot be tested at 1e-12.
-UNCERTAINTY_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class StateReport:
-    """Physicality diagnostics for a covariance matrix.
+    """Result of :func:`check_physical_state`."""
 
-    ``nu_minus_sq``/``nu_plus_sq`` are the squared symplectic eigenvalues of
-    the state itself (not of its partial transpose); they are NaN when the
-    symplectic spectrum is not real, which can only happen for unphysical
-    input.  ``physical`` requires positive semidefiniteness and nu_minus >= 1/2.
-    """
-
-    symmetry_residual: float
     min_eigenvalue: float
-    nu_minus_sq: float
-    nu_plus_sq: float
-    positive_semidefinite: bool
-    uncertainty_ok: bool
-
-    @property
-    def physical(self) -> bool:
-        return self.positive_semidefinite and self.uncertainty_ok
+    physical: bool
 
 
-def det2(block: Matrix) -> float:
-    """Determinant of a 2x2 block."""
-    return float(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
+def check_physical_state(sigma: CovarianceMatrix) -> StateReport:
+    """Decide the uncertainty principle sigma + (i/2) Omega >= 0.
 
-
-def symplectic_invariants(entries: Matrix, partial_transpose: bool) -> tuple[float, float]:
-    """The seralian and the determinant of a symmetric 4x4 matrix.
-
-    With blocks [[A, C], [C^T, B]] the seralian is Delta = det A + det B
-    + 2 det C, or Delta~ = det A + det B - 2 det C for the partial transpose
-    (which keeps det sigma).  The squared symplectic eigenvalues are the roots
-    of nu^4 - Delta nu^2 + det sigma.  Finite entries can still overflow
-    here; that raises ``OverflowError``.
+    This implies sigma >= 0 and states nu_- >= 1/2 for the symplectic
+    eigenvalues, the form used by Simon's separability criterion.  The state
+    is physical when the smallest eigenvalue of that Hermitian matrix is at
+    least -MARGIN_TOL * max(1, max|sigma|).
     """
-    sign = -2.0 if partial_transpose else 2.0
-    delta = det2(entries[:2, :2]) + det2(entries[2:, 2:]) + sign * det2(entries[:2, 2:])
-    det = float(np.linalg.det(entries))
-    if not (math.isfinite(delta) and math.isfinite(det)):
-        which = "PT symplectic" if partial_transpose else "symplectic"
-        raise OverflowError(
-            f"{which} invariants are not finite (seralian {delta}, determinant {det})"
-        )
-    return delta, det
-
-
-def check_physical_state(sigma) -> StateReport:
-    """Report symmetry, positivity and the uncertainty test for ``sigma``.
-
-    Accepts a :class:`CovarianceMatrix` or a raw 4x4 array.  Raises
-    ``OverflowError`` when the symplectic invariants overflow, since the
-    uncertainty test cannot be evaluated then.
-    """
-    arr = np.asarray(getattr(sigma, "entries", sigma), dtype=float)
-    residual = float(np.max(np.abs(arr - arr.T)))
-    sym = 0.5 * (arr + arr.T)
-    min_eig = float(np.min(np.linalg.eigvalsh(sym)))
-    delta, det = symplectic_invariants(sym, partial_transpose=False)
-    disc = delta * delta - 4.0 * det
-    slack = UNCERTAINTY_TOL * max(1.0, abs(delta))
-    if disc < -1e-12 * max(1.0, delta * delta):
-        nu_minus_sq = nu_plus_sq = math.nan
-        uncertainty_ok = False
-    else:
-        # clamp tiny negative discriminants: the degenerate nu_- == nu_+ case
-        root = math.sqrt(max(disc, 0.0))
-        nu_minus_sq = 0.5 * (delta - root)
-        nu_plus_sq = 0.5 * (delta + root)
-        uncertainty_ok = nu_minus_sq >= 0.25 - slack
-    scale = max(1.0, float(np.max(np.abs(sym))))
-    return StateReport(
-        symmetry_residual=residual,
-        min_eigenvalue=min_eig,
-        nu_minus_sq=nu_minus_sq,
-        nu_plus_sq=nu_plus_sq,
-        positive_semidefinite=min_eig >= -MARGIN_TOL * scale,
-        uncertainty_ok=uncertainty_ok,
-    )
+    entries = sigma.entries
+    min_eigenvalue = float(np.linalg.eigvalsh(entries + 0.5j * OMEGA)[0])
+    scale = max(1.0, float(np.max(np.abs(entries))))
+    return StateReport(min_eigenvalue, min_eigenvalue >= -MARGIN_TOL * scale)
 
 
 def thermal_c_from_temperature(temperature: float, omega: float = 1.0) -> float:
-    """Convert a temperature (k = 1) to the thermal parameter coth(omega/2T)."""
+    """Convert a temperature (k = 1) to the thermal parameter coth(omega/2T).
+
+    Raises ``OverflowError`` when omega/T is so small that C overflows.
+    """
     if temperature < 0:
         raise ValueError(f"temperature must be nonnegative, got {temperature}")
     if temperature == 0:
         return 1.0
-    return 1.0 / math.tanh(0.5 * omega / temperature)
+    tanh = math.tanh(0.5 * omega / temperature)
+    thermal_c = 1.0 / tanh if tanh else math.inf
+    if thermal_c == math.inf:
+        raise OverflowError(f"thermal parameter overflows at temperature {temperature}")
+    return thermal_c
 
 
 def temperature_from_thermal_c(thermal_c: float, omega: float = 1.0) -> float:

@@ -23,13 +23,19 @@ from .core import (
 
 
 def propagator(env: EnvironmentSpec, t: float) -> Matrix:
-    """Closed-form exp(Y t); identity at t = 0, determinant e^{-4 lam t}."""
+    """Closed-form exp(Y t); identity at t = 0, determinant e^{-4 lam t}.
+
+    Raises ``OverflowError`` when the phase omega*t overflows.
+    """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"propagation time must be finite and nonnegative, got {t}")
     mw = env.m * env.omega
     decay = math.exp(-env.lam * t)
-    cos = math.cos(env.omega * t)
-    sin = math.sin(env.omega * t)
+    phase = env.omega * t
+    if phase == math.inf:
+        raise OverflowError(f"oscillator phase omega*t overflows at t = {t}")
+    cos = math.cos(phase)
+    sin = math.sin(phase)
     block = decay * np.array([[cos, sin / mw], [-mw * sin, cos]])
     out = np.zeros((4, 4))
     out[:2, :2] = block
@@ -86,11 +92,15 @@ def evolve(
     ``t = 0`` returns ``initial`` unchanged; ``t`` must be finite and
     nonnegative.  ``steady`` may carry a precomputed steady-state covariance
     to avoid repeated Lyapunov solves in sweep loops.  The result is
-    re-symmetrized via (s + s^T)/2.
+    re-symmetrized via (s + s^T)/2; ``OverflowError`` is raised when it is
+    not finite.
     """
     if t == 0:
         return initial
     m = propagator(env, t)
     fixed = steady.entries if steady is not None else steady_covariance(env).entries
     out = m @ (initial.entries - fixed) @ m.T + fixed
-    return CovarianceMatrix(0.5 * (out + out.T))
+    try:
+        return CovarianceMatrix(0.5 * (out + out.T))
+    except ValueError:  # finite inputs, so the entries overflowed
+        raise OverflowError(f"evolved covariance matrix is not finite at t = {t}") from None

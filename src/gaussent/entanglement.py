@@ -14,12 +14,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CovarianceMatrix, EnvironmentSpec, det2, symplectic_invariants
+from .core import OMEGA, CovarianceMatrix, EnvironmentSpec, Matrix
 
 #: Width of the boundary band for the PPT sign-agreement classification.
 BOUNDARY_TOL = 1e-12
 
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_J = OMEGA[:2, :2]
+
+
+def _det2(block: Matrix) -> float:
+    return float(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
 
 
 def simon_function(sigma: CovarianceMatrix) -> float:
@@ -35,9 +39,9 @@ def simon_function(sigma: CovarianceMatrix) -> float:
     a_blk = e[:2, :2]
     b_blk = e[2:, 2:]
     c_blk = e[:2, 2:]
-    det_a = det2(a_blk)
-    det_b = det2(b_blk)
-    det_c = det2(c_blk)
+    det_a = _det2(a_blk)
+    det_b = _det2(b_blk)
+    det_c = _det2(c_blk)
     trace = float(np.trace(a_blk @ _J @ c_blk @ _J @ b_blk @ _J @ c_blk.T @ _J))
     value = det_a * det_b + (0.25 - abs(det_c)) ** 2 - trace - 0.25 * (det_a + det_b)
     if not math.isfinite(value):
@@ -63,10 +67,17 @@ class PtSpectrum(NamedTuple):
 def symplectic_spectrum_pt(sigma: CovarianceMatrix) -> PtSpectrum:
     """Seralian and squared PT symplectic eigenvalues of ``sigma``.
 
-    Raises ``OverflowError`` when the invariants overflow.
+    Raises ``OverflowError`` when Delta~, det sigma or the discriminant
+    overflows.
     """
-    delta, det_sigma = symplectic_invariants(sigma.entries, partial_transpose=True)
+    e = sigma.entries
+    delta = _det2(e[:2, :2]) + _det2(e[2:, 2:]) - 2.0 * _det2(e[:2, 2:])
+    det_sigma = float(np.linalg.det(e))
     disc = delta * delta - 4.0 * det_sigma
+    if not math.isfinite(disc):  # also when delta or det_sigma is not finite
+        raise OverflowError(
+            f"PT symplectic spectrum overflows (seralian {delta}, determinant {det_sigma})"
+        )
     if disc < 0.0:
         return PtSpectrum(delta, math.nan, math.nan, True)
     root = math.sqrt(disc)

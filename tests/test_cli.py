@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaussent as ge
 from gaussent.core import ENTRY_NAMES, independent_entries, temperature_from_thermal_c
 from gaussent.entanglement import simon_function
 from gaussent.experiments import LABELS
-from gaussent.cli import main
+from gaussent.cli import _KEYS, COMMANDS, main
+from gaussent.presets import PRESET_NAMES
+from helpers import two_mode_squeezer
 
 
 def run_cli(capsys, *args):
@@ -64,6 +70,19 @@ class TestMetricsCommand:
             assert code == 3
             assert "unphysical initial state" in err
 
+    def test_strict_accepts_two_mode_squeezed_vacuum(self, capsys):
+        # S S^T / 2 for the r = 1 two-mode squeezer, as rounded in floats: a
+        # pure state, nu_- = 1/2 up to rounding
+        s = two_mode_squeezer(1.0)
+        sigma = 0.5 * s @ s.T
+        names = ("sigma_xx", "sigma_xy", "sigma_pxpx", "sigma_pxpy", "sigma_yy", "sigma_pypy")
+        entries = dict(zip(names, sigma[[0, 0, 1, 1, 2, 3], [0, 2, 1, 3, 2, 3]].tolist()))
+        assert entries["sigma_yy"] != entries["sigma_xx"]  # the rounding is part of the case
+        sets = [arg for name, value in entries.items() for arg in ("--set", f"{name}={value!r}")]
+        code, _, err = run_cli(capsys, "metrics", "--strict", *sets)
+        assert code == 0
+        assert err == ""
+
     def test_lenient_accepts_physical_preset_silently(self, capsys):
         code, _, err = run_cli(capsys, "metrics", "--set", "initial=fig1")
         assert code == 0
@@ -79,13 +98,28 @@ class TestMetricsCommand:
         assert payload["result"]["defined"] is False
 
     def test_overflow_is_a_numerical_failure(self, capsys):
-        for entries in (
-            ("sigma_xx=1e200", "sigma_pxpx=1e200"),
+        for command, *entries in (
+            ("metrics", "sigma_xx=1e200", "sigma_pxpx=1e200"),
             # a physical thermal state whose invariants overflow
-            ("sigma_xx=1e160", "sigma_pxpx=1e160", "sigma_yy=1e160", "sigma_pypy=1e160"),
+            ("metrics", "sigma_xx=1e160", "sigma_pxpx=1e160",
+             "sigma_yy=1e160", "sigma_pypy=1e160"),
+            # environments, bounds and grids that overflow or underflow
+            ("metrics", "lambda=10", "c=1e308"),
+            ("phase-diagram", "lambda=10", "c_max=1e308", "n_c=2", "n_d=2"),
+            ("phase-diagram", "d_xpy_min=-1e308", "d_xpy_max=1e308", "n_c=2", "n_d=3"),
+            ("steady", "m=1e-200", "omega=1e-200"),
+            ("steady", "m=1e200", "omega=1e200"),
+            ("steady", "lambda=1e300"),
+            ("steady", "temperature=1e308"),
+            ("steady", "lambda=1e-200", "omega=1e-200", "m=1e200", "d_xpy=0"),
+            # states whose evolution or PT spectrum overflows
+            ("evolve", "omega=1e200", "m=1e-200", "t=1e200"),
+            ("evolve", "m=1e100", "t=1",
+             "sigma_xx=1e200", "sigma_pxpx=1", "sigma_yy=1", "sigma_pypy=1"),
+            ("metrics", "sigma_xx=1e160", "sigma_pxpx=1", "sigma_yy=1", "sigma_pypy=1"),
         ):
             sets = [arg for entry in entries for arg in ("--set", entry)]
-            code, out, err = run_cli(capsys, "metrics", *sets)
+            code, out, err = run_cli(capsys, command, *sets)
             assert code == 4
             assert out == ""
             assert "Traceback" not in err
@@ -245,6 +279,19 @@ class TestConfigHandling:
         assert run_cli(capsys, "steady", "--set", "c=0.5")[0] == 2
         assert run_cli(capsys, "sweep", "--set", "n_t=1")[0] == 2
 
+    def test_grid_cap(self, capsys):
+        for key in ("n_t", "n_d"):
+            code, out, err = run_cli(capsys, "sweep", "--set", f"{key}=100000000")
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [err.strip()]
+            assert err.startswith(f"error: {key}*n_c = ") and "grid cells exceed the cap" in err
+        # the cap itself is allowed; --dump-config stops before any grid is built
+        code, _, _ = run_cli(
+            capsys, "sweep", "--set", "n_t=50000", "--set", "n_c=20", "--dump-config"
+        )
+        assert code == 0
+
     def test_temperature_key_matches_thermal_c(self, capsys):
         c = 1.4
         temperature = temperature_from_thermal_c(c)
@@ -325,3 +372,41 @@ class TestDeterminism:
         assert run_cli(capsys, *args, "--out", str(first))[0] == 0
         assert run_cli(capsys, *args, "--out", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+_GRID_KEYS = ("n_t", "n_c", "n_d")
+_VALUE_KEYS = [key for key in _KEYS if key not in _GRID_KEYS] + [*ENTRY_NAMES, "lambda_typo"]
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# floats over the whole double range, weighted so that most examples get
+# past the configuration checks, plus non-finite values and junk text
+_VALUES = st.one_of(
+    _FLOATS,
+    _FLOATS.map(lambda text: text.lstrip("-")),
+    st.sampled_from(["inf", "-inf", "nan", *PRESET_NAMES]),
+    st.text(max_size=8),
+)
+# small grids keep each example fast; 10**7 rows exceed the cell cap
+_GRID_VALUES = st.sampled_from([1, 2, 3, 4, 2, 3, 4, 10**7]).map(str)
+
+
+class TestArgvProperty:
+    @given(
+        command=st.sampled_from(COMMANDS),
+        values=st.dictionaries(st.sampled_from(_VALUE_KEYS), _VALUES, max_size=4),
+        grid=st.fixed_dictionaries({key: _GRID_VALUES for key in _GRID_KEYS}),
+        flags=st.lists(st.sampled_from(["--strict", "--format=json"]), unique=True),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_exit_code_is_documented(self, command, values, grid, flags):
+        argv = [command, *flags]
+        for key, value in {**values, **grid}.items():
+            argv += ["--set", f"{key}={value}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                assert exc.code == 2
+                return
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

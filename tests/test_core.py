@@ -19,6 +19,7 @@ from gaussent.core import (
     thermal_c_from_temperature,
     validate_diffusion,
 )
+from helpers import random_symplectic, two_mode_squeezer
 
 
 def _check(report, name):
@@ -62,6 +63,20 @@ class TestThermalEnvironment:
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
+            ge.thermal_environment(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(lam=10.0, thermal_c=1e308),
+            dict(lam=0.1, thermal_c=1.0, m=1e-200, omega=1e-200),
+            dict(lam=0.1, thermal_c=1.0, m=1e200, omega=1e200),
+            dict(lam=5e-324, thermal_c=1.0),
+        ],
+    )
+    def test_overflowing_coefficients_raise(self, kwargs):
+        # valid parameters whose m*omega or coefficients overflow or underflow
+        with pytest.raises(OverflowError, match="thermal diffusion coefficients"):
             ge.thermal_environment(**kwargs)
 
     def test_mirrored_coefficients(self):
@@ -149,6 +164,13 @@ class TestValidateDiffusion:
         assert not report.semigroup_psd
         assert report.semigroup_min_eigenvalue < -1e-6
 
+    def test_overflowing_bounds_raise(self):
+        # d_xx * d_pxpx and lam^2/4 both overflow, so the margin is inf - inf
+        env = ge.thermal_environment(1e300, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError, match="diffusion bounds are not finite"):
+                validate_diffusion(env)
+
     def test_pure_thermal_full_matrix_psd(self):
         report = validate_diffusion(ge.thermal_environment(0.1, 2.0))
         assert report.passed
@@ -164,37 +186,49 @@ class TestValidateDiffusion:
 
 class TestCheckPhysicalState:
     def test_vacuum(self):
+        # sigma + i Omega/2 = [[1/2, i/2], [-i/2, 1/2]] per mode: eigenvalues 0 and 1
         report = check_physical_state(ge.presets.initial_state("vacuum"))
         assert report.physical
-        assert report.nu_minus_sq == pytest.approx(0.25, abs=1e-15)
-        assert report.nu_plus_sq == pytest.approx(0.25, abs=1e-15)
+        assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-15)
 
     def test_entangled_squeezed_preset_is_unphysical(self):
         sigma = ge.presets.initial_state("fig3")
         assert np.linalg.det(sigma.entries) == pytest.approx(-25.0 / 576.0, rel=1e-12)
+        assert np.linalg.eigvalsh(sigma.entries)[0] < -0.1  # not even PSD
         report = check_physical_state(sigma)
-        assert not report.positive_semidefinite
         assert report.min_eigenvalue < -0.1
         assert not report.physical
 
     def test_squeezed_preset_is_physical_boundary(self):
-        # pure squeezed: nu_- sits exactly at 1/2; the degenerate spectrum
-        # carries sqrt(eps) noise, hence the loose tolerance
+        # pure squeezed: nu_- sits exactly at 1/2, so the smallest eigenvalue
+        # is zero up to rounding
         report = check_physical_state(ge.presets.initial_state("fig1"))
         assert report.physical
-        assert report.nu_minus_sq == pytest.approx(0.25, abs=1e-7)
+        assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-15)
 
     def test_entangled_mixed_preset_violates_uncertainty(self):
-        report = check_physical_state(ge.presets.initial_state("fig4"))
-        assert report.positive_semidefinite
-        assert report.nu_minus_sq == pytest.approx(0.0, abs=1e-14)
-        assert not report.uncertainty_ok
+        sigma = ge.presets.initial_state("fig4")
+        assert np.linalg.eigvalsh(sigma.entries)[0] >= 0.0  # PSD, yet nu_- = 0
+        report = check_physical_state(sigma)
+        assert report.min_eigenvalue < -0.1
         assert not report.physical
 
-    def test_accepts_raw_arrays(self):
-        report = check_physical_state(0.5 * np.eye(4))
-        assert report.physical
-        assert report.symmetry_residual == 0.0
+    def test_two_mode_squeezed_vacua_are_physical(self):
+        # pure states: the smallest eigenvalue is zero, and the squeezing
+        # grows the entries to cosh(6)/2 ~ 100 at r = 3
+        for r in np.linspace(0.05, 3.0, 60):
+            s = two_mode_squeezer(float(r))
+            report = check_physical_state(ge.CovarianceMatrix(0.5 * s @ s.T))
+            assert report.physical, (r, report)
+
+    def test_states_just_below_the_bound_are_unphysical(self):
+        rng = np.random.default_rng(20240611)
+        for _ in range(1000):
+            s = random_symplectic(rng, max_squeeze=1.0)
+            nu_minus, nu_plus = 0.5 - 1e-7, rng.uniform(0.5, 2.5)
+            sigma = s @ np.diag([nu_minus, nu_minus, nu_plus, nu_plus]) @ s.T
+            report = check_physical_state(ge.CovarianceMatrix(0.5 * (sigma + sigma.T)))
+            assert not report.physical, report
 
     @given(
         thermal_c=st.floats(1.0, 50.0),
@@ -236,10 +270,9 @@ class TestCovarianceMatrix:
         np.testing.assert_array_equal(sigma.entries, sigma.entries.T)
         assert sigma.entries[0, 1] == pytest.approx(5e-14, rel=1e-9)
 
-    def test_strict_rejects_unphysical(self):
-        with pytest.raises(ValueError, match="physical"):
-            ge.CovarianceMatrix(ge.presets.initial_state("fig3").entries, strict=True)
-        ge.CovarianceMatrix(0.5 * np.eye(4), strict=True)
+    def test_symmetrizing_large_entries_does_not_overflow(self):
+        big = np.full((4, 4), 1.7e308)
+        np.testing.assert_array_equal(ge.CovarianceMatrix(big).entries, big)
 
     def test_entries_read_only(self):
         sigma = ge.presets.initial_state("vacuum")
@@ -276,6 +309,11 @@ class TestTemperatureConversion:
         assert c > 1.0
         back = temperature_from_thermal_c(c, omega)
         assert back == pytest.approx(temperature, rel=1e-9)
+
+    def test_overflow(self):
+        # omega/(2T) = 5e-309: coth is 2e308, past the largest float
+        with pytest.raises(OverflowError, match="thermal parameter overflows"):
+            thermal_c_from_temperature(1e308)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

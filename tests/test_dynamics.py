@@ -136,6 +136,17 @@ class TestEvolve:
             with pytest.raises(ValueError, match="nonnegative"):
                 ge.evolve(ge.presets.initial_state("vacuum"), _env(), t)
 
+    def test_overflow_raises(self):
+        env = ge.thermal_environment(0.1, 1.0, m=1e-200, omega=1e200)
+        with pytest.raises(OverflowError, match="phase"):
+            ge.evolve(ge.presets.initial_state("vacuum"), env, 1e200)
+        # m*omega = 1e100 rotates sigma_xx = 1e200 into p_x as ~1e400
+        env = ge.thermal_environment(0.1, 1.0, m=1e100)
+        initial = ge.CovarianceMatrix(np.diag([1e200, 1.0, 1.0, 1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError, match="not finite at t = 1.0"):
+                ge.evolve(initial, env, 1.0)
+
     @given(
         lam=st.floats(0.02, 0.5),
         c=st.floats(1.0, 3.0),

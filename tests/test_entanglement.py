@@ -134,6 +134,10 @@ class TestLogNegativity:
                 log_negativity(sigma)
             with pytest.raises(OverflowError):
                 ge.metrics(sigma)
+        # finite invariants whose discriminant overflows: no -inf nu~_-^2
+        sigma = ge.CovarianceMatrix(np.diag([1e160, 1.0, 1.0, 1.0]))
+        with pytest.raises(OverflowError, match="PT symplectic spectrum overflows"):
+            symplectic_spectrum_pt(sigma)
         # the closed-form asymptote overflows the same way, not to inf
         for thermal_c in (1e100, 1e200):
             with pytest.raises(OverflowError, match="asymptotic Simon function is not finite"):
