@@ -74,8 +74,9 @@ _KEYS: dict[str, tuple[type, object, tuple[str, int] | None]] = {
 }
 _COMPARE = {">": operator.gt, ">=": operator.ge}
 
-#: Largest grid accepted, in cells: n_t*n_c (sweep, classify) or n_d*n_c.
+#: Largest grid accepted, in cells: rows * n_c, for the commands and row keys below.
 MAX_GRID_CELLS = 10**6
+_GRID_ROWS = {"sweep": "n_t", "classify": "n_t", "phase-diagram": "n_d"}
 
 
 class ConfigError(Exception):
@@ -193,10 +194,10 @@ def build_config(
             f"valid names: {', '.join(PRESET_NAMES)}"
         )
 
-    for rows in ("n_t", "n_d"):
+    rows = _GRID_ROWS.get(command)
+    if rows and values[rows] * values["n_c"] > MAX_GRID_CELLS:
         cells = values[rows] * values["n_c"]
-        if cells > MAX_GRID_CELLS:
-            raise ConfigError(f"{rows}*n_c = {cells} grid cells exceed the cap {MAX_GRID_CELLS}")
+        raise ConfigError(f"{rows}*n_c = {cells} grid cells exceed the cap {MAX_GRID_CELLS}")
     if values["c_max"] < values["c_min"]:
         raise ConfigError("require c_min <= c_max")
     if values["d_xpy_max"] < values["d_xpy_min"]:
@@ -367,7 +368,7 @@ def run(cfg: RunConfig) -> str:
     initial = cfg.initial_state()
     state_report = check_physical_state(initial)
     if not state_report.physical:
-        detail = f"min eigenvalue of sigma + i Omega/2 {state_report.min_eigenvalue:.6g}"
+        detail = f"min eigenvalue of rescaled sigma + i Omega/2 {state_report.min_eigenvalue:.6g}"
         if cfg.strict:
             raise PhysicalityError(f"unphysical initial state ({detail})")
         print(

@@ -45,6 +45,21 @@ _ENTRY_INDEX: dict[str, tuple[int, int]] = {
 ENTRY_NAMES: tuple[str, ...] = tuple(_ENTRY_INDEX)
 
 
+def _check_parameters(m, omega, lam, thermal_c, *coefficients) -> None:
+    """Raise ``ValueError`` unless all are finite, m, omega, lam > 0 and thermal_c >= 1."""
+    values = (m, omega, lam, thermal_c, *coefficients)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"environment parameters are not finite: {values}")
+    if not m > 0:
+        raise ValueError(f"mass must be positive, got {m}")
+    if not omega > 0:
+        raise ValueError(f"frequency must be positive, got {omega}")
+    if not lam > 0:
+        raise ValueError(f"dissipation constant must be positive, got {lam}")
+    if not thermal_c >= 1.0:
+        raise ValueError(f"thermal parameter coth(omega/2T) must be >= 1, got {thermal_c}")
+
+
 @dataclass(frozen=True)
 class EnvironmentSpec:
     """Oscillator and bath parameters; fully determines drift and diffusion.
@@ -70,18 +85,7 @@ class EnvironmentSpec:
     d_pxpy: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, vars(self).values())):
-            raise ValueError(f"environment parameters are not finite: {self}")
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
-        if not self.omega > 0:
-            raise ValueError(f"frequency must be positive, got {self.omega}")
-        if not self.lam > 0:
-            raise ValueError(f"dissipation constant must be positive, got {self.lam}")
-        if not self.thermal_c >= 1.0:
-            raise ValueError(
-                f"thermal parameter coth(omega/2T) must be >= 1, got {self.thermal_c}"
-            )
+        _check_parameters(*vars(self).values())
 
     @property
     def d_yy(self) -> float:
@@ -133,8 +137,7 @@ def thermal_environment(
     ``OverflowError`` when valid parameters overflow m*omega or a coefficient,
     or underflow it to zero.
     """
-    # validates the given parameters before anything is derived from them
-    EnvironmentSpec(m, omega, lam, thermal_c, 0.0, 0.0, 0.0, d_xy, d_xpy, 0.0)
+    _check_parameters(m, omega, lam, thermal_c, d_xy, d_xpy)
     half = 0.5 * lam * thermal_c
     mw = m * omega
     d_xx = half / mw if mw else math.inf
@@ -208,21 +211,6 @@ class CovarianceMatrix:
     def entries(self) -> Matrix:
         """The full matrix (read-only view)."""
         return self._entries
-
-    @property
-    def block_a(self) -> Matrix:
-        """Mode-1 covariance block (upper-left 2x2)."""
-        return self._entries[:2, :2].copy()
-
-    @property
-    def block_b(self) -> Matrix:
-        """Mode-2 covariance block (lower-right 2x2)."""
-        return self._entries[2:, 2:].copy()
-
-    @property
-    def block_c(self) -> Matrix:
-        """Cross-correlation block (upper-right 2x2)."""
-        return self._entries[:2, 2:].copy()
 
     def __array__(self, dtype=None):
         return np.asarray(self._entries, dtype=dtype)
@@ -363,23 +351,37 @@ def check_physical_state(sigma: CovarianceMatrix) -> StateReport:
     """Decide the uncertainty principle sigma + (i/2) Omega >= 0.
 
     This implies sigma >= 0 and states nu_- >= 1/2 for the symplectic
-    eigenvalues, the form used by Simon's separability criterion.  The state
-    is physical when the smallest eigenvalue of that Hermitian matrix is at
-    least -MARGIN_TOL * max(1, max|sigma|).
+    eigenvalues, the form used by Simon's separability criterion.  Each mode
+    is rescaled by the symplectic diag(s, 1/s), s = (sigma_pp/sigma_xx)^(1/4),
+    which keeps the sign of every eigenvalue, so that axis squeezing does not
+    widen the slack.  Physical means a positive diagonal and a smallest
+    eigenvalue (``min_eigenvalue``, after rescaling) of at least
+    -MARGIN_TOL * max(1, max|rescaled sigma|).  Raises ``OverflowError`` if
+    the rescaled sigma overflows, which only a non-PSD sigma can do.
     """
     entries = sigma.entries
+    xx, pp, yy, qq = (math.sqrt(math.sqrt(v)) if v > 0 else 0.0 for v in entries.diagonal())
+    positive = bool(xx and pp and yy and qq)
+    if positive:
+        # ratios of fourth roots: s cannot overflow
+        scale = np.array([pp / xx, xx / pp, qq / yy, yy / qq])
+        with np.errstate(over="ignore"):
+            entries = entries * np.outer(scale, scale)
+    slack = MARGIN_TOL * max(1.0, float(np.max(np.abs(entries))))
+    if slack == math.inf:
+        raise OverflowError("covariance matrix overflows when its modes are rescaled")
     min_eigenvalue = float(np.linalg.eigvalsh(entries + 0.5j * OMEGA)[0])
-    scale = max(1.0, float(np.max(np.abs(entries))))
-    return StateReport(min_eigenvalue, min_eigenvalue >= -MARGIN_TOL * scale)
+    return StateReport(min_eigenvalue, positive and min_eigenvalue >= -slack)
 
 
 def thermal_c_from_temperature(temperature: float, omega: float = 1.0) -> float:
     """Convert a temperature (k = 1) to the thermal parameter coth(omega/2T).
 
-    Raises ``OverflowError`` when omega/T is so small that C overflows.
+    Raises ``ValueError`` for a negative or non-finite temperature and
+    ``OverflowError`` when omega/T is so small that C overflows.
     """
-    if temperature < 0:
-        raise ValueError(f"temperature must be nonnegative, got {temperature}")
+    if not 0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and nonnegative, got {temperature}")
     if temperature == 0:
         return 1.0
     tanh = math.tanh(0.5 * omega / temperature)

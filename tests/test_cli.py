@@ -83,6 +83,15 @@ class TestMetricsCommand:
         assert code == 0
         assert err == ""
 
+    def test_strict_rejects_badly_scaled_unphysical_state(self, capsys):
+        # a pure squeezed x mode with entries ~5e11 next to a y mode with
+        # sigma_yy * sigma_pypy = 1e-4 < 1/4
+        entries = dict(sigma_xx=5e11, sigma_pxpx=2e-12, sigma_yy=0.01, sigma_pypy=0.01)
+        sets = [arg for name, value in entries.items() for arg in ("--set", f"{name}={value}")]
+        code, _, err = run_cli(capsys, "metrics", "--strict", *sets)
+        assert code == 3
+        assert "unphysical initial state" in err
+
     def test_lenient_accepts_physical_preset_silently(self, capsys):
         code, _, err = run_cli(capsys, "metrics", "--set", "initial=fig1")
         assert code == 0
@@ -123,7 +132,9 @@ class TestMetricsCommand:
             assert code == 4
             assert out == ""
             assert "Traceback" not in err
-            assert "unphysical" not in err
+            # the first state has sigma_yy = sigma_pypy = 0, so the lenient
+            # warning is correct there; the others are physical
+            assert ("unphysical" in err) is (entries[0] == "sigma_xx=1e200")
             assert err.splitlines()[-1].startswith("error: numerical failure:")
 
     def test_evaluates_at_time(self, capsys):
@@ -280,12 +291,18 @@ class TestConfigHandling:
         assert run_cli(capsys, "sweep", "--set", "n_t=1")[0] == 2
 
     def test_grid_cap(self, capsys):
-        for key in ("n_t", "n_d"):
-            code, out, err = run_cli(capsys, "sweep", "--set", f"{key}=100000000")
+        for command, key in (("sweep", "n_t"), ("classify", "n_t"), ("phase-diagram", "n_d")):
+            code, out, err = run_cli(capsys, command, "--set", f"{key}=100000000")
             assert code == 2
             assert out == ""
             assert err.splitlines() == [err.strip()]
             assert err.startswith(f"error: {key}*n_c = ") and "grid cells exceed the cap" in err
+        # a command is capped only on the grid it builds
+        for command, key in (("steady", "n_t"), ("steady", "n_d"), ("phase-diagram", "n_t")):
+            argv = (command, "--set", f"{key}=100000000", "--dump-config")
+            assert run_cli(capsys, *argv)[0] == 0
+        argv = ("metrics", "--set", "n_t=100000000", "--set", "n_d=100000000")
+        assert run_cli(capsys, *argv)[0] == 0
         # the cap itself is allowed; --dump-config stops before any grid is built
         code, _, _ = run_cli(
             capsys, "sweep", "--set", "n_t=50000", "--set", "n_c=20", "--dump-config"

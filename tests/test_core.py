@@ -230,6 +230,46 @@ class TestCheckPhysicalState:
             report = check_physical_state(ge.CovarianceMatrix(0.5 * (sigma + sigma.T)))
             assert not report.physical, report
 
+    def test_squeezing_does_not_widen_the_slack(self):
+        # the states above and pure states, each mode then squeezed along its
+        # axes by up to e^12, so that entries reach ~1e11: the rescaling
+        # undoes that squeezing, and the verdicts stay as before
+        rng = np.random.default_rng(20240612)
+        for _ in range(1000):
+            a, b = rng.uniform(-12.0, 12.0, size=2)
+            local = np.diag([math.exp(a), math.exp(-a), math.exp(b), math.exp(-b)])
+            s = local @ random_symplectic(rng, max_squeeze=1.0)
+            for nu_minus, physical in ((0.5 - 1e-7, False), (0.5, True)):
+                nu_plus = rng.uniform(0.5, 2.5)
+                sigma = s @ np.diag([nu_minus, nu_minus, nu_plus, nu_plus]) @ s.T
+                report = check_physical_state(ge.CovarianceMatrix(0.5 * (sigma + sigma.T)))
+                assert report.physical is physical, (a, b, report)
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [
+            # a pure squeezed x mode next to a y mode with
+            # sigma_yy * sigma_pypy = 1e-4 < 1/4
+            [5e11, 2e-12, 0.01, 0.01],
+            [1e-300, 1e300, 1e-300, 1e-308],
+            # sigma must be positive definite
+            [1e12, -1e-12, 1.0, 1.0],
+            [1e12, 0.0, 1.0, 1.0],
+        ],
+    )
+    def test_badly_scaled_unphysical_states(self, diagonal):
+        report = check_physical_state(ge.CovarianceMatrix(np.diag(diagonal)))
+        assert not report.physical, report
+
+    def test_rescaling_overflow_raises(self):
+        # s = 1e150 on the x mode makes sigma_xy * s overflow; such a sigma is
+        # never PSD
+        sigma = covariance_from_entries(
+            dict(sigma_xx=1e-300, sigma_pxpx=1e300, sigma_xy=1e200, sigma_yy=1.0, sigma_pypy=1.0)
+        )
+        with pytest.raises(OverflowError, match="rescaled"):
+            check_physical_state(sigma)
+
     @given(
         thermal_c=st.floats(1.0, 50.0),
         m=st.floats(0.5, 2.0),
@@ -284,10 +324,9 @@ class TestCovarianceMatrix:
     def test_block_roundtrip(self, data):
         values = dict(zip(ENTRY_NAMES, data))
         sigma = covariance_from_entries(values)
-        rebuilt = np.block(
-            [[sigma.block_a, sigma.block_c], [sigma.block_c.T, sigma.block_b]]
-        )
-        np.testing.assert_array_equal(rebuilt, sigma.entries)
+        rebuilt = covariance_from_entries(independent_entries(sigma))
+        np.testing.assert_array_equal(rebuilt.entries, sigma.entries)
+        np.testing.assert_array_equal(sigma.entries, sigma.entries.T)
         assert independent_entries(sigma) == pytest.approx(values)
 
     def test_unknown_entry_name(self):
@@ -316,7 +355,8 @@ class TestTemperatureConversion:
             thermal_c_from_temperature(1e308)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            thermal_c_from_temperature(-1.0)
+        for temperature in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                thermal_c_from_temperature(temperature)
         with pytest.raises(ValueError):
             temperature_from_thermal_c(0.5)

@@ -82,7 +82,7 @@ class TestSteadyCovariance:
         assert sigma.entries[0, 0] == pytest.approx(0.5 * c / mw, rel=1e-10)
         assert sigma.entries[1, 1] == pytest.approx(0.5 * c * mw, rel=1e-10)
         assert sigma.entries[0, 1] == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(sigma.block_c, 0.0, atol=1e-12)
+        np.testing.assert_allclose(sigma.entries[:2, 2:], 0.0, atol=1e-12)
 
     def test_momentum_position_cross(self):
         sigma = steady_covariance(_env(d_xpy=0.049))
@@ -168,8 +168,9 @@ class TestEvolve:
         initial = ge.presets.initial_state("fig3")
         for t in np.linspace(0.5, 40.0, 9):
             state = ge.evolve(initial, env, float(t))
-            np.testing.assert_allclose(state.block_a, state.block_b, atol=1e-12)
-            np.testing.assert_allclose(state.block_c, state.block_c.T, atol=1e-12)
+            e = state.entries
+            np.testing.assert_allclose(e[:2, :2], e[2:, 2:], atol=1e-12)
+            np.testing.assert_allclose(e[:2, 2:], e[:2, 2:].T, atol=1e-12)
 
 
 def _residual(initial, env, t_max, n_steps):
