@@ -151,6 +151,16 @@ def thermal_environment(
     return EnvironmentSpec(m, omega, lam, thermal_c, d_xx, 0.0, d_pxpx, d_xy, d_xpy, d_pxpy)
 
 
+def _square(env: EnvironmentSpec, name: str) -> float:
+    """The parameter ``name`` squared; ``OverflowError`` names it when that overflows."""
+    try:
+        return getattr(env, name) ** 2
+    except OverflowError:
+        raise OverflowError(
+            f"{name}^2 overflows (m={env.m}, omega={env.omega}, lam={env.lam})"
+        ) from None
+
+
 def drift_matrix(env: EnvironmentSpec) -> Matrix:
     """Drift generator Y: block-diagonal, per mode [[-lam, 1/m], [-m*omega^2, -lam]].
 
@@ -158,7 +168,7 @@ def drift_matrix(env: EnvironmentSpec) -> Matrix:
     ((s + lam)^2 + omega^2)^2).
     """
     block = np.array(
-        [[-env.lam, 1.0 / env.m], [-env.m * env.omega**2, -env.lam]]
+        [[-env.lam, 1.0 / env.m], [-env.m * _square(env, "omega"), -env.lam]]
     )
     out = np.zeros((4, 4))
     out[:2, :2] = block
@@ -194,11 +204,10 @@ class CovarianceMatrix:
         arr = np.array(entries, dtype=float)
         if arr.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got shape {arr.shape}")
-        residual = float(np.max(np.abs(arr - arr.T)))
-        # a NaN or infinite entry makes the residual NaN or infinite
+        if not np.isfinite(arr).all():
+            raise ValueError("covariance matrix entries must be finite")
+        residual = float(abs(arr - arr.T).max())
         if not residual <= SYMMETRY_TOL:
-            if not np.isfinite(arr).all():
-                raise ValueError("covariance matrix entries must be finite")
             raise ValueError(
                 f"matrix is not symmetric (max asymmetry {residual:.3e} > {SYMMETRY_TOL})"
             )

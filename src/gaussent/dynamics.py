@@ -17,15 +17,17 @@ from .core import (
     CovarianceMatrix,
     EnvironmentSpec,
     Matrix,
+    _square,
     diffusion_matrix,
     drift_matrix,
 )
 
 
-def propagator(env: EnvironmentSpec, t: float) -> Matrix:
-    """Closed-form exp(Y t); identity at t = 0, determinant e^{-4 lam t}.
+def _rotation(env: EnvironmentSpec, t: float) -> tuple[float, float, float, float]:
+    """Entries (r00, r01, r10, r11) of the oscillator block e^{-lam t} R(t).
 
-    Raises ``OverflowError`` when the phase omega*t overflows.
+    Raises ``ValueError`` unless t is finite and nonnegative, and
+    ``OverflowError`` when the phase omega*t overflows.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"propagation time must be finite and nonnegative, got {t}")
@@ -34,21 +36,42 @@ def propagator(env: EnvironmentSpec, t: float) -> Matrix:
     phase = env.omega * t
     if phase == math.inf:
         raise OverflowError(f"oscillator phase omega*t overflows at t = {t}")
-    cos = math.cos(phase)
+    diagonal = decay * math.cos(phase)
     sin = math.sin(phase)
-    block = decay * np.array([[cos, sin / mw], [-mw * sin, cos]])
-    out = np.zeros((4, 4))
-    out[:2, :2] = block
-    out[2:, 2:] = block
-    return out
+    return diagonal, decay * (sin / mw), decay * (-mw * sin), diagonal
+
+
+def _congruence(rot, p: float, q: float, r: float, u: float) -> tuple[float, float, float, float]:
+    """Entries of R X R^T for X = [[p, q], [r, u]] and R = [[r00, r01], [r10, r11]]."""
+    r00, r01, r10, r11 = rot
+    y00, y01 = r00 * p + r01 * r, r00 * q + r01 * u
+    y10, y11 = r10 * p + r11 * r, r10 * q + r11 * u
+    return (
+        y00 * r00 + y01 * r01,
+        y00 * r10 + y01 * r11,
+        y10 * r00 + y11 * r01,
+        y10 * r10 + y11 * r11,
+    )
+
+
+def propagator(env: EnvironmentSpec, t: float) -> Matrix:
+    """Closed-form exp(Y t); identity at t = 0, determinant e^{-4 lam t}.
+
+    Raises ``OverflowError`` when the phase omega*t overflows.
+    """
+    r00, r01, r10, r11 = _rotation(env, t)
+    return np.array(
+        [[r00, r01, 0.0, 0.0], [r10, r11, 0.0, 0.0], [0.0, 0.0, r00, r01], [0.0, 0.0, r10, r11]]
+    )
 
 
 def _steady_block(env: EnvironmentSpec, d11: float, d12: float, d22: float):
     """Entries (a, b, c) of the symmetric 2x2 block s = [[a, b], [b, c]] solving
     Y0 s + s Y0^T = -2 [[d11, d12], [d12, d22]] for one oscillator block Y0."""
-    mw2 = env.m * env.omega**2
+    omega_sq = _square(env, "omega")
+    mw2 = env.m * omega_sq
     b = (2.0 * env.lam * d12 - mw2 * d11 + d22 / env.m) / (
-        2.0 * (env.lam**2 + env.omega**2)
+        2.0 * (_square(env, "lam") + omega_sq)
     )
     return (d11 + b / env.m) / env.lam, b, (d22 - mw2 * b) / env.lam
 
@@ -91,16 +114,22 @@ def evolve(
 
     ``t = 0`` returns ``initial`` unchanged; ``t`` must be finite and
     nonnegative.  ``steady`` may carry a precomputed steady-state covariance
-    to avoid repeated Lyapunov solves in sweep loops.  The result is
-    re-symmetrized via (s + s^T)/2; ``OverflowError`` is raised when it is
-    not finite.
+    to avoid repeated Lyapunov solves in sweep loops.  M(t) is applied as
+    R X R^T on each 2x2 block of X = s0 - s_inf, in floats, and the result is
+    exactly symmetric; ``OverflowError`` is raised when it is not finite.
     """
     if t == 0:
         return initial
-    m = propagator(env, t)
-    fixed = steady.entries if steady is not None else steady_covariance(env).entries
-    out = m @ (initial.entries - fixed) @ m.T + fixed
+    rot = _rotation(env, t)
+    fixed = (steady if steady is not None else steady_covariance(env)).entries
+    (a0, a1, c0, c1), (_, a2, c2, c3), (_, _, b0, b1), (_, _, _, b2) = (
+        initial.entries - fixed
+    ).tolist()
+    a0, a1, _, a2 = _congruence(rot, a0, a1, a1, a2)
+    b0, b1, _, b2 = _congruence(rot, b0, b1, b1, b2)
+    c0, c1, c2, c3 = _congruence(rot, c0, c1, c2, c3)
+    moved = np.array([[a0, a1, c0, c1], [a1, a2, c2, c3], [c0, c2, b0, b1], [c1, c3, b1, b2]])
     try:
-        return CovarianceMatrix(0.5 * (out + out.T))
+        return CovarianceMatrix(moved + fixed)
     except ValueError:  # finite inputs, so the entries overflowed
         raise OverflowError(f"evolved covariance matrix is not finite at t = {t}") from None

@@ -12,18 +12,29 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .core import OMEGA, CovarianceMatrix, EnvironmentSpec, Matrix
+from .core import CovarianceMatrix, EnvironmentSpec
 
 #: Width of the boundary band for the PPT sign-agreement classification.
 BOUNDARY_TOL = 1e-12
 
-_J = OMEGA[:2, :2]
 
+def _invariants(sigma: CovarianceMatrix) -> tuple[float, float, float, float]:
+    """det A, det B, det C and T = Tr[A J C J B J C^T J] of sigma = [[A, C], [C^T, B]].
 
-def _det2(block: Matrix) -> float:
-    return float(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
+    J X J = -cof(X) for the 2x2 symplectic unit J, so T = Tr[A K B K^T] with
+    K = cof(C); all of it is float arithmetic on the ten entries.
+    """
+    (a0, a1, c0, c1), (_, a2, c2, c3), (_, _, b0, b1), (_, _, _, b2) = sigma.entries.tolist()
+    # K = [[c3, -c2], [-c1, c0]]; rows u, v of K B, then P = K B K^T
+    u0 = c3 * b0 - c2 * b1
+    u1 = c3 * b1 - c2 * b2
+    v0 = c0 * b1 - c1 * b0
+    v1 = c0 * b2 - c1 * b1
+    p00 = u0 * c3 - u1 * c2
+    p01 = u1 * c0 - u0 * c1
+    p11 = v1 * c0 - v0 * c1
+    trace = a0 * p00 + 2.0 * a1 * p01 + a2 * p11
+    return a0 * a2 - a1 * a1, b0 * b2 - b1 * b1, c0 * c3 - c1 * c2, trace
 
 
 def simon_function(sigma: CovarianceMatrix) -> float:
@@ -35,15 +46,9 @@ def simon_function(sigma: CovarianceMatrix) -> float:
     S >= 0 is necessary and sufficient for separability of physical states.
     Raises ``OverflowError`` when S overflows.
     """
-    e = sigma.entries
-    a_blk = e[:2, :2]
-    b_blk = e[2:, 2:]
-    c_blk = e[:2, 2:]
-    det_a = _det2(a_blk)
-    det_b = _det2(b_blk)
-    det_c = _det2(c_blk)
-    trace = float(np.trace(a_blk @ _J @ c_blk @ _J @ b_blk @ _J @ c_blk.T @ _J))
-    value = det_a * det_b + (0.25 - abs(det_c)) ** 2 - trace - 0.25 * (det_a + det_b)
+    det_a, det_b, det_c, trace = _invariants(sigma)
+    mixed = 0.25 - abs(det_c)
+    value = det_a * det_b + mixed * mixed - trace - 0.25 * (det_a + det_b)
     if not math.isfinite(value):
         raise OverflowError(f"Simon function is not finite ({value})")
     return value
@@ -67,12 +72,13 @@ class PtSpectrum(NamedTuple):
 def symplectic_spectrum_pt(sigma: CovarianceMatrix) -> PtSpectrum:
     """Seralian and squared PT symplectic eigenvalues of ``sigma``.
 
-    Raises ``OverflowError`` when Delta~, det sigma or the discriminant
-    overflows.
+    Delta~ and det sigma = det A det B + det C^2 - Tr[A J C J B J C^T J]
+    come from the same four invariants.  Raises ``OverflowError`` when
+    Delta~, det sigma or the discriminant overflows.
     """
-    e = sigma.entries
-    delta = _det2(e[:2, :2]) + _det2(e[2:, 2:]) - 2.0 * _det2(e[:2, 2:])
-    det_sigma = float(np.linalg.det(e))
+    det_a, det_b, det_c, trace = _invariants(sigma)
+    delta = det_a + det_b - 2.0 * det_c
+    det_sigma = det_a * det_b + det_c * det_c - trace
     disc = delta * delta - 4.0 * det_sigma
     if not math.isfinite(disc):  # also when delta or det_sigma is not finite
         raise OverflowError(
@@ -84,6 +90,12 @@ def symplectic_spectrum_pt(sigma: CovarianceMatrix) -> PtSpectrum:
     return PtSpectrum(delta, 0.5 * (delta - root), 0.5 * (delta + root), False)
 
 
+def _negativity(nu_minus_sq: float) -> float | None:
+    if not nu_minus_sq > 0.0:
+        return None
+    return max(0.0, -0.5 * math.log2(4.0 * nu_minus_sq))
+
+
 def log_negativity(sigma: CovarianceMatrix) -> float | None:
     """Logarithmic negativity max{0, -(1/2) log2(4 nu~_-^2)}.
 
@@ -91,10 +103,7 @@ def log_negativity(sigma: CovarianceMatrix) -> float | None:
     eigenvalue is degenerate or the input is unphysical, and no value is
     fabricated there.  Raises ``OverflowError`` when the invariants overflow.
     """
-    nu_sq = symplectic_spectrum_pt(sigma).nu_minus_sq
-    if not nu_sq > 0.0:
-        return None
-    return max(0.0, -0.5 * math.log2(4.0 * nu_sq))
+    return _negativity(symplectic_spectrum_pt(sigma).nu_minus_sq)
 
 
 @dataclass(frozen=True)
@@ -126,7 +135,7 @@ def metrics(sigma: CovarianceMatrix) -> EntanglementMetrics:
         simon_s=s,
         seralian_tilde=spectrum.delta_tilde,
         nu_tilde_minus_sq=spectrum.nu_minus_sq,
-        log_negativity=log_negativity(sigma),
+        log_negativity=_negativity(spectrum.nu_minus_sq),
         separable=s >= 0.0,
         boundary=abs(s) <= BOUNDARY_TOL,
     )

@@ -3,8 +3,11 @@
 Nothing here may call back into the code paths under test; the matrix
 exponential is a plain scaling-and-squaring Taylor sum, the Lyapunov oracle is
 a dense Kronecker solve, the ODE residual is a centered finite difference of
-a sampled flow, the Simon oracle runs in exact rational arithmetic, and
-symplectic spectra come from eigenvalues of i*Omega*sigma.
+a sampled flow, the Simon oracle runs in exact rational arithmetic,
+symplectic spectra come from eigenvalues of i*Omega*sigma, and the PT
+invariants and the propagation step are the plain matrix forms (2x2 block
+determinants, an LU determinant, M sigma M^T) that the package's
+float-arithmetic kernels replace.
 """
 
 from __future__ import annotations
@@ -120,6 +123,22 @@ def pt_symplectic_eigs_oracle(entries: np.ndarray) -> np.ndarray:
     eigs = np.linalg.eigvals(1j * OMEGA_4 @ tilde)
     nus = np.sort(np.abs(eigs))
     return nus[::2]
+
+
+def pt_invariants_oracle(entries: np.ndarray) -> tuple[float, float]:
+    """Seralian det A + det B - 2 det C from the 2x2 blocks, and det sigma by LU."""
+
+    def det2(block):
+        return float(block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
+
+    delta = det2(entries[:2, :2]) + det2(entries[2:, 2:]) - 2.0 * det2(entries[:2, 2:])
+    return delta, float(np.linalg.det(entries))
+
+
+def evolve_oracle(initial: np.ndarray, m: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """M (s0 - s_inf) M^T + s_inf as 4x4 matrix products, re-symmetrized."""
+    out = m @ (initial - fixed) @ m.T + fixed
+    return 0.5 * (out + out.T)
 
 
 def rotation(theta: float) -> np.ndarray:

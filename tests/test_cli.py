@@ -121,6 +121,7 @@ class TestMetricsCommand:
             ("steady", "lambda=1e300"),
             ("steady", "temperature=1e308"),
             ("steady", "lambda=1e-200", "omega=1e-200", "m=1e200", "d_xpy=0"),
+            ("classify", "omega=1e200", "t_max=1e200", "m=1e-200", "n_c=2", "n_t=3"),
             # states whose evolution or PT spectrum overflows
             ("evolve", "omega=1e200", "m=1e-200", "t=1e200"),
             ("evolve", "m=1e100", "t=1",

@@ -285,8 +285,6 @@ class TestCheckPhysicalState:
 
 
 class TestCovarianceMatrix:
-    # an infinite entry makes numpy warn in the symmetry check before it raises
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_rejects_asymmetry(self):
         bad = 0.5 * np.eye(4)
         bad = bad.copy()

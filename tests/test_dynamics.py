@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 import gaussent as ge
 from gaussent.core import ENTRY_NAMES, covariance_from_entries, diffusion_matrix, drift_matrix
 from gaussent.dynamics import propagator, steady_covariance
-from helpers import lyapunov_oracle, matrix_exp_oracle, ode_residual_oracle
+from helpers import (
+    evolve_oracle,
+    lyapunov_oracle,
+    matrix_exp_oracle,
+    ode_residual_oracle,
+    random_physical_cm,
+)
 
 LAM = st.floats(0.01, 1.0)
 OMEGA = st.floats(0.5, 2.0)
@@ -111,6 +117,12 @@ class TestSteadyCovariance:
         dense = lyapunov_oracle(drift_matrix(env), diffusion_matrix(env))
         assert np.max(np.abs(closed.entries - dense)) <= 1e-12
 
+    def test_overflowing_square_is_named(self):
+        env = ge.thermal_environment(0.1, 1.0, m=1e-200, omega=1e200)
+        for build in (steady_covariance, drift_matrix):
+            with pytest.raises(OverflowError, match=r"omega\^2 overflows \(m=1e-200, omega=1e\+2"):
+                build(env)
+
 
 class TestEvolve:
     def test_fixed_point(self):
@@ -171,6 +183,28 @@ class TestEvolve:
             e = state.entries
             np.testing.assert_allclose(e[:2, :2], e[2:, 2:], atol=1e-12)
             np.testing.assert_allclose(e[:2, 2:], e[:2, 2:].T, atol=1e-12)
+
+    def test_matches_matmul_oracle_and_is_exactly_symmetric(self):
+        rng = np.random.default_rng(20261020)
+        states = [ge.presets.initial_state(name) for name in ge.presets.PRESET_NAMES]
+        states += [
+            ge.CovarianceMatrix(random_physical_cm(rng, max_squeeze))
+            for max_squeeze in (1.0, 2.0)
+            for _ in range(100)
+        ]
+        for mw in (1e-3, 1.0, 1e3):
+            for m, omega in ((mw, 1.0), (1.0, mw)):
+                env = _env(d_xpy=0.049, m=m, omega=omega)
+                fixed = steady_covariance(env)
+                for t in (0.1, 7.25, 500.0):
+                    mat = propagator(env, t)
+                    for initial in states:
+                        out = ge.evolve(initial, env, t, steady=fixed).entries
+                        assert np.array_equal(out, out.T)
+                        expected = evolve_oracle(initial.entries, mat, fixed.entries)
+                        # each entry against its Cauchy-Schwarz scale sqrt(s_ii s_jj)
+                        root = np.sqrt(np.abs(expected.diagonal()))
+                        assert np.all(np.abs(out - expected) <= 1e-14 * np.outer(root, root))
 
 
 def _residual(initial, env, t_max, n_steps):

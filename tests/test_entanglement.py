@@ -10,12 +10,14 @@ import gaussent as ge
 from gaussent.core import ENTRY_NAMES, EnvironmentSpec, covariance_from_entries
 from gaussent.dynamics import steady_covariance
 from gaussent.entanglement import (
+    _invariants,
     asymptotic_simon,
     log_negativity,
     simon_function,
     symplectic_spectrum_pt,
 )
 from helpers import (
+    pt_invariants_oracle,
     pt_symplectic_eigs_oracle,
     random_physical_cm,
     rotation,
@@ -334,3 +336,48 @@ class TestInvariantProperties:
         l_before = log_negativity(ge.CovarianceMatrix(sigma))
         l_after = log_negativity(ge.CovarianceMatrix(transformed))
         assert l_after == pytest.approx(l_before, abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def kernel_states():
+    """The presets plus 1,000 seeded physical states at each of max_squeeze 1 and 2."""
+    states = [ge.presets.initial_state(name) for name in ge.presets.PRESET_NAMES]
+    for seed, max_squeeze in ((20261018, 1.0), (20261019, 2.0)):
+        rng = np.random.default_rng(seed)
+        states += [
+            ge.CovarianceMatrix(random_physical_cm(rng, max_squeeze)) for _ in range(1000)
+        ]
+    return states
+
+
+class TestClosedFormKernels:
+    """S, the PT spectrum and det sigma from det A, det B, det C and one trace."""
+
+    def test_simon_matches_exact_oracle(self, kernel_states):
+        for sigma in kernel_states:
+            scale = (1.0 + np.max(np.abs(sigma.entries))) ** 4
+            exact = float(simon_oracle_exact(sigma.entries))
+            assert abs(simon_function(sigma) - exact) <= scale * 1e-15
+
+    def test_pt_spectrum_matches_eigenvalue_oracle(self, kernel_states):
+        for sigma in kernel_states:
+            spectrum = symplectic_spectrum_pt(sigma)
+            # the oracle gives |nu~^2|, also for the unphysical fig3
+            expected = np.sort(np.abs([spectrum.nu_minus_sq, spectrum.nu_plus_sq]))
+            oracle = pt_symplectic_eigs_oracle(sigma.entries) ** 2
+            assert np.max(np.abs(oracle - expected)) <= 1e-12 * max(1.0, spectrum.nu_plus_sq)
+
+    def test_determinant_identity_matches_lu(self, kernel_states):
+        for sigma in kernel_states:
+            det_a, det_b, det_c, trace = _invariants(sigma)
+            delta, det_lu = pt_invariants_oracle(sigma.entries)
+            scale = (1.0 + np.max(np.abs(sigma.entries))) ** 4
+            assert abs(det_a * det_b + det_c * det_c - trace - det_lu) <= scale * 1e-15
+            seralian = symplectic_spectrum_pt(sigma).delta_tilde
+            assert seralian == pytest.approx(delta, abs=scale * 1e-15)
+
+    def test_pure_preset_has_zero_negativity(self):
+        # fig1 is a pure product state: nu~_-^2 = 1/4 exactly, so L = 0 exactly
+        # (an LU determinant gives L ~ 1e-8 here)
+        assert log_negativity(ge.presets.initial_state("fig1")) == 0.0
+
