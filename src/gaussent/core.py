@@ -216,6 +216,13 @@ class CovarianceMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "_entries", arr)
 
+    @classmethod
+    def _wrap(cls, arr: Matrix) -> CovarianceMatrix:
+        """Wrap ``arr`` unchecked: it must be a read-only, finite, exactly symmetric 4x4."""
+        self = object.__new__(cls)
+        self._entries = arr
+        return self
+
     @property
     def entries(self) -> Matrix:
         """The full matrix (read-only view)."""
@@ -399,11 +406,3 @@ def thermal_c_from_temperature(temperature: float, omega: float = 1.0) -> float:
         raise OverflowError(f"thermal parameter overflows at temperature {temperature}")
     return thermal_c
 
-
-def temperature_from_thermal_c(thermal_c: float, omega: float = 1.0) -> float:
-    """Inverse of :func:`thermal_c_from_temperature`; thermal_c = 1 maps to T = 0."""
-    if thermal_c < 1.0:
-        raise ValueError(f"thermal parameter must be >= 1, got {thermal_c}")
-    if thermal_c == 1.0:
-        return 0.0
-    return 0.5 * omega / math.atanh(1.0 / thermal_c)

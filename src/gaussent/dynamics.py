@@ -4,7 +4,7 @@ The drift matrix has the known closed-form exponential
 exp(Y t) = e^{-lam t} * diag(R(t), R(t)) with
 R(t) = [[cos(omega t), sin(omega t)/(m omega)], [-m omega sin(omega t), cos(omega t)]],
 so trajectories are sampled without any ODE integration: every instant is
-computed directly from t = 0.
+computed directly from t = 0, and a column of instants in one array pass.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ def _rotation(env: EnvironmentSpec, t: float) -> tuple[float, float, float, floa
 
 
 def _congruence(rot, p: float, q: float, r: float, u: float) -> tuple[float, float, float, float]:
-    """Entries of R X R^T for X = [[p, q], [r, u]] and R = [[r00, r01], [r10, r11]]."""
+    """Entries of R X R^T for X = [[p, q], [r, u]] and R = [[r00, r01], [r10, r11]];
+    +, - and x only, so R's entries may be floats or arrays."""
     r00, r01, r10, r11 = rot
     y00, y01 = r00 * p + r01 * r, r00 * q + r01 * u
     y10, y11 = r10 * p + r11 * r, r10 * q + r11 * u
@@ -103,6 +104,28 @@ def steady_covariance(env: EnvironmentSpec) -> CovarianceMatrix:
     return CovarianceMatrix(sigma)
 
 
+def _propagate(initial: CovarianceMatrix, fixed: Matrix, rot, times) -> Matrix:
+    """M (s0 - s_inf) M^T + s_inf, read-only, from the rotation entries ``rot``
+    (floats, or arrays over ``times`` that stack on axis 0).  R X R^T acts on
+    each 2x2 block of X = s0 - s_inf and the mirror entries are copies, so each
+    4x4 is exactly symmetric.  ``OverflowError`` names the first t not finite."""
+    (a0, a1, c0, c1), (_, a2, c2, c3), (_, _, b0, b1), (_, _, _, b2) = (
+        initial.entries - fixed
+    ).tolist()
+    a0, a1, _, a2 = _congruence(rot, a0, a1, a1, a2)
+    b0, b1, _, b2 = _congruence(rot, b0, b1, b1, b2)
+    c0, c1, c2, c3 = _congruence(rot, c0, c1, c2, c3)
+    moved = np.array([[a0, a1, c0, c1], [a1, a2, c2, c3], [c0, c2, b0, b1], [c1, c3, b1, b2]])
+    # both are symmetric in their 4x4 axes, so .T moves t to the front and
+    # keeps the two operands in one memory order
+    out = moved.T + fixed.T
+    if not np.isfinite(out).all():
+        first = np.isfinite(out).reshape(len(times), -1).all(axis=1).argmin()
+        raise OverflowError(f"evolved covariance matrix is not finite at t = {times[first]}")
+    out.setflags(write=False)
+    return out
+
+
 def evolve(
     initial: CovarianceMatrix,
     env: EnvironmentSpec,
@@ -114,22 +137,25 @@ def evolve(
 
     ``t = 0`` returns ``initial`` unchanged; ``t`` must be finite and
     nonnegative.  ``steady`` may carry a precomputed steady-state covariance
-    to avoid repeated Lyapunov solves in sweep loops.  M(t) is applied as
-    R X R^T on each 2x2 block of X = s0 - s_inf, in floats, and the result is
-    exactly symmetric; ``OverflowError`` is raised when it is not finite.
+    to avoid repeated Lyapunov solves.  The result is exactly symmetric;
+    ``OverflowError`` is raised when it is not finite.
     """
     if t == 0:
         return initial
     rot = _rotation(env, t)
     fixed = (steady if steady is not None else steady_covariance(env)).entries
-    (a0, a1, c0, c1), (_, a2, c2, c3), (_, _, b0, b1), (_, _, _, b2) = (
-        initial.entries - fixed
-    ).tolist()
-    a0, a1, _, a2 = _congruence(rot, a0, a1, a1, a2)
-    b0, b1, _, b2 = _congruence(rot, b0, b1, b1, b2)
-    c0, c1, c2, c3 = _congruence(rot, c0, c1, c2, c3)
-    moved = np.array([[a0, a1, c0, c1], [a1, a2, c2, c3], [c0, c2, b0, b1], [c1, c3, b1, b2]])
-    try:
-        return CovarianceMatrix(moved + fixed)
-    except ValueError:  # finite inputs, so the entries overflowed
-        raise OverflowError(f"evolved covariance matrix is not finite at t = {t}") from None
+    return CovarianceMatrix._wrap(_propagate(initial, fixed, rot, (t,)))
+
+
+def _evolve_column(
+    initial: CovarianceMatrix, env: EnvironmentSpec, times: list[float], fixed: CovarianceMatrix
+) -> list[CovarianceMatrix]:
+    """evolve(initial, env, t, steady=fixed) for each t of ``times``, in one array
+    pass with the same bits: the rotations come from the scalar ``_rotation``
+    (``math.exp`` is not ``np.exp``).  t = 0 gives ``initial`` itself.
+    """
+    moving = [t for t in times if t != 0]
+    rot = np.array(list(zip(*[_rotation(env, t) for t in moving]))).reshape(4, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = iter(_propagate(initial, fixed.entries, rot, moving))
+    return [initial if t == 0 else CovarianceMatrix._wrap(next(states)) for t in times]

@@ -59,14 +59,13 @@ class PtSpectrum(NamedTuple):
 
     2 nu~_-+^2 = Delta~ -/+ sqrt(Delta~^2 - 4 det sigma) with the seralian
     Delta~ = det A + det B - 2 det C.  When the discriminant is negative the
-    squared eigenvalues form a complex pair; ``complex_pair`` is set and the
-    nu fields are NaN instead of pretending to be real.
+    squared eigenvalues form a complex pair and the nu fields are NaN instead
+    of pretending to be real.
     """
 
     delta_tilde: float
     nu_minus_sq: float
     nu_plus_sq: float
-    complex_pair: bool
 
 
 def symplectic_spectrum_pt(sigma: CovarianceMatrix) -> PtSpectrum:
@@ -85,9 +84,9 @@ def symplectic_spectrum_pt(sigma: CovarianceMatrix) -> PtSpectrum:
             f"PT symplectic spectrum overflows (seralian {delta}, determinant {det_sigma})"
         )
     if disc < 0.0:
-        return PtSpectrum(delta, math.nan, math.nan, True)
+        return PtSpectrum(delta, math.nan, math.nan)
     root = math.sqrt(disc)
-    return PtSpectrum(delta, 0.5 * (delta - root), 0.5 * (delta + root), False)
+    return PtSpectrum(delta, 0.5 * (delta - root), 0.5 * (delta + root))
 
 
 def _negativity(nu_minus_sq: float) -> float | None:

@@ -8,6 +8,7 @@ flow, so event times do not depend on the sampling grid.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -15,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import CovarianceMatrix, EnvironmentSpec, Matrix, thermal_environment
-from .dynamics import evolve, steady_covariance
+from .dynamics import _evolve_column, evolve, steady_covariance
 from .entanglement import asymptotic_simon, asymptotic_threshold, log_negativity, simon_function
 
 #: Bisection window below which a crossing instant is considered resolved.
@@ -129,8 +130,8 @@ def classify_phase(
     dissipation times (t_max >= 5/lam) with n_t >= 100; shorter grids are
     accepted with a warning.
     """
-    if not t_max > 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if n_t < 2:
         raise ValueError(f"n_t must be at least 2, got {n_t}")
     if t_max * env.lam < 5.0 or n_t < 100:
@@ -142,9 +143,8 @@ def classify_phase(
         )
     fixed = steady_covariance(env)
     times = np.linspace(0.0, t_max, n_t)
-    s_values = np.array(
-        [simon_function(evolve(initial, env, float(t), steady=fixed)) for t in times]
-    )
+    states = _evolve_column(initial, env, times.tolist(), fixed)
+    s_values = np.array([simon_function(state) for state in states])
     classes = s_values < 0.0
 
     raw_events: list[tuple[float, bool, bool]] = []
@@ -194,16 +194,16 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.env_base.is_thermal():
             raise ValueError("sweeps override thermal_c and need a thermal env_base")
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.n_t < 2:
             raise ValueError(f"n_t must be at least 2, got {self.n_t}")
         if self.n_c < 1:
             raise ValueError(f"n_c must be at least 1, got {self.n_c}")
-        if self.c_min < 1.0:
+        if not self.c_min >= 1.0:
             raise ValueError(f"c_min must be >= 1, got {self.c_min}")
-        if self.c_max < self.c_min:
-            raise ValueError("c_max must be >= c_min")
+        if not self.c_min <= self.c_max < math.inf:
+            raise ValueError(f"c_max must be finite and >= c_min, got {self.c_max}")
 
     def times(self) -> Matrix:
         return np.linspace(0.0, self.t_max, self.n_t)
@@ -260,8 +260,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
     for j, c in enumerate(cs):
         env_c = spec.environment_at(float(c))
         fixed = steady_covariance(env_c)
-        for i, t in enumerate(times):
-            state = evolve(spec.initial, env_c, float(t), steady=fixed)
+        for i, state in enumerate(_evolve_column(spec.initial, env_c, times.tolist(), fixed)):
             simon[i, j] = simon_function(state)
             degree = log_negativity(state)
             if degree is not None:

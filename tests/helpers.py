@@ -189,3 +189,12 @@ def random_physical_cm(rng: np.random.Generator, max_squeeze: float = 1.0) -> np
     s = random_symplectic(rng, max_squeeze=max_squeeze)
     out = s @ thermal @ s.T
     return 0.5 * (out + out.T)
+
+
+def temperature_from_thermal_c(thermal_c: float, omega: float = 1.0) -> float:
+    """Inverse of ``thermal_c_from_temperature``; thermal_c = 1 maps to T = 0."""
+    if thermal_c < 1.0:
+        raise ValueError(f"thermal parameter must be >= 1, got {thermal_c}")
+    if thermal_c == 1.0:
+        return 0.0
+    return 0.5 * omega / math.atanh(1.0 / thermal_c)

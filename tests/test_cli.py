@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussent as ge
-from gaussent.core import ENTRY_NAMES, independent_entries, temperature_from_thermal_c
+from gaussent.core import ENTRY_NAMES, independent_entries
 from gaussent.entanglement import simon_function
 from gaussent.experiments import LABELS
 from gaussent.cli import _KEYS, COMMANDS, main
 from gaussent.presets import PRESET_NAMES
-from helpers import two_mode_squeezer
+from helpers import temperature_from_thermal_c, two_mode_squeezer
 
 
 def run_cli(capsys, *args):

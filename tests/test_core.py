@@ -15,11 +15,10 @@ from gaussent.core import (
     diffusion_matrix,
     drift_matrix,
     independent_entries,
-    temperature_from_thermal_c,
     thermal_c_from_temperature,
     validate_diffusion,
 )
-from helpers import random_symplectic, two_mode_squeezer
+from helpers import random_symplectic, temperature_from_thermal_c, two_mode_squeezer
 
 
 def _check(report, name):

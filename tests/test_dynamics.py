@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import gaussent as ge
 from gaussent.core import ENTRY_NAMES, covariance_from_entries, diffusion_matrix, drift_matrix
-from gaussent.dynamics import propagator, steady_covariance
+from gaussent.dynamics import _evolve_column, propagator, steady_covariance
 from helpers import (
     evolve_oracle,
     lyapunov_oracle,
@@ -206,6 +207,50 @@ class TestEvolve:
                         root = np.sqrt(np.abs(expected.diagonal()))
                         assert np.all(np.abs(out - expected) <= 1e-14 * np.outer(root, root))
 
+
+
+class TestEvolveColumn:
+    def test_matches_scalar_evolve_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        states = [ge.presets.initial_state(name) for name in ge.presets.PRESET_NAMES]
+        states += [
+            ge.CovarianceMatrix(random_physical_cm(rng, max_squeeze))
+            for max_squeeze in (1.0, 2.0)
+            for _ in range(100)
+        ]
+        times = [0.0, 0.1, 7.25, 500.0] + np.linspace(0.0, 50.0, 50).tolist()
+        # m*omega = 1e-3, 1 and 1e3, through m and through omega
+        for m, omega in ((1e-3, 1.0), (1.0, 1.0), (1.0, 1e3)):
+            env = _env(d_xpy=0.049, m=m, omega=omega)
+            fixed = steady_covariance(env)
+            for initial in states:
+                column = _evolve_column(initial, env, times, fixed)
+                scalar = [ge.evolve(initial, env, t, steady=fixed) for t in times]
+                assert [s is initial for s in column] == [t == 0 for t in times]
+                out = np.array([state.entries for state in column])
+                assert np.array_equal(out, np.array([state.entries for state in scalar]))
+                assert np.array_equal(out, out.transpose(0, 2, 1))
+                assert not any(state.entries.flags.writeable for state in column)
+                # the checked constructor stores the same bits
+                assert all(ge.CovarianceMatrix(state.entries) == state for state in column)
+
+    def test_overflow_raises_without_a_numpy_warning(self):
+        # m*omega = 1e100 rotates sigma_xx = 1e200 into p_x as ~1e400
+        env = ge.thermal_environment(0.1, 1.0, m=1e100)
+        initial = ge.CovarianceMatrix(np.diag([1e200, 1.0, 1.0, 1.0]))
+        fixed = steady_covariance(env)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"not finite at t = 0\.5050505050505051$"):
+                ge.classify_phase(initial, env, 50.0, 100)
+            with pytest.raises(OverflowError, match=r"not finite at t = 1\.0$"):
+                _evolve_column(initial, env, [0.0, 1e-300, 1.0, 2.0], fixed)
+            # the t and phase checks of the scalar path come first
+            with pytest.raises(ValueError, match="nonnegative, got -1.0"):
+                _evolve_column(initial, env, [1.0, -1.0], fixed)
+            far = ge.thermal_environment(0.1, 1.0, m=1e-200, omega=1e200)
+            with pytest.raises(OverflowError, match="phase"):
+                _evolve_column(initial, far, [1e200], fixed)
 
 def _residual(initial, env, t_max, n_steps):
     fixed = steady_covariance(env)

@@ -83,7 +83,6 @@ class TestSimonFunction:
 class TestPtSpectrum:
     def test_vacuum(self):
         spectrum = symplectic_spectrum_pt(thermal_product(1.0))
-        assert not spectrum.complex_pair
         assert spectrum.delta_tilde == pytest.approx(0.5, abs=1e-15)
         assert spectrum.nu_minus_sq == pytest.approx(0.25, abs=1e-12)
         assert spectrum.nu_plus_sq == pytest.approx(0.25, abs=1e-12)
@@ -108,7 +107,9 @@ class TestPtSpectrum:
 
     def test_complex_pair_flagged(self):
         spectrum = symplectic_spectrum_pt(ge.CovarianceMatrix(COMPLEX_PAIR_EXAMPLE))
-        assert spectrum.complex_pair
+        # the discriminant of the independent block/LU invariants is negative
+        delta, det = pt_invariants_oracle(COMPLEX_PAIR_EXAMPLE)
+        assert delta * delta < 4.0 * det
         assert math.isnan(spectrum.nu_minus_sq)
         assert math.isnan(spectrum.nu_plus_sq)
 
@@ -295,7 +296,7 @@ class TestInvariantProperties:
     def test_f_equals_pt_eigenvalue(self, data):
         sigma = covariance_from_entries(dict(zip(ENTRY_NAMES, data)))
         spectrum = symplectic_spectrum_pt(sigma)
-        assume(not spectrum.complex_pair)
+        assume(not math.isnan(spectrum.nu_minus_sq))
         # the moduli of eig(i Omega sigma~) are sqrt|nu~^2|, also for the
         # negative nu~^2 of unphysical input
         oracle = pt_symplectic_eigs_oracle(sigma.entries) ** 2

@@ -88,6 +88,9 @@ class TestClassifyPhase:
             ge.classify_phase(fig1_initial, _benchmark(1.0), -1.0, 500)
         with pytest.raises(ValueError):
             ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, 1)
+        for t_max in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="t_max must be positive and finite"):
+                ge.classify_phase(fig1_initial, _benchmark(1.0), t_max, 500)
 
 
 class TestSweep:
@@ -184,6 +187,28 @@ class TestSweep:
                 d_xx=0.06, d_xpx=0.0, d_pxpx=0.05, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0,
             )
             ge.SweepSpec(env_base=lopsided, initial=fig1_initial)
+        for key, value in (
+            ("t_max", math.inf),
+            ("t_max", math.nan),
+            ("c_max", math.inf),
+            ("c_max", math.nan),
+            ("c_min", math.nan),
+        ):
+            with pytest.raises(ValueError, match=f"^{key} must"):
+                ge.SweepSpec(env_base=_benchmark(1.0), initial=fig1_initial, **{key: value})
+
+    @pytest.mark.filterwarnings("ignore:final sampled Simon sign:UserWarning")
+    def test_cells_equal_scalar_metrics_bit_for_bit(self):
+        for name in ge.presets.PRESET_NAMES:
+            spec = ge.SweepSpec(
+                env_base=_benchmark(1.0), initial=ge.presets.initial_state(name), n_t=100, n_c=3
+            )
+            result = ge.sweep(spec)
+            for t, c, s, degree, defined in result.rows():
+                expected = ge.metrics(ge.evolve(spec.initial, spec.environment_at(c), t))
+                assert s == expected.simon_s
+                assert degree == expected.log_negativity
+                assert defined == (expected.log_negativity is not None)
 
 
 class TestPhaseDiagram:
