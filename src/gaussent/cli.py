@@ -127,7 +127,7 @@ def parse_flat_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -307,7 +307,7 @@ def _run_classify(cfg: RunConfig, spec: SweepSpec) -> str:
     return classify_csv(results)
 
 
-def phase_diagram_csv(diagram: PhaseDiagram) -> str:
+def _phase_diagram_csv(diagram: PhaseDiagram) -> str:
     """CSV of a phase diagram: header d_xpy,c,status and one row per cell."""
     rows = (
         f"{_fmt(d)},{_fmt(c)},{diagram.status(i, j)}"
@@ -341,7 +341,7 @@ def _run_phase_diagram(cfg: RunConfig) -> str:
                 ],
             },
         )
-    return phase_diagram_csv(diagram)
+    return _phase_diagram_csv(diagram)
 
 
 def run(cfg: RunConfig) -> str:
@@ -451,6 +451,15 @@ def main(argv: list[str] | None = None) -> int:
         # numpy's det divides by zero on singular matrices and returns 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             text = run(cfg)
+        if cfg.out:
+            try:
+                with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output file {cfg.out!r}: {exc}") from exc
+            print(f"wrote {cfg.out}")
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -460,13 +469,6 @@ def main(argv: list[str] | None = None) -> int:
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        print(f"wrote {cfg.out}")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -65,8 +65,8 @@ class EnvironmentSpec:
     """Oscillator and bath parameters; fully determines drift and diffusion.
 
     The two oscillators are identical and couple to the same bath, so the
-    y-mode diffusion coefficients mirror the x-mode ones (``d_yy == d_xx`` and
-    so on); the mirrored values are exposed as read-only properties.
+    y-mode diffusion coefficients mirror the x-mode ones (d_yy = d_xx,
+    d_ypy = d_xpx, d_pypy = d_pxpx and d_ypx = d_xpy) and are not stored.
 
     ``lam`` must be positive: the drift eigenvalues are -lam +/- i*omega and a
     decaying propagator (hence a steady state) exists only for lam > 0.  Every
@@ -86,22 +86,6 @@ class EnvironmentSpec:
 
     def __post_init__(self) -> None:
         _check_parameters(*vars(self).values())
-
-    @property
-    def d_yy(self) -> float:
-        return self.d_xx
-
-    @property
-    def d_ypy(self) -> float:
-        return self.d_xpx
-
-    @property
-    def d_pypy(self) -> float:
-        return self.d_pxpx
-
-    @property
-    def d_ypx(self) -> float:
-        return self.d_xpy
 
     def is_thermal(self) -> bool:
         """True when the coefficients give a Gibbs state at long times.
@@ -161,39 +145,13 @@ def _square(env: EnvironmentSpec, name: str) -> float:
         ) from None
 
 
-def drift_matrix(env: EnvironmentSpec) -> Matrix:
-    """Drift generator Y: block-diagonal, per mode [[-lam, 1/m], [-m*omega^2, -lam]].
-
-    All four eigenvalues are -lam +/- i*omega (characteristic polynomial
-    ((s + lam)^2 + omega^2)^2).
-    """
-    block = np.array(
-        [[-env.lam, 1.0 / env.m], [-env.m * _square(env, "omega"), -env.lam]]
-    )
-    out = np.zeros((4, 4))
-    out[:2, :2] = block
-    out[2:, 2:] = block
-    return out
-
-
-def diffusion_matrix(env: EnvironmentSpec) -> Matrix:
-    """Symmetric diffusion matrix D in (x, p_x, y, p_y) ordering."""
-    return np.array(
-        [
-            [env.d_xx, env.d_xpx, env.d_xy, env.d_xpy],
-            [env.d_xpx, env.d_pxpx, env.d_ypx, env.d_pxpy],
-            [env.d_xy, env.d_ypx, env.d_yy, env.d_ypy],
-            [env.d_xpy, env.d_pxpy, env.d_ypy, env.d_pypy],
-        ]
-    )
-
-
 class CovarianceMatrix:
     """4x4 real symmetric covariance matrix in (x, p_x, y, p_y) ordering.
 
-    Construction symmetrizes the input via (M + M^T)/2 when the asymmetry
-    residual is at most ``SYMMETRY_TOL`` and rejects it otherwise, so small
-    floating-point drift is absorbed but genuinely asymmetric data is not.
+    Construction stores an exactly symmetric input as given, symmetrizes one
+    whose asymmetry residual is at most ``SYMMETRY_TOL`` via (M + M^T)/2 and
+    rejects it otherwise, so small floating-point drift is absorbed but
+    genuinely asymmetric data is not.
     Non-finite entries are rejected.  Physicality is not required here; see
     :func:`check_physical_state`.
     """
@@ -211,8 +169,9 @@ class CovarianceMatrix:
             raise ValueError(
                 f"matrix is not symmetric (max asymmetry {residual:.3e} > {SYMMETRY_TOL})"
             )
-        arr = 0.5 * arr  # halving first: the sum below cannot overflow
-        arr = arr + arr.T
+        if residual:
+            arr = 0.5 * arr  # halving first: the sum below cannot overflow
+            arr = arr + arr.T
         arr.setflags(write=False)
         object.__setattr__(self, "_entries", arr)
 
@@ -277,20 +236,10 @@ class DiffusionCheck:
 
 @dataclass(frozen=True)
 class DiffusionReport:
-    """Result of :func:`validate_diffusion`.
-
-    ``checks`` holds the six pairwise Cauchy-Schwarz bounds; ``passed`` is
-    their conjunction and is the gate used by the CLI.
-    ``semigroup_psd`` reports whether the full 4x4 complex coefficient matrix
-    of the semigroup is positive semidefinite (its smallest eigenvalue is
-    ``semigroup_min_eigenvalue``); it is informational, since standard
-    benchmark environments with a nonzero x-p_y cross coefficient satisfy the
-    pairwise bounds while failing the full-matrix test.
-    """
+    """Result of :func:`validate_diffusion`: the six pairwise bounds in
+    ``checks``; ``passed`` is their conjunction and is the gate used by the CLI."""
 
     checks: tuple[DiffusionCheck, ...]
-    semigroup_min_eigenvalue: float
-    semigroup_psd: bool
 
     @property
     def passed(self) -> bool:
@@ -300,59 +249,34 @@ class DiffusionReport:
         return tuple(check for check in self.checks if not check.passed)
 
 
-_MOMENTUM_FLIP = np.outer([1.0, -1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
-
-
-def _semigroup_coefficient_matrix(env: EnvironmentSpec) -> NDArray[np.complex128]:
-    """P D P - (i lam/2) Omega, with P = diag(1, -1, 1, -1)."""
-    return diffusion_matrix(env) * _MOMENTUM_FLIP - (0.5j * env.lam) * OMEGA
-
-
-# The pairwise bounds in report order, each the 2x2 principal minor of the
-# coefficient matrix at (row, column).
-_PAIRWISE_BOUNDS = {
-    "xx_pxpx": (0, 1),
-    "yy_pypy": (2, 3),
-    "xx_yy": (0, 2),
-    "pxpx_pypy": (1, 3),
-    "xx_pypy": (0, 3),
-    "yy_pxpx": (1, 2),
-}
-_BOUND_ROWS, _BOUND_COLS = np.array(list(_PAIRWISE_BOUNDS.values())).T
-
-
 def validate_diffusion(env: EnvironmentSpec) -> DiffusionReport:
     """Check the diffusion coefficients against the semigroup positivity bounds.
 
     The six pairwise bounds are the 2x2 principal minors of the complex
-    coefficient matrix of the semigroup:
-    d_xx*d_pxpx - d_xpx^2 >= lam^2/4 (and its y twin),
-    d_xx*d_yy >= d_xy^2, d_pxpx*d_pypy >= d_pxpy^2,
-    d_xx*d_pypy >= d_xpy^2 and d_yy*d_pxpx >= d_ypx^2.
-    Each is reported with its margin (left side minus right side).  The full
-    matrix is additionally tested for positive semidefiniteness through its
-    smallest eigenvalue.  Raises ``OverflowError`` when a margin or that
-    eigenvalue is not finite, since the bounds cannot be decided then.
+    coefficient matrix P D P - (i lam/2) Omega of the semigroup,
+    P = diag(1, -1, 1, -1), in float arithmetic:
+    xx_pxpx: d_xx*d_pxpx - d_xpx^2 >= lam^2/4, yy_pypy (its y twin, the same
+    margin), xx_yy: d_xx^2 >= d_xy^2, pxpx_pypy: d_pxpx^2 >= d_pxpy^2,
+    xx_pypy: d_xx*d_pxpx >= d_xpy^2 and yy_pxpx (its y twin, the same margin).
+    Each is reported with its margin (left side minus right side).  Raises
+    ``OverflowError`` when a margin is not finite, since the bounds cannot be
+    decided then.
     """
-    coef = _semigroup_coefficient_matrix(env)
-    diag = coef.diagonal().real
-    off = coef[_BOUND_ROWS, _BOUND_COLS]
-    margins = diag[_BOUND_ROWS] * diag[_BOUND_COLS] - off.real * off.real - off.imag * off.imag
-    checks = tuple(
-        DiffusionCheck(name=name, margin=float(margin), passed=bool(margin >= -MARGIN_TOL))
-        for name, margin in zip(_PAIRWISE_BOUNDS, margins)
+    half = 0.5 * env.lam
+    local = env.d_xx * env.d_pxpx - env.d_xpx * env.d_xpx - half * half
+    cross = env.d_xx * env.d_pxpx - env.d_xpy * env.d_xpy
+    margins = dict(
+        xx_pxpx=local,
+        yy_pypy=local,
+        xx_yy=env.d_xx * env.d_xx - env.d_xy * env.d_xy,
+        pxpx_pypy=env.d_pxpx * env.d_pxpx - env.d_pxpy * env.d_pxpy,
+        xx_pypy=cross,
+        yy_pxpx=cross,
     )
-    min_eigenvalue = float(np.linalg.eigvalsh(coef)[0])
-    if not (np.isfinite(margins).all() and math.isfinite(min_eigenvalue)):
-        raise OverflowError(
-            f"diffusion bounds are not finite (margins {margins.tolist()}, "
-            f"min eigenvalue {min_eigenvalue})"
-        )
-    return DiffusionReport(
-        checks=checks,
-        semigroup_min_eigenvalue=min_eigenvalue,
-        semigroup_psd=min_eigenvalue >= -MARGIN_TOL,
-    )
+    if not all(map(math.isfinite, margins.values())):
+        raise OverflowError(f"diffusion bounds are not finite (margins {list(margins.values())})")
+    checks = [DiffusionCheck(name, v, v >= -MARGIN_TOL) for name, v in margins.items()]
+    return DiffusionReport(tuple(checks))
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    CovarianceMatrix,
-    EnvironmentSpec,
-    Matrix,
-    _square,
-    diffusion_matrix,
-    drift_matrix,
-)
+from .core import CovarianceMatrix, EnvironmentSpec, Matrix, _square
 
 
 def _rotation(env: EnvironmentSpec, t: float) -> tuple[float, float, float, float]:
@@ -66,15 +59,43 @@ def propagator(env: EnvironmentSpec, t: float) -> Matrix:
     )
 
 
+def _check_block(env: EnvironmentSpec, block, diffusion) -> None:
+    """Raise ``numpy.linalg.LinAlgError`` unless s = [[a, b], [b, c]] (``block``)
+    solves Y0 s + s Y0^T = -2 [[d11, d12], [d12, d22]] (``diffusion``): each of
+    the three independent residual entries (the diagonal ones halved) must lie
+    within 1e-12 of the sum of the magnitudes of its terms, a finite sum."""
+    (a, b, c), (d11, d12, d22) = block, diffusion
+    lam, m = env.lam, env.m
+    mw2 = m * _square(env, "omega")
+    for terms in (
+        (d11, -lam * a, b / m),
+        (2.0 * d12, -2.0 * lam * b, c / m, -mw2 * a),
+        (d22, -mw2 * b, -lam * c),
+    ):
+        scale = sum(map(abs, terms))
+        if not scale < math.inf:
+            raise np.linalg.LinAlgError(
+                f"Lyapunov solve is not finite or its residual overflows: s = {list(block)}"
+            )
+        residual = abs(sum(terms))
+        if not residual <= 1e-12 * scale:
+            raise np.linalg.LinAlgError(
+                f"Lyapunov solve residual {residual:.3e} exceeds {1e-12 * scale:.3e}"
+            )
+
+
 def _steady_block(env: EnvironmentSpec, d11: float, d12: float, d22: float):
     """Entries (a, b, c) of the symmetric 2x2 block s = [[a, b], [b, c]] solving
-    Y0 s + s Y0^T = -2 [[d11, d12], [d12, d22]] for one oscillator block Y0."""
+    Y0 s + s Y0^T = -2 [[d11, d12], [d12, d22]] for one oscillator block Y0,
+    checked by :func:`_check_block`."""
     omega_sq = _square(env, "omega")
     mw2 = env.m * omega_sq
     b = (2.0 * env.lam * d12 - mw2 * d11 + d22 / env.m) / (
         2.0 * (_square(env, "lam") + omega_sq)
     )
-    return (d11 + b / env.m) / env.lam, b, (d22 - mw2 * b) / env.lam
+    block = (d11 + b / env.m) / env.lam, b, (d22 - mw2 * b) / env.lam
+    _check_block(env, block, (d11, d12, d22))
+    return block
 
 
 def steady_covariance(env: EnvironmentSpec) -> CovarianceMatrix:
@@ -84,24 +105,17 @@ def steady_covariance(env: EnvironmentSpec) -> CovarianceMatrix:
     splits into one 2x2 equation per block of s = [[A, C], [C^T, B]]: each
     block has a symmetric right-hand side (the matching block of D, whose
     cross block is symmetric because d_ypx = d_xpy) and is solved in closed
-    form for any diffusion coefficients, with B = A.  The residual is checked
-    against 1e-12 * (1 + max|D|) and a failure raises
-    ``numpy.linalg.LinAlgError``.
+    form for any diffusion coefficients, with B = A.  Each block's residual is
+    checked entry by entry against the size of its terms; a failure, or a
+    solve that is not finite, raises ``numpy.linalg.LinAlgError``.
     """
     xx, xp, pp = _steady_block(env, env.d_xx, env.d_xpx, env.d_pxpx)
     cx, cm, cp = _steady_block(env, env.d_xy, env.d_xpy, env.d_pxpy)
     sigma = np.array(
         [[xx, xp, cx, cm], [xp, pp, cm, cp], [cx, cm, xx, xp], [cm, cp, xp, pp]]
     )
-    y = drift_matrix(env)
-    d = diffusion_matrix(env)
-    residual = float(np.max(np.abs(y @ sigma + sigma @ y.T + 2.0 * d)))
-    bound = 1e-12 * (1.0 + float(np.max(np.abs(d))))
-    if not residual <= bound:
-        raise np.linalg.LinAlgError(
-            f"Lyapunov solve residual {residual:.3e} exceeds {bound:.3e}"
-        )
-    return CovarianceMatrix(sigma)
+    sigma.setflags(write=False)
+    return CovarianceMatrix._wrap(sigma)
 
 
 def _propagate(initial: CovarianceMatrix, fixed: Matrix, rot, times) -> Matrix:

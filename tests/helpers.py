@@ -7,7 +7,9 @@ a sampled flow, the Simon oracle runs in exact rational arithmetic,
 symplectic spectra come from eigenvalues of i*Omega*sigma, and the PT
 invariants and the propagation step are the plain matrix forms (2x2 block
 determinants, an LU determinant, M sigma M^T) that the package's
-float-arithmetic kernels replace.
+float-arithmetic kernels replace.  The dense drift, diffusion and semigroup
+coefficient matrices are built from an environment's named coefficients,
+which the package reads as floats.
 """
 
 from __future__ import annotations
@@ -27,6 +29,40 @@ OMEGA_4 = np.array(
 )
 
 PT_FLIP = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+def drift_matrix(env) -> np.ndarray:
+    """Drift generator Y: block-diagonal, per mode [[-lam, 1/m], [-m*omega^2, -lam]].
+
+    All four eigenvalues are -lam +/- i*omega (characteristic polynomial
+    ((s + lam)^2 + omega^2)^2).
+    """
+    block = np.array([[-env.lam, 1.0 / env.m], [-env.m * env.omega**2, -env.lam]])
+    out = np.zeros((4, 4))
+    out[:2, :2] = block
+    out[2:, 2:] = block
+    return out
+
+
+def diffusion_matrix(env) -> np.ndarray:
+    """Symmetric diffusion matrix D in (x, p_x, y, p_y) ordering; the y-mode
+    coefficients mirror the x-mode ones (d_yy = d_xx, d_ypy = d_xpx,
+    d_pypy = d_pxpx, d_ypx = d_xpy)."""
+    return np.array(
+        [
+            [env.d_xx, env.d_xpx, env.d_xy, env.d_xpy],
+            [env.d_xpx, env.d_pxpx, env.d_xpy, env.d_pxpy],
+            [env.d_xy, env.d_xpy, env.d_xx, env.d_xpx],
+            [env.d_xpy, env.d_pxpy, env.d_xpx, env.d_pxpx],
+        ]
+    )
+
+
+def semigroup_matrix(env) -> np.ndarray:
+    """Complex coefficient matrix P D P - (i lam/2) Omega of the semigroup,
+    P = diag(1, -1, 1, -1); the dynamics is completely positive iff it is PSD."""
+    flip = np.array([1.0, -1.0, 1.0, -1.0])
+    return diffusion_matrix(env) * np.outer(flip, flip) - (0.5j * env.lam) * OMEGA_4
 
 
 def matrix_exp_oracle(mat: np.ndarray, terms: int = 30) -> np.ndarray:

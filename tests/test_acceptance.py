@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gaussent as ge
-from gaussent.core import EnvironmentSpec, covariance_from_entries, diffusion_matrix, drift_matrix
+from gaussent.core import EnvironmentSpec, covariance_from_entries
 from gaussent.dynamics import propagator, steady_covariance
 from gaussent.entanglement import (
     asymptotic_simon,
@@ -22,6 +22,8 @@ from gaussent.entanglement import (
     symplectic_spectrum_pt,
 )
 from helpers import (
+    diffusion_matrix,
+    drift_matrix,
     lyapunov_oracle,
     matrix_exp_oracle,
     ode_residual_oracle,

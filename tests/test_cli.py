@@ -262,6 +262,20 @@ class TestConfigHandling:
         assert code == 2
         assert "cannot read config file" in err
 
+    def test_config_file_not_utf8(self, capsys, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"lambda=0.1\n# temp\xe9rature\n")
+        code, out, err = run_cli(capsys, "steady", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "cannot read config file" in err and "utf-8" in err
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_path(self, capsys, tmp_path, target):
+        out = tmp_path / target  # a missing directory, or a directory itself
+        code, stdout, err = run_cli(capsys, "steady", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write output file {str(out)!r}")
+
     def test_bad_number(self, capsys):
         code, _, err = run_cli(capsys, "steady", "--set", "lambda=fast")
         assert code == 2
@@ -342,6 +356,18 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "steady", "--set", "d_xpy=0.06")
         assert code == 3
         assert "positivity" in err
+
+    def test_wide_scale_bath_solves(self, capsys):
+        # passes every diffusion bound; its steady entries reach 1.2e4
+        bath = {
+            "lambda": 0.00155802009969208, "c": 353.4674449606105, "d_xy": 0.0014877321118279,
+            "d_xpy": 0.09562513753226638, "m": 0.16360936656934003, "omega": 424.2797507214071,
+        }
+        args = [arg for key, value in bath.items() for arg in ("--set", f"{key}={value!r}")]
+        code, out, err = run_cli(capsys, "steady", *args)
+        assert (code, err) == (0, "")
+        values = {name: float(v) for name, v in parse_csv(out)[1]}
+        assert values["sigma_pxpx"] == pytest.approx(12268.173045757179, rel=1e-12)
 
 
 class TestDeterminism:

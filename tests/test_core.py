@@ -9,20 +9,30 @@ import gaussent as ge
 from gaussent.core import (
     ENTRY_NAMES,
     MARGIN_TOL,
+    SYMMETRY_TOL,
     EnvironmentSpec,
     check_physical_state,
     covariance_from_entries,
-    diffusion_matrix,
-    drift_matrix,
     independent_entries,
     thermal_c_from_temperature,
     validate_diffusion,
 )
-from helpers import random_symplectic, temperature_from_thermal_c, two_mode_squeezer
+from helpers import (
+    diffusion_matrix,
+    drift_matrix,
+    random_symplectic,
+    semigroup_matrix,
+    temperature_from_thermal_c,
+    two_mode_squeezer,
+)
 
 
 def _check(report, name):
     return next(c for c in report.checks if c.name == name)
+
+
+def _semigroup_min_eigenvalue(env):
+    return float(np.linalg.eigvalsh(semigroup_matrix(env))[0])
 
 
 class TestThermalEnvironment:
@@ -79,11 +89,13 @@ class TestThermalEnvironment:
             ge.thermal_environment(**kwargs)
 
     def test_mirrored_coefficients(self):
+        # the y-mode blocks of D mirror the x-mode ones; the oracle builds them
+        # from the stored coefficients, as the runtime reads them
         env = ge.thermal_environment(0.2, 1.3, d_xy=0.01, d_xpy=0.02)
-        assert env.d_yy == env.d_xx
-        assert env.d_ypy == env.d_xpx
-        assert env.d_pypy == env.d_pxpx
-        assert env.d_ypx == env.d_xpy
+        d = diffusion_matrix(env)
+        np.testing.assert_array_equal(d[2:, 2:], d[:2, :2])
+        np.testing.assert_array_equal(d[:2, 2:], d[:2, 2:].T)
+        assert d[1, 2] == env.d_xpy
 
     def test_is_thermal(self):
         assert ge.thermal_environment(0.1, 1.2, 0.01, 0.02).is_thermal()
@@ -136,13 +148,14 @@ class TestDriftDiffusion:
 
 class TestValidateDiffusion:
     def test_zero_temperature_boundary_margin(self):
-        report = validate_diffusion(ge.thermal_environment(0.1, 1.0))
+        env = ge.thermal_environment(0.1, 1.0)
+        report = validate_diffusion(env)
         check = _check(report, "xx_pxpx")
         assert abs(check.margin) <= 1e-15
         assert check.passed
         assert report.passed
-        assert report.semigroup_psd  # boundary case still passes with slack
-        assert abs(report.semigroup_min_eigenvalue) <= 1e-15
+        # the full coefficient matrix sits on the PSD boundary
+        assert abs(_semigroup_min_eigenvalue(env)) <= 1e-15
 
     def test_excessive_cross_coefficient_fails(self):
         report = validate_diffusion(ge.thermal_environment(0.1, 1.0, d_xpy=0.06))
@@ -153,15 +166,15 @@ class TestValidateDiffusion:
         assert check in report.failures()
 
     def test_benchmark_cross_coefficient_passes(self):
-        report = validate_diffusion(ge.thermal_environment(0.1, 1.0, d_xpy=0.049))
+        env = ge.thermal_environment(0.1, 1.0, d_xpy=0.049)
+        report = validate_diffusion(env)
         check = _check(report, "xx_pypy")
         assert check.passed
         assert check.margin == pytest.approx(0.0025 - 0.049**2, rel=1e-12)
         assert report.passed
         # all pairwise bounds hold, yet the full 4x4 coefficient matrix is
-        # indefinite for this benchmark; the report keeps the two facts apart
-        assert not report.semigroup_psd
-        assert report.semigroup_min_eigenvalue < -1e-6
+        # indefinite for this benchmark; the gate is the pairwise bounds
+        assert _semigroup_min_eigenvalue(env) < -1e-6
 
     def test_overflowing_bounds_raise(self):
         # d_xx * d_pxpx and lam^2/4 both overflow, so the margin is inf - inf
@@ -171,16 +184,33 @@ class TestValidateDiffusion:
                 validate_diffusion(env)
 
     def test_pure_thermal_full_matrix_psd(self):
-        report = validate_diffusion(ge.thermal_environment(0.1, 2.0))
-        assert report.passed
-        assert report.semigroup_psd
+        env = ge.thermal_environment(0.1, 2.0)
+        assert validate_diffusion(env).passed
+        assert _semigroup_min_eigenvalue(env) >= -MARGIN_TOL
 
     @given(lam=st.floats(1e-3, 10.0), thermal_c=st.floats(1.0, 100.0))
     @settings(max_examples=80, deadline=None)
     def test_thermal_environments_always_pass(self, lam, thermal_c):
-        report = validate_diffusion(ge.thermal_environment(lam, thermal_c))
-        assert report.passed
-        assert report.semigroup_psd
+        env = ge.thermal_environment(lam, thermal_c)
+        assert validate_diffusion(env).passed
+        assert _semigroup_min_eigenvalue(env) >= -MARGIN_TOL
+
+    def test_margins_equal_minors_of_the_coefficient_matrix_bit_for_bit(self):
+        # the margins are the 2x2 principal minors of P D P - (i lam/2) Omega
+        # as complex-matrix arithmetic computes them, over random signs and
+        # magnitudes from 1e-6 to 1e6 (so margins of both signs)
+        pairs = [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)]
+        rows, cols = np.array(pairs).T
+        rng = np.random.default_rng(20111021)
+        for _ in range(2000):
+            m, omega, lam, *d = 10.0 ** rng.uniform(-6.0, 6.0, size=9)
+            signs = rng.choice([-1.0, 1.0], size=6)
+            env = EnvironmentSpec(m, omega, lam, 1.0, *(signs * d))
+            coef = semigroup_matrix(env)
+            diag, off = coef.diagonal().real, coef[rows, cols]
+            minors = diag[rows] * diag[cols] - off.real * off.real - off.imag * off.imag
+            margins = [check.margin for check in validate_diffusion(env).checks]
+            assert np.array(margins).tobytes() == minors.tobytes()
 
 
 class TestCheckPhysicalState:
@@ -310,6 +340,20 @@ class TestCovarianceMatrix:
     def test_symmetrizing_large_entries_does_not_overflow(self):
         big = np.full((4, 4), 1.7e308)
         np.testing.assert_array_equal(ge.CovarianceMatrix(big).entries, big)
+        # an asymmetry within SYMMETRY_TOL takes the averaging path
+        big[0, 1], big[1, 0] = 0.25, 0.25 + 2.0**-41
+        assert abs(big[0, 1] - big[1, 0]) <= SYMMETRY_TOL
+        sigma = ge.CovarianceMatrix(big)
+        assert sigma.entries[0, 1] == sigma.entries[1, 0] == 0.25 + 2.0**-42
+        assert sigma.entries[2, 3] == 1.7e308
+
+    def test_exactly_symmetric_input_is_stored_as_given(self):
+        # halving an odd subnormal would round it: 0.5 * 5e-324 == 0
+        tiny = np.eye(4)
+        tiny[0, 2] = tiny[2, 0] = 5e-324
+        assert ge.CovarianceMatrix(tiny).entries[0, 2] == 5e-324
+        named = covariance_from_entries({"sigma_xx": 1.0, "sigma_xy": 5e-324})
+        assert named.entries[0, 2] == named.entries[2, 0] == 5e-324
 
     def test_entries_read_only(self):
         sigma = ge.presets.initial_state("vacuum")

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussent as ge
-from gaussent.core import ENTRY_NAMES, covariance_from_entries, diffusion_matrix, drift_matrix
-from gaussent.dynamics import _evolve_column, propagator, steady_covariance
+from gaussent.core import ENTRY_NAMES, EnvironmentSpec, covariance_from_entries
+from gaussent.dynamics import _check_block, _evolve_column, propagator, steady_covariance
 from helpers import (
+    diffusion_matrix,
+    drift_matrix,
     evolve_oracle,
     lyapunov_oracle,
     matrix_exp_oracle,
@@ -111,18 +113,73 @@ class TestSteadyCovariance:
         residual = np.max(np.abs(y @ sigma.entries + sigma.entries @ y.T + 2 * d))
         assert residual <= 1e-12 * (1 + np.max(np.abs(d)))
 
-    @pytest.mark.parametrize("m,omega", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.7)])
-    def test_closed_form_cross_check(self, m, omega):
-        env = _env(lam=0.1, c=1.4, d_xy=0.004, d_xpy=0.03, m=m, omega=omega)
+    @pytest.mark.parametrize(
+        "bath",
+        [
+            pytest.param(dict(m=m, omega=omega), id=f"{m}-{omega}")
+            for m, omega in [(1.0, 1.0), (0.5, 2.0), (2.0, 0.7)]
+        ]
+        + [
+            # steady entries up to 1.2e4 and a drift entry of -2.9e4
+            pytest.param(
+                dict(
+                    lam=0.00155802009969208, c=353.4674449606105, d_xy=0.0014877321118279,
+                    d_xpy=0.09562513753226638, m=0.16360936656934003, omega=424.2797507214071,
+                ),
+                id="wide-scale",
+            )
+        ],
+    )
+    def test_closed_form_cross_check(self, bath):
+        env = _env(**{**dict(lam=0.1, c=1.4, d_xy=0.004, d_xpy=0.03), **bath})
         closed = steady_covariance(env)
         dense = lyapunov_oracle(drift_matrix(env), diffusion_matrix(env))
-        assert np.max(np.abs(closed.entries - dense)) <= 1e-12
+        scale = max(1.0, float(np.max(np.abs(dense))))
+        assert np.max(np.abs(closed.entries - dense)) <= 1e-12 * scale
 
     def test_overflowing_square_is_named(self):
         env = ge.thermal_environment(0.1, 1.0, m=1e-200, omega=1e200)
-        for build in (steady_covariance, drift_matrix):
-            with pytest.raises(OverflowError, match=r"omega\^2 overflows \(m=1e-200, omega=1e\+2"):
-                build(env)
+        with pytest.raises(OverflowError, match=r"omega\^2 overflows \(m=1e-200, omega=1e\+2"):
+            steady_covariance(env)
+
+    def test_result_is_wrapped_exactly_symmetric_and_read_only(self):
+        sigma = steady_covariance(_env(lam=0.05, c=1.7, d_xy=0.005, d_xpy=0.02))
+        assert np.isfinite(sigma.entries).all()
+        np.testing.assert_array_equal(sigma.entries, sigma.entries.T)
+        assert not sigma.entries.flags.writeable
+        assert ge.CovarianceMatrix(sigma.entries) == sigma
+
+    def test_non_finite_solve_raises_without_a_numpy_warning(self):
+        # lam^2 underflows and (d_xx + b/m)/lam overflows
+        env = EnvironmentSpec(
+            m=1.0, omega=1.0, lam=1e-310, thermal_c=1.0,
+            d_xx=1.0, d_xpx=0.0, d_pxpx=1.0, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="Lyapunov solve is not finite"):
+                steady_covariance(env)
+
+    @pytest.mark.parametrize("m,omega", [(1.0, 1.0), (0.5, 2.0), (3e3, 2e-3)])
+    def test_each_residual_entry_is_checked(self, m, omega):
+        # nudging one diffusion entry leaves the exact solve of the others in
+        # place, so only the residual entry that reads it can catch it
+        env = ge.thermal_environment(0.1, 1.3, d_xy=0.01, d_xpy=0.04, m=m, omega=omega)
+        sigma = steady_covariance(env).entries
+        for block, diffusion in (
+            ((sigma[0, 0], sigma[0, 1], sigma[1, 1]), (env.d_xx, env.d_xpx, env.d_pxpx)),
+            ((sigma[0, 2], sigma[0, 3], sigma[1, 3]), (env.d_xy, env.d_xpy, env.d_pxpy)),
+        ):
+            _check_block(env, block, diffusion)
+            for k in range(3):
+                if diffusion[k] == 0.0:
+                    continue
+                nudged = list(diffusion)
+                nudged[k] *= 1.0 + 1e-9
+                with pytest.raises(np.linalg.LinAlgError, match="residual .* exceeds"):
+                    _check_block(env, block, nudged)
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            _check_block(env, (math.inf, 0.0, 1.0), (1.0, 0.0, 1.0))
 
 
 class TestEvolve:

@@ -43,19 +43,6 @@ def test_surfaces_script_matches_sweep_and_classify(monkeypatch, tmp_path):
         assert labels == _cli_bytes(tmp_path, "classify", **keys)
 
 
-def test_phase_diagram_script_matches_cli(monkeypatch, tmp_path):
-    out = tmp_path / "pd.csv"
-    _run_script(
-        monkeypatch, "phase_diagram.py", "--out", str(out), "--lam", "0.08",
-        "--omega", "1.5", "--d-max", "0.07", "--n-d", "6", "--c-max", "1.4", "--n-c", "9",
-    )
-    expected = _cli_bytes(
-        tmp_path, "phase-diagram", **{"lambda": 0.08}, omega=1.5, d_xpy_min=0,
-        d_xpy_max=0.07, n_d=6, c_min=1, c_max=1.4, n_c=9,
-    )
-    assert out.read_bytes() == expected
-
-
 def test_readme_library_sketch_runs_as_printed():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library sketch", 1)[1]
