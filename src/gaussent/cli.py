@@ -2,8 +2,8 @@
 
 Commands: evolve, steady, metrics, sweep, classify, phase-diagram.
 Configuration is a flat key=value file plus repeatable --set overrides
-(flags win); outputs are deterministic CSV or JSON with floats printed to 17
-significant digits, so identical configurations produce byte-identical files.
+(flags win); outputs are deterministic CSV (floats to 17 significant digits)
+or JSON (shortest round-trip floats): identical configurations, identical bytes.
 
 Exit codes: 0 success, 2 configuration error, 3 physicality violation,
 4 numerical failure.
@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 physicality violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -215,7 +216,13 @@ def _fmt(value) -> str:
 
 
 def _csv(header: str, rows) -> str:
+    """Header and rows as CSV text; a row may be a block of lines (one grid row)."""
     return "\n".join([header, *rows]) + "\n"
+
+
+def _axis(values) -> list[str]:
+    """CSV cells of one grid axis, formatted once for all the rows that repeat them."""
+    return [format(v, ".17g") for v in values.tolist()]
 
 
 def _entries_output(cfg: RunConfig, sigma: CovarianceMatrix) -> str:
@@ -249,11 +256,16 @@ def _run_metrics(cfg: RunConfig, env: EnvironmentSpec, initial: CovarianceMatrix
 
 def sweep_csv(result: SweepResult) -> str:
     """CSV of a sweep: header t,c,S,L,defined and one row per cell, t-major."""
-    rows = (
-        f"{_fmt(t)},{_fmt(c)},{_fmt(s)},{_fmt(degree)},{int(defined)}"
-        for t, c, s, degree, defined in result.rows()
+    cs = _axis(result.thermal_cs)
+    grids = (result.simon.tolist(), result.log_neg.tolist(), result.defined.tolist())
+    blocks = (
+        "\n".join([
+            f"{t},{c},{s:.17g},{degree:.17g},1" if defined else f"{t},{c},{s:.17g},nan,0"
+            for c, s, degree, defined in zip(cs, *row)
+        ])
+        for t, *row in zip(_axis(result.times), *grids)
     )
-    return _csv("t,c,S,L,defined", rows)
+    return _csv("t,c,S,L,defined", blocks)
 
 
 def _run_sweep(cfg: RunConfig, spec: SweepSpec) -> str:
@@ -309,12 +321,12 @@ def _run_classify(cfg: RunConfig, spec: SweepSpec) -> str:
 
 def _phase_diagram_csv(diagram: PhaseDiagram) -> str:
     """CSV of a phase diagram: header d_xpy,c,status and one row per cell."""
-    rows = (
-        f"{_fmt(d)},{_fmt(c)},{diagram.status(i, j)}"
-        for i, d in enumerate(diagram.d_xpy_values)
-        for j, c in enumerate(diagram.thermal_cs)
+    cs = _axis(diagram.thermal_cs)
+    blocks = (
+        "\n".join([f"{d},{c},{status}" for c, status in zip(cs, statuses)])
+        for d, statuses in zip(_axis(diagram.d_xpy_values), diagram.statuses())
     )
-    return _csv("d_xpy,c,status", rows)
+    return _csv("d_xpy,c,status", blocks)
 
 
 def _run_phase_diagram(cfg: RunConfig) -> str:
@@ -329,15 +341,16 @@ def _run_phase_diagram(cfg: RunConfig) -> str:
         m=cfg["m"],
     )
     if cfg.fmt == "json":
+        d_values, cs = diagram.d_xpy_values.tolist(), diagram.thermal_cs.tolist()
         return _json_output(
             cfg,
             {
-                "d_xpy": [float(v) for v in diagram.d_xpy_values],
-                "c": [float(v) for v in diagram.thermal_cs],
+                "d_xpy": d_values,
+                "c": cs,
                 "rows": [
-                    [float(d), float(c), diagram.status(i, j)]
-                    for i, d in enumerate(diagram.d_xpy_values)
-                    for j, c in enumerate(diagram.thermal_cs)
+                    [d, c, status]
+                    for d, statuses in zip(d_values, diagram.statuses())
+                    for c, status in zip(cs, statuses)
                 ],
             },
         )
@@ -390,6 +403,7 @@ def run(cfg: RunConfig) -> str:
     raise ConfigError(f"unknown command {cfg.command!r}")
 
 
+@functools.cache  # argparse copies the --set default list on each parse
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gauss-ent",

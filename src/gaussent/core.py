@@ -187,8 +187,8 @@ class CovarianceMatrix:
         """The full matrix (read-only view)."""
         return self._entries
 
-    def __array__(self, dtype=None):
-        return np.asarray(self._entries, dtype=dtype)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._entries, dtype=dtype, copy=copy)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CovarianceMatrix):

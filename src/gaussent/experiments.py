@@ -294,10 +294,11 @@ class PhaseDiagram:
     unphysical: np.ndarray
     c_thresholds: Matrix
 
-    def status(self, i: int, j: int) -> str:
-        if self.unphysical[i, j]:
-            return "unphysical"
-        return "entangled" if self.entangled[i, j] else "separable"
+    def statuses(self) -> list[list[str]]:
+        """Each cell's status, row by row: unphysical, else entangled or separable."""
+        names = ("separable", "entangled", "unphysical")
+        codes = np.where(self.unphysical, 2, self.entangled).tolist()
+        return [[names[k] for k in row] for row in codes]
 
 
 def asymptotic_phase_diagram(

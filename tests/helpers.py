@@ -9,7 +9,9 @@ invariants and the propagation step are the plain matrix forms (2x2 block
 determinants, an LU determinant, M sigma M^T) that the package's
 float-arithmetic kernels replace.  The dense drift, diffusion and semigroup
 coefficient matrices are built from an environment's named coefficients,
-which the package reads as floats.
+which the package reads as floats.  The CSV writer oracles format every cell
+on its own and pick each phase-diagram status from the two masks, where the
+package formats each grid axis once and maps the masks through one table.
 """
 
 from __future__ import annotations
@@ -234,3 +236,38 @@ def temperature_from_thermal_c(thermal_c: float, omega: float = 1.0) -> float:
     if thermal_c == 1.0:
         return 0.0
     return 0.5 * omega / math.atanh(1.0 / thermal_c)
+
+
+def sweep_csv_oracle(result) -> str:
+    """The sweep CSV cell by cell: one format(x, ".17g") per float, and L
+    written as nan with defined = 0 where the degree is undefined."""
+    lines = ["t,c,S,L,defined"]
+    for i, t in enumerate(result.times):
+        for j, c in enumerate(result.thermal_cs):
+            defined = bool(result.defined[i, j])
+            degree = format(float(result.log_neg[i, j]), ".17g") if defined else "nan"
+            cells = [format(float(x), ".17g") for x in (t, c, result.simon[i, j])]
+            lines.append(",".join([*cells, degree, str(int(defined))]))
+    return "\n".join(lines) + "\n"
+
+
+def phase_status_oracle(unphysical: bool, entangled: bool) -> str:
+    if unphysical:
+        return "unphysical"
+    return "entangled" if entangled else "separable"
+
+
+def phase_diagram_rows_oracle(diagram) -> list[list]:
+    """[d_xpy, c, status] per cell, d_xpy-major, each status from the two masks."""
+    unphysical, entangled = diagram.unphysical, diagram.entangled
+    return [
+        [float(d), float(c), phase_status_oracle(unphysical[i, j], entangled[i, j])]
+        for i, d in enumerate(diagram.d_xpy_values)
+        for j, c in enumerate(diagram.thermal_cs)
+    ]
+
+
+def phase_diagram_csv_oracle(diagram) -> str:
+    lines = ["d_xpy,c,status"]
+    lines += [f"{d:.17g},{c:.17g},{status}" for d, c, status in phase_diagram_rows_oracle(diagram)]
+    return "\n".join(lines) + "\n"

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,9 +15,15 @@ import gaussent as ge
 from gaussent.core import ENTRY_NAMES, independent_entries
 from gaussent.entanglement import simon_function
 from gaussent.experiments import LABELS
-from gaussent.cli import _KEYS, COMMANDS, main
+from gaussent.cli import _KEYS, COMMANDS, build_config, main, run, sweep_csv
 from gaussent.presets import PRESET_NAMES
-from helpers import temperature_from_thermal_c, two_mode_squeezer
+from helpers import (
+    phase_diagram_csv_oracle,
+    phase_diagram_rows_oracle,
+    sweep_csv_oracle,
+    temperature_from_thermal_c,
+    two_mode_squeezer,
+)
 
 
 def run_cli(capsys, *args):
@@ -416,6 +425,85 @@ class TestDeterminism:
         assert run_cli(capsys, *args, "--out", str(first))[0] == 0
         assert run_cli(capsys, *args, "--out", str(second))[0] == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestWriters:
+    """The grid writers against the cell-by-cell oracles, byte for byte."""
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_sweep_csv_matches_cell_oracle(self, preset):
+        cfg = build_config("sweep", {"initial": preset})
+        spec = ge.SweepSpec(cfg.environment(), cfg.initial_state())
+        result = ge.sweep(spec)
+        # fig3 and fig4 start entangled: their early cells have no degree
+        assert (~result.defined).sum() == {"fig3": 173, "fig4": 20}.get(preset, 0)
+        assert sweep_csv(result) == sweep_csv_oracle(result)
+
+    def test_phase_diagram_matches_cell_oracle(self):
+        cfg = build_config("phase-diagram", {})
+        diagram = ge.asymptotic_phase_diagram(
+            cfg["lambda"],
+            cfg["omega"],
+            np.linspace(cfg["d_xpy_min"], cfg["d_xpy_max"], cfg["n_d"]),
+            np.linspace(cfg["c_min"], cfg["c_max"], cfg["n_c"]),
+            m=cfg["m"],
+        )
+        rows = phase_diagram_rows_oracle(diagram)
+        assert {row[2] for row in rows} == {"entangled", "separable", "unphysical"}
+        assert run(cfg) == phase_diagram_csv_oracle(diagram)
+        json_cfg = build_config("phase-diagram", {}, fmt="json")
+        result = json.loads(run(json_cfg))["result"]
+        assert result["rows"] == rows
+        assert result["d_xpy"] == diagram.d_xpy_values.tolist()
+        assert result["c"] == diagram.thermal_cs.tolist()
+
+
+def _fresh_process(argv, out_file):
+    """Exit code, stdout, stderr and --out file text of argv run in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(ge.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaussent.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, _take(out_file)
+
+
+def _take(path):
+    if not path.exists():
+        return None
+    text = path.read_text()
+    path.unlink()
+    return text
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
+        out_file = tmp_path / "metrics.json"
+        sequence = [
+            ["metrics", "--set", "t=3", "--format", "json", "--strict", "--out", str(out_file)],
+            ["metrics"],
+            ["metrics", "--dump-config"],
+            ["metrics", "--no-such-flag"],
+            ["--help"],
+            ["metrics"],
+        ]
+        in_process = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse exits on --help and usage errors
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err, _take(out_file)))
+        assert [outcome[0] for outcome in in_process] == [0, 0, 0, 2, 0, 0]
+        assert "t=0.0\n" in in_process[2][1]  # the first call's --set did not stick
+        for argv, outcome in zip(sequence, in_process):
+            assert outcome == _fresh_process(argv, out_file), argv
 
 
 _GRID_KEYS = ("n_t", "n_c", "n_d")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,20 @@ class TestCovarianceMatrix:
         sigma = ge.presets.initial_state("vacuum")
         with pytest.raises(ValueError):
             sigma.entries[0, 0] = 2.0
+
+    def test_array_conversion_takes_the_copy_keyword(self):
+        sigma = ge.presets.initial_state("fig1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            converted = np.array(sigma)
+            view = np.asarray(sigma, dtype=float)
+            copied = np.array(sigma, copy=True)
+        for arr in (converted, view, copied):
+            np.testing.assert_array_equal(arr, sigma.entries)
+        assert not view.flags.writeable
+        assert np.shares_memory(view, sigma.entries)
+        copied[0, 0] = -1.0
+        assert copied.flags.writeable and sigma.entries[0, 0] != -1.0
 
     @given(data=st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10))
     @settings(max_examples=60, deadline=None)

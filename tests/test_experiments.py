@@ -232,7 +232,7 @@ class TestPhaseDiagram:
         assert diagram.unphysical[0, 1]
         assert not diagram.unphysical[0, 2]
         assert not diagram.entangled[0, 0]
-        assert diagram.status(0, 0) == "unphysical"
+        assert diagram.statuses() == [["unphysical", "unphysical", "separable"]]
 
     def test_boundary_matches_analytic_threshold(self):
         cs = np.linspace(1.0, 1.3, 61)
