@@ -188,7 +188,7 @@ class CovarianceMatrix:
         return self._entries
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self._entries, dtype=dtype, copy=copy)
+        return (np.array if copy else np.asarray)(self._entries, dtype=dtype)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CovarianceMatrix):

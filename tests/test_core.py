@@ -374,6 +374,9 @@ class TestCovarianceMatrix:
         assert np.shares_memory(view, sigma.entries)
         copied[0, 0] = -1.0
         assert copied.flags.writeable and sigma.entries[0, 0] != -1.0
+        # numpy 1.x calls __array__ with no copy argument at all
+        for arr in (sigma.__array__(), sigma.__array__(np.dtype(float))):
+            assert arr is sigma.entries
 
     @given(data=st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10))
     @settings(max_examples=60, deadline=None)
