@@ -35,7 +35,6 @@ from .core import (
 from .dynamics import evolve, steady_covariance
 from .entanglement import metrics
 from .experiments import (
-    PhaseDiagram,
     SweepResult,
     SweepSpec,
     asymptotic_phase_diagram,
@@ -220,70 +219,51 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def _axis(values) -> list[str]:
-    """CSV cells of one grid axis, formatted once for all the rows that repeat them."""
-    return [format(v, ".17g") for v in values.tolist()]
-
-
-def _entries_output(cfg: RunConfig, sigma: CovarianceMatrix) -> str:
-    entries = independent_entries(sigma)
-    if cfg.fmt == "json":
-        return _json_output(cfg, {"entries": entries})
-    return _csv("entry,value", (f"{name},{_fmt(value)}" for name, value in entries.items()))
-
-
 def _json_output(cfg: RunConfig, result: dict) -> str:
     return json.dumps(
         {"command": cfg.command, "config": cfg.to_flat(), "result": result}, indent=2
     ) + "\n"
 
 
-def _run_metrics(cfg: RunConfig, env: EnvironmentSpec, initial: CovarianceMatrix) -> str:
-    met = metrics(evolve(initial, env, cfg["t"]))
-    result = {
-        "simon_s": met.simon_s,
-        "seralian_tilde": met.seralian_tilde,
-        "nu_tilde_minus_sq": met.nu_tilde_minus_sq,
-        "log_negativity": met.log_negativity,
-        "defined": met.log_negativity is not None,
-        "separable": met.separable,
-        "boundary": met.boundary,
-    }
+def _pairs(cfg: RunConfig, header: str, values: dict, result: dict) -> str:
+    """A name/value table: one ``name,value`` CSV line per pair, or JSON of ``result``."""
     if cfg.fmt == "json":
-        return _json_output(cfg, {"t": cfg["t"], **result})
-    return _csv("quantity,value", (f"{name},{_fmt(value)}" for name, value in result.items()))
+        return _json_output(cfg, result)
+    return _csv(header, (f"{name},{_fmt(value)}" for name, value in values.items()))
+
+
+def _grid_csv(header: str, axes, rows) -> str:
+    """CSV of a grid: a ``row,column,cell`` line per cell from the cell texts of each
+    grid row, row-major; each axis is formatted once, for all the lines that repeat it."""
+    row_axis, columns = ([format(v, ".17g") for v in axis.tolist()] for axis in axes)
+    blocks = (
+        "\n".join([f"{r},{c},{cell}" for c, cell in zip(columns, cells)])
+        for r, cells in zip(row_axis, rows)
+    )
+    return _csv(header, blocks)
+
+
+def _grid_json(cfg: RunConfig, names: tuple[str, str], axes, rows) -> str:
+    """JSON of a grid: both axes under ``names`` and a [row, column, *cell] row per
+    cell from the cell lists of each grid row, row-major."""
+    row_axis, columns = (axis.tolist() for axis in axes)
+    cells = [[r, c, *cell] for r, row in zip(row_axis, rows) for c, cell in zip(columns, row)]
+    return _json_output(cfg, {names[0]: row_axis, names[1]: columns, "rows": cells})
+
+
+def _sweep_cells(result: SweepResult):
+    """Per grid row of a sweep, its (S, L, defined) cells from the .tolist() grids."""
+    grids = (result.simon.tolist(), result.log_neg.tolist(), result.defined.tolist())
+    return (zip(*row) for row in zip(*grids))
 
 
 def sweep_csv(result: SweepResult) -> str:
     """CSV of a sweep: header t,c,S,L,defined and one row per cell, t-major."""
-    cs = _axis(result.thermal_cs)
-    grids = (result.simon.tolist(), result.log_neg.tolist(), result.defined.tolist())
-    blocks = (
-        "\n".join([
-            f"{t},{c},{s:.17g},{degree:.17g},1" if defined else f"{t},{c},{s:.17g},nan,0"
-            for c, s, degree, defined in zip(cs, *row)
-        ])
-        for t, *row in zip(_axis(result.times), *grids)
+    rows = (
+        [f"{s:.17g},{degree:.17g},1" if ok else f"{s:.17g},nan,0" for s, degree, ok in cells]
+        for cells in _sweep_cells(result)
     )
-    return _csv("t,c,S,L,defined", blocks)
-
-
-def _run_sweep(cfg: RunConfig, spec: SweepSpec) -> str:
-    result = sweep(spec)
-    if cfg.fmt == "json":
-        rows = [
-            [t, c, s, degree, int(defined)]
-            for t, c, s, degree, defined in result.rows()
-        ]
-        return _json_output(
-            cfg,
-            {
-                "t": [float(v) for v in result.times],
-                "c": [float(v) for v in result.thermal_cs],
-                "rows": rows,
-            },
-        )
-    return sweep_csv(result)
+    return _grid_csv("t,c,S,L,defined", (result.times, result.thermal_cs), rows)
 
 
 def classify_csv(results) -> str:
@@ -319,16 +299,6 @@ def _run_classify(cfg: RunConfig, spec: SweepSpec) -> str:
     return classify_csv(results)
 
 
-def _phase_diagram_csv(diagram: PhaseDiagram) -> str:
-    """CSV of a phase diagram: header d_xpy,c,status and one row per cell."""
-    cs = _axis(diagram.thermal_cs)
-    blocks = (
-        "\n".join([f"{d},{c},{status}" for c, status in zip(cs, statuses)])
-        for d, statuses in zip(_axis(diagram.d_xpy_values), diagram.statuses())
-    )
-    return _csv("d_xpy,c,status", blocks)
-
-
 def _run_phase_diagram(cfg: RunConfig) -> str:
     d_xpy_values = np.linspace(cfg["d_xpy_min"], cfg["d_xpy_max"], cfg["n_d"])
     if not np.isfinite(d_xpy_values).all():  # the width d_xpy_max - d_xpy_min overflowed
@@ -340,21 +310,10 @@ def _run_phase_diagram(cfg: RunConfig) -> str:
         np.linspace(cfg["c_min"], cfg["c_max"], cfg["n_c"]),
         m=cfg["m"],
     )
+    axes, statuses = (diagram.d_xpy_values, diagram.thermal_cs), diagram.statuses()
     if cfg.fmt == "json":
-        d_values, cs = diagram.d_xpy_values.tolist(), diagram.thermal_cs.tolist()
-        return _json_output(
-            cfg,
-            {
-                "d_xpy": d_values,
-                "c": cs,
-                "rows": [
-                    [d, c, status]
-                    for d, statuses in zip(d_values, diagram.statuses())
-                    for c, status in zip(cs, statuses)
-                ],
-            },
-        )
-    return _phase_diagram_csv(diagram)
+        return _grid_json(cfg, ("d_xpy", "c"), axes, ([[s] for s in row] for row in statuses))
+    return _grid_csv("d_xpy,c,status", axes, statuses)
 
 
 def run(cfg: RunConfig) -> str:
@@ -376,7 +335,8 @@ def run(cfg: RunConfig) -> str:
         raise PhysicalityError(f"diffusion coefficients violate positivity bounds: {failed}")
 
     if cfg.command == "steady":
-        return _entries_output(cfg, steady_covariance(env))
+        entries = independent_entries(steady_covariance(env))
+        return _pairs(cfg, "entry,value", entries, {"entries": entries})
 
     initial = cfg.initial_state()
     state_report = check_physical_state(initial)
@@ -390,14 +350,32 @@ def run(cfg: RunConfig) -> str:
         )
 
     if cfg.command == "evolve":
-        return _entries_output(cfg, evolve(initial, env, cfg["t"]))
+        entries = independent_entries(evolve(initial, env, cfg["t"]))
+        return _pairs(cfg, "entry,value", entries, {"entries": entries})
     if cfg.command == "metrics":
-        return _run_metrics(cfg, env, initial)
+        met = metrics(evolve(initial, env, cfg["t"]))
+        values = {
+            "simon_s": met.simon_s,
+            "seralian_tilde": met.seralian_tilde,
+            "nu_tilde_minus_sq": met.nu_tilde_minus_sq,
+            "log_negativity": met.log_negativity,
+            "defined": met.log_negativity is not None,
+            "separable": met.separable,
+            "boundary": met.boundary,
+        }
+        return _pairs(cfg, "quantity,value", values, {"t": cfg["t"], **values})
     spec = SweepSpec(
         env, initial, cfg["t_max"], cfg["n_t"], cfg["c_min"], cfg["c_max"], cfg["n_c"]
     )
     if cfg.command == "sweep":
-        return _run_sweep(cfg, spec)
+        result = sweep(spec)
+        if cfg.fmt == "csv":
+            return sweep_csv(result)
+        rows = (
+            [[s, degree, 1] if ok else [s, None, 0] for s, degree, ok in cells]
+            for cells in _sweep_cells(result)
+        )
+        return _grid_json(cfg, ("t", "c"), (result.times, result.thermal_cs), rows)
     if cfg.command == "classify":
         return _run_classify(cfg, spec)
     raise ConfigError(f"unknown command {cfg.command!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -234,19 +234,6 @@ class SweepResult:
     log_neg: Matrix
     defined: np.ndarray
     classifications: tuple[PhaseClassification, ...]
-
-    def rows(self) -> Iterator[tuple[float, float, float, float | None, bool]]:
-        """(t, c, S, L-or-None, defined) rows in deterministic t-major order."""
-        for i, t in enumerate(self.times):
-            for j, c in enumerate(self.thermal_cs):
-                is_defined = bool(self.defined[i, j])
-                yield (
-                    float(t),
-                    float(c),
-                    float(self.simon[i, j]),
-                    float(self.log_neg[i, j]) if is_defined else None,
-                    is_defined,
-                )
 
 
 def sweep(spec: SweepSpec) -> SweepResult:

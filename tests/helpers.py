@@ -9,9 +9,10 @@ invariants and the propagation step are the plain matrix forms (2x2 block
 determinants, an LU determinant, M sigma M^T) that the package's
 float-arithmetic kernels replace.  The dense drift, diffusion and semigroup
 coefficient matrices are built from an environment's named coefficients,
-which the package reads as floats.  The CSV writer oracles format every cell
-on its own and pick each phase-diagram status from the two masks, where the
-package formats each grid axis once and maps the masks through one table.
+which the package reads as floats.  The writer oracles read every grid cell
+on its own, format every CSV cell on its own and pick each phase-diagram
+status from the two masks, where the package formats each grid axis once,
+reads whole grids through ``.tolist()`` and maps the masks through one table.
 """
 
 from __future__ import annotations
@@ -238,16 +239,26 @@ def temperature_from_thermal_c(thermal_c: float, omega: float = 1.0) -> float:
     return 0.5 * omega / math.atanh(1.0 / thermal_c)
 
 
+def sweep_rows_oracle(result) -> list[list]:
+    """[t, c, S, L, defined] per cell, t-major, each read from the grids on its
+    own; L is None and defined False where the degree is undefined."""
+    rows = []
+    for i, t in enumerate(result.times):
+        for j, c in enumerate(result.thermal_cs):
+            defined = bool(result.defined[i, j])
+            degree = float(result.log_neg[i, j]) if defined else None
+            rows.append([float(t), float(c), float(result.simon[i, j]), degree, defined])
+    return rows
+
+
 def sweep_csv_oracle(result) -> str:
     """The sweep CSV cell by cell: one format(x, ".17g") per float, and L
     written as nan with defined = 0 where the degree is undefined."""
     lines = ["t,c,S,L,defined"]
-    for i, t in enumerate(result.times):
-        for j, c in enumerate(result.thermal_cs):
-            defined = bool(result.defined[i, j])
-            degree = format(float(result.log_neg[i, j]), ".17g") if defined else "nan"
-            cells = [format(float(x), ".17g") for x in (t, c, result.simon[i, j])]
-            lines.append(",".join([*cells, degree, str(int(defined))]))
+    for t, c, s, degree, defined in sweep_rows_oracle(result):
+        cells = [format(x, ".17g") for x in (t, c, s)]
+        cells.append("nan" if degree is None else format(degree, ".17g"))
+        lines.append(",".join([*cells, str(int(defined))]))
     return "\n".join(lines) + "\n"
 
 

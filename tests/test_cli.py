@@ -21,6 +21,7 @@ from helpers import (
     phase_diagram_csv_oracle,
     phase_diagram_rows_oracle,
     sweep_csv_oracle,
+    sweep_rows_oracle,
     temperature_from_thermal_c,
     two_mode_squeezer,
 )
@@ -438,6 +439,20 @@ class TestWriters:
         # fig3 and fig4 start entangled: their early cells have no degree
         assert (~result.defined).sum() == {"fig3": 173, "fig4": 20}.get(preset, 0)
         assert sweep_csv(result) == sweep_csv_oracle(result)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_sweep_json_matches_cell_oracle(self, preset):
+        cfg = build_config("sweep", {"initial": preset}, fmt="json")
+        result = ge.sweep(ge.SweepSpec(cfg.environment(), cfg.initial_state()))
+        written = json.loads(run(cfg))["result"]
+        rows = sweep_rows_oracle(result)
+        assert written["rows"] == [[*row[:4], int(row[4])] for row in rows]
+        assert {type(row[4]) for row in written["rows"]} == {int}  # 0/1, not false/true
+        assert written["t"] == result.times.tolist()
+        assert written["c"] == result.thermal_cs.tolist()
+        # undefined degrees are null, never dropped
+        undefined = sum(row[3] is None for row in written["rows"])
+        assert undefined == {"fig3": 173, "fig4": 20}.get(preset, 0)
 
     def test_phase_diagram_matches_cell_oracle(self):
         cfg = build_config("phase-diagram", {})

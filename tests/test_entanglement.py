@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gaussent as ge
@@ -322,6 +322,8 @@ class TestInvariantProperties:
         thetas=st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi)),
         squeezes=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     )
+    # entries up to 141 and nu~_-^2 ~ 0.05: |dL| = 1.4e-10 from rounding alone
+    @example(seed=8388607, thetas=(1.0, 1.0), squeezes=(1.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_local_symplectic_invariance(self, seed, thetas, squeezes):
         rng = np.random.default_rng(seed)
@@ -331,12 +333,41 @@ class TestInvariantProperties:
         local[2:, 2:] = rotation(thetas[1]) @ squeezer(squeezes[1])
         transformed = local @ sigma @ local.T
         transformed = 0.5 * (transformed + transformed.T)
-        s_before = simon_function(ge.CovarianceMatrix(sigma))
-        s_after = simon_function(ge.CovarianceMatrix(transformed))
-        assert s_after == pytest.approx(s_before, abs=1e-10 * max(1.0, abs(s_before)))
-        l_before = log_negativity(ge.CovarianceMatrix(sigma))
-        l_after = log_negativity(ge.CovarianceMatrix(transformed))
-        assert l_after == pytest.approx(l_before, abs=1e-10)
+        states = [ge.CovarianceMatrix(sigma), ge.CovarianceMatrix(transformed)]
+        spectra = [symplectic_spectrum_pt(state) for state in states]
+        tol_s, tol_l = _local_map_tolerances(sigma, local, spectra)
+        s_before, s_after = map(simon_function, states)
+        assert s_after == pytest.approx(s_before, abs=tol_s)
+        l_before, l_after = map(log_negativity, states)
+        assert l_after == pytest.approx(l_before, abs=tol_l)
+
+
+def _local_map_tolerances(sigma, local, spectra) -> tuple[float, float]:
+    """Float-error bounds on |dS| and |dL| between sigma and local sigma local^T.
+
+    First order in the unit roundoff u, with every entry of sigma and of
+    |local| |sigma| |local|^T at most s - 1:
+    - A polynomial in the entries evaluated in float is off by at most
+      (rounded operations on its longest path) * u * (its sum of |monomials|):
+      4 * 8s^2 u for Delta~, 9 * 160s^4 u for the discriminant
+      Delta~^2 - 4 det sigma and 9 * 25s^4 u for S.  Through nu~_-^2 = (Delta~ - sqrt(disc))/2 with gap
+      g = sqrt(disc), one evaluation is off by 28us^2 + 360us^4/g in nu~_-^2
+      and 225us^4 in S.
+    - Each entry of the transformed state is off by 15us: 8u from the two
+      4-term matmuls, u from the symmetrisation and 6u because each float 2x2
+      block of ``local`` has determinant 1 +- 6u.  That moves each polynomial
+      by at most 15us times the derivative of its |monomial| sum:
+      8s * 15us + 160s^3 * 15us / g in nu~_-^2 and 100s^3 * 15us in S.
+    Two evaluations and the transform sum to |dS| <= 1950us^4 and
+    |dnu~_-^2| <= 176us^2 + 3120us^4/g, and L = -log2(4 nu~_-^2)/2 moves by at
+    most |dnu~_-^2| / (2 ln 2 (nu~_-^2 - |dnu~_-^2|)).
+    """
+    u = 2.0**-53
+    s = 1.0 + max(np.abs(sigma).max(), (np.abs(local) @ np.abs(sigma) @ np.abs(local).T).max())
+    gap = min(spectrum.nu_plus_sq - spectrum.nu_minus_sq for spectrum in spectra)
+    d_nu_sq = u * (176.0 * s**2 + 3120.0 * s**4 / gap)
+    nu_sq = min(spectrum.nu_minus_sq for spectrum in spectra) - d_nu_sq
+    return 1950.0 * u * s**4, d_nu_sq / (2.0 * math.log(2.0) * nu_sq)
 
 
 @pytest.fixture(scope="module")
