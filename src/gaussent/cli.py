@@ -327,12 +327,11 @@ def run(cfg: RunConfig) -> str:
         return _run_phase_diagram(cfg)
 
     env = cfg.environment()
-    report = validate_diffusion(env)
-    if not report.passed:
-        failed = ", ".join(
-            f"{check.name} (margin {check.margin:.3e})" for check in report.failures()
+    failed = [f"{c.name} (margin {c.margin:.3e})" for c in validate_diffusion(env) if not c.passed]
+    if failed:
+        raise PhysicalityError(
+            f"diffusion coefficients violate positivity bounds: {', '.join(failed)}"
         )
-        raise PhysicalityError(f"diffusion coefficients violate positivity bounds: {failed}")
 
     if cfg.command == "steady":
         entries = independent_entries(steady_covariance(env))

@@ -227,29 +227,15 @@ def independent_entries(sigma: CovarianceMatrix) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class DiffusionCheck:
-    """One pairwise diffusion bound: passed iff margin >= -MARGIN_TOL."""
+    """One pairwise diffusion bound: passed iff margin >= -MARGIN_TOL times the
+    sum of the magnitudes of the margin's terms."""
 
     name: str
     margin: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class DiffusionReport:
-    """Result of :func:`validate_diffusion`: the six pairwise bounds in
-    ``checks``; ``passed`` is their conjunction and is the gate used by the CLI."""
-
-    checks: tuple[DiffusionCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    def failures(self) -> tuple[DiffusionCheck, ...]:
-        return tuple(check for check in self.checks if not check.passed)
-
-
-def validate_diffusion(env: EnvironmentSpec) -> DiffusionReport:
+def validate_diffusion(env: EnvironmentSpec) -> tuple[DiffusionCheck, ...]:
     """Check the diffusion coefficients against the semigroup positivity bounds.
 
     The six pairwise bounds are the 2x2 principal minors of the complex
@@ -258,25 +244,32 @@ def validate_diffusion(env: EnvironmentSpec) -> DiffusionReport:
     xx_pxpx: d_xx*d_pxpx - d_xpx^2 >= lam^2/4, yy_pypy (its y twin, the same
     margin), xx_yy: d_xx^2 >= d_xy^2, pxpx_pypy: d_pxpx^2 >= d_pxpy^2,
     xx_pypy: d_xx*d_pxpx >= d_xpy^2 and yy_pxpx (its y twin, the same margin).
-    Each is reported with its margin (left side minus right side).  Raises
+    Each is reported with its margin (left side minus right side), and passes
+    within a rounding slack relative to its terms, since a margin is a
+    difference of products that cancel exactly on the bound.  Raises
     ``OverflowError`` when a margin is not finite, since the bounds cannot be
     decided then.
     """
     half = 0.5 * env.lam
-    local = env.d_xx * env.d_pxpx - env.d_xpx * env.d_xpx - half * half
-    cross = env.d_xx * env.d_pxpx - env.d_xpy * env.d_xpy
-    margins = dict(
+    # each margin is a - b - c over its terms (a, b, c), b and c squares
+    local = (env.d_xx * env.d_pxpx, env.d_xpx * env.d_xpx, half * half)
+    cross = (env.d_xx * env.d_pxpx, env.d_xpy * env.d_xpy, 0.0)
+    terms = dict(
         xx_pxpx=local,
         yy_pypy=local,
-        xx_yy=env.d_xx * env.d_xx - env.d_xy * env.d_xy,
-        pxpx_pypy=env.d_pxpx * env.d_pxpx - env.d_pxpy * env.d_pxpy,
+        xx_yy=(env.d_xx * env.d_xx, env.d_xy * env.d_xy, 0.0),
+        pxpx_pypy=(env.d_pxpx * env.d_pxpx, env.d_pxpy * env.d_pxpy, 0.0),
         xx_pypy=cross,
         yy_pxpx=cross,
     )
+    margins = {name: a - b - c for name, (a, b, c) in terms.items()}
     if not all(map(math.isfinite, margins.values())):
         raise OverflowError(f"diffusion bounds are not finite (margins {list(margins.values())})")
-    checks = [DiffusionCheck(name, v, v >= -MARGIN_TOL) for name, v in margins.items()]
-    return DiffusionReport(tuple(checks))
+    # the slack is scaled term by term: it cannot overflow where the terms do not
+    return tuple(
+        DiffusionCheck(name, v, v >= -MARGIN_TOL * abs(a) - MARGIN_TOL * b - MARGIN_TOL * c)
+        for (name, v), (a, b, c) in zip(margins.items(), terms.values())
+    )
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,18 @@ EVENT_TIME_TOL = 1e-8
 #: Crossings closer than this are treated as one grazing contact and merged.
 EVENT_MERGE_TOL = 1e-6
 
-LABELS = (
-    "remains_separable",
-    "remains_entangled",
-    "generation_persistent",
-    "generation_transient",
-    "sudden_death",
-    "collapse_revival",
-)
+#: Label by initial sign class (separable False, entangled True) and number of
+#: sign changes of S; counts past the end of a row take its last label.
+_LABELS = {
+    False: (
+        "remains_separable",
+        "generation_persistent",
+        "generation_transient",
+        "collapse_revival",
+    ),
+    True: ("remains_entangled", "sudden_death", "collapse_revival"),
+}
+LABELS = tuple(dict.fromkeys(label for row in _LABELS.values() for label in row))
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,7 @@ class PhaseClassification:
     """Label of an entanglement trajectory plus the refined crossing instants.
 
     The label is a pure function of the initial sign class of the Simon
-    function, the number of sign changes, and the asymptotic sign:
+    function and the number of sign changes:
 
     - no crossings: ``remains_separable`` / ``remains_entangled``
     - separable start: 1 crossing -> ``generation_persistent``,
@@ -80,39 +84,24 @@ def _refine_crossing(
     return 0.5 * (t_lo + t_hi)
 
 
-def _merge_events(
-    events: list[tuple[float, bool, bool]],
-) -> list[tuple[float, bool, bool]]:
+def _merge_events(times: list[float]) -> list[float]:
     """Collapse crossings closer than EVENT_MERGE_TOL.
 
-    A cluster whose net sign class does not change (a grazing contact) is
-    dropped entirely; otherwise it is replaced by a single event at its
-    midpoint.
+    Each crossing flips the sign class, so a cluster changes the class iff it
+    holds an odd number of crossings: an odd cluster becomes one event at the
+    midpoint of its first and last times, an even one (a grazing contact) is
+    dropped.
     """
-    merged: list[tuple[float, bool, bool]] = []
+    merged: list[float] = []
     i = 0
-    while i < len(events):
+    while i < len(times):
         j = i
-        while j + 1 < len(events) and events[j + 1][0] - events[j][0] < EVENT_MERGE_TOL:
+        while j + 1 < len(times) and times[j + 1] - times[j] < EVENT_MERGE_TOL:
             j += 1
-        before = events[i][1]
-        after = events[j][2]
-        if before != after:
-            merged.append((0.5 * (events[i][0] + events[j][0]), before, after))
+        if (j - i) % 2 == 0:
+            merged.append(0.5 * (times[i] + times[j]))
         i = j + 1
     return merged
-
-
-def _label_for(start_entangled: bool, n_events: int) -> str:
-    if n_events == 0:
-        return "remains_entangled" if start_entangled else "remains_separable"
-    if not start_entangled:
-        if n_events == 1:
-            return "generation_persistent"
-        if n_events == 2:
-            return "generation_transient"
-        return "collapse_revival"
-    return "sudden_death" if n_events == 1 else "collapse_revival"
 
 
 def classify_phase(
@@ -142,18 +131,17 @@ def classify_phase(
             stacklevel=2,
         )
     fixed = steady_covariance(env)
-    times = np.linspace(0.0, t_max, n_t)
-    states = _evolve_column(initial, env, times.tolist(), fixed)
+    times = np.linspace(0.0, t_max, n_t).tolist()
+    states = _evolve_column(initial, env, times, fixed)
     s_values = np.array([simon_function(state) for state in states])
     classes = s_values < 0.0
 
-    raw_events: list[tuple[float, bool, bool]] = []
-    for k in np.nonzero(classes[:-1] != classes[1:])[0]:
-        refined = _refine_crossing(
-            initial, env, fixed, float(times[k]), float(times[k + 1]), bool(classes[k])
-        )
-        raw_events.append((refined, bool(classes[k]), bool(classes[k + 1])))
-    events = _merge_events(raw_events)
+    events = _merge_events(
+        [
+            _refine_crossing(initial, env, fixed, times[k], times[k + 1], bool(classes[k]))
+            for k in np.nonzero(classes[:-1] != classes[1:])[0]
+        ]
+    )
 
     try:
         s_infinity = asymptotic_simon(env)
@@ -165,9 +153,10 @@ def classify_phase(
             "the sampling horizon is probably too short",
             stacklevel=2,
         )
+    labels = _LABELS[bool(classes[0])]
     return PhaseClassification(
-        label=_label_for(bool(classes[0]), len(events)),
-        event_times=tuple(event[0] for event in events),
+        label=labels[min(len(events), len(labels) - 1)],
+        event_times=tuple(events),
         s_initial_sign=_sign(float(s_values[0])),
         s_infinity_sign=_sign(s_infinity),
     )
@@ -222,9 +211,9 @@ class SweepSpec:
 class SweepResult:
     """Simon and logarithmic-negativity surfaces over a (t, c) grid.
 
-    ``log_neg`` holds NaN where the degree is undefined; the ``defined`` mask
-    carries that information explicitly so undefined points are propagated,
-    never dropped.
+    ``log_neg`` holds NaN where the degree is undefined, and ``defined`` is
+    the mask of the other cells, so undefined points are propagated, never
+    dropped.
     """
 
     spec: SweepSpec
@@ -241,18 +230,13 @@ def sweep(spec: SweepSpec) -> SweepResult:
     times = spec.times()
     cs = spec.thermal_cs()
     simon = np.empty((spec.n_t, spec.n_c))
-    log_neg = np.full((spec.n_t, spec.n_c), np.nan)
-    defined = np.zeros((spec.n_t, spec.n_c), dtype=bool)
+    log_neg = np.empty((spec.n_t, spec.n_c))
     classifications = []
     for j, c in enumerate(cs):
         env_c = spec.environment_at(float(c))
-        fixed = steady_covariance(env_c)
-        for i, state in enumerate(_evolve_column(spec.initial, env_c, times.tolist(), fixed)):
-            simon[i, j] = simon_function(state)
-            degree = log_negativity(state)
-            if degree is not None:
-                log_neg[i, j] = degree
-                defined[i, j] = True
+        states = _evolve_column(spec.initial, env_c, times.tolist(), steady_covariance(env_c))
+        # an undefined L (None) is stored as NaN
+        simon[:, j], log_neg[:, j] = zip(*[(simon_function(s), log_negativity(s)) for s in states])
         classifications.append(classify_phase(spec.initial, env_c, spec.t_max, spec.n_t))
     return SweepResult(
         spec=spec,
@@ -260,7 +244,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
         thermal_cs=cs,
         simon=simon,
         log_neg=log_neg,
-        defined=defined,
+        defined=~np.isnan(log_neg),
         classifications=tuple(classifications),
     )
 

@@ -38,13 +38,7 @@ def initial_state(name: str) -> CovarianceMatrix:
     return covariance_from_entries(entries)
 
 
-def benchmark_environment(
-    thermal_c: float = 1.0,
-    lam: float = 0.1,
-    d_xy: float = 0.0,
-    d_xpy: float = 0.049,
-    m: float = 1.0,
-    omega: float = 1.0,
-) -> EnvironmentSpec:
-    """The reference bath used by the surface studies (thermal, d_xpy = 0.049)."""
-    return thermal_environment(lam, thermal_c, d_xy, d_xpy, m, omega)
+def benchmark_environment(thermal_c: float = 1.0) -> EnvironmentSpec:
+    """The reference bath used by the surface studies: thermal at ``thermal_c``,
+    lam = 0.1, d_xy = 0, d_xpy = 0.049 and m = omega = 1."""
+    return thermal_environment(0.1, thermal_c, 0.0, 0.049)

@@ -124,6 +124,23 @@ def _frac_det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
+def merge_events_oracle(events: list, tol: float) -> list:
+    """Merge crossings closer than ``tol`` from (t, class before, class after)
+    triples: a cluster whose class before its first crossing equals the class
+    after its last is dropped, any other becomes one event at its midpoint."""
+    merged = []
+    i = 0
+    while i < len(events):
+        j = i
+        while j + 1 < len(events) and events[j + 1][0] - events[j][0] < tol:
+            j += 1
+        before, after = events[i][1], events[j][2]
+        if before != after:
+            merged.append((0.5 * (events[i][0] + events[j][0]), before, after))
+        i = j + 1
+    return merged
+
+
 def simon_oracle_exact(entries: np.ndarray) -> Fraction:
     """Term-by-term Simon function in exact rational arithmetic.
 

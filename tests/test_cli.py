@@ -116,6 +116,7 @@ class TestMetricsCommand:
         assert payload["result"]["log_negativity"] is None
         assert payload["result"]["defined"] is False
 
+    @pytest.mark.filterwarnings("ignore:classification grid is below the recommended resolution")
     def test_overflow_is_a_numerical_failure(self, capsys):
         for command, *entries in (
             ("metrics", "sigma_xx=1e200", "sigma_pxpx=1e200"),
@@ -181,6 +182,7 @@ class TestEvolveCommand:
 
 
 class TestSweepCommand:
+    @pytest.mark.filterwarnings("ignore:classification grid is below the recommended resolution")
     def test_row_count_and_header(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
         code, out, _ = run_cli(
@@ -198,6 +200,7 @@ class TestSweepCommand:
         assert all(row[0] == rows[0][0] for row in rows[:3])
         assert {row[4] for row in rows} <= {"0", "1"}
 
+    @pytest.mark.filterwarnings("ignore:classification grid is below the recommended resolution")
     def test_undefined_markers_in_csv(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -225,6 +228,27 @@ class TestClassifyCommand:
         assert rows[0][2]  # benchmark generates entanglement: events present
         for event in rows[0][2].split(";"):
             float(event)
+
+    def test_json_rows_match_the_classifications(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "classify",
+            "--set", "initial=fig3", "--set", "n_c=3", "--set", "c_max=2.0", "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)["result"]["rows"]
+        initial, env = ge.presets.initial_state("fig3"), ge.presets.benchmark_environment
+        expected = [(c, ge.classify_phase(initial, env(c), 50.0, 500)) for c in (1.0, 1.5, 2.0)]
+        assert rows == [
+            {
+                "c": c,
+                "label": phase.label,
+                "event_times": list(phase.event_times),
+                "s_infinity_sign": phase.s_infinity_sign,
+            }
+            for c, phase in expected
+        ]
+        assert {row["s_infinity_sign"] for row in rows} == {-1, 1}
 
 
 class TestPhaseDiagramCommand:
@@ -345,6 +369,14 @@ class TestConfigHandling:
         ):
             assert float(left) == pytest.approx(float(right), rel=1e-9)
 
+    def test_malformed_config_line(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# bath\nc=1.2\nlambda 0.2\n")
+        code, out, err = run_cli(capsys, "steady", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"{cfg}:3: expected key=value, got 'lambda 0.2'" in err
+
     def test_config_file_with_comments(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# benchmark point\nc=1.2  # thermal parameter\ninitial=fig1\n")
@@ -366,6 +398,28 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "steady", "--set", "d_xpy=0.06")
         assert code == 3
         assert "positivity" in err
+
+    @pytest.mark.parametrize(
+        "bath, expected",
+        [
+            # zero temperature: C = 1 lies on the xx_pxpx bound, margin -1.8e-12
+            (
+                {
+                    "lambda": "254.33690594811654",
+                    "m": "22.92299472423106",
+                    "omega": "0.021130766041079933",
+                },
+                0,
+            ),
+            # |d_xpy| is twice lam*C/2, but the margin is only -7.5e-13
+            ({"lambda": "1e-6", "d_xpy": "1e-6"}, 3),
+        ],
+    )
+    def test_diffusion_gate_scales_with_the_bath(self, capsys, bath, expected):
+        sets = [arg for key, value in bath.items() for arg in ("--set", f"{key}={value}")]
+        code, _, err = run_cli(capsys, "steady", *sets)
+        assert code == expected
+        assert ("xx_pypy (margin -7.500e-13), yy_pxpx" in err) == (expected == 3)
 
     def test_wide_scale_bath_solves(self, capsys):
         # passes every diffusion bound; its steady entries reach 1.2e4
@@ -415,7 +469,12 @@ class TestDeterminism:
         [
             ("steady", "--set", "c=1"),
             ("metrics", "--set", "initial=fig3", "--format", "json"),
-            ("sweep", "--set", "initial=fig1", "--set", "n_t=25", "--set", "n_c=2"),
+            pytest.param(
+                ("sweep", "--set", "initial=fig1", "--set", "n_t=25", "--set", "n_c=2"),
+                marks=pytest.mark.filterwarnings(
+                    "ignore:classification grid is below the recommended resolution"
+                ),
+            ),
             ("classify", "--set", "initial=fig1", "--set", "n_c=2"),
             ("phase-diagram", "--set", "n_d=2", "--set", "n_c=3"),
         ],
@@ -544,6 +603,9 @@ class TestArgvProperty:
         flags=st.lists(st.sampled_from(["--strict", "--format=json"]), unique=True),
     )
     @settings(max_examples=500, deadline=None)
+    # drawn grids are coarse and drawn horizons may be short
+    @pytest.mark.filterwarnings("ignore:classification grid is below the recommended resolution")
+    @pytest.mark.filterwarnings("ignore:final sampled Simon sign disagrees")
     def test_exit_code_is_documented(self, command, values, grid, flags):
         argv = [command, *flags]
         for key, value in {**values, **grid}.items():

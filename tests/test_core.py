@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gaussent as ge
@@ -28,8 +28,8 @@ from helpers import (
 )
 
 
-def _check(report, name):
-    return next(c for c in report.checks if c.name == name)
+def _check(checks, name):
+    return next(c for c in checks if c.name == name)
 
 
 def _semigroup_min_eigenvalue(env):
@@ -150,29 +150,28 @@ class TestDriftDiffusion:
 class TestValidateDiffusion:
     def test_zero_temperature_boundary_margin(self):
         env = ge.thermal_environment(0.1, 1.0)
-        report = validate_diffusion(env)
-        check = _check(report, "xx_pxpx")
+        checks = validate_diffusion(env)
+        check = _check(checks, "xx_pxpx")
         assert abs(check.margin) <= 1e-15
         assert check.passed
-        assert report.passed
+        assert all(c.passed for c in checks)
         # the full coefficient matrix sits on the PSD boundary
         assert abs(_semigroup_min_eigenvalue(env)) <= 1e-15
 
     def test_excessive_cross_coefficient_fails(self):
-        report = validate_diffusion(ge.thermal_environment(0.1, 1.0, d_xpy=0.06))
-        check = _check(report, "xx_pypy")
+        checks = validate_diffusion(ge.thermal_environment(0.1, 1.0, d_xpy=0.06))
+        check = _check(checks, "xx_pypy")
         assert not check.passed
         assert check.margin == pytest.approx(0.0025 - 0.0036, rel=1e-12)
-        assert not report.passed
-        assert check in report.failures()
+        assert [c.name for c in checks if not c.passed] == ["xx_pypy", "yy_pxpx"]
 
     def test_benchmark_cross_coefficient_passes(self):
         env = ge.thermal_environment(0.1, 1.0, d_xpy=0.049)
-        report = validate_diffusion(env)
-        check = _check(report, "xx_pypy")
+        checks = validate_diffusion(env)
+        check = _check(checks, "xx_pypy")
         assert check.passed
         assert check.margin == pytest.approx(0.0025 - 0.049**2, rel=1e-12)
-        assert report.passed
+        assert all(c.passed for c in checks)
         # all pairwise bounds hold, yet the full 4x4 coefficient matrix is
         # indefinite for this benchmark; the gate is the pairwise bounds
         assert _semigroup_min_eigenvalue(env) < -1e-6
@@ -186,15 +185,53 @@ class TestValidateDiffusion:
 
     def test_pure_thermal_full_matrix_psd(self):
         env = ge.thermal_environment(0.1, 2.0)
-        assert validate_diffusion(env).passed
+        assert all(c.passed for c in validate_diffusion(env))
         assert _semigroup_min_eigenvalue(env) >= -MARGIN_TOL
 
-    @given(lam=st.floats(1e-3, 10.0), thermal_c=st.floats(1.0, 100.0))
+    @given(
+        lam=st.floats(1e-3, 10.0),
+        thermal_c=st.floats(1.0, 100.0),
+        m=st.floats(1e-2, 1e2),
+        omega=st.floats(1e-2, 1e2),
+    )
+    # zero temperature on a wide-scale bath: its xx_pxpx margin is -1.8e-12
+    @example(
+        lam=254.33690594811654, thermal_c=1.0, m=22.92299472423106, omega=0.021130766041079933
+    )
     @settings(max_examples=80, deadline=None)
-    def test_thermal_environments_always_pass(self, lam, thermal_c):
-        env = ge.thermal_environment(lam, thermal_c)
-        assert validate_diffusion(env).passed
-        assert _semigroup_min_eigenvalue(env) >= -MARGIN_TOL
+    def test_thermal_environments_always_pass(self, lam, thermal_c, m, omega):
+        env = ge.thermal_environment(lam, thermal_c, m=m, omega=omega)
+        assert all(c.passed for c in validate_diffusion(env))
+        # the exact matrix is PSD; its float coefficients carry at most three
+        # roundings each (3u relative, a 3u|M| shift by Weyl) and eigvalsh
+        # is backward stable, here taken as a further 5u|M| for a 4x4
+        eigenvalues = np.linalg.eigvalsh(semigroup_matrix(env))
+        assert eigenvalues[0] >= -8 * 2.0**-53 * abs(eigenvalues).max()
+
+    def test_bath_over_the_bound_fails(self):
+        # |d_xpy| = 1e-6 is twice lam*C/2, yet every margin is below 1e-12
+        env = ge.thermal_environment(1e-6, 1.0, d_xpy=1e-6)
+        checks = validate_diffusion(env)
+        assert max(abs(c.margin) for c in checks) < MARGIN_TOL
+        assert [c.name for c in checks if not c.passed] == ["xx_pypy", "yy_pxpx"]
+        assert _semigroup_min_eigenvalue(env) < -6e-7
+
+    def test_bounds_scale_with_the_bath(self):
+        # zero-temperature baths and baths with |d_xpy| = lam*C/2 exactly sit
+        # on a bound and pass; a bath 1e-9 over it fails, at every scale
+        rng = np.random.default_rng(20111021)
+        for _ in range(20000):
+            lam = 10.0 ** rng.uniform(-8.0, 4.0)
+            m, omega = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
+            thermal_c = rng.uniform(1.0, 2.0)
+            on_bound = 0.5 * lam * thermal_c
+            for c, d_xpy, passed in (
+                (1.0, 0.0, True),
+                (thermal_c, on_bound, True),
+                (thermal_c, on_bound * (1.0 + 1e-9), False),
+            ):
+                env = ge.thermal_environment(lam, c, 0.0, d_xpy, m, omega)
+                assert all(check.passed for check in validate_diffusion(env)) == passed, env
 
     def test_margins_equal_minors_of_the_coefficient_matrix_bit_for_bit(self):
         # the margins are the 2x2 principal minors of P D P - (i lam/2) Omega
@@ -210,7 +247,7 @@ class TestValidateDiffusion:
             coef = semigroup_matrix(env)
             diag, off = coef.diagonal().real, coef[rows, cols]
             minors = diag[rows] * diag[cols] - off.real * off.real - off.imag * off.imag
-            margins = [check.margin for check in validate_diffusion(env).checks]
+            margins = [check.margin for check in validate_diffusion(env)]
             assert np.array(margins).tobytes() == minors.tobytes()
 
 

@@ -8,7 +8,15 @@ import gaussent as ge
 from gaussent.core import MARGIN_TOL, EnvironmentSpec, validate_diffusion
 from gaussent.dynamics import steady_covariance
 from gaussent.entanglement import asymptotic_simon, simon_function
-from helpers import sweep_rows_oracle
+from gaussent.experiments import EVENT_MERGE_TOL, _merge_events
+from helpers import (
+    diffusion_matrix,
+    drift_matrix,
+    lyapunov_oracle,
+    merge_events_oracle,
+    simon_oracle_exact,
+    sweep_rows_oracle,
+)
 
 
 def _benchmark(c):
@@ -79,6 +87,48 @@ class TestClassifyPhase:
         step = 50.0 / 249
         for event in coarse.event_times:
             assert any(abs(event - other) <= step for other in fine.event_times)
+
+    def test_merge_keeps_odd_clusters_and_drops_even_ones(self):
+        tol = EVENT_MERGE_TOL
+        odd = [1.0, 1.0 + 0.6 * tol, 1.0 + 1.2 * tol]  # a chain: each gap below tol
+        even = [2.0, 2.0 + 0.5 * tol]
+        lone = [3.0]
+        merged = _merge_events(odd + even + lone)
+        assert merged == [0.5 * (odd[0] + odd[-1]), 3.0]
+        assert _merge_events(even) == []
+        assert _merge_events([1.0, 1.0 + 2.0 * tol]) == [1.0, 1.0 + 2.0 * tol]
+
+    def test_merge_matches_the_crossing_triples(self):
+        # crossings alternate the sign class, so merging bare times by the
+        # parity of a cluster equals merging (t, before, after) triples
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            gaps = rng.choice([0.3, 0.9, 1.5, 40.0], size=rng.integers(0, 12)) * EVENT_MERGE_TOL
+            times = (1.0 + np.cumsum(gaps)).tolist()
+            before = bool(rng.integers(2))
+            triples = [
+                (t, before ^ (k % 2 == 1), before ^ (k % 2 == 0)) for k, t in enumerate(times)
+            ]
+            expected = [t for t, _, _ in merge_events_oracle(triples, EVENT_MERGE_TOL)]
+            assert _merge_events(times) == expected
+
+    def test_non_thermal_bath_takes_the_sign_of_the_steady_state(self, fig1_initial):
+        # d_xx != d_pxpx: no Gibbs asymptote, so no closed form for S at infinity
+        signs = []
+        for d_xpy in (0.0, 0.054):
+            env = EnvironmentSpec(
+                m=1.0, omega=1.0, lam=0.1, thermal_c=1.0,
+                d_xx=0.06, d_xpx=0.0, d_pxpx=0.05, d_xy=0.0, d_xpy=d_xpy, d_pxpy=0.0,
+            )
+            assert not env.is_thermal()
+            with pytest.raises(ValueError, match="requires thermal"):
+                asymptotic_simon(env)
+            phase = ge.classify_phase(fig1_initial, env, 50.0, 500)
+            exact = simon_oracle_exact(lyapunov_oracle(drift_matrix(env), diffusion_matrix(env)))
+            assert abs(exact) > 1e-4
+            assert phase.s_infinity_sign == (1 if exact > 0 else -1)
+            signs.append(phase.s_infinity_sign)
+        assert signs == [1, -1]
 
     def test_short_grid_warns(self, fig1_initial):
         with pytest.warns(UserWarning, match="below the recommended resolution"):
@@ -189,6 +239,8 @@ class TestSweep:
             )
             ge.SweepSpec(env_base=lopsided, initial=fig1_initial)
         for key, value in (
+            ("n_t", 1),
+            ("n_c", 0),
             ("t_max", math.inf),
             ("t_max", math.nan),
             ("c_max", math.inf),
@@ -262,10 +314,11 @@ class TestPhaseDiagram:
         for i, d_xpy in enumerate(d_rows):
             for j, c in enumerate(cs):
                 env = ge.thermal_environment(lam, float(c), 0.0, float(d_xpy), m, omega)
-                report = validate_diffusion(env)
-                margin = next(check.margin for check in report.checks if check.name == "xx_pypy")
+                checks = validate_diffusion(env)
+                margin = next(check.margin for check in checks if check.name == "xx_pypy")
                 if abs(margin) > MARGIN_TOL:
-                    assert diagram.unphysical[i, j] == (not report.passed), (d_xpy, c)
+                    passed = all(check.passed for check in checks)
+                    assert diagram.unphysical[i, j] == (not passed), (d_xpy, c)
                 s_inf = asymptotic_simon(env)
                 if not diagram.unphysical[i, j] and abs(s_inf) > 1e-12:
                     assert diagram.entangled[i, j] == (s_inf < 0.0), (d_xpy, c)
