@@ -5,28 +5,35 @@ solves for the asymptotic state, evaluates the Simon separability function and
 the logarithmic negativity along trajectories, and classifies how
 entanglement is generated, lost, or revived across environment parameters.
 Names beyond ``__all__`` live in the submodules core, dynamics, entanglement,
-experiments, presets and cli.
+experiments, presets and cli.  Only experiments needs numpy, and it is imported
+when one of its names is first read from the package.
 """
 
 from .core import CovarianceMatrix, thermal_environment
 from .dynamics import evolve
 from .entanglement import asymptotic_log_negativity, asymptotic_threshold, metrics
-from .experiments import SweepSpec, asymptotic_phase_diagram, classify_phase, sweep
 from . import presets
+
+_EXPERIMENTS = ("SweepSpec", "asymptotic_phase_diagram", "classify_phase", "sweep")
+
+
+def __getattr__(name: str):
+    # looked up on every read, never stored here: a name patched or wrapped in
+    # experiments is what the package gives
+    if name in _EXPERIMENTS:
+        from . import experiments
+
+        return getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPERIMENTS})
+
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovarianceMatrix",
-    "thermal_environment",
-    "evolve",
-    "asymptotic_log_negativity",
-    "asymptotic_threshold",
-    "metrics",
-    "SweepSpec",
-    "asymptotic_phase_diagram",
-    "classify_phase",
-    "sweep",
-    "presets",
-    "__version__",
+    "CovarianceMatrix", "thermal_environment", "evolve", "asymptotic_log_negativity",
+    "asymptotic_threshold", "metrics", *_EXPERIMENTS, "presets", "__version__",
 ]

@@ -18,8 +18,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     CovarianceMatrix,
@@ -34,14 +33,10 @@ from .core import (
 )
 from .dynamics import evolve, steady_covariance
 from .entanglement import metrics
-from .experiments import (
-    SweepResult,
-    SweepSpec,
-    asymptotic_phase_diagram,
-    classify_phase,
-    sweep,
-)
 from .presets import PRESET_NAMES, initial_state
+
+if TYPE_CHECKING:  # experiments, with numpy, loads only for the grid commands
+    from .experiments import SweepResult, SweepSpec
 
 COMMANDS = ("evolve", "steady", "metrics", "sweep", "classify", "phase-diagram")
 
@@ -232,38 +227,61 @@ def _pairs(cfg: RunConfig, header: str, values: dict, result: dict) -> str:
     return _csv(header, (f"{name},{_fmt(value)}" for name, value in values.items()))
 
 
-def _grid_csv(header: str, axes, rows) -> str:
-    """CSV of a grid: a ``row,column,cell`` line per cell from the cell texts of each
-    grid row, row-major; each axis is formatted once, for all the lines that repeat it."""
-    row_axis, columns = ([format(v, ".17g") for v in axis.tolist()] for axis in axes)
-    blocks = (
-        "\n".join([f"{r},{c},{cell}" for c, cell in zip(columns, cells)])
+def _grid(names: tuple[str, str, str], axes, rows, cfg: RunConfig | None = None) -> str:
+    """A grid, row-major, from the cell texts of each grid row: CSV with the
+    header ``names`` and a ``row,column,cell`` line per cell, or for a JSON
+    ``cfg`` both axes under the first two names and a [row, column, *cell] list
+    per cell, as json.dumps(..., indent=2) writes them.  Each axis is formatted
+    once, for all the cells that repeat it, and every cell fills one template.
+    JSON floats are written as repr, which json shares for finite floats only."""
+    if cfg is None or cfg.fmt == "csv":
+        row_axis, columns = ([format(v, ".17g") for v in axis.tolist()] for axis in axes)
+        blocks = (
+            "\n".join([f"{r},{c},{cell}" for c, cell in zip(columns, cells)])
+            for r, cells in zip(row_axis, rows)
+        )
+        return _csv(",".join(names), blocks)
+    row_axis, columns = ([repr(v) for v in axis.tolist()] for axis in axes)
+    body = ",\n".join(
+        f"      [\n        {r},\n        {c},\n        {cell}\n      ]"
         for r, cells in zip(row_axis, rows)
+        for c, cell in zip(columns, cells)
     )
-    return _csv(header, blocks)
+    head = json.dumps({"command": cfg.command, "config": cfg.to_flat()}, indent=2)[:-2]
+    lists = ",\n".join(
+        f'    "{name}": [\n      ' + ",\n      ".join(axis) + "\n    ]"
+        for name, axis in zip(names, (row_axis, columns))
+    )
+    return f'{head},\n  "result": {{\n{lists},\n    "rows": [\n{body}\n    ]\n  }}\n}}\n'
 
 
-def _grid_json(cfg: RunConfig, names: tuple[str, str], axes, rows) -> str:
-    """JSON of a grid: both axes under ``names`` and a [row, column, *cell] row per
-    cell from the cell lists of each grid row, row-major."""
-    row_axis, columns = (axis.tolist() for axis in axes)
-    cells = [[r, c, *cell] for r, row in zip(row_axis, rows) for c, cell in zip(columns, row)]
-    return _json_output(cfg, {names[0]: row_axis, names[1]: columns, "rows": cells})
+def _sweep_text(result: SweepResult, cfg: RunConfig | None = None) -> str:
+    """A sweep as ``_grid`` text: S, L and the 0/1 defined flag per cell, an
+    undefined L as nan in CSV and null in JSON.  Raises ``OverflowError`` if S
+    or a defined L is not finite, which the JSON template cannot write."""
+    import numpy as np
 
-
-def _sweep_cells(result: SweepResult):
-    """Per grid row of a sweep, its (S, L, defined) cells from the .tolist() grids."""
+    if not (np.isfinite(result.simon).all() and np.isfinite(result.log_neg[result.defined]).all()):
+        raise OverflowError("a sweep value to write is not finite")
     grids = (result.simon.tolist(), result.log_neg.tolist(), result.defined.tolist())
-    return (zip(*row) for row in zip(*grids))
+    cells = (zip(*row) for row in zip(*grids))
+    if cfg is not None and cfg.fmt == "json":
+        sep = ",\n        "  # one value per line, as in the cell template of _grid
+        rows = (
+            [f"{s!r}{sep}{d!r}{sep}1" if ok else f"{s!r}{sep}null{sep}0" for s, d, ok in row]
+            for row in cells
+        )
+    else:
+        rows = (
+            [f"{s:.17g},{degree:.17g},1" if ok else f"{s:.17g},nan,0" for s, degree, ok in row]
+            for row in cells
+        )
+    return _grid(("t", "c", "S,L,defined"), (result.times, result.thermal_cs), rows, cfg)
 
 
 def sweep_csv(result: SweepResult) -> str:
     """CSV of a sweep: header t,c,S,L,defined and one row per cell, t-major."""
-    rows = (
-        [f"{s:.17g},{degree:.17g},1" if ok else f"{s:.17g},nan,0" for s, degree, ok in cells]
-        for cells in _sweep_cells(result)
-    )
-    return _grid_csv("t,c,S,L,defined", (result.times, result.thermal_cs), rows)
+    return _sweep_text(result)
 
 
 def classify_csv(results) -> str:
@@ -277,29 +295,27 @@ def classify_csv(results) -> str:
 
 
 def _run_classify(cfg: RunConfig, spec: SweepSpec) -> str:
+    from .experiments import classify_phase
+
     results = [
         (c, classify_phase(spec.initial, spec.environment_at(c), spec.t_max, spec.n_t))
         for c in map(float, spec.thermal_cs())
     ]
-    if cfg.fmt == "json":
-        return _json_output(
-            cfg,
-            {
-                "rows": [
-                    {
-                        "c": c,
-                        "label": phase.label,
-                        "event_times": list(phase.event_times),
-                        "s_infinity_sign": phase.s_infinity_sign,
-                    }
-                    for c, phase in results
-                ]
-            },
-        )
-    return classify_csv(results)
+    if cfg.fmt == "csv":
+        return classify_csv(results)
+    rows = [
+        dict(c=c, label=phase.label, event_times=list(phase.event_times),
+             s_infinity_sign=phase.s_infinity_sign)
+        for c, phase in results
+    ]
+    return _json_output(cfg, {"rows": rows})
 
 
 def _run_phase_diagram(cfg: RunConfig) -> str:
+    import numpy as np
+
+    from .experiments import asymptotic_phase_diagram
+
     d_xpy_values = np.linspace(cfg["d_xpy_min"], cfg["d_xpy_max"], cfg["n_d"])
     if not np.isfinite(d_xpy_values).all():  # the width d_xpy_max - d_xpy_min overflowed
         raise OverflowError(f"d_xpy grid is not finite: {d_xpy_values.tolist()}")
@@ -310,10 +326,11 @@ def _run_phase_diagram(cfg: RunConfig) -> str:
         np.linspace(cfg["c_min"], cfg["c_max"], cfg["n_c"]),
         m=cfg["m"],
     )
-    axes, statuses = (diagram.d_xpy_values, diagram.thermal_cs), diagram.statuses()
+    statuses = diagram.statuses()
     if cfg.fmt == "json":
-        return _grid_json(cfg, ("d_xpy", "c"), axes, ([[s] for s in row] for row in statuses))
-    return _grid_csv("d_xpy,c,status", axes, statuses)
+        statuses = [[f'"{status}"' for status in row] for row in statuses]
+    axes = (diagram.d_xpy_values, diagram.thermal_cs)
+    return _grid(("d_xpy", "c", "status"), axes, statuses, cfg)
 
 
 def run(cfg: RunConfig) -> str:
@@ -321,8 +338,18 @@ def run(cfg: RunConfig) -> str:
 
     Raises ConfigError / PhysicalityError / numpy.linalg.LinAlgError /
     ArithmeticError (overflow, or division by an underflowed value); the
-    caller maps those to exit codes.
+    caller maps those to exit codes.  Only the grid commands load numpy.
     """
+    if cfg.command not in _GRID_ROWS:
+        return _run(cfg)
+    import numpy as np
+
+    # overflow is reported once, as exit code 4, not also as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _run(cfg)
+
+
+def _run(cfg: RunConfig) -> str:
     if cfg.command == "phase-diagram":
         return _run_phase_diagram(cfg)
 
@@ -363,18 +390,13 @@ def run(cfg: RunConfig) -> str:
             "boundary": met.boundary,
         }
         return _pairs(cfg, "quantity,value", values, {"t": cfg["t"], **values})
+    from .experiments import SweepSpec, sweep
+
     spec = SweepSpec(
         env, initial, cfg["t_max"], cfg["n_t"], cfg["c_min"], cfg["c_max"], cfg["n_c"]
     )
     if cfg.command == "sweep":
-        result = sweep(spec)
-        if cfg.fmt == "csv":
-            return sweep_csv(result)
-        rows = (
-            [[s, degree, 1] if ok else [s, None, 0] for s, degree, ok in cells]
-            for cells in _sweep_cells(result)
-        )
-        return _grid_json(cfg, ("t", "c"), (result.times, result.thermal_cs), rows)
+        return _sweep_text(sweep(spec), cfg)
     if cfg.command == "classify":
         return _run_classify(cfg, spec)
     raise ConfigError(f"unknown command {cfg.command!r}")
@@ -419,6 +441,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_errors() -> tuple[type[Exception], ...]:
+    """Exit code 4's exceptions: ArithmeticError, and numpy's LinAlgError once
+    numpy is loaded, as only numpy code raises it.  An ``except`` clause calls
+    this when an exception reaches it, so numpy is not imported to catch."""
+    numpy = sys.modules.get("numpy")
+    return (ArithmeticError, numpy.linalg.LinAlgError) if numpy else (ArithmeticError,)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -438,10 +468,7 @@ def main(argv: list[str] | None = None) -> int:
             for key in sorted(flat):
                 print(f"{key}={flat[key]}")
             return EXIT_OK
-        # overflow is reported once, as exit code 4, not also as numpy warnings;
-        # numpy's det divides by zero on singular matrices and returns 0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            text = run(cfg)
+        text = run(cfg)
         if cfg.out:
             try:
                 with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
@@ -457,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     except PhysicalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICALITY
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+    except _numerical_errors() as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -10,11 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.typing import NDArray
-
-Matrix = NDArray[np.float64]
-
 #: Largest asymmetry residual accepted (and symmetrized away) on construction.
 SYMMETRY_TOL = 1e-12
 
@@ -24,25 +19,18 @@ MARGIN_TOL = 1e-12
 #: Relative tolerance of the Gibbs-state relations tested by ``is_thermal``.
 THERMAL_RTOL = 1e-12
 
-#: Two-mode symplectic form, diag(J, J) with J = [[0, 1], [-1, 0]].
-OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+#: Names of the ten independent entries of a symmetric 4x4 covariance matrix:
+#: its upper triangle in row order.
+ENTRY_NAMES: tuple[str, ...] = (
+    "sigma_xx", "sigma_xpx", "sigma_xy", "sigma_xpy", "sigma_pxpx",
+    "sigma_ypx", "sigma_pxpy", "sigma_yy", "sigma_ypy", "sigma_pypy",
+)
 
-# Upper-triangle entry names in row order; these are the ten independent
-# components of a symmetric 4x4 covariance matrix.
-_ENTRY_INDEX: dict[str, tuple[int, int]] = {
-    "sigma_xx": (0, 0),
-    "sigma_xpx": (0, 1),
-    "sigma_xy": (0, 2),
-    "sigma_xpy": (0, 3),
-    "sigma_pxpx": (1, 1),
-    "sigma_ypx": (1, 2),
-    "sigma_pxpy": (1, 3),
-    "sigma_yy": (2, 2),
-    "sigma_ypy": (2, 3),
-    "sigma_pypy": (3, 3),
-}
 
-ENTRY_NAMES: tuple[str, ...] = tuple(_ENTRY_INDEX)
+def _rows(values) -> list[list[float]]:
+    """The four rows of the symmetric matrix with upper triangle ``values``."""
+    xx, xpx, xy, xpy, pxpx, ypx, pxpy, yy, ypy, pypy = values
+    return [[xx, xpx, xy, xpy], [xpx, pxpx, ypx, pxpy], [xy, ypx, yy, ypy], [xpy, pxpy, ypy, pypy]]
 
 
 def _check_parameters(m, omega, lam, thermal_c, *coefficients) -> None:
@@ -153,12 +141,15 @@ class CovarianceMatrix:
     rejects it otherwise, so small floating-point drift is absorbed but
     genuinely asymmetric data is not.
     Non-finite entries are rejected.  Physicality is not required here; see
-    :func:`check_physical_state`.
+    :func:`check_physical_state`.  The state is its ten independent entries,
+    floats in ``ENTRY_NAMES`` order; numpy builds the 4x4 only when it is read.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_values", "_matrix")
 
     def __init__(self, entries) -> None:
+        import numpy as np
+
         arr = np.array(entries, dtype=float)
         if arr.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got shape {arr.shape}")
@@ -173,56 +164,63 @@ class CovarianceMatrix:
             arr = 0.5 * arr  # halving first: the sum below cannot overflow
             arr = arr + arr.T
         arr.setflags(write=False)
-        object.__setattr__(self, "_entries", arr)
+        self._values = tuple(arr[np.triu_indices(4)].tolist())
+        self._matrix = arr
 
     @classmethod
-    def _wrap(cls, arr: Matrix) -> CovarianceMatrix:
-        """Wrap ``arr`` unchecked: it must be a read-only, finite, exactly symmetric 4x4."""
+    def _of(cls, values: tuple[float, ...]) -> CovarianceMatrix:
+        """The matrix of ten finite floats in ``ENTRY_NAMES`` order, unchecked."""
         self = object.__new__(cls)
-        self._entries = arr
+        self._values, self._matrix = values, None
         return self
 
     @property
-    def entries(self) -> Matrix:
-        """The full matrix (read-only view)."""
-        return self._entries
+    def entries(self):
+        """The full matrix (read-only numpy array), built on first use."""
+        if self._matrix is None:
+            import numpy as np
+
+            self._matrix = np.array(_rows(self._values))
+            self._matrix.setflags(write=False)
+        return self._matrix
 
     def __array__(self, dtype=None, copy=None):
-        return (np.array if copy else np.asarray)(self._entries, dtype=dtype)
+        import numpy as np
+
+        return (np.array if copy else np.asarray)(self.entries, dtype=dtype)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CovarianceMatrix):
             return NotImplemented
-        return bool(np.array_equal(self._entries, other._entries))
+        return self._values == other._values
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"CovarianceMatrix({self._entries.tolist()!r})"
+        return f"CovarianceMatrix({_rows(self._values)!r})"
 
 
 def covariance_from_entries(values) -> CovarianceMatrix:
     """Build a covariance matrix from named independent entries.
 
-    ``values`` maps entry names (``sigma_xx`` ... ``sigma_pypy``) to floats;
-    missing entries default to zero, unknown names are rejected.
+    ``values`` maps entry names (``sigma_xx`` ... ``sigma_pypy``) to finite
+    floats; missing entries default to zero, unknown names are rejected.
     """
-    out = np.zeros((4, 4))
+    out = dict.fromkeys(ENTRY_NAMES, 0.0)
     for name, value in dict(values).items():
-        try:
-            i, j = _ENTRY_INDEX[name]
-        except KeyError:
+        if name not in out:
             raise ValueError(
                 f"unknown covariance entry {name!r}; valid names: {', '.join(ENTRY_NAMES)}"
-            ) from None
-        out[i, j] = out[j, i] = float(value)
-    return CovarianceMatrix(out)
+            )
+        out[name] = float(value)
+    if not all(map(math.isfinite, out.values())):
+        raise ValueError("covariance matrix entries must be finite")
+    return CovarianceMatrix._of(tuple(out.values()))
 
 
 def independent_entries(sigma: CovarianceMatrix) -> dict[str, float]:
     """The ten independent entries of ``sigma`` keyed by canonical name."""
-    e = sigma.entries
-    return {name: float(e[i, j]) for name, (i, j) in _ENTRY_INDEX.items()}
+    return dict(zip(ENTRY_NAMES, sigma._values))
 
 
 @dataclass(frozen=True)
@@ -272,12 +270,41 @@ def validate_diffusion(env: EnvironmentSpec) -> tuple[DiffusionCheck, ...]:
     )
 
 
+def _positive_definite(values, shift: float) -> bool:
+    """True when H = sigma + (i/2) Omega + shift * I, sigma with upper triangle
+    ``values``, has only positive pivots in its LDL^H factorization."""
+    h = [[complex(v) for v in row] for row in _rows(values)]
+    h[1][0] -= 0.5j  # Omega = diag(J, J), J = [[0, 1], [-1, 0]]; only the
+    h[3][2] -= 0.5j  # lower triangle of H is read
+    for k in range(4):
+        h[k][k] += shift
+    for k in range(4):
+        pivot = h[k][k].real
+        if not pivot > 0.0:  # also NaN
+            return False
+        for i in range(k + 1, 4):
+            ratio = h[i][k] / pivot
+            for j in range(k + 1, i + 1):
+                h[i][j] -= ratio * h[j][k].conjugate()
+    return True
+
+
 @dataclass(frozen=True)
 class StateReport:
-    """Result of :func:`check_physical_state`."""
+    """Result of :func:`check_physical_state`: the verdict, and the sigma it
+    was reached on (rescaled when its diagonal is positive) as ten entries in
+    ``ENTRY_NAMES`` order."""
 
-    min_eigenvalue: float
     physical: bool
+    rescaled: tuple[float, ...]
+
+    @property
+    def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the rescaled sigma + (i/2) Omega, by numpy."""
+        import numpy as np
+
+        omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+        return float(np.linalg.eigvalsh(np.array(_rows(self.rescaled)) + 0.5j * omega)[0])
 
 
 def check_physical_state(sigma: CovarianceMatrix) -> StateReport:
@@ -288,23 +315,31 @@ def check_physical_state(sigma: CovarianceMatrix) -> StateReport:
     is rescaled by the symplectic diag(s, 1/s), s = (sigma_pp/sigma_xx)^(1/4),
     which keeps the sign of every eigenvalue, so that axis squeezing does not
     widen the slack.  Physical means a positive diagonal and a smallest
-    eigenvalue (``min_eigenvalue``, after rescaling) of at least
-    -MARGIN_TOL * max(1, max|rescaled sigma|).  Raises ``OverflowError`` if
-    the rescaled sigma overflows, which only a non-PSD sigma can do.
+    eigenvalue of the rescaled sigma + (i/2) Omega above -slack, slack =
+    MARGIN_TOL * max(1, max|rescaled sigma|).  No eigenvalue is computed for
+    that: the Hermitian H = rescaled sigma + (i/2) Omega + slack * I is
+    positive definite exactly when every pivot of its LDL^H factorization
+    (Cholesky without square roots) is positive, which is decided in Python
+    floats, and the factorization is backward stable.  ``min_eigenvalue``
+    calls numpy when it is read.  Raises ``OverflowError`` if the rescaled
+    sigma is not finite, which only an unphysical sigma can make it.
     """
-    entries = sigma.entries
-    xx, pp, yy, qq = (math.sqrt(math.sqrt(v)) if v > 0 else 0.0 for v in entries.diagonal())
-    positive = bool(xx and pp and yy and qq)
-    if positive:
-        # ratios of fourth roots: s cannot overflow
-        scale = np.array([pp / xx, xx / pp, qq / yy, yy / qq])
-        with np.errstate(over="ignore"):
-            entries = entries * np.outer(scale, scale)
-    slack = MARGIN_TOL * max(1.0, float(np.max(np.abs(entries))))
-    if slack == math.inf:
+    v = sigma._values
+    diagonal = (v[0], v[4], v[7], v[9])
+    xx, pp, yy, qq = (math.sqrt(math.sqrt(d)) if d > 0 else 0.0 for d in diagonal)
+    if not (xx and pp and yy and qq):
+        return StateReport(False, v)
+    # ratios of fourth roots: s cannot overflow; entry (i, j) is scaled by
+    # scale_i * scale_j with scale = (s_x, 1/s_x, s_y, 1/s_y)
+    a, b, c, d = pp / xx, xx / pp, qq / yy, yy / qq
+    rescaled = (
+        v[0] * (a * a), v[1] * (a * b), v[2] * (a * c), v[3] * (a * d), v[4] * (b * b),
+        v[5] * (b * c), v[6] * (b * d), v[7] * (c * c), v[8] * (c * d), v[9] * (d * d),
+    )
+    if not all(map(math.isfinite, rescaled)):
         raise OverflowError("covariance matrix overflows when its modes are rescaled")
-    min_eigenvalue = float(np.linalg.eigvalsh(entries + 0.5j * OMEGA)[0])
-    return StateReport(min_eigenvalue, positive and min_eigenvalue >= -slack)
+    slack = MARGIN_TOL * max(1.0, *map(abs, rescaled))
+    return StateReport(_positive_definite(rescaled, slack), rescaled)
 
 
 def thermal_c_from_temperature(temperature: float, omega: float = 1.0) -> float:

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .core import CovarianceMatrix, EnvironmentSpec, Matrix, _square
+from .core import CovarianceMatrix, EnvironmentSpec, _square
 
 
 def _rotation(env: EnvironmentSpec, t: float) -> tuple[float, float, float, float]:
@@ -48,11 +46,12 @@ def _congruence(rot, p: float, q: float, r: float, u: float) -> tuple[float, flo
     )
 
 
-def propagator(env: EnvironmentSpec, t: float) -> Matrix:
-    """Closed-form exp(Y t); identity at t = 0, determinant e^{-4 lam t}.
-
-    Raises ``OverflowError`` when the phase omega*t overflows.
+def propagator(env: EnvironmentSpec, t: float):
+    """Closed-form exp(Y t) as a numpy 4x4; identity at t = 0, determinant
+    e^{-4 lam t}.  Raises ``OverflowError`` when the phase omega*t overflows.
     """
+    import numpy as np
+
     r00, r01, r10, r11 = _rotation(env, t)
     return np.array(
         [[r00, r01, 0.0, 0.0], [r10, r11, 0.0, 0.0], [0.0, 0.0, r00, r01], [0.0, 0.0, r10, r11]]
@@ -63,7 +62,8 @@ def _check_block(env: EnvironmentSpec, block, diffusion) -> None:
     """Raise ``numpy.linalg.LinAlgError`` unless s = [[a, b], [b, c]] (``block``)
     solves Y0 s + s Y0^T = -2 [[d11, d12], [d12, d22]] (``diffusion``): each of
     the three independent residual entries (the diagonal ones halved) must lie
-    within 1e-12 of the sum of the magnitudes of its terms, a finite sum."""
+    within 1e-12 of the sum of the magnitudes of its terms, a finite sum.
+    numpy is imported only to raise."""
     (a, b, c), (d11, d12, d22) = block, diffusion
     lam, m = env.lam, env.m
     mw2 = m * _square(env, "omega")
@@ -73,15 +73,16 @@ def _check_block(env: EnvironmentSpec, block, diffusion) -> None:
         (d22, -mw2 * b, -lam * c),
     ):
         scale = sum(map(abs, terms))
+        residual = abs(sum(terms))
+        if scale < math.inf and residual <= 1e-12 * scale:
+            continue
+        from numpy.linalg import LinAlgError
+
         if not scale < math.inf:
-            raise np.linalg.LinAlgError(
+            raise LinAlgError(
                 f"Lyapunov solve is not finite or its residual overflows: s = {list(block)}"
             )
-        residual = abs(sum(terms))
-        if not residual <= 1e-12 * scale:
-            raise np.linalg.LinAlgError(
-                f"Lyapunov solve residual {residual:.3e} exceeds {1e-12 * scale:.3e}"
-            )
+        raise LinAlgError(f"Lyapunov solve residual {residual:.3e} exceeds {1e-12 * scale:.3e}")
 
 
 def _steady_block(env: EnvironmentSpec, d11: float, d12: float, d22: float):
@@ -111,33 +112,25 @@ def steady_covariance(env: EnvironmentSpec) -> CovarianceMatrix:
     """
     xx, xp, pp = _steady_block(env, env.d_xx, env.d_xpx, env.d_pxpx)
     cx, cm, cp = _steady_block(env, env.d_xy, env.d_xpy, env.d_pxpy)
-    sigma = np.array(
-        [[xx, xp, cx, cm], [xp, pp, cm, cp], [cx, cm, xx, xp], [cm, cp, xp, pp]]
+    return CovarianceMatrix._of((xx, xp, cx, cm, pp, cm, cp, xx, xp, pp))
+
+
+def _propagate(initial, fixed, rot):
+    """Entries of M (s0 - s_inf) M^T + s_inf in ``ENTRY_NAMES`` order, from the
+    entry tuples of s0 and s_inf and the rotation entries ``rot`` (floats, or
+    arrays over a time column).  R X R^T acts on each 2x2 block of
+    X = s0 - s_inf; the mirror entries are not stored, so the state is exactly
+    symmetric."""
+    xx, xpx, xy, xpy, pxpx, ypx, pxpy, yy, ypy, pypy = fixed
+    a0, a1, c0, c1, a2, c2, c3, b0, b1, b2 = initial
+    a1, b1 = a1 - xpx, b1 - ypy
+    a0, a1, _, a2 = _congruence(rot, a0 - xx, a1, a1, a2 - pxpx)
+    b0, b1, _, b2 = _congruence(rot, b0 - yy, b1, b1, b2 - pypy)
+    c0, c1, c2, c3 = _congruence(rot, c0 - xy, c1 - xpy, c2 - ypx, c3 - pxpy)
+    return (
+        a0 + xx, a1 + xpx, c0 + xy, c1 + xpy, a2 + pxpx,
+        c2 + ypx, c3 + pxpy, b0 + yy, b1 + ypy, b2 + pypy,
     )
-    sigma.setflags(write=False)
-    return CovarianceMatrix._wrap(sigma)
-
-
-def _propagate(initial: CovarianceMatrix, fixed: Matrix, rot, times) -> Matrix:
-    """M (s0 - s_inf) M^T + s_inf, read-only, from the rotation entries ``rot``
-    (floats, or arrays over ``times`` that stack on axis 0).  R X R^T acts on
-    each 2x2 block of X = s0 - s_inf and the mirror entries are copies, so each
-    4x4 is exactly symmetric.  ``OverflowError`` names the first t not finite."""
-    (a0, a1, c0, c1), (_, a2, c2, c3), (_, _, b0, b1), (_, _, _, b2) = (
-        initial.entries - fixed
-    ).tolist()
-    a0, a1, _, a2 = _congruence(rot, a0, a1, a1, a2)
-    b0, b1, _, b2 = _congruence(rot, b0, b1, b1, b2)
-    c0, c1, c2, c3 = _congruence(rot, c0, c1, c2, c3)
-    moved = np.array([[a0, a1, c0, c1], [a1, a2, c2, c3], [c0, c2, b0, b1], [c1, c3, b1, b2]])
-    # both are symmetric in their 4x4 axes, so .T moves t to the front and
-    # keeps the two operands in one memory order
-    out = moved.T + fixed.T
-    if not np.isfinite(out).all():
-        first = np.isfinite(out).reshape(len(times), -1).all(axis=1).argmin()
-        raise OverflowError(f"evolved covariance matrix is not finite at t = {times[first]}")
-    out.setflags(write=False)
-    return out
 
 
 def evolve(
@@ -152,24 +145,37 @@ def evolve(
     ``t = 0`` returns ``initial`` unchanged; ``t`` must be finite and
     nonnegative.  ``steady`` may carry a precomputed steady-state covariance
     to avoid repeated Lyapunov solves.  The result is exactly symmetric;
-    ``OverflowError`` is raised when it is not finite.
+    ``OverflowError`` is raised when it is not finite.  This is float
+    arithmetic on the ten entries, with no numpy.
     """
     if t == 0:
         return initial
     rot = _rotation(env, t)
-    fixed = (steady if steady is not None else steady_covariance(env)).entries
-    return CovarianceMatrix._wrap(_propagate(initial, fixed, rot, (t,)))
+    fixed = steady if steady is not None else steady_covariance(env)
+    values = _propagate(initial._values, fixed._values, rot)
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"evolved covariance matrix is not finite at t = {t}")
+    return CovarianceMatrix._of(values)
 
 
 def _evolve_column(
     initial: CovarianceMatrix, env: EnvironmentSpec, times: list[float], fixed: CovarianceMatrix
 ) -> list[CovarianceMatrix]:
-    """evolve(initial, env, t, steady=fixed) for each t of ``times``, in one array
+    """evolve(initial, env, t, steady=fixed) for each t of ``times``, in one numpy
     pass with the same bits: the rotations come from the scalar ``_rotation``
-    (``math.exp`` is not ``np.exp``).  t = 0 gives ``initial`` itself.
+    (``math.exp`` is not ``np.exp``), and +, - and x round alike in numpy and
+    in floats.  t = 0 gives ``initial`` itself.
     """
+    import numpy as np
+
     moving = [t for t in times if t != 0]
     rot = np.array(list(zip(*[_rotation(env, t) for t in moving]))).reshape(4, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        states = iter(_propagate(initial, fixed.entries, rot, moving))
-    return [initial if t == 0 else CovarianceMatrix._wrap(next(states)) for t in times]
+        out = np.array(_propagate(initial._values, fixed._values, rot))
+    finite = np.isfinite(out).all(axis=0)
+    if not finite.all():
+        raise OverflowError(
+            f"evolved covariance matrix is not finite at t = {moving[finite.argmin()]}"
+        )
+    states = zip(*out.tolist())
+    return [initial if t == 0 else CovarianceMatrix._of(next(states)) for t in times]

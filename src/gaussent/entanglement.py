@@ -24,7 +24,7 @@ def _invariants(sigma: CovarianceMatrix) -> tuple[float, float, float, float]:
     J X J = -cof(X) for the 2x2 symplectic unit J, so T = Tr[A K B K^T] with
     K = cof(C); all of it is float arithmetic on the ten entries.
     """
-    (a0, a1, c0, c1), (_, a2, c2, c3), (_, _, b0, b1), (_, _, _, b2) = sigma.entries.tolist()
+    a0, a1, c0, c1, a2, c2, c3, b0, b1, b2 = sigma._values
     # K = [[c3, -c2], [-c1, c0]]; rows u, v of K B, then P = K B K^T
     u0 = c3 * b0 - c2 * b1
     u1 = c3 * b1 - c2 * b2

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CovarianceMatrix, EnvironmentSpec, Matrix, thermal_environment
+from .core import CovarianceMatrix, EnvironmentSpec, thermal_environment
 from .dynamics import _evolve_column, evolve, steady_covariance
 from .entanglement import asymptotic_simon, asymptotic_threshold, log_negativity, simon_function
 
@@ -132,8 +132,8 @@ def classify_phase(
         )
     fixed = steady_covariance(env)
     times = np.linspace(0.0, t_max, n_t).tolist()
-    states = _evolve_column(initial, env, times, fixed)
-    s_values = np.array([simon_function(state) for state in states])
+    # the column's states are dropped before the bisection, which makes its own
+    s_values = np.array([simon_function(s) for s in _evolve_column(initial, env, times, fixed)])
     classes = s_values < 0.0
 
     events = _merge_events(
@@ -194,10 +194,10 @@ class SweepSpec:
         if not self.c_min <= self.c_max < math.inf:
             raise ValueError(f"c_max must be finite and >= c_min, got {self.c_max}")
 
-    def times(self) -> Matrix:
+    def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.n_t)
 
-    def thermal_cs(self) -> Matrix:
+    def thermal_cs(self) -> np.ndarray:
         return np.linspace(self.c_min, self.c_max, self.n_c)
 
     def environment_at(self, thermal_c: float) -> EnvironmentSpec:
@@ -217,10 +217,10 @@ class SweepResult:
     """
 
     spec: SweepSpec
-    times: Matrix
-    thermal_cs: Matrix
-    simon: Matrix
-    log_neg: Matrix
+    times: np.ndarray
+    thermal_cs: np.ndarray
+    simon: np.ndarray
+    log_neg: np.ndarray
     defined: np.ndarray
     classifications: tuple[PhaseClassification, ...]
 
@@ -237,6 +237,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
         states = _evolve_column(spec.initial, env_c, times.tolist(), steady_covariance(env_c))
         # an undefined L (None) is stored as NaN
         simon[:, j], log_neg[:, j] = zip(*[(simon_function(s), log_negativity(s)) for s in states])
+        del states  # classify_phase propagates its own column; hold one at a time
         classifications.append(classify_phase(spec.initial, env_c, spec.t_max, spec.n_t))
     return SweepResult(
         spec=spec,
@@ -254,16 +255,15 @@ class PhaseDiagram:
     """Entangled-at-infinity map over a (d_xpy, thermal_c) grid, d_xy = 0.
 
     Cells violating the diffusion constraint (lam/2) thermal_c >= |d_xpy| are
-    marked unphysical and excluded from the entangled set.  ``c_thresholds``
-    holds the analytic boundary C* = 1 + 2|d_xpy| / sqrt(lam^2 + omega^2) per
-    row; a physical cell is entangled iff thermal_c < C*.
+    marked unphysical and excluded from the entangled set.  A physical cell is
+    entangled iff thermal_c < C* = 1 + 2|d_xpy| / sqrt(lam^2 + omega^2), the
+    row's :func:`~gaussent.entanglement.asymptotic_threshold`.
     """
 
-    d_xpy_values: Matrix
-    thermal_cs: Matrix
+    d_xpy_values: np.ndarray
+    thermal_cs: np.ndarray
     entangled: np.ndarray
     unphysical: np.ndarray
-    c_thresholds: Matrix
 
     def statuses(self) -> list[list[str]]:
         """Each cell's status, row by row: unphysical, else entangled or separable."""
@@ -304,5 +304,4 @@ def asymptotic_phase_diagram(
         thermal_cs=cs,
         entangled=entangled,
         unphysical=unphysical,
-        c_thresholds=thresholds,
     )

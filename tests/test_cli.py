@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import gaussent as ge
 from gaussent.core import ENTRY_NAMES, independent_entries
 from gaussent.entanglement import simon_function
 from gaussent.experiments import LABELS
-from gaussent.cli import _KEYS, COMMANDS, build_config, main, run, sweep_csv
+from gaussent.cli import _KEYS, COMMANDS, _sweep_text, build_config, main, run, sweep_csv
 from gaussent.presets import PRESET_NAMES
 from helpers import (
     phase_diagram_csv_oracle,
@@ -531,18 +532,55 @@ class TestWriters:
         assert result["d_xpy"] == diagram.d_xpy_values.tolist()
         assert result["c"] == diagram.thermal_cs.tolist()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writers_refuse_values_that_are_not_finite(self, fmt):
+        # json writes NaN and Infinity, the templates would write nan and inf
+        cfg = build_config("sweep", {"initial": "fig3", "n_t": "100", "n_c": "2"}, fmt=fmt)
+        result = ge.sweep(ge.SweepSpec(cfg.environment(), cfg.initial_state(), n_t=100, n_c=2))
+        # an undefined L is NaN by design, and is written as nan or null
+        assert (~result.defined).any()
+        assert _sweep_text(result, cfg) == run(cfg)
+        simon, log_neg = result.simon.copy(), result.log_neg.copy()
+        simon[1, 1] = math.nan
+        log_neg[tuple(np.argwhere(result.defined)[0])] = math.inf
+        for bad in (
+            dataclasses.replace(result, simon=simon),
+            dataclasses.replace(result, log_neg=log_neg),
+        ):
+            with pytest.raises(OverflowError, match="not finite"):
+                _sweep_text(bad, cfg)
 
-def _fresh_process(argv, out_file):
-    """Exit code, stdout, stderr and --out file text of argv run in a new interpreter."""
+    @pytest.mark.filterwarnings("ignore:classification grid is below the recommended resolution")
+    @pytest.mark.parametrize(
+        "command,keys",
+        [
+            ("sweep", {"initial": "fig3", "n_t": "40", "n_c": "3"}),
+            ("phase-diagram", {"n_d": "4", "n_c": "5", "d_xpy_min": "-0.01"}),
+        ],
+    )
+    def test_grid_json_is_what_json_dumps_writes(self, command, keys):
+        cfg = build_config(command, keys, fmt="json")
+        written = run(cfg)
+        payload = json.loads(written)
+        assert json.dumps(payload, indent=2) + "\n" == written
+
+
+def _python(*args):
+    """The finished process of ``python *args`` in a new interpreter that imports this gaussent."""
     src = os.path.dirname(os.path.dirname(ge.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gaussent.cli", *argv],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         check=False,
     )
+
+
+def _fresh_process(argv, out_file):
+    """Exit code, stdout, stderr and --out file text of argv run in a new interpreter."""
+    proc = _python("-m", "gaussent.cli", *argv)
     return proc.returncode, proc.stdout, proc.stderr, _take(out_file)
 
 
@@ -552,6 +590,69 @@ def _take(path):
     text = path.read_text()
     path.unlink()
     return text
+
+
+#: Point queries on physical states: fig1 is pure, on the physicality boundary.
+_POINT_ARGVS = [
+    [*argv, "--format", fmt]
+    for argv in (
+        ["steady"],
+        ["evolve", "--set", "initial=fig1", "--set", "t=7.25"],
+        ["metrics", "--set", "initial=fig1", "--set", "t=7.25"],
+        ["metrics", "--set", "initial=fig2", "--set", "c=1.2", "--set", "t=3"],
+    )
+    for fmt in ("csv", "json")
+]
+
+
+class TestPointQueriesWithoutNumpy:
+    def test_point_commands_do_not_import_numpy(self, capsys):
+        # the lenient warning quotes the smallest eigenvalue, which numpy
+        # computes: that run comes after the check
+        lenient = ["metrics", "--set", "initial=fig3"]
+        script = (
+            "import json, sys\n"
+            "from gaussent.cli import main\n"
+            f"codes = [main(argv) for argv in {_POINT_ARGVS!r}]\n"
+            "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'numpy')\n"
+            f"codes.append(main({lenient!r}))\n"
+            "print(json.dumps([codes, loaded]))\n"
+        )
+        proc = _python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        *outputs, last = proc.stdout.splitlines(keepends=True)
+        codes, loaded = json.loads(last)
+        assert loaded == []
+        assert codes == [0] * (len(_POINT_ARGVS) + 1)
+        expected = [run_cli(capsys, *argv) for argv in [*_POINT_ARGVS, lenient]]
+        assert "".join(outputs) == "".join(out for _, out, _ in expected)
+        assert proc.stderr == "".join(err for _, _, err in expected)
+        assert "warning: unphysical initial state" in proc.stderr
+
+    def test_numpy_errors_map_to_exit_4_when_numpy_loads_late(self):
+        # this Lyapunov solve fails its residual check, and the LinAlgError
+        # it raises is the first thing that imports numpy
+        bath = {
+            "lambda": "5.439204557411032e-151",
+            "m": "7.024059605703189e-118",
+            "omega": "2.758196771215249e+37",
+            "d_xy": "3.0351796967227864e-200",
+            "d_xpy": "0",
+        }
+        argv = ["steady"]
+        for key, value in bath.items():
+            argv += ["--set", f"{key}={value}"]
+        script = (
+            "import sys\n"
+            "from gaussent.cli import main\n"
+            "assert 'numpy' not in sys.modules\n"
+            f"raise SystemExit(main({argv!r}))\n"
+        )
+        proc = _python("-c", script)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == (
+            "error: numerical failure: Lyapunov solve residual 1.491e-92 exceeds 1.491e-104\n"
+        )
 
 
 class TestParserReuse:

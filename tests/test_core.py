@@ -337,6 +337,12 @@ class TestCheckPhysicalState:
         with pytest.raises(OverflowError, match="rescaled"):
             check_physical_state(sigma)
 
+    def test_rescaling_to_nan_raises(self):
+        # s_x * s_y overflows, and the zero sigma_xy times it is NaN
+        sigma = ge.CovarianceMatrix(np.diag([5e-324, 1e308, 5e-324, 1e308]))
+        with pytest.raises(OverflowError, match="rescaled"):
+            check_physical_state(sigma)
+
     @given(
         thermal_c=st.floats(1.0, 50.0),
         m=st.floats(0.5, 2.0),

@@ -7,7 +7,7 @@ import pytest
 import gaussent as ge
 from gaussent.core import MARGIN_TOL, EnvironmentSpec, validate_diffusion
 from gaussent.dynamics import steady_covariance
-from gaussent.entanglement import asymptotic_simon, simon_function
+from gaussent.entanglement import asymptotic_simon, asymptotic_threshold, simon_function
 from gaussent.experiments import EVENT_MERGE_TOL, _merge_events
 from helpers import (
     diffusion_matrix,
@@ -293,7 +293,7 @@ class TestPhaseDiagram:
         d_rows = [0.02, 0.035, 0.049]
         diagram = ge.asymptotic_phase_diagram(0.1, 1.0, d_rows, cs)
         for i, d_xpy in enumerate(d_rows):
-            threshold = diagram.c_thresholds[i]
+            threshold = asymptotic_threshold(ge.thermal_environment(0.1, 1.3, 0.0, d_xpy))
             assert threshold == pytest.approx(
                 1 + 2 * d_xpy / math.sqrt(1.01), abs=1e-15
             )

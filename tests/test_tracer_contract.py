@@ -35,6 +35,26 @@ def test_traced_functions_exist():
             assert inspect.isfunction(getattr(module, name, None)), f"gaussent.{layer}.{name}"
 
 
+def test_package_names_follow_their_module(monkeypatch):
+    # the tracer swaps module attributes for the length of a trace; a copy
+    # cached in the package namespace would keep the wrapper after it ends
+    import gaussent
+    import gaussent.experiments
+
+    def patched(*args, **kwargs):
+        return None
+
+    monkeypatch.setattr(gaussent.experiments, "classify_phase", patched)
+    assert gaussent.classify_phase is patched
+    monkeypatch.undo()
+    assert gaussent.classify_phase is classify_phase
+    assert "classify_phase" not in vars(gaussent)
+    assert len(gaussent.__all__) == 12
+    assert set(gaussent.__all__) <= set(dir(gaussent))
+    for name in gaussent.__all__:
+        assert getattr(gaussent, name) is not None
+
+
 def test_wrapped_signatures():
     # the classify hook reads bound.arguments["n_t"]; __init__ is wrapped on the class
     assert "n_t" in inspect.signature(classify_phase).parameters
