@@ -4,6 +4,9 @@ Commands: evolve, steady, metrics, sweep, classify, phase-diagram.
 Configuration is a flat key=value file plus repeatable --set overrides
 (flags win); outputs are deterministic CSV (floats to 17 significant digits)
 or JSON (shortest round-trip floats): identical configurations, identical bytes.
+Exact option spellings (``--set VALUE``, ``--format json``, ...) are parsed
+directly; abbreviations, ``--opt=value``, ``--help`` and usage errors go
+through argparse, with the same results.
 
 Exit codes: 0 success, 2 configuration error, 3 physicality violation,
 4 numerical failure.
@@ -11,13 +14,12 @@ Exit codes: 0 success, 2 configuration error, 3 physicality violation,
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import math
 import operator
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -36,6 +38,8 @@ from .entanglement import metrics
 from .presets import PRESET_NAMES, initial_state
 
 if TYPE_CHECKING:  # experiments, with numpy, loads only for the grid commands
+    import argparse
+
     from .experiments import SweepResult, SweepSpec
 
 COMMANDS = ("evolve", "steady", "metrics", "sweep", "classify", "phase-diagram")
@@ -214,10 +218,34 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
+def _json(value, pad: str = "\n") -> str:
+    """``value`` as json.dumps(value, indent=2) writes it, with ``pad`` the
+    newline and indentation of the line it starts on: dicts with str keys,
+    lists, str, float, int, bool and None; any other type raises TypeError."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):  # before int, of which bool is a subclass
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(value, list):
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _json_output(cfg: RunConfig, result: dict) -> str:
-    return json.dumps(
-        {"command": cfg.command, "config": cfg.to_flat(), "result": result}, indent=2
-    ) + "\n"
+    return _json({"command": cfg.command, "config": cfg.to_flat(), "result": result}) + "\n"
 
 
 def _pairs(cfg: RunConfig, header: str, values: dict, result: dict) -> str:
@@ -247,7 +275,7 @@ def _grid(names: tuple[str, str, str], axes, rows, cfg: RunConfig | None = None)
         for r, cells in zip(row_axis, rows)
         for c, cell in zip(columns, cells)
     )
-    head = json.dumps({"command": cfg.command, "config": cfg.to_flat()}, indent=2)[:-2]
+    head = _json({"command": cfg.command, "config": cfg.to_flat()})[:-2]
     lists = ",\n".join(
         f'    "{name}": [\n      ' + ",\n      ".join(axis) + "\n    ]"
         for name, axis in zip(names, (row_axis, columns))
@@ -404,6 +432,8 @@ def _run(cfg: RunConfig) -> str:
 
 @functools.cache  # argparse copies the --set default list on each parse
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # only argvs that _parse_args declines need it
+
     parser = argparse.ArgumentParser(
         prog="gauss-ent",
         description=(
@@ -441,6 +471,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUED = {"--set": "overrides", "--config": "config", "--out": "out", "--format": "format"}
+_FLAGS = {"--strict": "strict", "--dump-config": "dump_config"}
+
+
+def _parse_args(argv: list[str]) -> dict | None:
+    """``vars(_build_parser().parse_args(argv))`` for an argv of one command,
+    exact option spellings and values that do not start with ``-``; None for
+    any other argv, which argparse then parses or rejects."""
+    args = dict(command=None, config=None, overrides=[], out=None, format="csv",
+                strict=False, dump_config=False)
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _FLAGS:
+            args[_FLAGS[token]] = True
+        elif token in _VALUED:
+            value = next(tokens, "-")  # a missing value is declined like "-..."
+            if value.startswith("-") or token == "--format" and value not in ("csv", "json"):
+                return None
+            if token == "--set":
+                args["overrides"].append(value)
+            else:
+                args[_VALUED[token]] = value
+        elif token in COMMANDS and args["command"] is None:
+            args["command"] = token
+        else:
+            return None
+    return args if args["command"] else None
+
+
 def _numerical_errors() -> tuple[type[Exception], ...]:
     """Exit code 4's exceptions: ArithmeticError, and numpy's LinAlgError once
     numpy is loaded, as only numpy code raises it.  An ``except`` clause calls
@@ -450,20 +509,22 @@ def _numerical_errors() -> tuple[type[Exception], ...]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_args(argv) or vars(_build_parser().parse_args(argv))
     try:
         provided: dict[str, str] = {}
-        if args.config:
-            provided.update(parse_flat_file(args.config))
-        for item in args.overrides:
+        if args["config"]:
+            provided.update(parse_flat_file(args["config"]))
+        for item in args["overrides"]:
             if "=" not in item:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             key, _, value = item.partition("=")
             provided[key.strip()] = value.strip()
         cfg = build_config(
-            args.command, provided, strict=args.strict, out=args.out, fmt=args.format
+            args["command"], provided, strict=args["strict"], out=args["out"], fmt=args["format"]
         )
-        if args.dump_config:
+        if args["dump_config"]:
             flat = cfg.to_flat()
             for key in sorted(flat):
                 print(f"{key}={flat[key]}")

@@ -9,14 +9,25 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gaussent as ge
 from gaussent.core import ENTRY_NAMES, independent_entries
 from gaussent.entanglement import simon_function
 from gaussent.experiments import LABELS
-from gaussent.cli import _KEYS, COMMANDS, _sweep_text, build_config, main, run, sweep_csv
+from gaussent.cli import (
+    _KEYS,
+    COMMANDS,
+    _build_parser,
+    _json,
+    _parse_args,
+    _sweep_text,
+    build_config,
+    main,
+    run,
+    sweep_csv,
+)
 from gaussent.presets import PRESET_NAMES
 from helpers import (
     phase_diagram_csv_oracle,
@@ -488,6 +499,19 @@ class TestDeterminism:
         assert first.read_bytes() == second.read_bytes()
 
 
+#: A lenient unphysical state whose partially transposed pair is complex:
+#: metrics writes its nu_tilde_minus_sq as NaN.
+_NAN_NU_STATE = {
+    "sigma_xx": "0.21050832388921256",
+    "sigma_pxpx": "0.7194126159259291",
+    "sigma_yy": "1.4112040009843405",
+    "sigma_pypy": "1.3256221275528934",
+    "sigma_xy": "1.2478167113324456",
+    "sigma_pxpy": "1.5660341743582724",
+    "sigma_xpy": "-0.7385345213846071",
+}
+
+
 class TestWriters:
     """The grid writers against the cell-by-cell oracles, byte for byte."""
 
@@ -556,6 +580,14 @@ class TestWriters:
         [
             ("sweep", {"initial": "fig3", "n_t": "40", "n_c": "3"}),
             ("phase-diagram", {"n_d": "4", "n_c": "5", "d_xpy_min": "-0.01"}),
+            ("steady", {}),
+            ("evolve", {"initial": "fig3"}),
+            ("metrics", {"initial": "fig3"}),  # t = 0: L undefined, null
+            ("metrics", _NAN_NU_STATE),  # nu_tilde_minus_sq NaN
+            ("classify", {"initial": "fig1", "n_c": "3"}),  # with events
+            ("classify", {"c_min": "2", "c_max": "3", "n_c": "3"}),  # "event_times": []
+            ("metrics", {"temperature": "0.5", "initial": "fig2", "t": "3"}),
+            ("evolve", {**_NAN_NU_STATE, "t": "2"}),  # explicit sigma_* entries
         ],
     )
     def test_grid_json_is_what_json_dumps_writes(self, command, keys):
@@ -563,6 +595,30 @@ class TestWriters:
         written = run(cfg)
         payload = json.loads(written)
         assert json.dumps(payload, indent=2) + "\n" == written
+
+    @given(
+        value=st.recursive(
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(min_value=-(10**40), max_value=10**40),
+                st.floats(allow_subnormal=True),
+                st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+                st.text(),
+                st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9\u03bd\U0001f600"]),
+            ),
+            lambda children: st.one_of(
+                st.lists(children, max_size=4),
+                st.dictionaries(st.text(max_size=4), children, max_size=4),
+            ),
+            max_leaves=20,
+        )
+    )
+    @example(value={})
+    @example(value=[])
+    @settings(max_examples=500, deadline=None)
+    def test_json_writer_is_json_dumps(self, value):
+        assert _json(value, "\n") == json.dumps(value, indent=2)
 
 
 def _python(*args):
@@ -608,13 +664,15 @@ _POINT_ARGVS = [
 class TestPointQueriesWithoutNumpy:
     def test_point_commands_do_not_import_numpy(self, capsys):
         # the lenient warning quotes the smallest eigenvalue, which numpy
-        # computes: that run comes after the check
+        # computes: that run comes after the check.  argparse loads only for
+        # argvs that the direct parser declines.
         lenient = ["metrics", "--set", "initial=fig3"]
         script = (
             "import json, sys\n"
             "from gaussent.cli import main\n"
             f"codes = [main(argv) for argv in {_POINT_ARGVS!r}]\n"
-            "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'numpy')\n"
+            "loaded = sorted(name for name in sys.modules\n"
+            "                if name.split('.')[0] in ('numpy', 'argparse'))\n"
             f"codes.append(main({lenient!r}))\n"
             "print(json.dumps([codes, loaded]))\n"
         )
@@ -679,6 +737,41 @@ class TestParserReuse:
         assert "t=0.0\n" in in_process[2][1]  # the first call's --set did not stick
         for argv, outcome in zip(sequence, in_process):
             assert outcome == _fresh_process(argv, out_file), argv
+
+
+#: Tokens that reach every case argparse handles alone: abbreviations, --opt=value,
+#: --, help, values that start with "-", an invalid --format choice, repeated
+#: commands; a trailing option misses its value.
+_ARGV_TOKENS = [
+    *COMMANDS,
+    *COMMANDS,
+    *("--set", "--config", "--out", "--format", "--strict", "--dump-config"),
+    *("--form", "--se", "--s", "--str", "--set=k=v", "--", "-h", "--help", "-"),
+    *("-5", "-x y", "", "fig1", "initial=fig1", "t=3", "csv", "json", "xml"),
+]
+_ARGV_PAIRS = [["--set", "t=3"], ["--format", "json"], ["--out", "fig1"], ["--config", ""]]
+
+
+class TestDirectParser:
+    @given(
+        chunks=st.lists(
+            st.one_of(st.sampled_from(_ARGV_TOKENS).map(lambda token: [token]),
+                      st.sampled_from(_ARGV_PAIRS)),
+            max_size=6,
+        )
+    )
+    @example(chunks=[["metrics", "--strict", "--dump-config"], *_ARGV_PAIRS])
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_argparse(self, chunks):
+        argv = [token for chunk in chunks for token in chunk]
+        direct = _parse_args(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                expected = vars(_build_parser().parse_args(argv))
+            except SystemExit:
+                assert direct is None, argv
+                return
+        assert direct in (None, expected), argv
 
 
 _GRID_KEYS = ("n_t", "n_c", "n_d")
