@@ -5,11 +5,16 @@ exp(Y t) = e^{-lam t} * diag(R(t), R(t)) with
 R(t) = [[cos(omega t), sin(omega t)/(m omega)], [-m omega sin(omega t), cos(omega t)]],
 so trajectories are sampled without any ODE integration: every instant is
 computed directly from t = 0, and a column of instants in one array pass.
+The rotations do not depend on the bath temperature, so a column's rotation
+array is built once per oscillator (lam, omega, m) and time grid and shared
+by every column and classification on that grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from types import SimpleNamespace
 
 from .core import CovarianceMatrix, EnvironmentSpec, _square
 
@@ -30,6 +35,20 @@ def _rotation(env: EnvironmentSpec, t: float) -> tuple[float, float, float, floa
     diagonal = decay * math.cos(phase)
     sin = math.sin(phase)
     return diagonal, decay * (sin / mw), decay * (-mw * sin), diagonal
+
+
+@functools.lru_cache(maxsize=4)
+def _rotation_column(lam: float, omega: float, m: float, times: tuple[float, ...]):
+    """Read-only (4, len(times)) array of ``_rotation`` for each t of ``times``,
+    keyed on exactly what ``_rotation`` reads, with its bits (``math.exp`` is
+    not ``np.exp``).  A grid of n instants holds about 64 n bytes with its
+    key; errors are not cached."""
+    import numpy as np
+
+    osc = SimpleNamespace(lam=lam, omega=omega, m=m)
+    rot = np.array(list(zip(*[_rotation(osc, t) for t in times]))).reshape(4, -1)
+    rot.flags.writeable = False
+    return rot
 
 
 def _congruence(rot, p: float, q: float, r: float, u: float) -> tuple[float, float, float, float]:
@@ -158,18 +177,18 @@ def evolve(
     return CovarianceMatrix._of(values)
 
 
-def _evolve_column(
+def _column_entries(
     initial: CovarianceMatrix, env: EnvironmentSpec, times: list[float], fixed: CovarianceMatrix
-) -> list[CovarianceMatrix]:
-    """evolve(initial, env, t, steady=fixed) for each t of ``times``, in one numpy
-    pass with the same bits: the rotations come from the scalar ``_rotation``
-    (``math.exp`` is not ``np.exp``), and +, - and x round alike in numpy and
-    in floats.  t = 0 gives ``initial`` itself.
+):
+    """(10, len(times)) array of the entries of evolve(initial, env, t, steady=fixed)
+    for each t of ``times``, in one numpy pass with the same bits: the rotations
+    are the cached ``_rotation_column`` of the time grid, and +, - and x round
+    alike in numpy and in floats.  A t = 0 column holds ``initial``'s entries.
     """
     import numpy as np
 
-    moving = [t for t in times if t != 0]
-    rot = np.array(list(zip(*[_rotation(env, t) for t in moving]))).reshape(4, -1)
+    moving = tuple(filter(None, times))  # the nonzero instants
+    rot = _rotation_column(env.lam, env.omega, env.m, moving)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.array(_propagate(initial._values, fixed._values, rot))
     finite = np.isfinite(out).all(axis=0)
@@ -177,5 +196,20 @@ def _evolve_column(
         raise OverflowError(
             f"evolved covariance matrix is not finite at t = {moving[finite.argmin()]}"
         )
-    states = zip(*out.tolist())
-    return [initial if t == 0 else CovarianceMatrix._of(next(states)) for t in times]
+    if len(moving) < len(times):
+        at_zero = np.array(times) == 0
+        full = np.empty((10, len(times)))
+        full[:, at_zero] = np.array(initial._values)[:, None]
+        full[:, ~at_zero] = out
+        out = full
+    return out
+
+
+def _evolve_column(
+    initial: CovarianceMatrix, env: EnvironmentSpec, times: list[float], fixed: CovarianceMatrix
+) -> list[CovarianceMatrix]:
+    """evolve(initial, env, t, steady=fixed) for each t of ``times``, with the
+    same bits, from :func:`_column_entries`; t = 0 gives ``initial`` itself.
+    """
+    states = zip(*_column_entries(initial, env, times, fixed).tolist())
+    return [initial if t == 0 else CovarianceMatrix._of(v) for t, v in zip(times, states)]

@@ -18,13 +18,15 @@ from .core import CovarianceMatrix, EnvironmentSpec
 BOUNDARY_TOL = 1e-12
 
 
-def _invariants(sigma: CovarianceMatrix) -> tuple[float, float, float, float]:
-    """det A, det B, det C and T = Tr[A J C J B J C^T J] of sigma = [[A, C], [C^T, B]].
+def _invariants(values) -> tuple:
+    """det A, det B, det C and T = Tr[A J C J B J C^T J] of sigma = [[A, C], [C^T, B]],
+    from its ten entries ``values`` in ``ENTRY_NAMES`` order.
 
     J X J = -cof(X) for the 2x2 symplectic unit J, so T = Tr[A K B K^T] with
-    K = cof(C); all of it is float arithmetic on the ten entries.
+    K = cof(C).  It is +, - and x only, so the entries may be floats or arrays
+    over a time column, with the same bits.
     """
-    a0, a1, c0, c1, a2, c2, c3, b0, b1, b2 = sigma._values
+    a0, a1, c0, c1, a2, c2, c3, b0, b1, b2 = values
     # K = [[c3, -c2], [-c1, c0]]; rows u, v of K B, then P = K B K^T
     u0 = c3 * b0 - c2 * b1
     u1 = c3 * b1 - c2 * b2
@@ -37,6 +39,15 @@ def _invariants(sigma: CovarianceMatrix) -> tuple[float, float, float, float]:
     return a0 * a2 - a1 * a1, b0 * b2 - b1 * b1, c0 * c3 - c1 * c2, trace
 
 
+def _pt_terms(values) -> tuple:
+    """Delta~, det sigma and the discriminant Delta~^2 - 4 det sigma of the
+    partial transpose, from the entries ``values`` (floats or arrays)."""
+    det_a, det_b, det_c, trace = _invariants(values)
+    delta = det_a + det_b - 2.0 * det_c
+    det_sigma = det_a * det_b + det_c * det_c - trace
+    return delta, det_sigma, delta * delta - 4.0 * det_sigma
+
+
 def simon_function(sigma: CovarianceMatrix) -> float:
     """Simon's separability function.
 
@@ -46,7 +57,7 @@ def simon_function(sigma: CovarianceMatrix) -> float:
     S >= 0 is necessary and sufficient for separability of physical states.
     Raises ``OverflowError`` when S overflows.
     """
-    det_a, det_b, det_c, trace = _invariants(sigma)
+    det_a, det_b, det_c, trace = _invariants(sigma._values)
     mixed = 0.25 - abs(det_c)
     value = det_a * det_b + mixed * mixed - trace - 0.25 * (det_a + det_b)
     if not math.isfinite(value):
@@ -75,10 +86,7 @@ def symplectic_spectrum_pt(sigma: CovarianceMatrix) -> PtSpectrum:
     come from the same four invariants.  Raises ``OverflowError`` when
     Delta~, det sigma or the discriminant overflows.
     """
-    det_a, det_b, det_c, trace = _invariants(sigma)
-    delta = det_a + det_b - 2.0 * det_c
-    det_sigma = det_a * det_b + det_c * det_c - trace
-    disc = delta * delta - 4.0 * det_sigma
+    delta, det_sigma, disc = _pt_terms(sigma._values)
     if not math.isfinite(disc):  # also when delta or det_sigma is not finite
         raise OverflowError(
             f"PT symplectic spectrum overflows (seralian {delta}, determinant {det_sigma})"
@@ -93,6 +101,23 @@ def _negativity(nu_minus_sq: float) -> float | None:
     if not nu_minus_sq > 0.0:
         return None
     return max(0.0, -0.5 * math.log2(4.0 * nu_minus_sq))
+
+
+def _column_negativity(entries) -> list[float | None]:
+    """log_negativity of each column of a (10, n) array of entries, with the
+    same bits: the PT terms are one array pass, ``np.sqrt`` is correctly
+    rounded like ``math.sqrt`` and a negative discriminant gives NaN, hence
+    None; L itself keeps ``math.log2``.  Raises a bare ``OverflowError`` when
+    a discriminant overflows; ``symplectic_spectrum_pt`` names the cell.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta, _, disc = _pt_terms(entries)
+        nu_minus_sq = 0.5 * (delta - np.sqrt(disc))
+    if not np.isfinite(disc).all():
+        raise OverflowError("PT symplectic spectrum overflows")
+    return [_negativity(nu) for nu in nu_minus_sq.tolist()]
 
 
 def log_negativity(sigma: CovarianceMatrix) -> float | None:

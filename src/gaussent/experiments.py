@@ -16,8 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import CovarianceMatrix, EnvironmentSpec, thermal_environment
-from .dynamics import _evolve_column, evolve, steady_covariance
-from .entanglement import asymptotic_simon, asymptotic_threshold, log_negativity, simon_function
+from .dynamics import _column_entries, _evolve_column, evolve, steady_covariance
+from .entanglement import (
+    _column_negativity,
+    asymptotic_simon,
+    asymptotic_threshold,
+    simon_function,
+    symplectic_spectrum_pt,
+)
 
 #: Bisection window below which a crossing instant is considered resolved.
 EVENT_TIME_TOL = 1e-8
@@ -228,16 +234,23 @@ class SweepResult:
 def sweep(spec: SweepSpec) -> SweepResult:
     """Fill the (t, c) grid with S and L and classify each thermal column."""
     times = spec.times()
+    instants = times.tolist()
     cs = spec.thermal_cs()
     simon = np.empty((spec.n_t, spec.n_c))
     log_neg = np.empty((spec.n_t, spec.n_c))
     classifications = []
     for j, c in enumerate(cs):
         env_c = spec.environment_at(float(c))
-        states = _evolve_column(spec.initial, env_c, times.tolist(), steady_covariance(env_c))
-        # an undefined L (None) is stored as NaN
-        simon[:, j], log_neg[:, j] = zip(*[(simon_function(s), log_negativity(s)) for s in states])
-        del states  # classify_phase propagates its own column; hold one at a time
+        entries = _column_entries(spec.initial, env_c, instants, steady_covariance(env_c))
+        states = [CovarianceMatrix._of(v) for v in zip(*entries.tolist())]
+        try:
+            log_neg[:, j] = _column_negativity(entries)  # an undefined L (None) is stored as NaN
+        except OverflowError:
+            for state in states:  # raise what S or the spectrum raises first, cell by cell
+                simon_function(state)
+                symplectic_spectrum_pt(state)
+            raise
+        simon[:, j] = [simon_function(state) for state in states]
         classifications.append(classify_phase(spec.initial, env_c, spec.t_max, spec.n_t))
     return SweepResult(
         spec=spec,

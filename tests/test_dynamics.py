@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 import gaussent as ge
 from gaussent.core import ENTRY_NAMES, EnvironmentSpec, covariance_from_entries
-from gaussent.dynamics import _check_block, _evolve_column, propagator, steady_covariance
+from gaussent.dynamics import (
+    _check_block,
+    _evolve_column,
+    _rotation,
+    _rotation_column,
+    propagator,
+    steady_covariance,
+)
 from helpers import (
     diffusion_matrix,
     drift_matrix,
@@ -310,6 +317,62 @@ class TestEvolveColumn:
             far = ge.thermal_environment(0.1, 1.0, m=1e-200, omega=1e200)
             with pytest.raises(OverflowError, match="phase"):
                 _evolve_column(initial, far, [1e200], fixed)
+
+
+class TestRotationColumn:
+    @staticmethod
+    def _column(env, times):
+        return _rotation_column(env.lam, env.omega, env.m, tuple(times))
+
+    def test_equals_scalar_rotation_bit_for_bit_and_is_read_only(self):
+        times = np.linspace(0.0, 50.0, 37).tolist()[1:] + [1e-300, 0.1, 7.25, 500.0]
+        for m, omega in ((1e-3, 1.0), (1.0, 1.0), (1.0, 1e3), (2.0, 0.7)):
+            env = _env(m=m, omega=omega)
+            column = self._column(env, times)
+            expected = np.array([_rotation(env, t) for t in times]).T
+            assert column.shape == (4, len(times))
+            assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
+            assert not column.flags.writeable
+
+    def test_bath_temperature_shares_one_entry(self):
+        times = np.linspace(0.0, 50.0, 100).tolist()
+        initial = ge.presets.initial_state("fig1")
+        cold, warm = _env(c=1.0, d_xpy=0.049), _env(c=1.5, d_xpy=0.049)
+        _evolve_column(initial, cold, times, steady_covariance(cold))
+        hits = _rotation_column.cache_info().hits
+        _evolve_column(initial, warm, times, steady_covariance(warm))
+        assert _rotation_column.cache_info().hits == hits + 1
+        # a sweep and its classifications hit one entry: one miss per grid
+        spec = ge.SweepSpec(env_base=cold, initial=initial, n_t=100, n_c=3)
+        _rotation_column.cache_clear()
+        ge.sweep(spec)
+        info = _rotation_column.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+
+    def test_distinct_dynamics_and_grids_get_their_own_columns(self):
+        envs = [_env(), _env(lam=0.2), _env(omega=2.0), _env(m=2.0)]
+        grids = [[0.5, 1.0, 2.0], [0.5, 1.0, 2.5]]
+        seen = set()
+        for env in envs:
+            for times in grids:
+                column = self._column(env, times)
+                assert np.array_equal(column, np.array([_rotation(env, t) for t in times]).T)
+                seen.add(column.tobytes())
+        assert len(seen) == len(envs) * len(grids)
+
+    def test_errors_are_not_cached(self):
+        env = _env()
+        initial = ge.presets.initial_state("fig1")
+        fixed = steady_covariance(env)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="nonnegative, got -1.0"):
+                self._column(env, [1.0, -1.0])
+            with pytest.raises(ValueError, match="nonnegative, got -1.0"):
+                _evolve_column(initial, env, [0.0, 1.0, -1.0], fixed)
+            far = _env(m=1e-200, omega=1e200)
+            with pytest.raises(OverflowError, match="phase"):
+                self._column(far, [1e200])
+
 
 def _residual(initial, env, t_max, n_steps):
     fixed = steady_covariance(env)

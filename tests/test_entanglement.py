@@ -401,12 +401,18 @@ class TestClosedFormKernels:
 
     def test_determinant_identity_matches_lu(self, kernel_states):
         for sigma in kernel_states:
-            det_a, det_b, det_c, trace = _invariants(sigma)
+            det_a, det_b, det_c, trace = _invariants(sigma._values)
             delta, det_lu = pt_invariants_oracle(sigma.entries)
             scale = (1.0 + np.max(np.abs(sigma.entries))) ** 4
             assert abs(det_a * det_b + det_c * det_c - trace - det_lu) <= scale * 1e-15
             seralian = symplectic_spectrum_pt(sigma).delta_tilde
             assert seralian == pytest.approx(delta, abs=scale * 1e-15)
+
+    def test_array_column_equals_per_state_floats_bit_for_bit(self, kernel_states):
+        # one column of entry arrays against the per-state float path
+        column = np.array([sigma._values for sigma in kernel_states]).T
+        floats = np.array([_invariants(sigma._values) for sigma in kernel_states]).T
+        assert np.array_equal(np.array(_invariants(column)), floats)
 
     def test_pure_preset_has_zero_negativity(self):
         # fig1 is a pure product state: nu~_-^2 = 1/4 exactly, so L = 0 exactly

@@ -14,6 +14,7 @@ from helpers import (
     drift_matrix,
     lyapunov_oracle,
     merge_events_oracle,
+    random_physical_cm,
     simon_oracle_exact,
     sweep_rows_oracle,
 )
@@ -252,16 +253,59 @@ class TestSweep:
 
     @pytest.mark.filterwarnings("ignore:final sampled Simon sign:UserWarning")
     def test_cells_equal_scalar_metrics_bit_for_bit(self):
-        for name in ge.presets.PRESET_NAMES:
+        # presets, seeded physical states and lenient unphysical ones (random
+        # symmetric matrices), on the benchmark bath and an m*omega != 1 bath
+        rng = np.random.default_rng(20261018)
+        states = [ge.presets.initial_state(name) for name in ge.presets.PRESET_NAMES]
+        for _ in range(4):
+            noise = rng.normal(size=(4, 4))
+            states.append(ge.CovarianceMatrix(0.5 * (noise + noise.T)))
+        states += [ge.CovarianceMatrix(random_physical_cm(rng, 1.5)) for _ in range(4)]
+        baths = (_benchmark(1.0), ge.thermal_environment(0.1, 1.0, 0.0, 0.049, m=2.0, omega=0.7))
+        complex_pairs = nonpositive = 0
+        for env in baths:
+            for initial in states:
+                spec = ge.SweepSpec(env_base=env, initial=initial, n_t=100, n_c=3)
+                result = ge.sweep(spec)
+                for t, c, s, degree, defined in sweep_rows_oracle(result):
+                    expected = ge.metrics(ge.evolve(spec.initial, spec.environment_at(c), t))
+                    assert s == expected.simon_s
+                    assert degree == expected.log_negativity
+                    assert defined == (expected.log_negativity is not None)
+                    # with Delta~ > 0 only the NaN of a complex pair keeps L undefined
+                    complex_pairs += math.isnan(expected.nu_tilde_minus_sq) and (
+                        expected.seralian_tilde > 0.0
+                    )
+                    nonpositive += expected.nu_tilde_minus_sq <= 0.0
+        # both undefined-L branches are compared: a negative discriminant
+        # (NaN nu~_-^2) and a real nu~_-^2 <= 0
+        assert complex_pairs > 0
+        assert nonpositive > 0
+
+    def test_overflow_raises_what_the_per_cell_order_raises(self):
+        big_c = np.diag([0.5, 0.5, 0.5, 0.5]) + 1e77 * np.eye(4)[[2, 3, 0, 1]]
+        fig1 = ge.presets.initial_state("fig1")
+        cases = (
+            # det C = 1e154 at t = 0: S ~ det C^2 is finite, Delta~^2 ~ 4 det C^2 is not
+            (ge.CovarianceMatrix(big_c), _benchmark(1.0), "^PT symplectic"),
+            # det A = det B = 1e160 at t = 0: S overflows first
+            (ge.CovarianceMatrix(1e80 * np.eye(4)), _benchmark(1.0), "^Simon function"),
+            # a huge steady state: the discriminant overflows at a later cell, and
+            # at C = 5e77 S overflows at a still later one
+            (fig1, ge.thermal_environment(0.1, 2e77, 0.0, 1e76), "^PT symplectic"),
+            (fig1, ge.thermal_environment(0.1, 5e77, 0.0, 1e76), "^PT symplectic"),
+        )
+        for initial, env, message in cases:
             spec = ge.SweepSpec(
-                env_base=_benchmark(1.0), initial=ge.presets.initial_state(name), n_t=100, n_c=3
+                env_base=env, initial=initial, n_t=100,
+                c_min=env.thermal_c, c_max=env.thermal_c, n_c=1,
             )
-            result = ge.sweep(spec)
-            for t, c, s, degree, defined in sweep_rows_oracle(result):
-                expected = ge.metrics(ge.evolve(spec.initial, spec.environment_at(c), t))
-                assert s == expected.simon_s
-                assert degree == expected.log_negativity
-                assert defined == (expected.log_negativity is not None)
+            with pytest.raises(OverflowError) as scalar:
+                for t in spec.times().tolist():
+                    ge.metrics(ge.evolve(initial, env, t))
+            with pytest.raises(OverflowError, match=message) as column:
+                ge.sweep(spec)
+            assert str(column.value) == str(scalar.value)
 
 
 class TestPhaseDiagram:
