@@ -28,7 +28,7 @@ def write_surface(name: str, out_dir: pathlib.Path, t_max: float, n_t: int, n_c:
     with warnings.catch_warnings():
         # classify_phase warns when a non-default --t-max or --n-t makes the
         # grid coarse or the horizon short; sweep checks no physicality
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", category=UserWarning)
         result = ge.sweep(spec)
 
     surface_path = out_dir / f"surface_{name}.csv"

@@ -344,7 +344,8 @@ def _run_phase_diagram(cfg: RunConfig) -> str:
 
     from .experiments import asymptotic_phase_diagram
 
-    d_xpy_values = np.linspace(cfg["d_xpy_min"], cfg["d_xpy_max"], cfg["n_d"])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported once, as exit code 4
+        d_xpy_values = np.linspace(cfg["d_xpy_min"], cfg["d_xpy_max"], cfg["n_d"])
     if not np.isfinite(d_xpy_values).all():  # the width d_xpy_max - d_xpy_min overflowed
         raise OverflowError(f"d_xpy grid is not finite: {d_xpy_values.tolist()}")
     diagram = asymptotic_phase_diagram(
@@ -368,16 +369,6 @@ def run(cfg: RunConfig) -> str:
     ArithmeticError (overflow, or division by an underflowed value); the
     caller maps those to exit codes.  Only the grid commands load numpy.
     """
-    if cfg.command not in _GRID_ROWS:
-        return _run(cfg)
-    import numpy as np
-
-    # overflow is reported once, as exit code 4, not also as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _run(cfg)
-
-
-def _run(cfg: RunConfig) -> str:
     if cfg.command == "phase-diagram":
         return _run_phase_diagram(cfg)
 

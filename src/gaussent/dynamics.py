@@ -7,19 +7,19 @@ so trajectories are sampled without any ODE integration: every instant is
 computed directly from t = 0, and a column of instants in one array pass.
 The rotations do not depend on the bath temperature, so a column's rotation
 array is built once per oscillator (lam, omega, m) and time grid and shared
-by every column and classification on that grid.
+by every column and classification on that grid.  A whole column is
+propagated, and its t = 0 instants then take the initial entries.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from types import SimpleNamespace
 
 from .core import CovarianceMatrix, EnvironmentSpec, _square
 
 
-def _rotation(env: EnvironmentSpec, t: float) -> tuple[float, float, float, float]:
+def _rotation(lam: float, omega: float, m: float, t: float) -> tuple[float, float, float, float]:
     """Entries (r00, r01, r10, r11) of the oscillator block e^{-lam t} R(t).
 
     Raises ``ValueError`` unless t is finite and nonnegative, and
@@ -27,9 +27,9 @@ def _rotation(env: EnvironmentSpec, t: float) -> tuple[float, float, float, floa
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"propagation time must be finite and nonnegative, got {t}")
-    mw = env.m * env.omega
-    decay = math.exp(-env.lam * t)
-    phase = env.omega * t
+    mw = m * omega
+    decay = math.exp(-lam * t)
+    phase = omega * t
     if phase == math.inf:
         raise OverflowError(f"oscillator phase omega*t overflows at t = {t}")
     diagonal = decay * math.cos(phase)
@@ -45,8 +45,7 @@ def _rotation_column(lam: float, omega: float, m: float, times: tuple[float, ...
     key; errors are not cached."""
     import numpy as np
 
-    osc = SimpleNamespace(lam=lam, omega=omega, m=m)
-    rot = np.array(list(zip(*[_rotation(osc, t) for t in times]))).reshape(4, -1)
+    rot = np.array(list(zip(*[_rotation(lam, omega, m, t) for t in times]))).reshape(4, -1)
     rot.flags.writeable = False
     return rot
 
@@ -71,7 +70,7 @@ def propagator(env: EnvironmentSpec, t: float):
     """
     import numpy as np
 
-    r00, r01, r10, r11 = _rotation(env, t)
+    r00, r01, r10, r11 = _rotation(env.lam, env.omega, env.m, t)
     return np.array(
         [[r00, r01, 0.0, 0.0], [r10, r11, 0.0, 0.0], [0.0, 0.0, r00, r01], [0.0, 0.0, r10, r11]]
     )
@@ -169,7 +168,7 @@ def evolve(
     """
     if t == 0:
         return initial
-    rot = _rotation(env, t)
+    rot = _rotation(env.lam, env.omega, env.m, t)
     fixed = steady if steady is not None else steady_covariance(env)
     values = _propagate(initial._values, fixed._values, rot)
     if not all(map(math.isfinite, values)):
@@ -183,33 +182,18 @@ def _column_entries(
     """(10, len(times)) array of the entries of evolve(initial, env, t, steady=fixed)
     for each t of ``times``, in one numpy pass with the same bits: the rotations
     are the cached ``_rotation_column`` of the time grid, and +, - and x round
-    alike in numpy and in floats.  A t = 0 column holds ``initial``'s entries.
+    alike in numpy and in floats.  The whole grid is propagated, and each t = 0
+    column then takes ``initial``'s entries, as ``evolve`` returns ``initial``.
     """
     import numpy as np
 
-    moving = tuple(filter(None, times))  # the nonzero instants
-    rot = _rotation_column(env.lam, env.omega, env.m, moving)
+    rot = _rotation_column(env.lam, env.omega, env.m, tuple(times))
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.array(_propagate(initial._values, fixed._values, rot))
+    out[:, np.equal(times, 0.0)] = np.array(initial._values)[:, None]
     finite = np.isfinite(out).all(axis=0)
     if not finite.all():
         raise OverflowError(
-            f"evolved covariance matrix is not finite at t = {moving[finite.argmin()]}"
+            f"evolved covariance matrix is not finite at t = {times[finite.argmin()]}"
         )
-    if len(moving) < len(times):
-        at_zero = np.array(times) == 0
-        full = np.empty((10, len(times)))
-        full[:, at_zero] = np.array(initial._values)[:, None]
-        full[:, ~at_zero] = out
-        out = full
     return out
-
-
-def _evolve_column(
-    initial: CovarianceMatrix, env: EnvironmentSpec, times: list[float], fixed: CovarianceMatrix
-) -> list[CovarianceMatrix]:
-    """evolve(initial, env, t, steady=fixed) for each t of ``times``, with the
-    same bits, from :func:`_column_entries`; t = 0 gives ``initial`` itself.
-    """
-    states = zip(*_column_entries(initial, env, times, fixed).tolist())
-    return [initial if t == 0 else CovarianceMatrix._of(v) for t, v in zip(times, states)]

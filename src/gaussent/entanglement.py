@@ -57,7 +57,12 @@ def simon_function(sigma: CovarianceMatrix) -> float:
     S >= 0 is necessary and sufficient for separability of physical states.
     Raises ``OverflowError`` when S overflows.
     """
-    det_a, det_b, det_c, trace = _invariants(sigma._values)
+    return _simon(sigma._values)
+
+
+def _simon(values) -> float:
+    """:func:`simon_function` of the ten float entries ``values``."""
+    det_a, det_b, det_c, trace = _invariants(values)
     mixed = 0.25 - abs(det_c)
     value = det_a * det_b + mixed * mixed - trace - 0.25 * (det_a + det_b)
     if not math.isfinite(value):

@@ -2,8 +2,9 @@
 
 A trajectory's pattern is summarized by the sign history of the Simon
 function: where it starts, how often it crosses zero, and where it ends up
-asymptotically.  Crossing instants are refined by bisection on the exact
-flow, so event times do not depend on the sampling grid.
+asymptotically.  Crossings are detected between grid samples of unequal sign,
+so a grid too coarse for two nearby crossings misses both; each one detected
+is refined by bisection on the exact flow, to a time independent of the grid.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import CovarianceMatrix, EnvironmentSpec, thermal_environment
-from .dynamics import _column_entries, _evolve_column, evolve, steady_covariance
+from .dynamics import _column_entries, evolve, steady_covariance
 from .entanglement import (
     _column_negativity,
-    asymptotic_simon,
+    _simon,
     asymptotic_threshold,
     simon_function,
     symplectic_spectrum_pt,
@@ -120,7 +121,7 @@ def classify_phase(
 
     S(t) is sampled on ``n_t`` uniform instants over [0, t_max]; every sign
     change between consecutive samples is refined by bisection on the exact
-    flow, and the asymptotic sign comes from the closed-form steady state.
+    flow, and the asymptotic sign is that of S at the solved steady state.
     For a reliable asymptotic sign the horizon should cover several
     dissipation times (t_max >= 5/lam) with n_t >= 100; shorter grids are
     accepted with a warning.
@@ -138,8 +139,8 @@ def classify_phase(
         )
     fixed = steady_covariance(env)
     times = np.linspace(0.0, t_max, n_t).tolist()
-    # the column's states are dropped before the bisection, which makes its own
-    s_values = np.array([simon_function(s) for s in _evolve_column(initial, env, times, fixed)])
+    entries = _column_entries(initial, env, times, fixed)
+    s_values = np.array([simon_function(CovarianceMatrix._of(v)) for v in zip(*entries.tolist())])
     classes = s_values < 0.0
 
     events = _merge_events(
@@ -149,10 +150,7 @@ def classify_phase(
         ]
     )
 
-    try:
-        s_infinity = asymptotic_simon(env)
-    except ValueError:
-        s_infinity = simon_function(fixed)
+    s_infinity = _simon(fixed._values)
     if bool(classes[-1]) != (s_infinity < 0.0):
         warnings.warn(
             "final sampled Simon sign disagrees with the asymptotic sign; "

@@ -10,7 +10,7 @@ import gaussent as ge
 from gaussent.core import ENTRY_NAMES, EnvironmentSpec, covariance_from_entries
 from gaussent.dynamics import (
     _check_block,
-    _evolve_column,
+    _column_entries,
     _rotation,
     _rotation_column,
     propagator,
@@ -290,9 +290,13 @@ class TestEvolveColumn:
             env = _env(d_xpy=0.049, m=m, omega=omega)
             fixed = steady_covariance(env)
             for initial in states:
-                column = _evolve_column(initial, env, times, fixed)
+                entries = _column_entries(initial, env, times, fixed)
                 scalar = [ge.evolve(initial, env, t, steady=fixed) for t in times]
-                assert [s is initial for s in column] == [t == 0 for t in times]
+                # the grid has t = 0 at positions 0 and 4: initial's entries, bit for bit
+                start = np.array(initial._values).view(np.uint64)
+                for k in (0, 4):
+                    assert np.array_equal(entries[:, k].view(np.uint64), start)
+                column = [ge.CovarianceMatrix._of(v) for v in zip(*entries.tolist())]
                 out = np.array([state.entries for state in column])
                 assert np.array_equal(out, np.array([state.entries for state in scalar]))
                 assert np.array_equal(out, out.transpose(0, 2, 1))
@@ -310,13 +314,13 @@ class TestEvolveColumn:
             with pytest.raises(OverflowError, match=r"not finite at t = 0\.5050505050505051$"):
                 ge.classify_phase(initial, env, 50.0, 100)
             with pytest.raises(OverflowError, match=r"not finite at t = 1\.0$"):
-                _evolve_column(initial, env, [0.0, 1e-300, 1.0, 2.0], fixed)
+                _column_entries(initial, env, [0.0, 1e-300, 1.0, 2.0], fixed)
             # the t and phase checks of the scalar path come first
             with pytest.raises(ValueError, match="nonnegative, got -1.0"):
-                _evolve_column(initial, env, [1.0, -1.0], fixed)
+                _column_entries(initial, env, [1.0, -1.0], fixed)
             far = ge.thermal_environment(0.1, 1.0, m=1e-200, omega=1e200)
             with pytest.raises(OverflowError, match="phase"):
-                _evolve_column(initial, far, [1e200], fixed)
+                _column_entries(initial, far, [1e200], fixed)
 
 
 class TestRotationColumn:
@@ -329,7 +333,7 @@ class TestRotationColumn:
         for m, omega in ((1e-3, 1.0), (1.0, 1.0), (1.0, 1e3), (2.0, 0.7)):
             env = _env(m=m, omega=omega)
             column = self._column(env, times)
-            expected = np.array([_rotation(env, t) for t in times]).T
+            expected = np.array([_rotation(env.lam, env.omega, env.m, t) for t in times]).T
             assert column.shape == (4, len(times))
             assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
             assert not column.flags.writeable
@@ -338,9 +342,9 @@ class TestRotationColumn:
         times = np.linspace(0.0, 50.0, 100).tolist()
         initial = ge.presets.initial_state("fig1")
         cold, warm = _env(c=1.0, d_xpy=0.049), _env(c=1.5, d_xpy=0.049)
-        _evolve_column(initial, cold, times, steady_covariance(cold))
+        _column_entries(initial, cold, times, steady_covariance(cold))
         hits = _rotation_column.cache_info().hits
-        _evolve_column(initial, warm, times, steady_covariance(warm))
+        _column_entries(initial, warm, times, steady_covariance(warm))
         assert _rotation_column.cache_info().hits == hits + 1
         # a sweep and its classifications hit one entry: one miss per grid
         spec = ge.SweepSpec(env_base=cold, initial=initial, n_t=100, n_c=3)
@@ -356,7 +360,8 @@ class TestRotationColumn:
         for env in envs:
             for times in grids:
                 column = self._column(env, times)
-                assert np.array_equal(column, np.array([_rotation(env, t) for t in times]).T)
+                expected = [_rotation(env.lam, env.omega, env.m, t) for t in times]
+                assert np.array_equal(column, np.array(expected).T)
                 seen.add(column.tobytes())
         assert len(seen) == len(envs) * len(grids)
 
@@ -368,7 +373,7 @@ class TestRotationColumn:
             with pytest.raises(ValueError, match="nonnegative, got -1.0"):
                 self._column(env, [1.0, -1.0])
             with pytest.raises(ValueError, match="nonnegative, got -1.0"):
-                _evolve_column(initial, env, [0.0, 1.0, -1.0], fixed)
+                _column_entries(initial, env, [0.0, 1.0, -1.0], fixed)
             far = _env(m=1e-200, omega=1e200)
             with pytest.raises(OverflowError, match="phase"):
                 self._column(far, [1e200])

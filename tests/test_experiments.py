@@ -131,6 +131,16 @@ class TestClassifyPhase:
             signs.append(phase.s_infinity_sign)
         assert signs == [1, -1]
 
+    def test_thermal_bath_takes_the_sign_of_the_steady_state(self):
+        # at C = C* the closed form reads +2.8e-17 and the steady state 0.0;
+        # the sign comes from the steady state the column relaxes to
+        env = ge.thermal_environment(0.1, 1.027612282028327, 0.0, 0.013875)
+        assert asymptotic_threshold(env) == env.thermal_c
+        s_inf = simon_function(steady_covariance(env))
+        with pytest.warns(UserWarning, match="horizon is probably too short"):
+            phase = ge.classify_phase(ge.presets.initial_state("vacuum"), env, 50.0, 100)
+        assert phase.s_infinity_sign == (s_inf > 0) - (s_inf < 0)
+
     def test_short_grid_warns(self, fig1_initial):
         with pytest.warns(UserWarning, match="below the recommended resolution"):
             ge.classify_phase(fig1_initial, _benchmark(1.0), 10.0, 200)
