@@ -106,8 +106,11 @@ class RunConfig:
         return self.values[key]
 
     def environment(self) -> EnvironmentSpec:
+        """The bath at ``c``, or for sweep and classify, which read no ``c``, at
+        their first column ``c_min``, where the diffusion bounds are tightest."""
         v = self.values
-        return thermal_environment(v["lambda"], v["c"], v["d_xy"], v["d_xpy"], v["m"], v["omega"])
+        c = v["c_min"] if self.command in ("sweep", "classify") else v["c"]
+        return thermal_environment(v["lambda"], c, v["d_xy"], v["d_xpy"], v["m"], v["omega"])
 
     def initial_state(self) -> CovarianceMatrix:
         if "initial" in self.values:

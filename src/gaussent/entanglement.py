@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import CovarianceMatrix, EnvironmentSpec
+from .dynamics import steady_covariance
 
 #: Width of the boundary band for the PPT sign-agreement classification.
 BOUNDARY_TOL = 1e-12
@@ -176,31 +177,15 @@ def _require_thermal(env: EnvironmentSpec, what: str) -> None:
 
 
 def asymptotic_simon(env: EnvironmentSpec) -> float:
-    """Simon function of the steady state, in closed form.
-
-    Uses det A(inf) = det B(inf) = thermal_c^2/4, det C(inf) = g - d and
-    Tr[...] = thermal_c^2 (g + d)/2, where g = (m omega d_xy / lam)^2 and
-    d = d_xpy^2/(lam^2 + omega^2).  The |det C| term keeps the expression
-    equal to simon_function(steady_covariance(env)) in both sign regimes of
-    det C(inf).  Raises ``OverflowError`` when the value overflows.
-    """
+    """S of the solved steady state, as ``classify_phase`` reads it; the closed
+    form is a test oracle.  Raises ``OverflowError`` when S overflows."""
     _require_thermal(env, "the asymptotic Simon value")
-    theta_sq = env.thermal_c * env.thermal_c
-    den = env.lam * env.lam + env.omega * env.omega
-    g = env.m * env.omega * env.d_xy / env.lam
-    g *= g
-    d = env.d_xpy * env.d_xpy / den
-    det_a_inf = 0.25 * theta_sq
-    mixed = 0.25 - abs(g - d)
-    value = (
-        det_a_inf * det_a_inf
-        + mixed * mixed
-        - 0.5 * theta_sq * (g + d)
-        - 0.5 * det_a_inf
-    )
-    if not math.isfinite(value):
-        raise OverflowError(f"asymptotic Simon function is not finite ({value})")
-    return value
+    return _simon(steady_covariance(env)._values)
+
+
+def _threshold(lam: float, omega: float, d_xpy):
+    """C* of :func:`asymptotic_threshold` for d_xpy a float or an array."""
+    return 1.0 + 2.0 * abs(d_xpy) / math.hypot(lam, omega)
 
 
 def asymptotic_threshold(env: EnvironmentSpec) -> float:
@@ -211,7 +196,7 @@ def asymptotic_threshold(env: EnvironmentSpec) -> float:
     _require_thermal(env, "the asymptotic threshold")
     if env.d_xy != 0.0:
         raise ValueError("the closed-form threshold is stated for d_xy = 0")
-    return 1.0 + 2.0 * abs(env.d_xpy) / math.hypot(env.lam, env.omega)
+    return _threshold(env.lam, env.omega, env.d_xpy)
 
 
 def asymptotic_log_negativity(env: EnvironmentSpec) -> float | None:

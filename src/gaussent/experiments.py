@@ -21,7 +21,7 @@ from .dynamics import _column_entries, evolve, steady_covariance
 from .entanglement import (
     _column_negativity,
     _simon,
-    asymptotic_threshold,
+    _threshold,
     simon_function,
     symplectic_spectrum_pt,
 )
@@ -171,9 +171,10 @@ class SweepSpec:
     """Grid specification for a (time, thermal parameter) surface.
 
     The environment's thermal parameter is overridden at each grid column, so
-    ``env_base`` must be thermal; its dissipation and cross-diffusion
-    coefficients are reused as-is.  The time grid has ``n_t`` samples
-    including t = 0; the thermal grid has ``n_c`` columns.
+    ``env_base`` must be thermal and its ``thermal_c`` is not read; its
+    dissipation and cross-diffusion coefficients are reused as-is.  The time
+    grid has ``n_t`` samples including t = 0; the thermal grid has ``n_c``
+    columns.
     """
 
     env_base: EnvironmentSpec
@@ -293,23 +294,19 @@ def asymptotic_phase_diagram(
     """Mark each (d_xpy, thermal_c) cell entangled iff the asymptote has S < 0.
 
     Raises ``ValueError`` for parameters that ``thermal_environment`` rejects
-    (non-positive lam, omega or m, thermal_c < 1, non-finite values).
+    (non-positive lam, omega or m, thermal_c < 1, non-finite values), checked
+    once, also for an empty grid, on the environment at the largest thermal_c
+    and |d_xpy|, whose coefficients are every cell's largest.
     """
     d_values = np.asarray(d_xpy_grid, dtype=float)
     cs = np.asarray(c_grid, dtype=float)
     if not np.all(cs >= 1.0):
         raise ValueError(f"thermal parameters must be >= 1, got {cs.min()}")
-    # one environment per row at the largest c, whose coefficients are the
-    # row's largest, validates every cell of the row
-    c_top = float(cs.max(initial=1.0))
-    thresholds = np.array(
-        [
-            asymptotic_threshold(thermal_environment(lam, c_top, 0.0, float(d), m, omega))
-            for d in d_values
-        ]
-    )
-    unphysical = 0.5 * lam * cs[None, :] < np.abs(d_values)[:, None]
-    entangled = ~unphysical & (cs[None, :] < thresholds[:, None])
+    magnitudes = np.abs(d_values)
+    c_top, d_top = float(cs.max(initial=1.0)), float(magnitudes.max(initial=0.0))
+    thermal_environment(lam, c_top, 0.0, d_top, m, omega)
+    unphysical = 0.5 * lam * cs[None, :] < magnitudes[:, None]
+    entangled = ~unphysical & (cs[None, :] < _threshold(lam, omega, magnitudes)[:, None])
     return PhaseDiagram(
         d_xpy_values=d_values,
         thermal_cs=cs,

@@ -9,10 +9,12 @@ invariants and the propagation step are the plain matrix forms (2x2 block
 determinants, an LU determinant, M sigma M^T) that the package's
 float-arithmetic kernels replace.  The dense drift, diffusion and semigroup
 coefficient matrices are built from an environment's named coefficients,
-which the package reads as floats.  The writer oracles read every grid cell
-on its own, format every CSV cell on its own and pick each phase-diagram
-status from the two masks, where the package formats each grid axis once,
-reads whole grids through ``.tolist()`` and maps the masks through one table.
+which the package reads as floats, and the asymptotic Simon function is its
+closed form in those coefficients, where the package solves the steady
+state.  The writer oracles read every grid cell on its own, format every CSV
+cell on its own and pick each phase-diagram status from the two masks, where
+the package formats each grid axis once, reads whole grids through
+``.tolist()`` and maps the masks through one table.
 """
 
 from __future__ import annotations
@@ -66,6 +68,23 @@ def semigroup_matrix(env) -> np.ndarray:
     P = diag(1, -1, 1, -1); the dynamics is completely positive iff it is PSD."""
     flip = np.array([1.0, -1.0, 1.0, -1.0])
     return diffusion_matrix(env) * np.outer(flip, flip) - (0.5j * env.lam) * OMEGA_4
+
+
+def asymptotic_simon_oracle(env) -> float:
+    """Simon function of a thermal environment's steady state, in closed form.
+
+    Uses det A(inf) = det B(inf) = thermal_c^2/4, det C(inf) = g - d and
+    Tr[...] = thermal_c^2 (g + d)/2, where g = (m omega d_xy / lam)^2 and
+    d = d_xpy^2/(lam^2 + omega^2).  The |det C| term keeps the expression
+    equal to the steady state's S in both sign regimes of det C(inf).
+    """
+    theta_sq = env.thermal_c * env.thermal_c
+    g = env.m * env.omega * env.d_xy / env.lam
+    g *= g
+    d = env.d_xpy * env.d_xpy / (env.lam * env.lam + env.omega * env.omega)
+    det_a_inf = 0.25 * theta_sq
+    mixed = 0.25 - abs(g - d)
+    return det_a_inf * det_a_inf + mixed * mixed - 0.5 * theta_sq * (g + d) - 0.5 * det_a_inf
 
 
 def matrix_exp_oracle(mat: np.ndarray, terms: int = 30) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gaussent as ge
-from gaussent.core import ENTRY_NAMES, independent_entries
+from gaussent.core import ENTRY_NAMES, independent_entries, validate_diffusion
 from gaussent.entanglement import simon_function
 from gaussent.experiments import LABELS
 from gaussent.cli import (
@@ -432,6 +432,32 @@ class TestConfigHandling:
         code, _, err = run_cli(capsys, "steady", *sets)
         assert code == expected
         assert ("xx_pypy (margin -7.500e-13), yy_pxpx" in err) == (expected == 3)
+
+    @pytest.mark.parametrize("command", ["sweep", "classify"])
+    @pytest.mark.parametrize(
+        "sets, expected",
+        [
+            # lam = 0.1, d_xpy = 0.08: the cross bound needs C >= 1.6, and the
+            # columns span [c_min, c_max] whatever c is
+            (["c=2", "d_xpy=0.08"], 3),
+            (["d_xpy=0.08", "c_min=2", "c_max=3"], 0),
+        ],
+    )
+    def test_grid_commands_check_the_bath_they_sweep(self, capsys, command, sets, expected):
+        code, _, err = run_cli(capsys, command, *[arg for item in sets for arg in ("--set", item)])
+        assert code == expected
+        assert ("xx_pypy" in err) == (expected == 3)
+
+    @pytest.mark.parametrize("command", ["sweep", "classify"])
+    @pytest.mark.parametrize("c_min", [1.2, 1.59999999, 1.5999999999999, 1.6, 1.6000000000001, 1.7])
+    def test_grid_commands_fail_exactly_when_a_column_does(self, capsys, command, c_min):
+        # c = 1 fails the bound at d_xpy = 0.08 but is no column of the grid
+        columns = np.linspace(c_min, 2.0, 3).tolist()
+        baths = [ge.thermal_environment(0.1, c, 0.0, 0.08) for c in columns]
+        failing = any(not check.passed for env in baths for check in validate_diffusion(env))
+        sets = [f"c_min={c_min!r}", "c_max=2", "n_c=3", "d_xpy=0.08", "n_t=100"]
+        code, _, _ = run_cli(capsys, command, *[arg for item in sets for arg in ("--set", item)])
+        assert code == (3 if failing else 0)
 
     def test_wide_scale_bath_solves(self, capsys):
         # passes every diffusion bound; its steady entries reach 1.2e4

@@ -17,6 +17,7 @@ from gaussent.entanglement import (
     symplectic_spectrum_pt,
 )
 from helpers import (
+    asymptotic_simon_oracle,
     pt_invariants_oracle,
     pt_symplectic_eigs_oracle,
     random_physical_cm,
@@ -141,9 +142,9 @@ class TestLogNegativity:
         sigma = ge.CovarianceMatrix(np.diag([1e160, 1.0, 1.0, 1.0]))
         with pytest.raises(OverflowError, match="PT symplectic spectrum overflows"):
             symplectic_spectrum_pt(sigma)
-        # the closed-form asymptote overflows the same way, not to inf
+        # the steady state's S overflows the same way, not to inf
         for thermal_c in (1e100, 1e200):
-            with pytest.raises(OverflowError, match="asymptotic Simon function is not finite"):
+            with pytest.raises(OverflowError, match="Simon function is not finite"):
                 asymptotic_simon(ge.thermal_environment(0.1, thermal_c))
 
 
@@ -201,13 +202,13 @@ class TestAsymptoticSimon:
 
     def test_matches_lyapunov_route_on_grid(self):
         for env in _thermal_grid():
-            direct = simon_function(steady_covariance(env))
-            assert asymptotic_simon(env) == pytest.approx(direct, abs=1e-10), env
+            direct = asymptotic_simon(env)
+            assert asymptotic_simon_oracle(env) == pytest.approx(direct, abs=1e-10), env
 
     def test_matches_lyapunov_route_off_unit_mass(self):
         env = ge.thermal_environment(0.08, 1.3, 0.002, 0.03, m=0.5, omega=2.0)
-        direct = simon_function(steady_covariance(env))
-        assert asymptotic_simon(env) == pytest.approx(direct, abs=1e-12)
+        direct = asymptotic_simon(env)
+        assert asymptotic_simon_oracle(env) == pytest.approx(direct, abs=1e-12)
 
     def test_rejects_non_thermal(self):
         env = EnvironmentSpec(

@@ -11,7 +11,7 @@ import runpy
 import sys
 from pathlib import Path
 
-from gaussent.cli import main
+from gaussent.cli import COMMANDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,3 +58,11 @@ def test_readme_library_sketch_runs_as_printed():
             comment = re.search(r"#\s*(\S+?)\.\.\.$", line)
             if comment:
                 assert shown.startswith(comment.group(1)), (line, shown)
+
+
+def test_cli_corpus_runs_every_command_in_both_formats_once_per_line():
+    corpus = runpy.run_path(str(ROOT / "scripts" / "cli_corpus.py"))["corpus"]()
+    assert len({tuple(argv) for argv in corpus}) == len(corpus)
+    for command in COMMANDS:
+        for fmt in ("csv", "json"):
+            assert any(argv[0] == command and argv[-2:] == ["--format", fmt] for argv in corpus)

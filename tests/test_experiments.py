@@ -366,6 +366,10 @@ class TestPhaseDiagram:
         cs = np.linspace(1.0, 1.6, 13)
         diagram = ge.asymptotic_phase_diagram(lam, omega, d_rows, cs, m=m)
         for i, d_xpy in enumerate(d_rows):
+            # the row's C*, as asymptotic_threshold gives it, bit for bit
+            env = ge.thermal_environment(lam, 1.0, 0.0, float(d_xpy), m, omega)
+            expected = ~diagram.unphysical[i] & (cs < asymptotic_threshold(env))
+            assert np.array_equal(diagram.entangled[i], expected), d_xpy
             for j, c in enumerate(cs):
                 env = ge.thermal_environment(lam, float(c), 0.0, float(d_xpy), m, omega)
                 checks = validate_diffusion(env)
@@ -386,6 +390,9 @@ class TestPhaseDiagram:
             (0.1, 1.0, [0.01], [1.0, math.nan]),
             (0.1, 1.0, [0.01], [1.0, math.inf]),
             (0.1, 1.0, [math.nan], [1.0]),
+            # an empty grid is validated too
+            (-1.0, 1.0, [], [1.0]),
+            (0.1, math.nan, [], []),
         ):
             with pytest.raises(ValueError):
                 ge.asymptotic_phase_diagram(*args)
