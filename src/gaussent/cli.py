@@ -217,8 +217,8 @@ def _fmt(value) -> str:
 
 
 def _csv(header: str, rows) -> str:
-    """Header and rows as CSV text; a row may be a block of lines (one grid row)."""
-    return "\n".join([header, *rows]) + "\n"
+    """Header and rows as CSV text, in one join."""
+    return "\n".join([header, *rows, ""])
 
 
 def _json(value, pad: str = "\n") -> str:
@@ -258,32 +258,39 @@ def _pairs(cfg: RunConfig, header: str, values: dict, result: dict) -> str:
     return _csv(header, (f"{name},{_fmt(value)}" for name, value in values.items()))
 
 
-def _grid(names: tuple[str, str, str], axes, rows, cfg: RunConfig | None = None) -> str:
-    """A grid, row-major, from the cell texts of each grid row: CSV with the
-    header ``names`` and a ``row,column,cell`` line per cell, or for a JSON
-    ``cfg`` both axes under the first two names and a [row, column, *cell] list
-    per cell, as json.dumps(..., indent=2) writes them.  Each axis is formatted
-    once, for all the cells that repeat it, and every cell fills one template.
-    JSON floats are written as repr, which json shares for finite floats only."""
-    if cfg is None or cfg.fmt == "csv":
-        row_axis, columns = ([format(v, ".17g") for v in axis.tolist()] for axis in axes)
-        blocks = (
-            "\n".join([f"{r},{c},{cell}" for c, cell in zip(columns, cells)])
-            for r, cells in zip(row_axis, rows)
-        )
-        return _csv(",".join(names), blocks)
-    row_axis, columns = ([repr(v) for v in axis.tolist()] for axis in axes)
-    body = ",\n".join(
-        f"      [\n        {r},\n        {c},\n        {cell}\n      ]"
-        for r, cells in zip(row_axis, rows)
-        for c, cell in zip(columns, cells)
-    )
-    head = _json({"command": cfg.command, "config": cfg.to_flat()})[:-2]
-    lists = ",\n".join(
-        f'    "{name}": [\n      ' + ",\n      ".join(axis) + "\n    ]"
-        for name, axis in zip(names, (row_axis, columns))
-    )
-    return f'{head},\n  "result": {{\n{lists},\n    "rows": [\n{body}\n    ]\n  }}\n}}\n'
+def _grid(names, axes, kinds, codes, fills=None, cfg: RunConfig | None = None) -> str:
+    """A grid, row-major: CSV with the header ``names`` and a ``row,column,cell``
+    line per cell, or for a JSON ``cfg`` both axes under the first two names
+    and a [row, column, *cell] list per cell, as json.dumps(..., indent=2)
+    writes them (floats as repr, which json shares for finite floats only).
+    Each column has one template per cell kind: its text and that kind's fields
+    in ``kinds``.  One fancy index with the integer array ``codes`` picks every
+    cell's template, one join per row writes the row, and one ``%`` fills it
+    from its tuple in ``fills`` where the fields hold conversions.  No text is
+    built per cell, and the rows are joined into the output once."""
+    import numpy as np
+
+    json = cfg is not None and cfg.fmt == "json"
+    text = repr if json else "{:.17g}".format
+    row_axis, columns = ([text(v) for v in axis.tolist()] for axis in axes)
+    if json:
+        opening, sep, closing, between = "      [\n        ", ",\n        ", "\n      ]", ",\n"
+        result = {names[0]: axes[0].tolist(), names[1]: axes[1].tolist(), "rows": []}
+        start, _, end = _json_output(cfg, result).rpartition("[]")  # around the empty rows
+        head, tail = start + "[\n", "\n    ]" + end
+    else:
+        opening, sep, closing, between = "", ",", "", "\n"
+        head, tail = ",".join(names) + "\n", "\n"
+    table = [[sep + c + sep + sep.join(kind) + closing for kind in kinds] for c in columns]
+    cells = np.array(table, dtype=object)[np.arange(len(columns)), codes].tolist()
+    lines = []
+    for r, row, fill in zip(row_axis, cells, fills or [None] * len(cells)):
+        row[0] = opening + r + row[0]
+        line = (between + opening + r).join(row)
+        lines.append(line if fill is None else line % fill)
+    lines[0] = head + lines[0]
+    lines[-1] += tail
+    return between.join(lines)
 
 
 def _sweep_text(result: SweepResult, cfg: RunConfig | None = None) -> str:
@@ -292,22 +299,18 @@ def _sweep_text(result: SweepResult, cfg: RunConfig | None = None) -> str:
     or a defined L is not finite, which the JSON template cannot write."""
     import numpy as np
 
-    if not (np.isfinite(result.simon).all() and np.isfinite(result.log_neg[result.defined]).all()):
+    defined = result.defined
+    if not (np.isfinite(result.simon).all() and np.isfinite(result.log_neg[defined]).all()):
         raise OverflowError("a sweep value to write is not finite")
-    grids = (result.simon.tolist(), result.log_neg.tolist(), result.defined.tolist())
-    cells = (zip(*row) for row in zip(*grids))
-    if cfg is not None and cfg.fmt == "json":
-        sep = ",\n        "  # one value per line, as in the cell template of _grid
-        rows = (
-            [f"{s!r}{sep}{d!r}{sep}1" if ok else f"{s!r}{sep}null{sep}0" for s, d, ok in row]
-            for row in cells
-        )
-    else:
-        rows = (
-            [f"{s:.17g},{degree:.17g},1" if ok else f"{s:.17g},nan,0" for s, degree, ok in row]
-            for row in cells
-        )
-    return _grid(("t", "c", "S,L,defined"), (result.times, result.thermal_cs), rows, cfg)
+    number, missing = ("%r", "null") if cfg is not None and cfg.fmt == "json" else ("%.17g", "nan")
+    # each row's S and L values, cell by cell, without the L of undefined cells
+    keep = np.stack([np.ones_like(defined), defined], axis=2)
+    values = np.stack([result.simon, result.log_neg], axis=2)[keep].tolist()
+    ends = keep.sum(axis=(1, 2)).cumsum().tolist()
+    fills = [tuple(values[start:end]) for start, end in zip([0, *ends], ends)]
+    kinds = ((number, missing, "0"), (number, number, "1"))
+    axes = (result.times, result.thermal_cs)
+    return _grid(("t", "c", "S,L,defined"), axes, kinds, defined.astype(int), fills, cfg)
 
 
 def sweep_csv(result: SweepResult) -> str:
@@ -358,11 +361,11 @@ def _run_phase_diagram(cfg: RunConfig) -> str:
         np.linspace(cfg["c_min"], cfg["c_max"], cfg["n_c"]),
         m=cfg["m"],
     )
-    statuses = diagram.statuses()
-    if cfg.fmt == "json":
-        statuses = [[f'"{status}"' for status in row] for row in statuses]
+    statuses = ("separable", "entangled", "unphysical")  # codes 0, 1, 2
+    kinds = [(f'"{status}"' if cfg.fmt == "json" else status,) for status in statuses]
+    codes = np.where(diagram.unphysical, 2, diagram.entangled)
     axes = (diagram.d_xpy_values, diagram.thermal_cs)
-    return _grid(("d_xpy", "c", "status"), axes, statuses, cfg)
+    return _grid(("d_xpy", "c", "status"), axes, kinds, codes, cfg=cfg)
 
 
 def run(cfg: RunConfig) -> str:

@@ -106,12 +106,15 @@ def _check_block(env: EnvironmentSpec, block, diffusion) -> None:
 def _steady_block(env: EnvironmentSpec, d11: float, d12: float, d22: float):
     """Entries (a, b, c) of the symmetric 2x2 block s = [[a, b], [b, c]] solving
     Y0 s + s Y0^T = -2 [[d11, d12], [d12, d22]] for one oscillator block Y0,
-    checked by :func:`_check_block`."""
+    checked by :func:`_check_block`; ``ZeroDivisionError`` names an underflowed divisor."""
     omega_sq = _square(env, "omega")
     mw2 = env.m * omega_sq
-    b = (2.0 * env.lam * d12 - mw2 * d11 + d22 / env.m) / (
-        2.0 * (_square(env, "lam") + omega_sq)
-    )
+    divisor = 2.0 * (_square(env, "lam") + omega_sq)
+    if divisor == 0.0:
+        raise ZeroDivisionError(
+            f"2(lambda^2 + omega^2) underflows to 0 (lam={env.lam}, omega={env.omega})"
+        )
+    b = (2.0 * env.lam * d12 - mw2 * d11 + d22 / env.m) / divisor
     block = (d11 + b / env.m) / env.lam, b, (d22 - mw2 * b) / env.lam
     _check_block(env, block, (d11, d12, d22))
     return block

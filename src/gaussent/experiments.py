@@ -277,12 +277,6 @@ class PhaseDiagram:
     entangled: np.ndarray
     unphysical: np.ndarray
 
-    def statuses(self) -> list[list[str]]:
-        """Each cell's status, row by row: unphysical, else entangled or separable."""
-        names = ("separable", "entangled", "unphysical")
-        codes = np.where(self.unphysical, 2, self.entangled).tolist()
-        return [[names[k] for k in row] for row in codes]
-
 
 def asymptotic_phase_diagram(
     lam: float,

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -538,6 +539,24 @@ _NAN_NU_STATE = {
 }
 
 
+def _bench_like_grid(seed: int) -> dict[str, str]:
+    """A seeded 200 x 200 phase-diagram grid like the benchmark's, where every
+    status occurs: d_xpy up to the diffusion bound at c_max = 2."""
+    rng = random.Random(seed)
+    lam, omega = rng.uniform(0.05, 0.2), rng.uniform(0.5, 2.0)
+    return {"lambda": repr(lam), "omega": repr(omega), "d_xpy_max": repr(lam),
+            "c_max": "2.0", "n_d": "200", "n_c": "200"}
+
+
+_ALL_STATUSES = {"entangled", "separable", "unphysical"}
+
+
+def _json_text_oracle(cfg, axes: dict, rows: list) -> str:
+    """A grid's JSON output as json.dumps(..., indent=2) writes it."""
+    result = {"command": cfg.command, "config": cfg.to_flat(), "result": {**axes, "rows": rows}}
+    return json.dumps(result, indent=2) + "\n"
+
+
 class TestWriters:
     """The grid writers against the cell-by-cell oracles, byte for byte."""
 
@@ -581,6 +600,53 @@ class TestWriters:
         assert result["rows"] == rows
         assert result["d_xpy"] == diagram.d_xpy_values.tolist()
         assert result["c"] == diagram.thermal_cs.tolist()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "keys,statuses",
+        [
+            (_bench_like_grid(11), _ALL_STATUSES),
+            ({"n_d": "1", "n_c": "1"}, {"separable"}),
+            ({"d_xpy_min": "-0.06", "d_xpy_max": "-0.01", "n_c": "7"}, _ALL_STATUSES),
+            ({"d_xpy_min": "-0.06", "n_d": "9", "c_max": "1.3", "n_c": "7"}, _ALL_STATUSES),
+        ],
+    )
+    def test_phase_diagram_grids_match_cell_oracle(self, keys, statuses, fmt):
+        cfg = build_config("phase-diagram", keys, fmt=fmt)
+        diagram = ge.asymptotic_phase_diagram(
+            cfg["lambda"],
+            cfg["omega"],
+            np.linspace(cfg["d_xpy_min"], cfg["d_xpy_max"], cfg["n_d"]),
+            np.linspace(cfg["c_min"], cfg["c_max"], cfg["n_c"]),
+            m=cfg["m"],
+        )
+        rows = phase_diagram_rows_oracle(diagram)
+        assert len(rows) == cfg["n_d"] * cfg["n_c"]
+        assert {row[2] for row in rows} == statuses
+        if fmt == "csv":
+            expected = phase_diagram_csv_oracle(diagram)
+        else:
+            axes = {"d_xpy": diagram.d_xpy_values.tolist(), "c": diagram.thermal_cs.tolist()}
+            expected = _json_text_oracle(cfg, axes, rows)
+        assert run(cfg) == expected
+
+    @pytest.mark.filterwarnings("ignore:classification grid is below the recommended resolution")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("keys", [{"n_t": "2"}, {"n_c": "1"}])
+    def test_sweep_grids_with_undefined_cells_match_cell_oracle(self, keys, fmt):
+        cfg = build_config("sweep", {"initial": "fig3", **keys}, fmt=fmt)
+        spec = ge.SweepSpec(cfg.environment(), cfg.initial_state(), n_t=cfg["n_t"],
+                            n_c=cfg["n_c"])
+        result = ge.sweep(spec)
+        assert result.simon.shape == (cfg["n_t"], cfg["n_c"])
+        assert (~result.defined).any() and result.defined.any()
+        if fmt == "csv":
+            expected = sweep_csv_oracle(result)
+        else:
+            rows = [[*row[:4], int(row[4])] for row in sweep_rows_oracle(result)]
+            axes = {"t": result.times.tolist(), "c": result.thermal_cs.tolist()}
+            expected = _json_text_oracle(cfg, axes, rows)
+        assert run(cfg) == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_writers_refuse_values_that_are_not_finite(self, fmt):
@@ -815,12 +881,53 @@ _VALUES = st.one_of(
 _GRID_VALUES = st.sampled_from([1, 2, 3, 4, 2, 3, 4, 10**7]).map(str)
 
 
+#: README's exit-code list: each quantity whose failure exits 4, and the text
+#: by which its message names it.
+_EXIT_4_QUANTITIES = (
+    ("a failed Lyapunov residual check", "Lyapunov solve residual"),
+    ("a steady solve that is not finite", "Lyapunov solve is not finite"),
+    ("the environment's diffusion coefficients", "thermal diffusion coefficients overflow"),
+    ("the diffusion bounds", "diffusion bounds are not finite"),
+    ("C from a temperature", "thermal parameter overflows at temperature"),
+    ("omega^2 in the drift and the steady state", "omega^2 overflows"),
+    ("lambda^2 in the drift and the steady state", "lam^2 overflows"),
+    ("2(lambda^2 + omega^2) in the steady state", "2(lambda^2 + omega^2) underflows"),
+    ("the phase omega t", "oscillator phase omega*t overflows"),
+    ("the evolved state", "evolved covariance matrix is not finite"),
+    ("the rescaled initial state", "covariance matrix overflows when its modes are rescaled"),
+    ("the d_xpy grid", "d_xpy grid is not finite"),
+    ("the Simon function", "Simon function is not finite"),
+    ("the PT symplectic spectrum", "PT symplectic spectrum overflows"),
+)
+
+
+def _names_a_quantity(err: str) -> bool:
+    """Whether the last stderr line is an exit-4 message naming a quantity."""
+    line = err.splitlines()[-1] if err else ""
+    head, _, message = line.partition("error: numerical failure: ")
+    return not head and any(text in message for _, text in _EXIT_4_QUANTITIES)
+
+
 class TestArgvProperty:
+    @pytest.mark.parametrize(
+        "message",
+        ["float division by zero", "math domain error", "(34, 'Numerical result out of range')"],
+    )
+    def test_bare_messages_name_no_quantity(self, message):
+        assert not _names_a_quantity(f"error: numerical failure: {message}\n")
+        assert _names_a_quantity("error: numerical failure: Simon function is not finite (inf)\n")
+
     @given(
         command=st.sampled_from(COMMANDS),
         values=st.dictionaries(st.sampled_from(_VALUE_KEYS), _VALUES, max_size=4),
         grid=st.fixed_dictionaries({key: _GRID_VALUES for key in _GRID_KEYS}),
         flags=st.lists(st.sampled_from(["--strict", "--format=json"]), unique=True),
+    )
+    @example(  # 2(lambda^2 + omega^2) underflows to 0 in the steady solve
+        command="steady",
+        values={"lambda": "1e-200", "omega": "1e-200", "m": "1e200", "d_xpy": "0"},
+        grid={key: "2" for key in _GRID_KEYS},
+        flags=[],
     )
     @settings(max_examples=500, deadline=None)
     # drawn grids are coarse and drawn horizons may be short
@@ -839,3 +946,5 @@ class TestArgvProperty:
                 return
         assert code in (0, 2, 3, 4), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        if code == 4:
+            assert _names_a_quantity(err.getvalue()), (argv, err.getvalue())

