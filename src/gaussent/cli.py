@@ -18,9 +18,8 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING
 
 from .core import (
     CovarianceMatrix,
@@ -37,6 +36,7 @@ from .dynamics import evolve, steady_covariance
 from .entanglement import metrics
 from .presets import PRESET_NAMES, initial_state
 
+TYPE_CHECKING = False  # as typing names it; typing itself is not imported
 if TYPE_CHECKING:  # experiments, with numpy, loads only for the grid commands
     import argparse
 
@@ -86,8 +86,9 @@ class PhysicalityError(Exception):
     """Environment or initial state fails a physicality requirement."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(
+    namedtuple("RunConfig", "command values strict out fmt", defaults=(False, None, "csv"))
+):
     """A fully resolved run: command, configuration values and output options.
 
     ``values`` maps the keys of the key table to their resolved values: ``c``
@@ -96,11 +97,7 @@ class RunConfig:
     ``initial``.  ``cfg[key]`` reads one value.
     """
 
-    command: str
-    values: dict[str, float | int | str]
-    strict: bool = False
-    out: str | None = None
-    fmt: str = "csv"
+    __slots__ = ()
 
     def __getitem__(self, key: str):
         return self.values[key]

@@ -8,7 +8,7 @@ the dimensionless parameter C = coth(omega / (2 T)) >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 #: Largest asymmetry residual accepted (and symmetrized away) on construction.
 SYMMETRY_TOL = 1e-12
@@ -48,8 +48,9 @@ def _check_parameters(m, omega, lam, thermal_c, *coefficients) -> None:
         raise ValueError(f"thermal parameter coth(omega/2T) must be >= 1, got {thermal_c}")
 
 
-@dataclass(frozen=True)
-class EnvironmentSpec:
+class EnvironmentSpec(
+    namedtuple("EnvironmentSpec", "m omega lam thermal_c d_xx d_xpx d_pxpx d_xy d_xpy d_pxpy")
+):
     """Oscillator and bath parameters; fully determines drift and diffusion.
 
     The two oscillators are identical and couple to the same bath, so the
@@ -58,22 +59,20 @@ class EnvironmentSpec:
 
     ``lam`` must be positive: the drift eigenvalues are -lam +/- i*omega and a
     decaying propagator (hence a steady state) exists only for lam > 0.  Every
-    parameter must be finite.
+    parameter must be finite.  It is an immutable named tuple, validated on
+    construction, ``_make`` and ``_replace`` included.
     """
 
-    m: float
-    omega: float
-    lam: float
-    thermal_c: float
-    d_xx: float
-    d_xpx: float
-    d_pxpx: float
-    d_xy: float
-    d_xpy: float
-    d_pxpy: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_parameters(*vars(self).values())
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _check_parameters(*self)
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> EnvironmentSpec:
+        return cls(*iterable)
 
     def is_thermal(self) -> bool:
         """True when the coefficients give a Gibbs state at long times.
@@ -223,14 +222,11 @@ def independent_entries(sigma: CovarianceMatrix) -> dict[str, float]:
     return dict(zip(ENTRY_NAMES, sigma._values))
 
 
-@dataclass(frozen=True)
-class DiffusionCheck:
+class DiffusionCheck(namedtuple("DiffusionCheck", "name margin passed")):
     """One pairwise diffusion bound: passed iff margin >= -MARGIN_TOL times the
     sum of the magnitudes of the margin's terms."""
 
-    name: str
-    margin: float
-    passed: bool
+    __slots__ = ()
 
 
 def validate_diffusion(env: EnvironmentSpec) -> tuple[DiffusionCheck, ...]:
@@ -289,14 +285,12 @@ def _positive_definite(values, shift: float) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class StateReport:
+class StateReport(namedtuple("StateReport", "physical rescaled")):
     """Result of :func:`check_physical_state`: the verdict, and the sigma it
     was reached on (rescaled when its diagonal is positive) as ten entries in
     ``ENTRY_NAMES`` order."""
 
-    physical: bool
-    rescaled: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def min_eigenvalue(self) -> float:

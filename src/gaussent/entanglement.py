@@ -9,8 +9,7 @@ eigenvalue of the partially transposed covariance matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import CovarianceMatrix, EnvironmentSpec
 from .dynamics import steady_covariance
@@ -71,7 +70,7 @@ def _simon(values) -> float:
     return value
 
 
-class PtSpectrum(NamedTuple):
+class PtSpectrum(namedtuple("PtSpectrum", "delta_tilde nu_minus_sq nu_plus_sq")):
     """Squared symplectic spectrum of the partial transpose.
 
     2 nu~_-+^2 = Delta~ -/+ sqrt(Delta~^2 - 4 det sigma) with the seralian
@@ -80,9 +79,7 @@ class PtSpectrum(NamedTuple):
     of pretending to be real.
     """
 
-    delta_tilde: float
-    nu_minus_sq: float
-    nu_plus_sq: float
+    __slots__ = ()
 
 
 def symplectic_spectrum_pt(sigma: CovarianceMatrix) -> PtSpectrum:
@@ -136,8 +133,12 @@ def log_negativity(sigma: CovarianceMatrix) -> float | None:
     return _negativity(symplectic_spectrum_pt(sigma).nu_minus_sq)
 
 
-@dataclass(frozen=True)
-class EntanglementMetrics:
+class EntanglementMetrics(
+    namedtuple(
+        "EntanglementMetrics",
+        "simon_s seralian_tilde nu_tilde_minus_sq log_negativity separable boundary",
+    )
+):
     """Separability and entanglement-degree summary of one covariance matrix.
 
     ``separable`` follows the sign convention S >= 0 (the S = 0 boundary
@@ -146,12 +147,7 @@ class EntanglementMetrics:
     undefined (degenerate or unphysical input).
     """
 
-    simon_s: float
-    seralian_tilde: float
-    nu_tilde_minus_sq: float
-    log_negativity: float | None
-    separable: bool
-    boundary: bool
+    __slots__ = ()
 
 
 def metrics(sigma: CovarianceMatrix) -> EntanglementMetrics:

@@ -300,7 +300,9 @@ def asymptotic_phase_diagram(
     c_top, d_top = float(cs.max(initial=1.0)), float(magnitudes.max(initial=0.0))
     thermal_environment(lam, c_top, 0.0, d_top, m, omega)
     unphysical = 0.5 * lam * cs[None, :] < magnitudes[:, None]
-    entangled = ~unphysical & (cs[None, :] < _threshold(lam, omega, magnitudes)[:, None])
+    with np.errstate(over="ignore"):  # a C* past the float range is inf and compares as it does
+        thresholds = _threshold(lam, omega, magnitudes)
+    entangled = ~unphysical & (cs[None, :] < thresholds[:, None])
     return PhaseDiagram(
         d_xpy_values=d_values,
         thermal_cs=cs,

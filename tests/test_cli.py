@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,26 @@ class TestPhaseDiagramCommand:
         assert code == 0
         assert [row[2] for row in parse_csv(out)[1]] == ["unphysical", "unphysical"]
         assert run_cli(capsys, "metrics", "--set", "d_xpy=-0.2")[0] == 3
+
+    def test_overflowing_threshold_warns_nothing(self, capsys):
+        # C* = 1 + 2|d_xpy| / hypot(lambda, omega) overflows at d_xpy = 1e200,
+        # whose cells are all unphysical
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys,
+                "phase-diagram",
+                "--set", "lambda=1e-200", "--set", "omega=1e-200",
+                "--set", "d_xpy_max=1e200", "--set", "c_max=1e300",
+                "--set", "n_d=2", "--set", "n_c=2",
+            )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "0,1,separable",
+            "0,1.0000000000000001e+300,separable",
+            "9.9999999999999997e+199,1,unphysical",
+            "9.9999999999999997e+199,1.0000000000000001e+300,unphysical",
+        ]
 
 
 class TestConfigHandling:
@@ -763,8 +784,8 @@ class TestPointQueriesWithoutNumpy:
             "import json, sys\n"
             "from gaussent.cli import main\n"
             f"codes = [main(argv) for argv in {_POINT_ARGVS!r}]\n"
-            "loaded = sorted(name for name in sys.modules\n"
-            "                if name.split('.')[0] in ('numpy', 'argparse'))\n"
+            "loaded = sorted(name for name in sys.modules if name.split('.')[0]\n"
+            "                in ('numpy', 'argparse', 'dataclasses', 'inspect'))\n"
             f"codes.append(main({lenient!r}))\n"
             "print(json.dumps([codes, loaded]))\n"
         )
@@ -778,6 +799,19 @@ class TestPointQueriesWithoutNumpy:
         assert "".join(outputs) == "".join(out for _, out, _ in expected)
         assert proc.stderr == "".join(err for _, _, err in expected)
         assert "warning: unphysical initial state" in proc.stderr
+
+    def test_point_commands_load_no_heavy_module_without_site(self):
+        # -S: no .pth file of site-packages loads typing, re or enum first
+        script = (
+            "import sys\n"
+            "from gaussent.cli import main\n"
+            f"codes = [main(argv) for argv in {_POINT_ARGVS!r}]\n"
+            "heavy = ('numpy', 'argparse', 'dataclasses', 'inspect', 'typing')\n"
+            "print(codes, sorted(name for name in sys.modules if name.split('.')[0] in heavy))\n"
+        )
+        proc = _python("-S", "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{[0] * len(_POINT_ARGVS)} []"
 
     def test_numpy_errors_map_to_exit_4_when_numpy_loads_late(self):
         # this Lyapunov solve fails its residual check, and the LinAlgError

@@ -18,6 +18,8 @@ from gaussent.core import (
     thermal_c_from_temperature,
     validate_diffusion,
 )
+from gaussent.cli import build_config
+from gaussent.entanglement import symplectic_spectrum_pt
 from helpers import (
     diffusion_matrix,
     drift_matrix,
@@ -113,6 +115,39 @@ def test_environment_requires_positive_dissipation():
             m=1.0, omega=1.0, lam=0.0, thermal_c=1.0,
             d_xx=0.0, d_xpx=0.0, d_pxpx=0.0, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0,
         )
+
+
+def test_replace_and_make_validate():
+    # a named tuple's _make, which _replace calls, does not go through __new__
+    env = ge.thermal_environment(0.1, 1.0)
+    with pytest.raises(ValueError, match="dissipation constant must be positive"):
+        env._replace(lam=-1.0)
+    with pytest.raises(ValueError, match="dissipation constant must be positive"):
+        EnvironmentSpec._make([*env[:2], 0.0, *env[3:]])
+    assert type(env._replace(lam=0.2)) is EnvironmentSpec
+    assert env._replace(lam=0.2) == (*env[:2], 0.2, *env[3:])
+
+
+def test_records_are_immutable_named_tuples():
+    env = ge.thermal_environment(0.1, 1.0, d_xpy=0.049)
+    state = ge.evolve(ge.presets.initial_state("fig1"), env, 7.25)
+    records = [
+        env,
+        validate_diffusion(env)[0],
+        check_physical_state(state),
+        symplectic_spectrum_pt(state),
+        ge.metrics(state),
+        build_config("steady", {}),
+    ]
+    for record in records:
+        fields = tuple(getattr(record, name) for name in record._fields)
+        assert record == fields and tuple(record) == fields
+        assert repr(record) == type(record).__name__ + "(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(record._fields, fields)
+        ) + ")"
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], fields[0])
+        assert not hasattr(record, "__dict__")
 
 
 class TestDriftDiffusion:
