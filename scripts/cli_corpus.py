@@ -81,6 +81,20 @@ def corpus() -> list[list[str]]:
             lines += both_formats(command, *state, "t=2.5", "n_t=100", "n_c=3")
             lines.append([command, "--strict", *sets(*state, "t=2.5", "n_t=100", "n_c=3")])
     lines += [["metrics", "--strict", *sets(f"initial={preset}")] for preset in ("fig3", "fig4")]
+    # JSON point queries whose config values print as exponent, negative-zero
+    # and subnormal text (a subnormal d_xpy fails the steady residual check)
+    for command, *pairs in (
+        ("metrics", "initial=fig1", "t=1e-05", "c=1.0000000000000002", "d_xy=-0.0",
+         "d_xpy=5e-324"),
+        ("metrics", "initial=fig1", "t=1e-05", "c=1.0000000000000002", "d_xy=-0.0",
+         "d_xpy=1e-200", "t_max=5e-324", "d_xpy_max=1e+16", "n_t=1_000"),
+        ("evolve", "sigma_xx=1", "sigma_pxpx=1", "sigma_yy=1", "sigma_pypy=1", "sigma_xy=-0.0",
+         "sigma_xpy=1e-300", "t=1e+2", "d_xpy=-0.0"),
+        ("steady", "temperature=5e-324", "lambda=1e-05", "d_xpy=0.0", "d_xpy_min=-5e-324",
+         "c_max=1e+16", "n_c=+3"),
+        ("metrics", "initial=fig2", "temperature=1e+16", "t=5e-324", "omega=1.0000000000000002"),
+    ):
+        lines.append([command, *sets(*pairs), "--format", "json"])
     # overflowing, underflowing and extreme baths, grids and states
     for command, *pairs in (
         ("metrics", "sigma_xx=1e200", "sigma_pxpx=1e200"),

@@ -19,7 +19,6 @@ import math
 import operator
 import sys
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii as _quote
 
 from .core import (
     CovarianceMatrix,
@@ -94,7 +93,10 @@ class RunConfig(
     ``values`` maps the keys of the key table to their resolved values: ``c``
     holds the thermal parameter (also when it was given as a temperature,
     which is not kept), and explicit ``sigma_*`` entries take the place of
-    ``initial``.  ``cfg[key]`` reads one value.
+    ``initial``.  ``cfg[key]`` reads one value.  Every value is a finite
+    float, an int or a validated preset name, whose ``str`` needs no JSON
+    escaping.  The JSON config block relies on that and writes them
+    unescaped: a key with other str values must change its template too.
     """
 
     __slots__ = ()
@@ -162,7 +164,8 @@ def build_config(
     out: str | None = None,
     fmt: str = "csv",
 ) -> RunConfig:
-    """Validate raw key=value strings and resolve them into a RunConfig."""
+    """Validate raw key=value strings and resolve them into a RunConfig, whose
+    values are finite floats, ints and a preset name from ``PRESET_NAMES``."""
     for key in provided:
         if key not in _KEYS and key not in ENTRY_NAMES:
             raise ConfigError(f"unknown configuration key {key!r}")
@@ -218,16 +221,38 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *rows, ""])
 
 
+@functools.cache  # json, and the re and enum it imports, load with the first JSON output
+def _quote():
+    """json's string quoting, which writes non-ASCII characters as escapes."""
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii
+
+
+@functools.lru_cache
+def _object(keys: tuple, pad: str, slot: str) -> str:
+    """A JSON object of ``keys`` laid out as json.dumps(indent=2) writes it from
+    the line of newline and indentation ``pad``, with ``slot`` in place of each
+    value for one ``%`` to fill, and a ``%`` in a key written ``%%``."""
+    if not keys:
+        return "{}"
+    inner = pad + "  "
+    quote = _quote()
+    items = [quote(key).replace("%", "%%") + ": " + slot for key in keys]
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
+
+
 def _json(value, pad: str = "\n") -> str:
     """``value`` as json.dumps(value, indent=2) writes it, with ``pad`` the
     newline and indentation of the line it starts on: dicts with str keys,
-    lists, str, float, int, bool and None; any other type raises TypeError."""
+    lists, str, float, int, bool and None; any other type raises TypeError.
+    A dict fills the cached ``_object`` template of its keys with its values."""
     if isinstance(value, float):
         if math.isfinite(value):
             return float.__repr__(value)
         return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
     if isinstance(value, str):
-        return _quote(value)
+        return _quote()(value)
     if value is None:
         return "null"
     if isinstance(value, bool):  # before int, of which bool is a subclass
@@ -236,8 +261,7 @@ def _json(value, pad: str = "\n") -> str:
         return int.__repr__(value)
     inner = pad + "  "
     if isinstance(value, dict):
-        items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+        return _object(tuple(value), pad, "%s") % tuple([_json(v, inner) for v in value.values()])
     if isinstance(value, list):
         items = [_json(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
@@ -245,7 +269,12 @@ def _json(value, pad: str = "\n") -> str:
 
 
 def _json_output(cfg: RunConfig, result: dict) -> str:
-    return _json({"command": cfg.command, "config": cfg.to_flat(), "result": result}) + "\n"
+    """A run's JSON output: command, config as ``to_flat`` strings and ``result``.
+    The ``'"%s"'`` slot applies ``str`` to each config value, as ``to_flat`` does."""
+    values = cfg.values
+    config = _object(tuple(values), "\n  ", '"%s"') % tuple(values.values())
+    top = _object(("command", "config", "result"), "\n", "%s")
+    return top % (_quote()(cfg.command), config, _json(result, "\n  ")) + "\n"
 
 
 def _pairs(cfg: RunConfig, header: str, values: dict, result: dict) -> str:

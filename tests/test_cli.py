@@ -578,6 +578,32 @@ def _json_text_oracle(cfg, axes: dict, rows: list) -> str:
     return json.dumps(result, indent=2) + "\n"
 
 
+#: Config value texts for point queries, each of which resolves to a physical
+#: bath and a finite result: their ``str`` differs from the text or takes an
+#: exponent, a negative zero or a subnormal.  d_xy and d_xpy are always given
+#: and about zero, so every lambda and c pass the diffusion bounds, but not
+#: subnormal: the steady solve's residual bound underflows for those.
+_ZERO_TEXTS = ("-0.0", "0", "0.0", "1e-200", "-1E-200")
+_DIFFUSION_TEXTS = {"d_xy": _ZERO_TEXTS, "d_xpy": _ZERO_TEXTS}
+_CONFIG_TEXTS = {
+    "lambda": ("0.1", "1e-05", "1.0000000000000002", "2.5E0"),
+    "m": ("1", "0.5", "1.0000000000000002", "1e+2"),
+    "omega": ("1", "2.", "1.0000000000000002", ".5"),
+    "t": ("-0.0", "0", "5e-324", "1e-05", "7.25", "1e+2"),
+    "t_max": ("1e+16", "5e-324", "50"),
+    "n_t": ("2", "+7", "1_000", "0020"),
+    "n_c": ("1", "20", "1_0"),
+    "n_d": ("1", "13", "+3"),
+    "c_min": ("1", "1.0000000000000002"),
+    "c_max": ("1.5", "1e+16"),
+    "d_xpy_min": ("-0.0", "-1e+16", "-5e-324"),
+    "d_xpy_max": ("0", "5e-324", "1e+16"),
+}
+_C_TEXTS = ("1", "1.0000000000000002", "1.5", "1e+16")
+_TEMPERATURE_TEXTS = ("0", "-0.0", "5e-324", "0.5", "1e+16")
+_SIGMA_TEXTS = ("0.5", "1", "-0.25", "-0.0", "5e-324", "1e-300", "1.0000000000000002", "1e+16")
+
+
 class TestWriters:
     """The grid writers against the cell-by-cell oracles, byte for byte."""
 
@@ -729,9 +755,44 @@ class TestWriters:
     )
     @example(value={})
     @example(value=[])
+    # keys that are % conversions: the object templates must escape them
+    @example(value={"%s": [{"%%": {"a%(b)s": "%s"}}, {}], "a%(b)s": [[], {"%s": None}], "%%": 1.5})
+    @example(value=[{"%%": "%(b)s", "%s": [{"a%(b)s": [{"%s": "%%"}]}]}])
     @settings(max_examples=500, deadline=None)
     def test_json_writer_is_json_dumps(self, value):
         assert _json(value, "\n") == json.dumps(value, indent=2)
+
+    @given(
+        command=st.sampled_from(["steady", "evolve", "metrics"]),
+        keys=st.fixed_dictionaries(
+            {key: st.sampled_from(texts) for key, texts in _DIFFUSION_TEXTS.items()},
+            optional={key: st.sampled_from(texts) for key, texts in _CONFIG_TEXTS.items()},
+        ),
+        thermal=st.one_of(
+            st.just({}),
+            st.sampled_from(_C_TEXTS).map(lambda text: {"c": text}),
+            st.sampled_from(_TEMPERATURE_TEXTS).map(lambda text: {"temperature": text}),
+        ),
+        initial=st.one_of(
+            st.just({}),
+            st.sampled_from(PRESET_NAMES).map(lambda name: {"initial": name}),
+            st.dictionaries(st.sampled_from(ENTRY_NAMES), st.sampled_from(_SIGMA_TEXTS),
+                            min_size=1),
+        ),
+    )
+    @example(  # the config values print as exponent, negative-zero and subnormal text
+        command="metrics",
+        keys={"t": "1e-05", "d_xy": "-0.0", "d_xpy": "1e-200", "t_max": "5e-324", "n_t": "1_000"},
+        thermal={"c": "1.0000000000000002"},
+        initial={"initial": "fig1"},
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_point_json_config_is_json_dumps_of_to_flat(self, command, keys, thermal, initial):
+        cfg = build_config(command, {**keys, **thermal, **initial}, fmt="json")
+        written = run(cfg)
+        payload = {"command": command, "config": cfg.to_flat(),
+                   "result": json.loads(written)["result"]}
+        assert written == json.dumps(payload, indent=2) + "\n"
 
 
 def _python(*args):
@@ -801,17 +862,22 @@ class TestPointQueriesWithoutNumpy:
         assert "warning: unphysical initial state" in proc.stderr
 
     def test_point_commands_load_no_heavy_module_without_site(self):
-        # -S: no .pth file of site-packages loads typing, re or enum first
+        # -S: no .pth file of site-packages loads typing, re or enum first.
+        # CSV output needs no json, nor the re and enum that json imports.
+        csv = [argv for argv in _POINT_ARGVS if argv[-1] == "csv"]
         script = (
             "import sys\n"
             "from gaussent.cli import main\n"
-            f"codes = [main(argv) for argv in {_POINT_ARGVS!r}]\n"
-            "heavy = ('numpy', 'argparse', 'dataclasses', 'inspect', 'typing')\n"
-            "print(codes, sorted(name for name in sys.modules if name.split('.')[0] in heavy))\n"
+            "def loaded(*names):\n"
+            "    return sorted(name for name in sys.modules if name.split('.')[0] in names)\n"
+            f"codes = [main(argv) for argv in {csv!r}]\n"
+            "after_csv = loaded('json', 're', 'enum')\n"
+            f"codes += [main(argv) for argv in {_POINT_ARGVS!r}]\n"
+            "print(codes, after_csv, loaded('numpy', 'argparse', 'dataclasses', 'inspect', 'typing'))\n"
         )
         proc = _python("-S", "-c", script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{[0] * len(_POINT_ARGVS)} []"
+        assert proc.stdout.splitlines()[-1] == f"{[0] * (len(csv) + len(_POINT_ARGVS))} [] []"
 
     def test_numpy_errors_map_to_exit_4_when_numpy_loads_late(self):
         # this Lyapunov solve fails its residual check, and the LinAlgError
