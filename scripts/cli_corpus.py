@@ -82,7 +82,7 @@ def corpus() -> list[list[str]]:
             lines.append([command, "--strict", *sets(*state, "t=2.5", "n_t=100", "n_c=3")])
     lines += [["metrics", "--strict", *sets(f"initial={preset}")] for preset in ("fig3", "fig4")]
     # JSON point queries whose config values print as exponent, negative-zero
-    # and subnormal text (a subnormal d_xpy fails the steady residual check)
+    # and subnormal text
     for command, *pairs in (
         ("metrics", "initial=fig1", "t=1e-05", "c=1.0000000000000002", "d_xy=-0.0",
          "d_xpy=5e-324"),
@@ -95,6 +95,9 @@ def corpus() -> list[list[str]]:
         ("metrics", "initial=fig2", "temperature=1e+16", "t=5e-324", "omega=1.0000000000000002"),
     ):
         lines.append([command, *sets(*pairs), "--format", "json"])
+    # subnormal diffusion terms, whose steady residual bound is the smallest normal float
+    lines += both_formats("steady", "d_xpy=1e-310", "lambda=1e-05")
+    lines += both_formats("steady", "d_xy=5e-324", "d_xpy=0", "lambda=2.5")
     # overflowing, underflowing and extreme baths, grids and states
     for command, *pairs in (
         ("metrics", "sigma_xx=1e200", "sigma_pxpx=1e200"),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 from .core import CovarianceMatrix, EnvironmentSpec, _square
 
@@ -80,8 +81,9 @@ def _check_block(env: EnvironmentSpec, block, diffusion) -> None:
     """Raise ``numpy.linalg.LinAlgError`` unless s = [[a, b], [b, c]] (``block``)
     solves Y0 s + s Y0^T = -2 [[d11, d12], [d12, d22]] (``diffusion``): each of
     the three independent residual entries (the diagonal ones halved) must lie
-    within 1e-12 of the sum of the magnitudes of its terms, a finite sum.
-    numpy is imported only to raise."""
+    within 1e-12 of the sum of the magnitudes of its terms, a finite sum, or
+    within the smallest normal float, where that bound underflows for a
+    subnormal term.  numpy is imported only to raise."""
     (a, b, c), (d11, d12, d22) = block, diffusion
     lam, m = env.lam, env.m
     mw2 = m * _square(env, "omega")
@@ -92,7 +94,8 @@ def _check_block(env: EnvironmentSpec, block, diffusion) -> None:
     ):
         scale = sum(map(abs, terms))
         residual = abs(sum(terms))
-        if scale < math.inf and residual <= 1e-12 * scale:
+        bound = max(1e-12 * scale, sys.float_info.min)
+        if scale < math.inf and residual <= bound:
             continue
         from numpy.linalg import LinAlgError
 
@@ -100,7 +103,7 @@ def _check_block(env: EnvironmentSpec, block, diffusion) -> None:
             raise LinAlgError(
                 f"Lyapunov solve is not finite or its residual overflows: s = {list(block)}"
             )
-        raise LinAlgError(f"Lyapunov solve residual {residual:.3e} exceeds {1e-12 * scale:.3e}")
+        raise LinAlgError(f"Lyapunov solve residual {residual:.3e} exceeds {bound:.3e}")
 
 
 def _steady_block(env: EnvironmentSpec, d11: float, d12: float, d22: float):

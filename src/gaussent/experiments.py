@@ -10,8 +10,9 @@ is refined by bisection on the exact flow, to a time independent of the grid.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -46,8 +47,9 @@ _LABELS = {
 LABELS = tuple(dict.fromkeys(label for row in _LABELS.values() for label in row))
 
 
-@dataclass(frozen=True)
-class PhaseClassification:
+class PhaseClassification(
+    namedtuple("PhaseClassification", "label event_times s_initial_sign s_infinity_sign")
+):
     """Label of an entanglement trajectory plus the refined crossing instants.
 
     The label is a pure function of the initial sign class of the Simon
@@ -62,14 +64,22 @@ class PhaseClassification:
     Signs are -1/0/+1; the S = 0 boundary counts as separable.
     """
 
-    label: str
-    event_times: tuple[float, ...]
-    s_initial_sign: int
-    s_infinity_sign: int
+    __slots__ = ()
 
 
 def _sign(value: float) -> int:
     return (value > 0) - (value < 0)
+
+
+def _check_size(name: str, value, least: int) -> None:
+    """Raise ``TypeError`` unless the grid size ``value`` is an integer (by
+    ``operator.index``) and ``ValueError`` if it is below ``least``."""
+    try:
+        size = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if size < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _refine_crossing(
@@ -128,8 +138,7 @@ def classify_phase(
     """
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    if n_t < 2:
-        raise ValueError(f"n_t must be at least 2, got {n_t}")
+    _check_size("n_t", n_t, 2)
     if t_max * env.lam < 5.0 or n_t < 100:
         warnings.warn(
             "classification grid is below the recommended resolution "
@@ -166,38 +175,42 @@ def classify_phase(
     )
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(
+    namedtuple(
+        "SweepSpec",
+        "env_base initial t_max n_t c_min c_max n_c",
+        defaults=(50.0, 500, 1.0, 1.5, 20),
+    )
+):
     """Grid specification for a (time, thermal parameter) surface.
 
     The environment's thermal parameter is overridden at each grid column, so
     ``env_base`` must be thermal and its ``thermal_c`` is not read; its
     dissipation and cross-diffusion coefficients are reused as-is.  The time
     grid has ``n_t`` samples including t = 0; the thermal grid has ``n_c``
-    columns.
+    columns.  It is an immutable named tuple, validated on construction,
+    ``_make`` and ``_replace`` included.
     """
 
-    env_base: EnvironmentSpec
-    initial: CovarianceMatrix
-    t_max: float = 50.0
-    n_t: int = 500
-    c_min: float = 1.0
-    c_max: float = 1.5
-    n_c: int = 20
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.env_base.is_thermal():
             raise ValueError("sweeps override thermal_c and need a thermal env_base")
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.n_t < 2:
-            raise ValueError(f"n_t must be at least 2, got {self.n_t}")
-        if self.n_c < 1:
-            raise ValueError(f"n_c must be at least 1, got {self.n_c}")
+        _check_size("n_t", self.n_t, 2)
+        _check_size("n_c", self.n_c, 1)
         if not self.c_min >= 1.0:
             raise ValueError(f"c_min must be >= 1, got {self.c_min}")
         if not self.c_min <= self.c_max < math.inf:
             raise ValueError(f"c_max must be finite and >= c_min, got {self.c_max}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> SweepSpec:
+        return cls(*iterable)
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.n_t)
@@ -212,22 +225,18 @@ class SweepSpec:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
+class SweepResult(
+    namedtuple("SweepResult", "spec times thermal_cs simon log_neg defined classifications")
+):
     """Simon and logarithmic-negativity surfaces over a (t, c) grid.
 
     ``log_neg`` holds NaN where the degree is undefined, and ``defined`` is
     the mask of the other cells, so undefined points are propagated, never
-    dropped.
+    dropped.  Arrays have no truth value, so a result equals only itself.
     """
 
-    spec: SweepSpec
-    times: np.ndarray
-    thermal_cs: np.ndarray
-    simon: np.ndarray
-    log_neg: np.ndarray
-    defined: np.ndarray
-    classifications: tuple[PhaseClassification, ...]
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
@@ -251,31 +260,21 @@ def sweep(spec: SweepSpec) -> SweepResult:
             raise
         simon[:, j] = [simon_function(state) for state in states]
         classifications.append(classify_phase(spec.initial, env_c, spec.t_max, spec.n_t))
-    return SweepResult(
-        spec=spec,
-        times=times,
-        thermal_cs=cs,
-        simon=simon,
-        log_neg=log_neg,
-        defined=~np.isnan(log_neg),
-        classifications=tuple(classifications),
-    )
+    return SweepResult(spec, times, cs, simon, log_neg, ~np.isnan(log_neg), tuple(classifications))
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseDiagram:
+class PhaseDiagram(namedtuple("PhaseDiagram", "d_xpy_values thermal_cs entangled unphysical")):
     """Entangled-at-infinity map over a (d_xpy, thermal_c) grid, d_xy = 0.
 
     Cells violating the diffusion constraint (lam/2) thermal_c >= |d_xpy| are
     marked unphysical and excluded from the entangled set.  A physical cell is
     entangled iff thermal_c < C* = 1 + 2|d_xpy| / sqrt(lam^2 + omega^2), the
-    row's :func:`~gaussent.entanglement.asymptotic_threshold`.
+    row's :func:`~gaussent.entanglement.asymptotic_threshold`.  It equals
+    only itself, as a :class:`SweepResult` does.
     """
 
-    d_xpy_values: np.ndarray
-    thermal_cs: np.ndarray
-    entangled: np.ndarray
-    unphysical: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def asymptotic_phase_diagram(
@@ -303,9 +302,4 @@ def asymptotic_phase_diagram(
     with np.errstate(over="ignore"):  # a C* past the float range is inf and compares as it does
         thresholds = _threshold(lam, omega, magnitudes)
     entangled = ~unphysical & (cs[None, :] < thresholds[:, None])
-    return PhaseDiagram(
-        d_xpy_values=d_values,
-        thermal_cs=cs,
-        entangled=entangled,
-        unphysical=unphysical,
-    )
+    return PhaseDiagram(d_values, cs, entangled, unphysical)

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -32,6 +31,9 @@ from gaussent.cli import (
 )
 from gaussent.presets import PRESET_NAMES
 from helpers import (
+    diffusion_matrix,
+    drift_matrix,
+    lyapunov_oracle,
     phase_diagram_csv_oracle,
     phase_diagram_rows_oracle,
     sweep_csv_oracle,
@@ -581,9 +583,8 @@ def _json_text_oracle(cfg, axes: dict, rows: list) -> str:
 #: Config value texts for point queries, each of which resolves to a physical
 #: bath and a finite result: their ``str`` differs from the text or takes an
 #: exponent, a negative zero or a subnormal.  d_xy and d_xpy are always given
-#: and about zero, so every lambda and c pass the diffusion bounds, but not
-#: subnormal: the steady solve's residual bound underflows for those.
-_ZERO_TEXTS = ("-0.0", "0", "0.0", "1e-200", "-1E-200")
+#: and about zero, so every lambda and c pass the diffusion bounds.
+_ZERO_TEXTS = ("-0.0", "0", "0.0", "1e-200", "-1E-200", "5e-324", "-5e-324")
 _DIFFUSION_TEXTS = {"d_xy": _ZERO_TEXTS, "d_xpy": _ZERO_TEXTS}
 _CONFIG_TEXTS = {
     "lambda": ("0.1", "1e-05", "1.0000000000000002", "2.5E0"),
@@ -707,8 +708,8 @@ class TestWriters:
         simon[1, 1] = math.nan
         log_neg[tuple(np.argwhere(result.defined)[0])] = math.inf
         for bad in (
-            dataclasses.replace(result, simon=simon),
-            dataclasses.replace(result, log_neg=log_neg),
+            result._replace(simon=simon),
+            result._replace(log_neg=log_neg),
         ):
             with pytest.raises(OverflowError, match="not finite"):
                 _sweep_text(bad, cfg)
@@ -879,6 +880,25 @@ class TestPointQueriesWithoutNumpy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"{[0] * (len(csv) + len(_POINT_ARGVS))} [] []"
 
+    def test_grid_commands_do_not_import_dataclasses(self):
+        # -S, with numpy's directory on the path: no .pth file loads anything
+        site = os.path.dirname(os.path.dirname(np.__file__))
+        grids = [
+            ["sweep", "--set", "initial=fig1", "--set", "n_t=100", "--set", "n_c=2"],
+            ["classify", "--set", "initial=fig3", "--set", "n_t=100", "--set", "n_c=2"],
+            ["phase-diagram", "--set", "n_d=3", "--set", "n_c=3", "--format", "json"],
+        ]
+        script = (
+            "import sys\n"
+            f"sys.path.append({site!r})\n"
+            "from gaussent.cli import main\n"
+            f"codes = [main(argv) for argv in {grids!r}]\n"
+            "print(codes, 'numpy' in sys.modules, 'dataclasses' in sys.modules)\n"
+        )
+        proc = _python("-S", "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] True False"
+
     def test_numpy_errors_map_to_exit_4_when_numpy_loads_late(self):
         # this Lyapunov solve fails its residual check, and the LinAlgError
         # it raises is the first thing that imports numpy
@@ -903,6 +923,30 @@ class TestPointQueriesWithoutNumpy:
         assert proc.stderr == (
             "error: numerical failure: Lyapunov solve residual 1.491e-92 exceeds 1.491e-104\n"
         )
+
+
+#: Baths with a subnormal diffusion term, where the steady solve's relative
+#: residual bound underflows: its floor, the smallest normal float, passes the
+#: subnormal residuals of these correct solves.
+_SUBNORMAL_ARGVS = [
+    ["metrics", "--set", "initial=fig1", "--set", "t=1e-05", "--set", "d_xpy=5e-324"],
+    ["steady", "--set", "d_xpy=1e-310", "--set", "lambda=1e-05"],
+    ["steady", "--set", "d_xy=5e-324", "--set", "d_xpy=0", "--set", "lambda=2.5"],
+]
+
+
+class TestSubnormalDiffusion:
+    @pytest.mark.parametrize("argv", _SUBNORMAL_ARGVS)
+    def test_steady_solve_passes_its_residual_check(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        if argv[0] == "steady":
+            cfg = build_config("steady", dict(pair.split("=") for pair in argv[2::2]))
+            env = cfg.environment()
+            dense = lyapunov_oracle(drift_matrix(env), diffusion_matrix(env))
+            printed = dict(line.split(",") for line in out.splitlines()[1:])
+            entries = [float(printed[name]) for name in ENTRY_NAMES]
+            np.testing.assert_allclose(entries, dense[np.triu_indices(4)], rtol=0, atol=1.2e-16)
 
 
 class TestParserReuse:

@@ -138,6 +138,8 @@ def test_records_are_immutable_named_tuples():
         symplectic_spectrum_pt(state),
         ge.metrics(state),
         build_config("steady", {}),
+        ge.classify_phase(ge.presets.initial_state("fig1"), env, 50.0, 500),
+        ge.SweepSpec(env, state, n_c=3),
     ]
     for record in records:
         fields = tuple(getattr(record, name) for name in record._fields)

@@ -8,7 +8,13 @@ import gaussent as ge
 from gaussent.core import MARGIN_TOL, EnvironmentSpec, validate_diffusion
 from gaussent.dynamics import steady_covariance
 from gaussent.entanglement import asymptotic_simon, asymptotic_threshold, simon_function
-from gaussent.experiments import EVENT_MERGE_TOL, _merge_events
+from gaussent.experiments import (
+    EVENT_MERGE_TOL,
+    PhaseClassification,
+    PhaseDiagram,
+    SweepResult,
+    _merge_events,
+)
 from helpers import (
     diffusion_matrix,
     drift_matrix,
@@ -154,6 +160,10 @@ class TestClassifyPhase:
         for t_max in (math.inf, math.nan):
             with pytest.raises(ValueError, match="t_max must be positive and finite"):
                 ge.classify_phase(fig1_initial, _benchmark(1.0), t_max, 500)
+        with pytest.raises(TypeError, match="^n_t must be an integer, got 100.0$"):
+            ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, 100.0)
+        phase = ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, np.int64(500))
+        assert phase == ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, 500)
 
 
 class TestSweep:
@@ -261,6 +271,46 @@ class TestSweep:
         ):
             with pytest.raises(ValueError, match=f"^{key} must"):
                 ge.SweepSpec(env_base=_benchmark(1.0), initial=fig1_initial, **{key: value})
+        for key, value in (("n_t", 100.0), ("n_t", "100"), ("n_c", 2.0), ("n_c", None)):
+            with pytest.raises(TypeError, match=f"^{key} must be an integer, got {value!r}$"):
+                ge.SweepSpec(env_base=_benchmark(1.0), initial=fig1_initial, **{key: value})
+        spec = ge.SweepSpec(_benchmark(1.0), fig1_initial, n_t=np.int64(100), n_c=np.int32(2))
+        assert ge.sweep(spec).simon.shape == (100, 2)
+
+    def test_spec_is_validated_however_built(self, fig1_initial):
+        spec = ge.SweepSpec(_benchmark(1.0), fig1_initial)
+        assert ge.SweepSpec._fields == (
+            "env_base", "initial", "t_max", "n_t", "c_min", "c_max", "n_c"
+        )
+        assert tuple(spec)[2:] == (50.0, 500, 1.0, 1.5, 20)
+        assert spec._replace(n_c=3) == ge.SweepSpec(_benchmark(1.0), fig1_initial, n_c=3)
+        with pytest.raises(ValueError, match="^n_t must be at least 2, got 1$"):
+            spec._replace(n_t=1)
+        with pytest.raises(ValueError, match="^c_min must be >= 1, got 0.5$"):
+            ge.SweepSpec._make([_benchmark(1.0), fig1_initial, 50.0, 500, 0.5, 1.5, 20])
+
+    def test_results_equal_only_themselves(self, fig1_initial):
+        # their arrays have no truth value: comparing fields would raise
+        spec = ge.SweepSpec(_benchmark(1.0), fig1_initial, n_t=100, n_c=2)
+        grid = (0.1, 1.0, [0.0, 0.049], [1.0, 1.2])
+        pairs = (
+            (ge.sweep(spec), ge.sweep(spec)),
+            (ge.asymptotic_phase_diagram(*grid), ge.asymptotic_phase_diagram(*grid)),
+        )
+        for record, twin in pairs:
+            assert record == record and not record != record
+            assert record != twin and not record == twin
+            assert hash(record) == hash(record) and len({record, twin}) == 2
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+            assert not hasattr(record, "__dict__")
+        assert SweepResult._fields == (
+            "spec", "times", "thermal_cs", "simon", "log_neg", "defined", "classifications"
+        )
+        assert PhaseDiagram._fields == ("d_xpy_values", "thermal_cs", "entangled", "unphysical")
+        assert PhaseClassification._fields == (
+            "label", "event_times", "s_initial_sign", "s_infinity_sign"
+        )
 
     @pytest.mark.filterwarnings("ignore:final sampled Simon sign:UserWarning")
     def test_cells_equal_scalar_metrics_bit_for_bit(self):
