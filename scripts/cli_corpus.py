@@ -13,10 +13,11 @@ exactly when their corpus lines are equal:
 
 The corpus covers every command on every preset in both formats, point
 queries, grid shapes, negative cross diffusion, m * omega != 1, temperatures,
-under-resolved grids, explicit states (lenient and --strict), overflowing and
-extreme baths, configuration errors, ``--out``, ``--config`` and
-``--dump-config``, baths on either side of the diffusion bound across a
-thermal grid, and seeded phase diagrams like the benchmark's.
+under-resolved grids, explicit states (lenient and --strict), a failed
+Lyapunov residual check, overflowing and extreme baths, configuration errors,
+``--out``, ``--config`` and ``--dump-config``, baths on either side of the
+diffusion bound across a thermal grid, and seeded phase diagrams like the
+benchmark's.
 """
 
 import hashlib
@@ -98,6 +99,11 @@ def corpus() -> list[list[str]]:
     # subnormal diffusion terms, whose steady residual bound is the smallest normal float
     lines += both_formats("steady", "d_xpy=1e-310", "lambda=1e-05")
     lines += both_formats("steady", "d_xy=5e-324", "d_xpy=0", "lambda=2.5")
+    # a steady solve that fails its Lyapunov residual check
+    lines += both_formats(
+        "steady", "lambda=5.439204557411032e-151", "m=7.024059605703189e-118",
+        "omega=2.758196771215249e+37", "d_xy=3.0351796967227864e-200", "d_xpy=0",
+    )
     # overflowing, underflowing and extreme baths, grids and states
     for command, *pairs in (
         ("metrics", "sigma_xx=1e200", "sigma_pxpx=1e200"),

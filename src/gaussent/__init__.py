@@ -5,8 +5,11 @@ solves for the asymptotic state, evaluates the Simon separability function and
 the logarithmic negativity along trajectories, and classifies how
 entanglement is generated, lost, or revived across environment parameters.
 Names beyond ``__all__`` live in the submodules core, dynamics, entanglement,
-experiments, presets and cli.  Only experiments needs numpy, and it is imported
-when one of its names is first read from the package.
+experiments, presets and cli.  experiments is imported, with numpy, when one
+of its names is first read from the package.  Elsewhere numpy loads only to
+build a ``CovarianceMatrix`` from a matrix, to read ``.entries`` or
+``np.asarray(state)``, for an unphysical state's ``min_eigenvalue``, in
+``propagator`` and on the column path that experiments drives.
 """
 
 from .core import CovarianceMatrix, thermal_environment

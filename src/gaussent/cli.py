@@ -397,9 +397,10 @@ def _run_phase_diagram(cfg: RunConfig) -> str:
 def run(cfg: RunConfig) -> str:
     """Execute a resolved configuration and return the output text.
 
-    Raises ConfigError / PhysicalityError / numpy.linalg.LinAlgError /
-    ArithmeticError (overflow, or division by an underflowed value); the
-    caller maps those to exit codes.  Only the grid commands load numpy.
+    Raises ConfigError / PhysicalityError / ArithmeticError (overflow,
+    division by an underflowed value, or a failed Lyapunov check); the caller
+    maps those to exit codes.  numpy loads for the grid commands and for the
+    eigenvalue quoted on an unphysical initial state.
     """
     if cfg.command == "phase-diagram":
         return _run_phase_diagram(cfg)
@@ -523,14 +524,6 @@ def _parse_args(argv: list[str]) -> dict | None:
     return args if args["command"] else None
 
 
-def _numerical_errors() -> tuple[type[Exception], ...]:
-    """Exit code 4's exceptions: ArithmeticError, and numpy's LinAlgError once
-    numpy is loaded, as only numpy code raises it.  An ``except`` clause calls
-    this when an exception reaches it, so numpy is not imported to catch."""
-    numpy = sys.modules.get("numpy")
-    return (ArithmeticError, numpy.linalg.LinAlgError) if numpy else (ArithmeticError,)
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -568,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     except PhysicalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICALITY
-    except _numerical_errors() as exc:
+    except ArithmeticError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -138,8 +138,8 @@ class CovarianceMatrix:
     Construction stores an exactly symmetric input as given, symmetrizes one
     whose asymmetry residual is at most ``SYMMETRY_TOL`` via (M + M^T)/2 and
     rejects it otherwise, so small floating-point drift is absorbed but
-    genuinely asymmetric data is not.
-    Non-finite entries are rejected.  Physicality is not required here; see
+    genuinely asymmetric data is not.  Complex entries raise ``TypeError``
+    and non-finite ones ``ValueError``.  Physicality is not required here; see
     :func:`check_physical_state`.  The state is its ten independent entries,
     floats in ``ENTRY_NAMES`` order; numpy builds the 4x4 only when it is read.
     """
@@ -149,7 +149,10 @@ class CovarianceMatrix:
     def __init__(self, entries) -> None:
         import numpy as np
 
-        arr = np.array(entries, dtype=float)
+        arr = np.array(entries)
+        if arr.dtype.kind == "c":  # a cast to float would drop the imaginary parts
+            raise TypeError("covariance matrix entries must be real, got complex values")
+        arr = arr.astype(float, copy=False)
         if arr.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got shape {arr.shape}")
         if not np.isfinite(arr).all():
@@ -203,7 +206,8 @@ def covariance_from_entries(values) -> CovarianceMatrix:
     """Build a covariance matrix from named independent entries.
 
     ``values`` maps entry names (``sigma_xx`` ... ``sigma_pypy``) to finite
-    floats; missing entries default to zero, unknown names are rejected.
+    real numbers; missing entries default to zero, unknown names are rejected,
+    and complex values raise ``TypeError``.
     """
     out = dict.fromkeys(ENTRY_NAMES, 0.0)
     for name, value in dict(values).items():
@@ -211,6 +215,10 @@ def covariance_from_entries(values) -> CovarianceMatrix:
             raise ValueError(
                 f"unknown covariance entry {name!r}; valid names: {', '.join(ENTRY_NAMES)}"
             )
+        # float() truncates a numpy complex to its real part (a Python complex
+        # fails); Python reals skip the slow attribute lookup
+        if not isinstance(value, (float, int)) and "complex" in str(getattr(value, "dtype", "")):
+            raise TypeError(f"covariance entry {name!r} must be real, got {value!r}")
         out[name] = float(value)
     if not all(map(math.isfinite, out.values())):
         raise ValueError("covariance matrix entries must be finite")

@@ -78,12 +78,12 @@ def propagator(env: EnvironmentSpec, t: float):
 
 
 def _check_block(env: EnvironmentSpec, block, diffusion) -> None:
-    """Raise ``numpy.linalg.LinAlgError`` unless s = [[a, b], [b, c]] (``block``)
+    """Raise ``ArithmeticError`` unless s = [[a, b], [b, c]] (``block``)
     solves Y0 s + s Y0^T = -2 [[d11, d12], [d12, d22]] (``diffusion``): each of
     the three independent residual entries (the diagonal ones halved) must lie
     within 1e-12 of the sum of the magnitudes of its terms, a finite sum, or
     within the smallest normal float, where that bound underflows for a
-    subnormal term.  numpy is imported only to raise."""
+    subnormal term."""
     (a, b, c), (d11, d12, d22) = block, diffusion
     lam, m = env.lam, env.m
     mw2 = m * _square(env, "omega")
@@ -97,13 +97,11 @@ def _check_block(env: EnvironmentSpec, block, diffusion) -> None:
         bound = max(1e-12 * scale, sys.float_info.min)
         if scale < math.inf and residual <= bound:
             continue
-        from numpy.linalg import LinAlgError
-
         if not scale < math.inf:
-            raise LinAlgError(
+            raise ArithmeticError(
                 f"Lyapunov solve is not finite or its residual overflows: s = {list(block)}"
             )
-        raise LinAlgError(f"Lyapunov solve residual {residual:.3e} exceeds {bound:.3e}")
+        raise ArithmeticError(f"Lyapunov solve residual {residual:.3e} exceeds {bound:.3e}")
 
 
 def _steady_block(env: EnvironmentSpec, d11: float, d12: float, d22: float):
@@ -132,7 +130,7 @@ def steady_covariance(env: EnvironmentSpec) -> CovarianceMatrix:
     cross block is symmetric because d_ypx = d_xpy) and is solved in closed
     form for any diffusion coefficients, with B = A.  Each block's residual is
     checked entry by entry against the size of its terms; a failure, or a
-    solve that is not finite, raises ``numpy.linalg.LinAlgError``.
+    solve that is not finite, raises ``ArithmeticError``.
     """
     xx, xp, pp = _steady_block(env, env.d_xx, env.d_xpx, env.d_pxpx)
     cx, cm, cp = _steady_block(env, env.d_xy, env.d_xpy, env.d_pxpy)

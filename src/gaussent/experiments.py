@@ -19,13 +19,7 @@ import numpy as np
 
 from .core import CovarianceMatrix, EnvironmentSpec, thermal_environment
 from .dynamics import _column_entries, evolve, steady_covariance
-from .entanglement import (
-    _column_negativity,
-    _simon,
-    _threshold,
-    simon_function,
-    symplectic_spectrum_pt,
-)
+from .entanglement import _column_negativity, _simon, _threshold, metrics, simon_function
 
 #: Bisection window below which a crossing instant is considered resolved.
 EVENT_TIME_TOL = 1e-8
@@ -254,9 +248,8 @@ def sweep(spec: SweepSpec) -> SweepResult:
         try:
             log_neg[:, j] = _column_negativity(entries)  # an undefined L (None) is stored as NaN
         except OverflowError:
-            for state in states:  # raise what S or the spectrum raises first, cell by cell
-                simon_function(state)
-                symplectic_spectrum_pt(state)
+            for state in states:  # raise what metrics raises first, cell by cell
+                metrics(state)
             raise
         simon[:, j] = [simon_function(state) for state in states]
         classifications.append(classify_phase(spec.initial, env_c, spec.t_max, spec.n_t))
@@ -286,13 +279,17 @@ def asymptotic_phase_diagram(
 ) -> PhaseDiagram:
     """Mark each (d_xpy, thermal_c) cell entangled iff the asymptote has S < 0.
 
-    Raises ``ValueError`` for parameters that ``thermal_environment`` rejects
-    (non-positive lam, omega or m, thermal_c < 1, non-finite values), checked
-    once, also for an empty grid, on the environment at the largest thermal_c
-    and |d_xpy|, whose coefficients are every cell's largest.
+    Raises ``ValueError`` unless both grids are 1-D, and for parameters that
+    ``thermal_environment`` rejects (non-positive lam, omega or m,
+    thermal_c < 1, non-finite values), checked once, also for an empty grid,
+    on the environment at the largest thermal_c and |d_xpy|, whose
+    coefficients are every cell's largest.
     """
     d_values = np.asarray(d_xpy_grid, dtype=float)
     cs = np.asarray(c_grid, dtype=float)
+    for name, grid in (("d_xpy_grid", d_values), ("c_grid", cs)):
+        if grid.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")
     if not np.all(cs >= 1.0):
         raise ValueError(f"thermal parameters must be >= 1, got {cs.min()}")
     magnitudes = np.abs(d_values)

@@ -899,9 +899,10 @@ class TestPointQueriesWithoutNumpy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0] True False"
 
-    def test_numpy_errors_map_to_exit_4_when_numpy_loads_late(self):
-        # this Lyapunov solve fails its residual check, and the LinAlgError
-        # it raises is the first thing that imports numpy
+    def test_numerical_failures_exit_4_without_loading_numpy(self):
+        # -S: no .pth file loads numpy.  A failed Lyapunov residual check, an
+        # underflowed steady-state divisor and an overflowing phase omega*t are
+        # each an ArithmeticError, which main catches without numpy.
         bath = {
             "lambda": "5.439204557411032e-151",
             "m": "7.024059605703189e-118",
@@ -912,16 +913,25 @@ class TestPointQueriesWithoutNumpy:
         argv = ["steady"]
         for key, value in bath.items():
             argv += ["--set", f"{key}={value}"]
+        failures = [
+            argv,
+            ["steady", "--set", "lambda=1e-200", "--set", "omega=1e-200", "--set", "m=1e200",
+             "--set", "d_xpy=0"],
+            ["evolve", "--set", "omega=1e200", "--set", "m=1e-200", "--set", "t=1e200"],
+        ]
         script = (
             "import sys\n"
             "from gaussent.cli import main\n"
-            "assert 'numpy' not in sys.modules\n"
-            f"raise SystemExit(main({argv!r}))\n"
+            f"codes = [main(argv) for argv in {failures!r}]\n"
+            "print(codes, 'numpy' in sys.modules)\n"
         )
-        proc = _python("-c", script)
-        assert proc.returncode == 4, proc.stderr
+        proc = _python("-S", "-c", script)
+        assert proc.stdout == "[4, 4, 4] False\n", proc.stderr
         assert proc.stderr == (
             "error: numerical failure: Lyapunov solve residual 1.491e-92 exceeds 1.491e-104\n"
+            "error: numerical failure: 2(lambda^2 + omega^2) underflows to 0"
+            " (lam=1e-200, omega=1e-200)\n"
+            "error: numerical failure: oscillator phase omega*t overflows at t = 1e+200\n"
         )
 
 

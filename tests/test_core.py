@@ -12,6 +12,7 @@ from gaussent.core import (
     MARGIN_TOL,
     SYMMETRY_TOL,
     EnvironmentSpec,
+    StateReport,
     check_physical_state,
     covariance_from_entries,
     independent_entries,
@@ -380,6 +381,15 @@ class TestCheckPhysicalState:
         with pytest.raises(OverflowError, match="rescaled"):
             check_physical_state(sigma)
 
+    def test_min_eigenvalue_is_finite_at_every_scale(self):
+        # the last numpy linear algebra on a CLI path: it gives a number, never
+        # a LinAlgError, which the CLI's ArithmeticError handler would not catch
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            scale = 10.0 ** rng.uniform(-300.0, 300.0)
+            values = tuple((scale * rng.standard_normal(10)).tolist())
+            assert math.isfinite(StateReport(False, values).min_eigenvalue)
+
     @given(
         thermal_c=st.floats(1.0, 50.0),
         m=st.floats(0.5, 2.0),
@@ -471,6 +481,18 @@ class TestCovarianceMatrix:
     def test_unknown_entry_name(self):
         with pytest.raises(ValueError, match="unknown covariance entry"):
             covariance_from_entries({"sigma_zz": 1.0})
+
+    def test_complex_entries_are_rejected_not_truncated(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's ComplexWarning included
+            with pytest.raises(TypeError, match="entries must be real"):
+                ge.CovarianceMatrix(np.eye(4) * (0.5 + 2j))
+            with pytest.raises(TypeError, match="entries must be real"):
+                ge.CovarianceMatrix(np.eye(4, dtype=np.complex64))
+            for value in (np.complex128(0.5 + 2j), np.complex64(0.5), np.array(0.5 + 0j)):
+                entries = dict.fromkeys(ENTRY_NAMES[1:], 0.0) | {"sigma_xx": value}
+                with pytest.raises(TypeError, match="'sigma_xx' must be real"):
+                    covariance_from_entries(entries)
 
 
 class TestTemperatureConversion:

@@ -452,3 +452,16 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError):
             ge.asymptotic_phase_diagram(0.1, 1.0, [0.01], [1.0], m=0.0)
 
+    @pytest.mark.parametrize(
+        "d_xpy_grid,c_grid,message",
+        [
+            (0.01, 1.0, r"d_xpy_grid must be 1-D, got shape \(\)"),
+            ([0.0, 0.01], 1.2, r"c_grid must be 1-D, got shape \(\)"),
+            ([[0.0, 0.01]], [1.0, 1.2], r"d_xpy_grid must be 1-D, got shape \(1, 2\)"),
+            ([0.0, 0.01], [[1.0], [1.2]], r"c_grid must be 1-D, got shape \(2, 1\)"),
+        ],
+    )
+    def test_grids_must_be_one_dimensional(self, d_xpy_grid, c_grid, message):
+        with pytest.raises(ValueError, match=message):
+            ge.asymptotic_phase_diagram(0.1, 1.0, d_xpy_grid, c_grid)
+
