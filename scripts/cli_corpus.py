@@ -16,8 +16,16 @@ queries, grid shapes, negative cross diffusion, m * omega != 1, temperatures,
 under-resolved grids, explicit states (lenient and --strict), a failed
 Lyapunov residual check, overflowing and extreme baths, configuration errors,
 ``--out``, ``--config`` and ``--dump-config``, baths on either side of the
-diffusion bound across a thermal grid, and seeded phase diagrams like the
-benchmark's.
+diffusion bound across a thermal grid, phase diagrams with a position cross
+coefficient d_xy, and seeded phase diagrams like the benchmark's.
+
+``scripts/cli_corpus.jsonl`` is this script's output, checked in; a change
+that alters CLI output on purpose regenerates it:
+
+    python scripts/cli_corpus.py > scripts/cli_corpus.jsonl
+
+``tests/test_examples.py`` runs the same argvs in process through
+``cli.main`` and compares each line with that file.
 """
 
 import hashlib
@@ -33,6 +41,7 @@ import tempfile
 TREE = pathlib.Path(__file__).resolve().parent.parent
 PRESETS = ("vacuum", "fig1", "fig2", "fig3", "fig4")
 CONFIG_FILE = "run.cfg"
+OUT_FILE = "out.txt"
 CONFIG_TEXT = "# a flat config file\nc=1.2\ninitial=fig2\nt = 3.5\n"
 
 
@@ -62,6 +71,9 @@ def corpus() -> list[list[str]]:
         "phase-diagram", "d_xpy_min=-0.08", "d_xpy_max=0.08", "n_d=17", "m=1.5", "omega=0.8"
     )
     lines += both_formats("phase-diagram", "d_xpy_min=0.05", "d_xpy_max=0.05", "n_d=1", "n_c=1")
+    # d_xy past its diffusion bound everywhere, and d_xy alone entangling below C*+ = 1.4
+    lines += both_formats("phase-diagram", "d_xy=0.3")
+    lines += both_formats("phase-diagram", "d_xy=0.02", "d_xpy_max=0.04")
     lines += both_formats("sweep", "initial=fig1", "d_xpy=-0.03", "n_t=200")
     lines += both_formats("classify", "initial=fig3", "d_xpy=-0.03")
     for command in ("steady", "metrics", "sweep", "classify"):
@@ -177,9 +189,9 @@ def corpus() -> list[list[str]]:
         ["sweep", *sets("initial=fig2", "n_t=50", "n_c=2", "t_max=60")],
         ["classify", *sets("initial=fig4")],
         ["phase-diagram", *sets("n_d=4", "n_c=5")],
-        ["sweep", *sets("initial=fig1"), "--out", "out.txt"],
+        ["sweep", *sets("initial=fig1"), "--out", OUT_FILE],
         ["phase-diagram", *sets("n_d=25", "c_max=1.3", "n_c=61"), "--format", "json",
-         "--out", "out.txt"],
+         "--out", OUT_FILE],
         ["metrics", "--config", CONFIG_FILE],
         ["metrics", "--config", CONFIG_FILE, *sets("c=1.0"), "--format", "json"],
         ["metrics", *sets("c=1.2", "initial=fig3", "t=2.5"), "--dump-config"],
@@ -205,16 +217,25 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _normalise(stderr: str) -> str:
-    stderr = stderr.replace(str(TREE), "<tree>")
-    return re.sub(r"\.py:\d+", ".py:<line>", stderr)
+def record(argv: list[str], code: int, stdout: bytes, out: pathlib.Path, stderr: str) -> str:
+    """The corpus line of one run: ``out`` is the ``--out`` path, read if it
+    exists, and ``stderr`` is normalised here."""
+    stderr = re.sub(r"\.py:\d+", ".py:<line>", stderr.replace(str(TREE), "<tree>"))
+    return json.dumps({
+        "argv": argv,
+        "exit": code,
+        "stdout": _digest(stdout),
+        "out": _digest(out.read_bytes()) if out.exists() else None,
+        "stderr": stderr,
+    })
 
 
 def main() -> None:
-    env = dict(os.environ, PYTHONPATH=str(TREE / "src"))
+    # argparse wraps its usage text at the terminal width, 80 on a pipe
+    env = dict(os.environ, PYTHONPATH=str(TREE / "src"), COLUMNS="80")
     with tempfile.TemporaryDirectory() as scratch:
         work = pathlib.Path(scratch)
-        out = work / "out.txt"
+        out = work / OUT_FILE
         (work / CONFIG_FILE).write_text(CONFIG_TEXT, encoding="utf-8")
         for argv in corpus():
             out.unlink(missing_ok=True)
@@ -222,14 +243,8 @@ def main() -> None:
                 [sys.executable, "-m", "gaussent.cli", *argv],
                 cwd=work, env=env, capture_output=True, check=False,
             )
-            record = {
-                "argv": argv,
-                "exit": proc.returncode,
-                "stdout": _digest(proc.stdout),
-                "out": _digest(out.read_bytes()) if out.exists() else None,
-                "stderr": _normalise(proc.stderr.decode("utf-8", "replace")),
-            }
-            print(json.dumps(record), flush=True)
+            stderr = proc.stderr.decode("utf-8", "replace")
+            print(record(argv, proc.returncode, proc.stdout, out, stderr), flush=True)
 
 
 if __name__ == "__main__":

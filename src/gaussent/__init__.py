@@ -14,7 +14,7 @@ build a ``CovarianceMatrix`` from a matrix, to read ``.entries`` or
 
 from .core import CovarianceMatrix, thermal_environment
 from .dynamics import evolve
-from .entanglement import asymptotic_log_negativity, asymptotic_threshold, metrics
+from .entanglement import asymptotic_threshold, metrics
 from . import presets
 
 _EXPERIMENTS = ("SweepSpec", "asymptotic_phase_diagram", "classify_phase", "sweep")
@@ -37,6 +37,6 @@ def __dir__() -> list[str]:
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovarianceMatrix", "thermal_environment", "evolve", "asymptotic_log_negativity",
-    "asymptotic_threshold", "metrics", *_EXPERIMENTS, "presets", "__version__",
+    "CovarianceMatrix", "thermal_environment", "evolve", "asymptotic_threshold", "metrics",
+    *_EXPERIMENTS, "presets", "__version__",
 ]

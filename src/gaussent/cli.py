@@ -386,6 +386,7 @@ def _run_phase_diagram(cfg: RunConfig) -> str:
         d_xpy_values,
         np.linspace(cfg["c_min"], cfg["c_max"], cfg["n_c"]),
         m=cfg["m"],
+        d_xy=cfg["d_xy"],
     )
     statuses = ("separable", "entangled", "unphysical")  # codes 0, 1, 2
     kinds = [(f'"{status}"' if cfg.fmt == "json" else status,) for status in statuses]

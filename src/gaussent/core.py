@@ -34,8 +34,12 @@ def _rows(values) -> list[list[float]]:
 
 
 def _check_parameters(m, omega, lam, thermal_c, *coefficients) -> None:
-    """Raise ``ValueError`` unless all are finite, m, omega, lam > 0 and thermal_c >= 1."""
+    """Raise ``TypeError`` for a complex numpy value and ``ValueError`` unless
+    all are finite, m, omega, lam > 0 and thermal_c >= 1."""
     values = (m, omega, lam, thermal_c, *coefficients)
+    for value in values:  # math.isfinite casts a numpy complex; floats skip the lookup
+        if type(value) is not float and "complex" in str(getattr(value, "dtype", "")):
+            raise TypeError(f"environment parameters must be real, got {value!r}")
     if not all(map(math.isfinite, values)):
         raise ValueError(f"environment parameters are not finite: {values}")
     if not m > 0:

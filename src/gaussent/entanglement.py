@@ -179,32 +179,23 @@ def asymptotic_simon(env: EnvironmentSpec) -> float:
     return _simon(steady_covariance(env)._values)
 
 
-def _threshold(lam: float, omega: float, d_xpy):
-    """C* of :func:`asymptotic_threshold` for d_xpy a float or an array."""
-    return 1.0 + 2.0 * abs(d_xpy) / math.hypot(lam, omega)
+def _threshold(lam: float, omega: float, m: float, d_xy: float, d_xpy, ops=(max, min, math.sqrt)):
+    """C*+ of :func:`asymptotic_threshold`; ``ops`` = (np.maximum, np.minimum,
+    np.sqrt) take an array ``d_xpy``, with the same bits."""
+    maximum, minimum, sqrt = ops
+    cross, local = 2.0 * abs(d_xpy) / math.hypot(lam, omega), 2.0 * abs(d_xy) * (m * omega) / lam
+    low = minimum(cross, local)
+    return maximum(cross, local) + sqrt(1.0 + low * low)
 
 
 def asymptotic_threshold(env: EnvironmentSpec) -> float:
-    """Thermal parameter C* = 1 + 2|d_xpy|/sqrt(lam^2 + omega^2), for d_xy = 0.
+    """Thermal parameter C*+ below which the steady state is entangled.
 
-    The steady state is entangled exactly when thermal_c < C*.
+    With p = |d_xpy|/sqrt(lam^2 + omega^2), s = m omega |d_xy|/lam, a = max(p, s)
+    and b = min(p, s), S of the steady state is quadratic in C^2 with roots
+    (sqrt(1 + 4b^2) -/+ 2a)^2.  The lower one lies below the pairwise bounds
+    C >= 2|d_xpy|/lam and C >= 2s, so a bath within them is entangled at
+    infinity iff thermal_c < C*+ = sqrt(1 + 4b^2) + 2a, 1 + 2p at d_xy = 0.
     """
     _require_thermal(env, "the asymptotic threshold")
-    if env.d_xy != 0.0:
-        raise ValueError("the closed-form threshold is stated for d_xy = 0")
-    return _threshold(env.lam, env.omega, env.d_xpy)
-
-
-def asymptotic_log_negativity(env: EnvironmentSpec) -> float | None:
-    """Entanglement degree of the steady state for d_xy = 0.
-
-    Evaluates max{0, -log2 |thermal_c - 2|d_xpy|/sqrt(lam^2+omega^2)|}, that
-    is max{0, -log2 |thermal_c - (C* - 1)|} with C* the
-    :func:`asymptotic_threshold`, which coincides with
-    log_negativity(steady_covariance(env)).  Returns None when the
-    absolute-value argument vanishes (degenerate PT eigenvalue).
-    """
-    arg = abs(env.thermal_c - (asymptotic_threshold(env) - 1.0))
-    if arg == 0.0:
-        return None
-    return max(0.0, -math.log2(arg))
+    return _threshold(env.lam, env.omega, env.m, env.d_xy, env.d_xpy)

@@ -257,13 +257,12 @@ def sweep(spec: SweepSpec) -> SweepResult:
 
 
 class PhaseDiagram(namedtuple("PhaseDiagram", "d_xpy_values thermal_cs entangled unphysical")):
-    """Entangled-at-infinity map over a (d_xpy, thermal_c) grid, d_xy = 0.
+    """Entangled-at-infinity map over a (d_xpy, thermal_c) grid at one d_xy.
 
-    Cells violating the diffusion constraint (lam/2) thermal_c >= |d_xpy| are
-    marked unphysical and excluded from the entangled set.  A physical cell is
-    entangled iff thermal_c < C* = 1 + 2|d_xpy| / sqrt(lam^2 + omega^2), the
-    row's :func:`~gaussent.entanglement.asymptotic_threshold`.  It equals
-    only itself, as a :class:`SweepResult` does.
+    A cell violating (lam/2) thermal_c >= max(|d_xpy|, m omega |d_xy|) is
+    unphysical and not entangled; a physical cell is entangled iff thermal_c
+    is below its row's :func:`~gaussent.entanglement.asymptotic_threshold`.
+    It equals only itself, as a :class:`SweepResult` does.
     """
 
     __slots__ = ()
@@ -276,27 +275,29 @@ def asymptotic_phase_diagram(
     d_xpy_grid: Sequence[float],
     c_grid: Sequence[float],
     m: float = 1.0,
+    d_xy: float = 0.0,
 ) -> PhaseDiagram:
     """Mark each (d_xpy, thermal_c) cell entangled iff the asymptote has S < 0.
 
-    Raises ``ValueError`` unless both grids are 1-D, and for parameters that
-    ``thermal_environment`` rejects (non-positive lam, omega or m,
-    thermal_c < 1, non-finite values), checked once, also for an empty grid,
-    on the environment at the largest thermal_c and |d_xpy|, whose
-    coefficients are every cell's largest.
+    Raises ``TypeError`` for a complex grid, ``ValueError`` unless both grids
+    are 1-D, and what ``thermal_environment`` raises for its parameters,
+    checked once, also for an empty grid, on the environment at the largest
+    thermal_c and |d_xpy|, whose coefficients are every cell's largest.
     """
-    d_values = np.asarray(d_xpy_grid, dtype=float)
-    cs = np.asarray(c_grid, dtype=float)
-    for name, grid in (("d_xpy_grid", d_values), ("c_grid", cs)):
+    grids = {"d_xpy_grid": np.asarray(d_xpy_grid), "c_grid": np.asarray(c_grid)}
+    for name, grid in grids.items():
+        if grid.dtype.kind == "c":  # a cast to float would drop the imaginary parts
+            raise TypeError(f"{name} must be real, got complex values")
         if grid.ndim != 1:
             raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")
+    d_values, cs = (grid.astype(float, copy=False) for grid in grids.values())
     if not np.all(cs >= 1.0):
         raise ValueError(f"thermal parameters must be >= 1, got {cs.min()}")
     magnitudes = np.abs(d_values)
     c_top, d_top = float(cs.max(initial=1.0)), float(magnitudes.max(initial=0.0))
-    thermal_environment(lam, c_top, 0.0, d_top, m, omega)
-    unphysical = 0.5 * lam * cs[None, :] < magnitudes[:, None]
+    thermal_environment(lam, c_top, d_xy, d_top, m, omega)
+    unphysical = 0.5 * lam * cs[None, :] < np.maximum(magnitudes, m * omega * abs(d_xy))[:, None]
     with np.errstate(over="ignore"):  # a C* past the float range is inf and compares as it does
-        thresholds = _threshold(lam, omega, magnitudes)
+        thresholds = _threshold(lam, omega, m, d_xy, magnitudes, (np.maximum, np.minimum, np.sqrt))
     entangled = ~unphysical & (cs[None, :] < thresholds[:, None])
     return PhaseDiagram(d_values, cs, entangled, unphysical)

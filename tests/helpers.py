@@ -9,12 +9,13 @@ invariants and the propagation step are the plain matrix forms (2x2 block
 determinants, an LU determinant, M sigma M^T) that the package's
 float-arithmetic kernels replace.  The dense drift, diffusion and semigroup
 coefficient matrices are built from an environment's named coefficients,
-which the package reads as floats, and the asymptotic Simon function is its
-closed form in those coefficients, where the package solves the steady
-state.  The writer oracles read every grid cell on its own, format every CSV
-cell on its own and pick each phase-diagram status from the two masks, where
-the package formats each grid axis once, reads whole grids through
-``.tolist()`` and maps the masks through one table.
+which the package reads as floats, and the asymptotic Simon function and
+logarithmic negativity are their closed forms in those coefficients, where
+the package solves the steady state.  The writer oracles read every grid
+cell on its own, format every CSV cell on its own and pick each
+phase-diagram status from the two masks, where the package formats each grid
+axis once, reads whole grids through ``.tolist()`` and maps the masks
+through one table.
 """
 
 from __future__ import annotations
@@ -85,6 +86,23 @@ def asymptotic_simon_oracle(env) -> float:
     det_a_inf = 0.25 * theta_sq
     mixed = 0.25 - abs(g - d)
     return det_a_inf * det_a_inf + mixed * mixed - 0.5 * theta_sq * (g + d) - 0.5 * det_a_inf
+
+
+def asymptotic_log_negativity_oracle(env) -> float | None:
+    """Logarithmic negativity of a thermal environment's steady state, in
+    closed form.
+
+    The PT discriminant of the steady state is (2 thermal_c p)^2, so
+    4 nu~_-^2 = (thermal_c - 2p)^2 - 4s^2 with p = |d_xpy|/sqrt(lam^2 +
+    omega^2) and s = m omega |d_xy|/lam.  Returns None where that is not
+    positive, as ``log_negativity`` does.
+    """
+    p = abs(env.d_xpy) / math.hypot(env.lam, env.omega)
+    s = env.m * env.omega * abs(env.d_xy) / env.lam
+    four_nu_sq = (env.thermal_c - 2.0 * p) ** 2 - 4.0 * s * s
+    if not four_nu_sq > 0.0:
+        return None
+    return max(0.0, -0.5 * math.log2(four_nu_sq))
 
 
 def matrix_exp_oracle(mat: np.ndarray, terms: int = 30) -> np.ndarray:

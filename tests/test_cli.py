@@ -295,6 +295,21 @@ class TestPhaseDiagramCommand:
         assert [row[2] for row in parse_csv(out)[1]] == ["unphysical", "unphysical"]
         assert run_cli(capsys, "metrics", "--set", "d_xpy=-0.2")[0] == 3
 
+    def test_position_cross_is_read(self, capsys):
+        # (lambda/2) c <= 0.075 < d_xy = 0.3 on the whole grid: steady exits 3 there
+        code, out, _ = run_cli(capsys, "phase-diagram", "--set", "d_xy=0.3")
+        assert code == 0
+        assert {row[2] for row in parse_csv(out)[1]} == {"unphysical"}
+        assert run_cli(capsys, "steady", "--set", "d_xy=0.3")[0] == 3
+        # d_xy = 0.02 alone makes the asymptote entangled below C*+ = 1 + 2 m omega d_xy / lambda
+        code, out, _ = run_cli(
+            capsys, "phase-diagram", "--set", "d_xy=0.02", "--set", "d_xpy_max=0.04"
+        )
+        assert code == 0
+        row = [(float(c), status) for d, c, status in parse_csv(out)[1] if float(d) == 0.0]
+        assert len(row) == 20
+        assert all(status == ("entangled" if c < 1.4 else "separable") for c, status in row)
+
     def test_overflowing_threshold_warns_nothing(self, capsys):
         # C* = 1 + 2|d_xpy| / hypot(lambda, omega) overflows at d_xpy = 1e200,
         # whose cells are all unphysical

@@ -92,6 +92,23 @@ class TestThermalEnvironment:
         with pytest.raises(OverflowError, match="thermal diffusion coefficients"):
             ge.thermal_environment(**kwargs)
 
+    def test_complex_parameters_are_rejected_not_truncated(self):
+        env = ge.thermal_environment(0.1, 1.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's ComplexWarning included
+            for value in (np.complex128(1.2 + 1j), np.complex64(1.2), np.array(1.2 + 0j)):
+                with pytest.raises(TypeError, match="parameters must be real"):
+                    ge.thermal_environment(0.1, value)
+                with pytest.raises(TypeError, match="parameters must be real"):
+                    ge.thermal_environment(0.1, 1.2, d_xy=value)
+                with pytest.raises(TypeError, match="parameters must be real"):
+                    env._replace(d_xpy=value)
+            with pytest.raises(TypeError):  # a Python complex fails math.isfinite
+                ge.thermal_environment(0.1, 1.2 + 1j)
+        # numpy reals and Python ints pass, as they did
+        real = ge.thermal_environment(np.float64(0.1), np.int64(1), 0, np.float32(0.0))
+        assert real == ge.thermal_environment(0.1, 1.0)
+
     def test_mirrored_coefficients(self):
         # the y-mode blocks of D mirror the x-mode ones; the oracle builds them
         # from the stored coefficients, as the runtime reads them

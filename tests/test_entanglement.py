@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gaussent as ge
-from gaussent.core import ENTRY_NAMES, EnvironmentSpec, covariance_from_entries
+from gaussent.core import ENTRY_NAMES, EnvironmentSpec, covariance_from_entries, validate_diffusion
 from gaussent.dynamics import steady_covariance
 from gaussent.entanglement import (
     _invariants,
@@ -17,6 +18,7 @@ from gaussent.entanglement import (
     symplectic_spectrum_pt,
 )
 from helpers import (
+    asymptotic_log_negativity_oracle,
     asymptotic_simon_oracle,
     pt_invariants_oracle,
     pt_symplectic_eigs_oracle,
@@ -219,6 +221,11 @@ class TestAsymptoticSimon:
             asymptotic_simon(env)
 
 
+def _steady_degree(env):
+    """L of the solved steady state, as the package computes it."""
+    return ge.metrics(steady_covariance(env)).log_negativity
+
+
 class TestAsymptoticThreshold:
     def test_benchmark_threshold(self):
         env = ge.thermal_environment(0.1, 1.0, 0.0, 0.049)
@@ -228,10 +235,13 @@ class TestAsymptoticThreshold:
     def test_no_cross_coefficient(self):
         assert ge.asymptotic_threshold(ge.thermal_environment(0.1, 1.5)) == 1.0
 
-    def test_rejects_position_cross(self):
-        env = ge.thermal_environment(0.1, 1.0, 0.01, 0.0)
-        with pytest.raises(ValueError, match="d_xy"):
-            ge.asymptotic_threshold(env)
+    def test_position_cross_raises_the_threshold(self):
+        # s = m omega |d_xy| / lam = 0.2 and d_xpy = 0: C*+ = 1 + 2s, whatever the sign
+        for d_xy in (0.02, -0.02):
+            threshold = ge.asymptotic_threshold(ge.thermal_environment(0.1, 1.0, d_xy, 0.0))
+            assert threshold == pytest.approx(1.4, abs=1e-15)
+            below, above = (ge.thermal_environment(0.1, c, d_xy, 0.0) for c in (1.399, 1.401))
+            assert asymptotic_simon(below) < 0.0 < asymptotic_simon(above)
 
     @pytest.mark.parametrize("lam,d_xpy", [(0.05, 0.02), (0.1, 0.049), (0.2, 0.03)])
     def test_bisection_root_matches(self, lam, d_xpy):
@@ -250,38 +260,88 @@ class TestAsymptoticThreshold:
         expected = 1.0 + 2.0 * d_xpy / math.hypot(lam, 1.0)
         assert root == pytest.approx(expected, abs=1e-10)
 
+    def test_any_pairwise_physical_bath(self):
+        # seeded baths with d_xy != 0 at the pairwise diffusion bounds and above:
+        # S(inf) changes sign at C*+ and nowhere else, and L(inf) is the oracle's
+        rng = random.Random(20121)
+        roots = 0
+        for _ in range(2000):
+            lam, omega, m = (10.0 ** rng.uniform(-1.5, 0.5) for _ in range(3))
+            d_xy = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 0.3) * lam / (m * omega)
+            d_xpy = rng.uniform(-1.2, 1.2) * lam
+            edge = max(1.0, 2.0 * abs(d_xpy) / lam, 2.0 * m * omega * abs(d_xy) / lam)
+            edge *= 1.0 + 1e-12
+
+            def env_at(c):
+                return ge.thermal_environment(lam, c, d_xy, d_xpy, m, omega)
+
+            def s_of_c(c):
+                return asymptotic_simon(env_at(c))
+
+            assert all(check.passed for check in validate_diffusion(env_at(edge)))
+            threshold = ge.asymptotic_threshold(env_at(edge))
+            if threshold > edge:
+                roots += 1
+                lo, hi = edge, 2.0 * threshold
+                assert s_of_c(lo) < 0.0 < s_of_c(hi)
+                while hi - lo > 1e-12 * hi:
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if s_of_c(mid) < 0.0 else (lo, mid)
+                assert 0.5 * (lo + hi) == pytest.approx(threshold, rel=1e-10)
+            top = 2.0 * max(threshold, edge)
+            for k in range(6):
+                env = env_at(edge + (top - edge) * k / 5)
+                s_inf = s_of_c(env.thermal_c)
+                if abs(env.thermal_c - threshold) > 1e-9 * threshold:
+                    assert (s_inf < 0.0) == (env.thermal_c < threshold), env
+                met = ge.metrics(steady_covariance(env))
+                expected = asymptotic_log_negativity_oracle(env)
+                if abs(met.nu_tilde_minus_sq) > 1e-12 * top * top:  # not zero within rounding
+                    assert (met.log_negativity is None) == (expected is None), env
+                if expected is not None and expected < 5.0:  # 4 nu^2 > 2^-10: well conditioned
+                    assert met.log_negativity == pytest.approx(expected, abs=1e-10), env
+        assert roots > 1500  # most baths are entangled at their pairwise edge
+
 
 class TestAsymptoticLogNegativity:
+    """L of the solved steady state against its closed form in tests/helpers."""
+
     def test_benchmark_value(self):
         env = ge.thermal_environment(0.1, 1.0, 0.0, 0.049)
         expected = -math.log2(1.0 - 0.098 / math.sqrt(1.01))
-        value = ge.asymptotic_log_negativity(env)
-        assert value == pytest.approx(expected, abs=1e-15)
+        assert asymptotic_log_negativity_oracle(env) == pytest.approx(expected, abs=1e-15)
+        value = _steady_degree(env)
+        assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(0.14802297474805887, abs=1e-12)
 
     def test_zero_cross_reports_zero_degree(self):
         # raw closed form is -log2(C) <= 0; the reported degree clamps at 0
-        assert ge.asymptotic_log_negativity(ge.thermal_environment(0.1, 2.0)) == 0.0
+        env = ge.thermal_environment(0.1, 2.0)
+        assert _steady_degree(env) == asymptotic_log_negativity_oracle(env) == 0.0
 
     def test_zero_at_threshold(self):
-        threshold = ge.asymptotic_threshold(ge.thermal_environment(0.1, 1.0, 0.0, 0.049))
-        env = ge.thermal_environment(0.1, threshold, 0.0, 0.049)
-        assert abs(ge.asymptotic_log_negativity(env)) <= 1e-10
+        for d_xy, d_xpy in ((0.0, 0.049), (0.02, 0.0), (0.01, 0.049)):
+            threshold = ge.asymptotic_threshold(ge.thermal_environment(0.1, 1.0, d_xy, d_xpy))
+            env = ge.thermal_environment(0.1, threshold, d_xy, d_xpy)
+            assert abs(_steady_degree(env)) <= 1e-10
 
     def test_degenerate_argument_returns_none(self):
         d_star = 0.5 * math.sqrt(1.01)  # makes |C - 2 d/sqrt(...)| vanish at C = 1
         env = ge.thermal_environment(0.1, 1.0, 0.0, d_star)
-        assert ge.asymptotic_log_negativity(env) is None
+        assert asymptotic_log_negativity_oracle(env) is None
+        assert _steady_degree(env) is None
 
     @pytest.mark.parametrize("c", [1.0, 1.05, 1.2, 1.6])
     def test_matches_steady_state_route(self, c):
-        env = ge.thermal_environment(0.1, c, 0.0, 0.049)
-        direct = log_negativity(steady_covariance(env))
-        assert ge.asymptotic_log_negativity(env) == pytest.approx(direct, abs=1e-10)
+        for d_xy in (0.0, 0.01, -0.03):
+            env = ge.thermal_environment(0.1, c, d_xy, 0.049)
+            direct = log_negativity(steady_covariance(env))
+            assert direct == _steady_degree(env)
+            assert asymptotic_log_negativity_oracle(env) == pytest.approx(direct, abs=1e-10)
 
     def test_initial_state_independence(self):
         env = ge.thermal_environment(0.1, 1.0, 0.0, 0.049)
-        expected = ge.asymptotic_log_negativity(env)
+        expected = _steady_degree(env)
         values = [
             log_negativity(ge.evolve(ge.presets.initial_state(name), env, 300.0 / 0.1))
             for name in ("fig1", "fig2", "vacuum")

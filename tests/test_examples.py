@@ -1,16 +1,20 @@
 """The scripts and the README's library sketch run against the current package.
 
 The scripts must write exactly what the CLI commands with the same keys
-write, and the README sketch must run as printed.
+write, the README sketch must run as printed, and the CLI corpus must write
+what ``scripts/cli_corpus.jsonl`` records.
 """
 
 import contextlib
 import io
+import json
 import re
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
+from gaussent import cli
 from gaussent.cli import COMMANDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,3 +70,40 @@ def test_cli_corpus_runs_every_command_in_both_formats_once_per_line():
     for command in COMMANDS:
         for fmt in ("csv", "json"):
             assert any(argv[0] == command and argv[-2:] == ["--format", fmt] for argv in corpus)
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    # as a fresh interpreter prints a warning, to the stderr of the moment
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def test_cli_corpus_in_process_matches_the_recorded_digests(monkeypatch, tmp_path):
+    # the recorded lines come from fresh processes (scripts/cli_corpus.py);
+    # each argv runs here through cli.main, from a scratch directory holding
+    # the config file, with a fresh process's warning filter and registries
+    script = runpy.run_path(str(ROOT / "scripts" / "cli_corpus.py"))
+    recorded = (ROOT / "scripts" / "cli_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    corpus = script["corpus"]()
+    assert [json.loads(line)["argv"] for line in recorded] == corpus
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse's usage width on a pipe
+    (tmp_path / script["CONFIG_FILE"]).write_text(script["CONFIG_TEXT"], encoding="utf-8")
+    out = tmp_path / script["OUT_FILE"]
+    package = str(Path(cli.__file__).resolve().parent)
+    changed = []
+    for argv, line in zip(corpus, recorded):
+        out.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with warnings.catch_warnings():  # entering it resets the warning registries
+                warnings.resetwarnings()
+                warnings.simplefilter("default")
+                warnings.showwarning = _show_warning
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:  # argparse rejects the argv
+                    code = exc.code
+        text = stderr.getvalue().replace(package, str(ROOT / "src" / "gaussent"))
+        if script["record"](argv, code, stdout.getvalue().encode(), out, text) != line:
+            changed.append(argv)
+    assert changed == []

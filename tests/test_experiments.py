@@ -435,6 +435,47 @@ class TestPhaseDiagram:
                     assert diagram.entangled[i, j] == (s_inf < 0.0), (d_xpy, c)
         assert diagram.unphysical[0, 0] and diagram.unphysical[-1, 0]
 
+    @pytest.mark.parametrize("d_xy", [0.02, -0.03, 0.09])
+    def test_position_cross_rows_match_per_cell_bounds_and_asymptote(self, d_xy):
+        # the d_xy bound (lam/2) c >= m omega |d_xy| joins the d_xpy one, and
+        # each row's C*+ is asymptotic_threshold's, bit for bit
+        lam, omega, m = 0.1, 0.8, 1.5
+        d_rows = np.linspace(-0.12, 0.12, 13)
+        cs = np.linspace(1.0, 4.0, 61)
+        diagram = ge.asymptotic_phase_diagram(lam, omega, d_rows, cs, m=m, d_xy=d_xy)
+        for i, d_xpy in enumerate(d_rows.tolist()):
+            env = ge.thermal_environment(lam, 1.0, d_xy, d_xpy, m, omega)
+            expected = ~diagram.unphysical[i] & (cs < asymptotic_threshold(env))
+            assert np.array_equal(diagram.entangled[i], expected), d_xpy
+            for j, c in enumerate(cs.tolist()):
+                env = ge.thermal_environment(lam, c, d_xy, d_xpy, m, omega)
+                checks = validate_diffusion(env)
+                if all(abs(check.margin) > MARGIN_TOL for check in checks):
+                    passed = all(check.passed for check in checks)
+                    assert diagram.unphysical[i, j] == (not passed), (d_xpy, c)
+                s_inf = asymptotic_simon(env)
+                if not diagram.unphysical[i, j] and abs(s_inf) > 1e-12:
+                    assert diagram.entangled[i, j] == (s_inf < 0.0), (d_xpy, c)
+        assert diagram.entangled.any() and diagram.unphysical.any()
+        assert (~diagram.entangled & ~diagram.unphysical).any()
+
+    def test_position_cross_past_its_bound_leaves_no_physical_cell(self):
+        # (lam/2) c <= 0.075 < |d_xy| = 0.3 on the whole grid, as for steady
+        diagram = ge.asymptotic_phase_diagram(0.1, 1.0, [0.0, 0.049], [1.0, 1.5], d_xy=0.3)
+        assert diagram.unphysical.all() and not diagram.entangled.any()
+
+    def test_complex_input_is_rejected_not_truncated(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's ComplexWarning included
+            with pytest.raises(TypeError, match="d_xpy_grid must be real"):
+                ge.asymptotic_phase_diagram(0.1, 1.0, np.array([0.01 + 1j]), [1.0])
+            with pytest.raises(TypeError, match="c_grid must be real"):
+                ge.asymptotic_phase_diagram(0.1, 1.0, [0.01], np.array([1.2], dtype=np.complex64))
+            with pytest.raises(TypeError, match="c_grid must be real"):
+                ge.asymptotic_phase_diagram(0.1, 1.0, [0.01], [1.0 + 0j])
+            with pytest.raises(TypeError, match="parameters must be real"):
+                ge.asymptotic_phase_diagram(0.1, 1.0, [0.01], [1.0], d_xy=np.complex128(0.01))
+
     def test_rejects_what_environments_reject(self):
         for args in (
             (0.0, 1.0, [0.0], [1.0]),

@@ -49,7 +49,7 @@ def test_package_names_follow_their_module(monkeypatch):
     monkeypatch.undo()
     assert gaussent.classify_phase is classify_phase
     assert "classify_phase" not in vars(gaussent)
-    assert len(gaussent.__all__) == 12
+    assert len(gaussent.__all__) == 11
     assert set(gaussent.__all__) <= set(dir(gaussent))
     for name in gaussent.__all__:
         assert getattr(gaussent, name) is not None
