@@ -4,9 +4,10 @@
 Every command runs as a fresh ``python -m gaussent.cli`` process on the
 source tree this script sits in (its ``src`` first on ``PYTHONPATH``), in an
 empty scratch directory, so ``--out`` and ``--config`` take fixed relative
-names.  Each output line holds the argv, the exit code, the SHA-256 of stdout
-and of the ``--out`` file (null without one), and stderr with the tree's path
-and ``.py`` line numbers normalised.  Two trees write the same CLI output
+names.  Each output line holds the argv, the exit code (``"timeout"`` for a
+process killed after ``TIMEOUT_S`` seconds), the SHA-256 of stdout and of the
+``--out`` file (null without one), and stderr with the tree's path and ``.py``
+line numbers normalised.  Two trees write the same CLI output
 exactly when their corpus lines are equal:
 
     python scripts/cli_corpus.py > corpus.jsonl
@@ -17,7 +18,8 @@ under-resolved grids, explicit states (lenient and --strict), a failed
 Lyapunov residual check, overflowing and extreme baths, configuration errors,
 ``--out``, ``--config`` and ``--dump-config``, baths on either side of the
 diffusion bound across a thermal grid, phase diagrams with a position cross
-coefficient d_xy, and seeded phase diagrams like the benchmark's.
+coefficient d_xy, a crossing late enough that bisection reaches the float
+spacing, and seeded phase diagrams like the benchmark's.
 
 ``scripts/cli_corpus.jsonl`` is this script's output, checked in; a change
 that alters CLI output on purpose regenerates it:
@@ -43,6 +45,8 @@ PRESETS = ("vacuum", "fig1", "fig2", "fig3", "fig4")
 CONFIG_FILE = "run.cfg"
 OUT_FILE = "out.txt"
 CONFIG_TEXT = "# a flat config file\nc=1.2\ninitial=fig2\nt = 3.5\n"
+#: Seconds a command may run before it is killed and recorded as a timeout.
+TIMEOUT_S = 60
 
 
 def sets(*pairs: str) -> list[str]:
@@ -162,6 +166,10 @@ def corpus() -> list[list[str]]:
         for command in ("sweep", "classify"):
             lines += both_formats(command, *pairs, "n_t=100", "n_c=3")
     lines += both_formats("steady", "d_xpy=0.06")
+    # a crossing near t = 6.8e7, where adjacent floats lie more than EVENT_TIME_TOL apart
+    for command in ("sweep", "classify"):
+        lines += both_formats(command, "lambda=1e-7", "d_xpy=4.9e-8", "initial=fig1",
+                              "t_max=1e9", "n_t=1000", "n_c=1")
     lines += both_formats("phase-diagram", "c=1.2", "d_xpy_max=0.2", "n_d=5", "n_c=4")
     # configuration errors
     lines += [
@@ -194,6 +202,10 @@ def corpus() -> list[list[str]]:
          "--out", OUT_FILE],
         ["metrics", "--config", CONFIG_FILE],
         ["metrics", "--config", CONFIG_FILE, *sets("c=1.0"), "--format", "json"],
+        # an override drops the file's other spelling of the same setting
+        ["metrics", "--config", CONFIG_FILE, *sets("temperature=0.5")],
+        ["metrics", "--config", CONFIG_FILE,
+         *sets("sigma_xx=1", "sigma_pxpx=1", "sigma_yy=1", "sigma_pypy=1")],
         ["metrics", *sets("c=1.2", "initial=fig3", "t=2.5"), "--dump-config"],
         ["sweep", "--strict", *sets("temperature=0.7", "sigma_xx=0.8"), "--dump-config"],
         ["metrics", "--form", "json", "--set=initial=fig1"],
@@ -217,7 +229,7 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def record(argv: list[str], code: int, stdout: bytes, out: pathlib.Path, stderr: str) -> str:
+def record(argv: list[str], code: int | str, stdout: bytes, out: pathlib.Path, stderr: str) -> str:
     """The corpus line of one run: ``out`` is the ``--out`` path, read if it
     exists, and ``stderr`` is normalised here."""
     stderr = re.sub(r"\.py:\d+", ".py:<line>", stderr.replace(str(TREE), "<tree>"))
@@ -239,12 +251,16 @@ def main() -> None:
         (work / CONFIG_FILE).write_text(CONFIG_TEXT, encoding="utf-8")
         for argv in corpus():
             out.unlink(missing_ok=True)
-            proc = subprocess.run(
-                [sys.executable, "-m", "gaussent.cli", *argv],
-                cwd=work, env=env, capture_output=True, check=False,
-            )
-            stderr = proc.stderr.decode("utf-8", "replace")
-            print(record(argv, proc.returncode, proc.stdout, out, stderr), flush=True)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "gaussent.cli", *argv],
+                    cwd=work, env=env, capture_output=True, check=False, timeout=TIMEOUT_S,
+                )
+            except subprocess.TimeoutExpired as exc:  # a hang is reported, not waited for
+                code, stdout, stderr = "timeout", exc.stdout or b"", exc.stderr or b""
+            else:
+                code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+            print(record(argv, code, stdout, out, stderr.decode("utf-8", "replace")), flush=True)
 
 
 if __name__ == "__main__":

@@ -72,6 +72,12 @@ _KEYS: dict[str, tuple[type, object, tuple[str, int] | None]] = {
 }
 _COMPARE = {">": operator.gt, ">=": operator.ge}
 
+#: The other spellings of a key's setting, which an override drops from the config file.
+_SPELLINGS = {
+    "c": ("temperature",), "temperature": ("c",), "initial": ENTRY_NAMES,
+    **dict.fromkeys(ENTRY_NAMES, ("initial",)),
+}
+
 #: Largest grid accepted, in cells: rows * n_c, for the commands and row keys below.
 MAX_GRID_CELLS = 10**6
 _GRID_ROWS = {"sweep": "n_t", "classify": "n_t", "phase-diagram": "n_d"}
@@ -530,14 +536,18 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _parse_args(argv) or vars(_build_parser().parse_args(argv))
     try:
-        provided: dict[str, str] = {}
-        if args["config"]:
-            provided.update(parse_flat_file(args["config"]))
+        provided = parse_flat_file(args["config"]) if args["config"] else {}
+        overrides: dict[str, str] = {}
         for item in args["overrides"]:
             if "=" not in item:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             key, _, value = item.partition("=")
-            provided[key.strip()] = value.strip()
+            overrides[key.strip()] = value.strip()
+        if provided:
+            for key in overrides.keys() & _SPELLINGS:
+                for other in _SPELLINGS[key]:
+                    provided.pop(other, None)
+        provided.update(overrides)
         cfg = build_config(
             args["command"], provided, strict=args["strict"], out=args["out"], fmt=args["format"]
         )

@@ -70,36 +70,6 @@ def _simon(values) -> float:
     return value
 
 
-class PtSpectrum(namedtuple("PtSpectrum", "delta_tilde nu_minus_sq nu_plus_sq")):
-    """Squared symplectic spectrum of the partial transpose.
-
-    2 nu~_-+^2 = Delta~ -/+ sqrt(Delta~^2 - 4 det sigma) with the seralian
-    Delta~ = det A + det B - 2 det C.  When the discriminant is negative the
-    squared eigenvalues form a complex pair and the nu fields are NaN instead
-    of pretending to be real.
-    """
-
-    __slots__ = ()
-
-
-def symplectic_spectrum_pt(sigma: CovarianceMatrix) -> PtSpectrum:
-    """Seralian and squared PT symplectic eigenvalues of ``sigma``.
-
-    Delta~ and det sigma = det A det B + det C^2 - Tr[A J C J B J C^T J]
-    come from the same four invariants.  Raises ``OverflowError`` when
-    Delta~, det sigma or the discriminant overflows.
-    """
-    delta, det_sigma, disc = _pt_terms(sigma._values)
-    if not math.isfinite(disc):  # also when delta or det_sigma is not finite
-        raise OverflowError(
-            f"PT symplectic spectrum overflows (seralian {delta}, determinant {det_sigma})"
-        )
-    if disc < 0.0:
-        return PtSpectrum(delta, math.nan, math.nan)
-    root = math.sqrt(disc)
-    return PtSpectrum(delta, 0.5 * (delta - root), 0.5 * (delta + root))
-
-
 def _negativity(nu_minus_sq: float) -> float | None:
     if not nu_minus_sq > 0.0:
         return None
@@ -111,7 +81,7 @@ def _column_negativity(entries) -> list[float | None]:
     same bits: the PT terms are one array pass, ``np.sqrt`` is correctly
     rounded like ``math.sqrt`` and a negative discriminant gives NaN, hence
     None; L itself keeps ``math.log2``.  Raises a bare ``OverflowError`` when
-    a discriminant overflows; ``symplectic_spectrum_pt`` names the cell.
+    a discriminant overflows; ``metrics`` names the cell.
     """
     import numpy as np
 
@@ -124,13 +94,9 @@ def _column_negativity(entries) -> list[float | None]:
 
 
 def log_negativity(sigma: CovarianceMatrix) -> float | None:
-    """Logarithmic negativity max{0, -(1/2) log2(4 nu~_-^2)}.
-
-    Returns None when nu~_-^2 <= 0 or is not real: the PT symplectic
-    eigenvalue is degenerate or the input is unphysical, and no value is
-    fabricated there.  Raises ``OverflowError`` when the invariants overflow.
-    """
-    return _negativity(symplectic_spectrum_pt(sigma).nu_minus_sq)
+    """Logarithmic negativity max{0, -(1/2) log2(4 nu~_-^2)}: the
+    ``log_negativity`` field of :func:`metrics`, with its exceptions."""
+    return metrics(sigma).log_negativity
 
 
 class EntanglementMetrics(
@@ -141,41 +107,46 @@ class EntanglementMetrics(
 ):
     """Separability and entanglement-degree summary of one covariance matrix.
 
-    ``separable`` follows the sign convention S >= 0 (the S = 0 boundary
-    classifies as separable); ``boundary`` flags |S| <= BOUNDARY_TOL, where
-    the sign is numerically ambiguous.  ``log_negativity`` is None when
-    undefined (degenerate or unphysical input).
+    ``seralian_tilde`` is Delta~ = det A + det B - 2 det C and
+    ``nu_tilde_minus_sq`` = (Delta~ - sqrt(Delta~^2 - 4 det sigma))/2 the
+    smaller squared PT symplectic eigenvalue, NaN when the pair is complex;
+    the larger is ``seralian_tilde - nu_tilde_minus_sq``.  ``separable``
+    follows the sign convention S >= 0 (the S = 0 boundary classifies as
+    separable); ``boundary`` flags |S| <= BOUNDARY_TOL, where the sign is
+    numerically ambiguous.  ``log_negativity`` is None when undefined
+    (degenerate or unphysical input).
     """
 
     __slots__ = ()
 
 
 def metrics(sigma: CovarianceMatrix) -> EntanglementMetrics:
-    """Bundle Simon function, PT spectrum and logarithmic negativity.
+    """Simon function, PT spectrum and logarithmic negativity of ``sigma``.
 
-    Raises ``OverflowError`` when S or the symplectic invariants overflow.
+    Raises ``OverflowError`` when S overflows, else when Delta~, det sigma
+    or the discriminant does.
     """
     s = simon_function(sigma)
-    spectrum = symplectic_spectrum_pt(sigma)
+    delta, det_sigma, disc = _pt_terms(sigma._values)
+    if not math.isfinite(disc):  # also when delta or det_sigma is not finite
+        raise OverflowError(
+            f"PT symplectic spectrum overflows (seralian {delta}, determinant {det_sigma})"
+        )
+    nu_minus_sq = 0.5 * (delta - math.sqrt(disc)) if disc >= 0.0 else math.nan
     return EntanglementMetrics(
         simon_s=s,
-        seralian_tilde=spectrum.delta_tilde,
-        nu_tilde_minus_sq=spectrum.nu_minus_sq,
-        log_negativity=_negativity(spectrum.nu_minus_sq),
+        seralian_tilde=delta,
+        nu_tilde_minus_sq=nu_minus_sq,
+        log_negativity=_negativity(nu_minus_sq),
         separable=s >= 0.0,
         boundary=abs(s) <= BOUNDARY_TOL,
     )
 
 
-def _require_thermal(env: EnvironmentSpec, what: str) -> None:
-    if not env.is_thermal():
-        raise ValueError(f"{what} requires thermal (Gibbs-asymptote) coefficients")
-
-
 def asymptotic_simon(env: EnvironmentSpec) -> float:
-    """S of the solved steady state, as ``classify_phase`` reads it; the closed
-    form is a test oracle.  Raises ``OverflowError`` when S overflows."""
-    _require_thermal(env, "the asymptotic Simon value")
+    """S of the solved steady state of any bath, as ``classify_phase`` reads
+    it; the thermal closed form is a test oracle.  Raises ``OverflowError``
+    when S overflows."""
     return _simon(steady_covariance(env)._values)
 
 
@@ -197,5 +168,8 @@ def asymptotic_threshold(env: EnvironmentSpec) -> float:
     C >= 2|d_xpy|/lam and C >= 2s, so a bath within them is entangled at
     infinity iff thermal_c < C*+ = sqrt(1 + 4b^2) + 2a, 1 + 2p at d_xy = 0.
     """
-    _require_thermal(env, "the asymptotic threshold")
+    if not env.is_thermal():
+        raise ValueError(
+            "the asymptotic threshold requires thermal (Gibbs-asymptote) coefficients"
+        )
     return _threshold(env.lam, env.omega, env.m, env.d_xy, env.d_xpy)

@@ -84,8 +84,10 @@ def _refine_crossing(
     t_hi: float,
     lo_entangled: bool,
 ) -> float:
-    """Bisect on the sign class of S over [t_lo, t_hi] down to EVENT_TIME_TOL."""
-    while t_hi - t_lo > EVENT_TIME_TOL:
+    """Bisect on the sign class of S over [t_lo, t_hi] down to EVENT_TIME_TOL,
+    or to the float spacing at t_hi, below which a midpoint is an endpoint."""
+    tol = max(EVENT_TIME_TOL, math.ulp(t_hi))
+    while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
         mid_entangled = simon_function(evolve(initial, env, mid, steady=fixed)) < 0.0
         if mid_entangled == lo_entangled:

@@ -15,12 +15,7 @@ import pytest
 import gaussent as ge
 from gaussent.core import EnvironmentSpec, covariance_from_entries
 from gaussent.dynamics import propagator, steady_covariance
-from gaussent.entanglement import (
-    asymptotic_simon,
-    log_negativity,
-    simon_function,
-    symplectic_spectrum_pt,
-)
+from gaussent.entanglement import asymptotic_simon, log_negativity, simon_function
 from helpers import (
     asymptotic_log_negativity_oracle,
     asymptotic_simon_oracle,
@@ -230,11 +225,10 @@ def test_c08_ppt_consistency_property():
     entangled = separable = 0
     for _ in range(1000):
         sigma = ge.CovarianceMatrix(random_physical_cm(rng))
-        spectrum = symplectic_spectrum_pt(sigma)
+        met = ge.metrics(sigma)
+        nu_plus_sq = met.seralian_tilde - met.nu_tilde_minus_sq
         nu_minus = pt_symplectic_eigs_oracle(sigma.entries)[0]
-        worst_nu = max(
-            worst_nu, abs(spectrum.nu_minus_sq - nu_minus**2) / max(1.0, spectrum.nu_plus_sq)
-        )
+        worst_nu = max(worst_nu, abs(met.nu_tilde_minus_sq - nu_minus**2) / max(1.0, nu_plus_sq))
         s = simon_function(sigma)
         degree = log_negativity(sigma)
         if s < -1e-12:

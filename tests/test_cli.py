@@ -445,6 +445,44 @@ class TestConfigHandling:
         values = {name: float(v) for name, v in parse_csv(out)[1]}
         assert values["sigma_xx"] == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "file_text, sets",
+        [
+            ("temperature=0.5\n", ["c=1.2"]),
+            ("c=1.2\n", ["temperature=0.5"]),
+            ("initial=fig2\n", ["sigma_xx=1", "sigma_pxpx=1", "sigma_yy=1", "sigma_pypy=1"]),
+            ("sigma_xx=1\nsigma_pxpx=1\nsigma_yy=1\nsigma_pypy=1\n", ["initial=fig2"]),
+        ],
+    )
+    def test_override_drops_the_files_other_spelling(self, capsys, tmp_path, file_text, sets):
+        # c and temperature, and initial and sigma_*, spell one setting two ways
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t=3.5\n" + file_text)
+        argv = [arg for pair in ["t=3.5", *sets] for arg in ("--set", pair)]
+        expected = run_cli(capsys, "metrics", *argv)
+        assert expected[0] == 0
+        flags = [arg for pair in sets for arg in ("--set", pair)]
+        assert run_cli(capsys, "metrics", "--config", str(cfg), *flags) == expected
+
+    @pytest.mark.parametrize(
+        "file_text, sets, message",
+        [
+            ("c=1.2\ntemperature=0.5\n", [], "not both"),
+            ("c=1.1\n", ["c=1.2", "temperature=0.5"], "not both"),
+            ("initial=fig1\nsigma_xx=1\n", [], "conflict"),
+            ("sigma_xx=1\n", ["initial=fig1", "sigma_yy=1"], "conflict"),
+        ],
+    )
+    def test_both_spellings_in_one_source_conflict(
+        self, capsys, tmp_path, file_text, sets, message
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(file_text)
+        flags = [arg for pair in sets for arg in ("--set", pair)]
+        code, out, err = run_cli(capsys, "metrics", "--config", str(cfg), *flags)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_diffusion_gate(self, capsys):
         code, _, err = run_cli(capsys, "steady", "--set", "d_xpy=0.06")
         assert code == 3
@@ -811,8 +849,9 @@ class TestWriters:
         assert written == json.dumps(payload, indent=2) + "\n"
 
 
-def _python(*args):
-    """The finished process of ``python *args`` in a new interpreter that imports this gaussent."""
+def _python(*args, timeout=None):
+    """The finished process of ``python *args`` in a new interpreter that imports this gaussent;
+    ``subprocess.TimeoutExpired`` once it runs past ``timeout`` seconds."""
     src = os.path.dirname(os.path.dirname(ge.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -821,6 +860,7 @@ def _python(*args):
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         check=False,
+        timeout=timeout,
     )
 
 
@@ -972,6 +1012,22 @@ class TestSubnormalDiffusion:
             printed = dict(line.split(",") for line in out.splitlines()[1:])
             entries = [float(printed[name]) for name in ENTRY_NAMES]
             np.testing.assert_allclose(entries, dense[np.triu_indices(4)], rtol=0, atol=1.2e-16)
+
+
+class TestLateCrossing:
+    # the crossing lies near t = 6.8e7, where adjacent floats are 1.5e-8 apart,
+    # more than EVENT_TIME_TOL: bisection must stop at the float spacing
+    SETS = ["--set", "lambda=1e-7", "--set", "d_xpy=4.9e-8", "--set", "initial=fig1",
+            "--set", "t_max=1e9", "--set", "n_t=1000", "--set", "n_c=1"]
+
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_grid_commands_finish(self, command):
+        # a fresh process with a timeout, so a stalled bisection fails the test
+        proc = _python("-m", "gaussent.cli", command, *self.SETS, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if command == "classify":
+            row = "1,generation_persistent,68287071.607478708"
+            assert proc.stdout == f"c,label,event_times\n{row}\n"
 
 
 class TestParserReuse:

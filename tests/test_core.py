@@ -20,7 +20,6 @@ from gaussent.core import (
     validate_diffusion,
 )
 from gaussent.cli import build_config
-from gaussent.entanglement import symplectic_spectrum_pt
 from helpers import (
     diffusion_matrix,
     drift_matrix,
@@ -153,7 +152,6 @@ def test_records_are_immutable_named_tuples():
         env,
         validate_diffusion(env)[0],
         check_physical_state(state),
-        symplectic_spectrum_pt(state),
         ge.metrics(state),
         build_config("steady", {}),
         ge.classify_phase(ge.presets.initial_state("fig1"), env, 50.0, 500),

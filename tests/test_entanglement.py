@@ -15,11 +15,13 @@ from gaussent.entanglement import (
     asymptotic_simon,
     log_negativity,
     simon_function,
-    symplectic_spectrum_pt,
 )
 from helpers import (
     asymptotic_log_negativity_oracle,
     asymptotic_simon_oracle,
+    diffusion_matrix,
+    drift_matrix,
+    lyapunov_oracle,
     pt_invariants_oracle,
     pt_symplectic_eigs_oracle,
     random_physical_cm,
@@ -83,38 +85,42 @@ class TestSimonFunction:
         assert simon_function(thermal_product(1.0)) == pytest.approx(0.0, abs=1e-16)
 
 
+def pt_spectrum(sigma):
+    """Delta~, nu~_-^2 and nu~_+^2 = Delta~ - nu~_-^2 of ``sigma``, as ``metrics`` gives them."""
+    met = ge.metrics(sigma)
+    return met.seralian_tilde, met.nu_tilde_minus_sq, met.seralian_tilde - met.nu_tilde_minus_sq
+
+
 class TestPtSpectrum:
     def test_vacuum(self):
-        spectrum = symplectic_spectrum_pt(thermal_product(1.0))
-        assert spectrum.delta_tilde == pytest.approx(0.5, abs=1e-15)
-        assert spectrum.nu_minus_sq == pytest.approx(0.25, abs=1e-12)
-        assert spectrum.nu_plus_sq == pytest.approx(0.25, abs=1e-12)
+        delta, nu_minus_sq, nu_plus_sq = pt_spectrum(thermal_product(1.0))
+        assert delta == pytest.approx(0.5, abs=1e-15)
+        assert nu_minus_sq == pytest.approx(0.25, abs=1e-12)
+        assert nu_plus_sq == pytest.approx(0.25, abs=1e-12)
 
     def test_two_mode_squeezed(self):
         r = 0.5
-        spectrum = symplectic_spectrum_pt(two_mode_squeezed(r))
-        assert math.sqrt(spectrum.nu_minus_sq) == pytest.approx(
-            0.5 * math.exp(-2 * r), rel=1e-12
-        )
+        _, nu_minus_sq, nu_plus_sq = pt_spectrum(two_mode_squeezed(r))
+        assert math.sqrt(nu_minus_sq) == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-12)
         # independent eigenvalue-based evaluation of the PT spectrum
         nus = pt_symplectic_eigs_oracle(two_mode_squeezed(r).entries)
-        assert math.sqrt(spectrum.nu_minus_sq) == pytest.approx(nus[0], rel=1e-10)
-        assert math.sqrt(spectrum.nu_plus_sq) == pytest.approx(nus[1], rel=1e-10)
+        assert math.sqrt(nu_minus_sq) == pytest.approx(nus[0], rel=1e-10)
+        assert math.sqrt(nu_plus_sq) == pytest.approx(nus[1], rel=1e-10)
 
     def test_entangled_mixed_preset_degenerate(self):
         sigma = ge.presets.initial_state("fig4")
         assert np.linalg.det(sigma.entries) == pytest.approx(0.0, abs=1e-15)
-        spectrum = symplectic_spectrum_pt(sigma)
-        assert spectrum.delta_tilde == pytest.approx(1.5, abs=1e-15)
-        assert spectrum.nu_minus_sq == pytest.approx(0.0, abs=1e-15)
+        delta, nu_minus_sq, _ = pt_spectrum(sigma)
+        assert delta == pytest.approx(1.5, abs=1e-15)
+        assert nu_minus_sq == pytest.approx(0.0, abs=1e-15)
 
     def test_complex_pair_flagged(self):
-        spectrum = symplectic_spectrum_pt(ge.CovarianceMatrix(COMPLEX_PAIR_EXAMPLE))
+        _, nu_minus_sq, nu_plus_sq = pt_spectrum(ge.CovarianceMatrix(COMPLEX_PAIR_EXAMPLE))
         # the discriminant of the independent block/LU invariants is negative
         delta, det = pt_invariants_oracle(COMPLEX_PAIR_EXAMPLE)
         assert delta * delta < 4.0 * det
-        assert math.isnan(spectrum.nu_minus_sq)
-        assert math.isnan(spectrum.nu_plus_sq)
+        assert math.isnan(nu_minus_sq)
+        assert math.isnan(nu_plus_sq)
 
 
 class TestLogNegativity:
@@ -143,7 +149,7 @@ class TestLogNegativity:
         # finite invariants whose discriminant overflows: no -inf nu~_-^2
         sigma = ge.CovarianceMatrix(np.diag([1e160, 1.0, 1.0, 1.0]))
         with pytest.raises(OverflowError, match="PT symplectic spectrum overflows"):
-            symplectic_spectrum_pt(sigma)
+            ge.metrics(sigma)
         # the steady state's S overflows the same way, not to inf
         for thermal_c in (1e100, 1e200):
             with pytest.raises(OverflowError, match="Simon function is not finite"):
@@ -212,13 +218,21 @@ class TestAsymptoticSimon:
         direct = asymptotic_simon(env)
         assert asymptotic_simon_oracle(env) == pytest.approx(direct, abs=1e-12)
 
-    def test_rejects_non_thermal(self):
-        env = EnvironmentSpec(
-            m=1.0, omega=1.0, lam=0.1, thermal_c=1.0,
-            d_xx=0.06, d_xpx=0.0, d_pxpx=0.05, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0,
-        )
-        with pytest.raises(ValueError, match="thermal"):
-            asymptotic_simon(env)
+    def test_non_thermal_bath_matches_the_lyapunov_oracle(self):
+        # no Gibbs asymptote and no closed form, but a steady state for every lam > 0
+        rng = np.random.default_rng(20261019)
+        for _ in range(50):
+            lam, omega, m = rng.uniform(0.02, 1.0), rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+            d = rng.uniform(-1.0, 1.0, size=6)
+            env = EnvironmentSpec(
+                m=m, omega=omega, lam=lam, thermal_c=1.0,
+                d_xx=abs(d[0]), d_xpx=d[1], d_pxpx=abs(d[2]), d_xy=d[3], d_xpy=d[4], d_pxpy=d[5],
+            )
+            assert not env.is_thermal()
+            oracle = lyapunov_oracle(drift_matrix(env), diffusion_matrix(env))
+            scale = (1.0 + np.max(np.abs(oracle))) ** 4
+            exact = float(simon_oracle_exact(oracle))
+            assert abs(asymptotic_simon(env) - exact) <= scale * 1e-13
 
 
 def _steady_degree(env):
@@ -234,6 +248,14 @@ class TestAsymptoticThreshold:
 
     def test_no_cross_coefficient(self):
         assert ge.asymptotic_threshold(ge.thermal_environment(0.1, 1.5)) == 1.0
+
+    def test_rejects_non_thermal(self):
+        env = EnvironmentSpec(
+            m=1.0, omega=1.0, lam=0.1, thermal_c=1.0,
+            d_xx=0.06, d_xpx=0.0, d_pxpx=0.05, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0,
+        )
+        with pytest.raises(ValueError, match="threshold requires thermal"):
+            ge.asymptotic_threshold(env)
 
     def test_position_cross_raises_the_threshold(self):
         # s = m omega |d_xy| / lam = 0.2 and d_xpy = 0: C*+ = 1 + 2s, whatever the sign
@@ -356,15 +378,15 @@ class TestInvariantProperties:
     @settings(max_examples=120, deadline=None)
     def test_f_equals_pt_eigenvalue(self, data):
         sigma = covariance_from_entries(dict(zip(ENTRY_NAMES, data)))
-        spectrum = symplectic_spectrum_pt(sigma)
-        assume(not math.isnan(spectrum.nu_minus_sq))
+        _, nu_minus_sq, nu_plus_sq = pt_spectrum(sigma)
+        assume(not math.isnan(nu_minus_sq))
         # the moduli of eig(i Omega sigma~) are sqrt|nu~^2|, also for the
         # negative nu~^2 of unphysical input
         oracle = pt_symplectic_eigs_oracle(sigma.entries) ** 2
-        expected = np.sort(np.abs([spectrum.nu_minus_sq, spectrum.nu_plus_sq]))
+        expected = np.sort(np.abs([nu_minus_sq, nu_plus_sq]))
         # eigenvalues of a nearly defective matrix carry rounding / gap
         scale = (1.0 + np.max(np.abs(sigma.entries))) ** 2
-        gap = spectrum.nu_plus_sq - spectrum.nu_minus_sq
+        gap = nu_plus_sq - nu_minus_sq
         tol = 1e-12 * scale + 1e-13 * scale**2 / max(gap, 1e-6)
         assert np.max(np.abs(oracle - expected)) <= tol
 
@@ -395,7 +417,7 @@ class TestInvariantProperties:
         transformed = local @ sigma @ local.T
         transformed = 0.5 * (transformed + transformed.T)
         states = [ge.CovarianceMatrix(sigma), ge.CovarianceMatrix(transformed)]
-        spectra = [symplectic_spectrum_pt(state) for state in states]
+        spectra = [pt_spectrum(state) for state in states]
         tol_s, tol_l = _local_map_tolerances(sigma, local, spectra)
         s_before, s_after = map(simon_function, states)
         assert s_after == pytest.approx(s_before, abs=tol_s)
@@ -425,9 +447,9 @@ def _local_map_tolerances(sigma, local, spectra) -> tuple[float, float]:
     """
     u = 2.0**-53
     s = 1.0 + max(np.abs(sigma).max(), (np.abs(local) @ np.abs(sigma) @ np.abs(local).T).max())
-    gap = min(spectrum.nu_plus_sq - spectrum.nu_minus_sq for spectrum in spectra)
+    gap = min(nu_plus_sq - nu_minus_sq for _, nu_minus_sq, nu_plus_sq in spectra)
     d_nu_sq = u * (176.0 * s**2 + 3120.0 * s**4 / gap)
-    nu_sq = min(spectrum.nu_minus_sq for spectrum in spectra) - d_nu_sq
+    nu_sq = min(nu_minus_sq for _, nu_minus_sq, _ in spectra) - d_nu_sq
     return 1950.0 * u * s**4, d_nu_sq / (2.0 * math.log(2.0) * nu_sq)
 
 
@@ -454,11 +476,11 @@ class TestClosedFormKernels:
 
     def test_pt_spectrum_matches_eigenvalue_oracle(self, kernel_states):
         for sigma in kernel_states:
-            spectrum = symplectic_spectrum_pt(sigma)
+            _, nu_minus_sq, nu_plus_sq = pt_spectrum(sigma)
             # the oracle gives |nu~^2|, also for the unphysical fig3
-            expected = np.sort(np.abs([spectrum.nu_minus_sq, spectrum.nu_plus_sq]))
+            expected = np.sort(np.abs([nu_minus_sq, nu_plus_sq]))
             oracle = pt_symplectic_eigs_oracle(sigma.entries) ** 2
-            assert np.max(np.abs(oracle - expected)) <= 1e-12 * max(1.0, spectrum.nu_plus_sq)
+            assert np.max(np.abs(oracle - expected)) <= 1e-12 * max(1.0, nu_plus_sq)
 
     def test_determinant_identity_matches_lu(self, kernel_states):
         for sigma in kernel_states:
@@ -466,7 +488,7 @@ class TestClosedFormKernels:
             delta, det_lu = pt_invariants_oracle(sigma.entries)
             scale = (1.0 + np.max(np.abs(sigma.entries))) ** 4
             assert abs(det_a * det_b + det_c * det_c - trace - det_lu) <= scale * 1e-15
-            seralian = symplectic_spectrum_pt(sigma).delta_tilde
+            seralian = ge.metrics(sigma).seralian_tilde
             assert seralian == pytest.approx(delta, abs=scale * 1e-15)
 
     def test_array_column_equals_per_state_floats_bit_for_bit(self, kernel_states):

@@ -6,14 +6,17 @@ what ``scripts/cli_corpus.jsonl`` records.
 """
 
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 import re
 import runpy
 import sys
 import warnings
 from pathlib import Path
 
+import gaussent
 from gaussent import cli
 from gaussent.cli import COMMANDS, main
 
@@ -62,6 +65,31 @@ def test_readme_library_sketch_runs_as_printed():
             comment = re.search(r"#\s*(\S+?)\.\.\.$", line)
             if comment:
                 assert shown.startswith(comment.group(1)), (line, shown)
+
+
+_COUNTS = dict(zip("two three four five six seven eight nine ten eleven".split(), range(2, 12)))
+
+
+def test_readme_lists_every_named_tuple_record():
+    # the sentence "All <n> records are immutable named tuples: `A` and `B` in
+    # `gaussent.x`, ..." names each record class with its module, and no other
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    sentence = r"All (\w+) records are immutable named tuples: (.*?)\. "
+    count, listing = re.search(sentence, text).groups()
+    listed = {
+        name: module
+        for names, module in re.findall(r"(.*?) in `(gaussent\.\w+)`", listing)
+        for name in re.findall(r"`(\w+)`", names)
+    }
+    records = {}
+    for info in pkgutil.iter_modules(gaussent.__path__, "gaussent."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields"):
+                if value.__module__ == info.name:
+                    records[name] = info.name
+    assert listed == records
+    assert _COUNTS[count] == len(records) == 9
 
 
 def test_cli_corpus_runs_every_command_in_both_formats_once_per_line():

@@ -129,12 +129,14 @@ class TestClassifyPhase:
                 d_xx=0.06, d_xpx=0.0, d_pxpx=0.05, d_xy=0.0, d_xpy=d_xpy, d_pxpy=0.0,
             )
             assert not env.is_thermal()
-            with pytest.raises(ValueError, match="requires thermal"):
-                asymptotic_simon(env)
             phase = ge.classify_phase(fig1_initial, env, 50.0, 500)
             exact = simon_oracle_exact(lyapunov_oracle(drift_matrix(env), diffusion_matrix(env)))
             assert abs(exact) > 1e-4
             assert phase.s_infinity_sign == (1 if exact > 0 else -1)
+            # asymptotic_simon reads the same steady state, for any bath
+            value = asymptotic_simon(env)
+            assert value == pytest.approx(float(exact), abs=1e-12)
+            assert phase.s_infinity_sign == (1 if value > 0 else -1)
             signs.append(phase.s_infinity_sign)
         assert signs == [1, -1]
 
