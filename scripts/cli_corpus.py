@@ -143,6 +143,8 @@ def corpus() -> list[list[str]]:
         ("phase-diagram", "d_xpy_max=1e300", "c_max=1e300", "n_d=3", "n_c=3"),
         ("phase-diagram", "d_xpy_min=-1e-300", "d_xpy_max=1e-300", "n_d=3", "n_c=2"),
         ("sweep", "c=5e77", "c_min=5e77", "c_max=5e77", "d_xpy=1e76", "n_t=3", "n_c=1"),
+        ("sweep", "initial=fig1", "c=5e77", "c_min=5e77", "c_max=5e77", "d_xpy=1e76",
+         "n_t=100", "n_c=1"),
         ("classify", "c=5e77", "c_min=5e77", "c_max=5e77", "d_xpy=1e76", "n_t=3", "n_c=1"),
         ("classify", "c=5e77", "c_min=5e77", "c_max=5e77", "d_xpy=1e76", "t_max=1e-10",
          "n_t=3", "n_c=1"),

@@ -298,7 +298,7 @@ def _grid(names, axes, kinds, codes, fills=None, cfg: RunConfig | None = None) -
     Each column has one template per cell kind: its text and that kind's fields
     in ``kinds``.  One fancy index with the integer array ``codes`` picks every
     cell's template, one join per row writes the row, and one ``%`` fills it
-    from its tuple in ``fills`` where the fields hold conversions.  No text is
+    from its values in ``fills`` where the fields hold conversions.  No text is
     built per cell, and the rows are joined into the output once."""
     import numpy as np
 
@@ -319,7 +319,7 @@ def _grid(names, axes, kinds, codes, fills=None, cfg: RunConfig | None = None) -
     for r, row, fill in zip(row_axis, cells, fills or [None] * len(cells)):
         row[0] = opening + r + row[0]
         line = (between + opening + r).join(row)
-        lines.append(line if fill is None else line % fill)
+        lines.append(line if fill is None else line % tuple(fill))
     lines[0] = head + lines[0]
     lines[-1] += tail
     return between.join(lines)
@@ -335,12 +335,9 @@ def _sweep_text(result: SweepResult, cfg: RunConfig | None = None) -> str:
     if not (np.isfinite(result.simon).all() and np.isfinite(result.log_neg[defined]).all()):
         raise OverflowError("a sweep value to write is not finite")
     number, missing = ("%r", "null") if cfg is not None and cfg.fmt == "json" else ("%.17g", "nan")
-    # each row's S and L values, cell by cell, without the L of undefined cells
-    keep = np.stack([np.ones_like(defined), defined], axis=2)
-    values = np.stack([result.simon, result.log_neg], axis=2)[keep].tolist()
-    ends = keep.sum(axis=(1, 2)).cumsum().tolist()
-    fills = [tuple(values[start:end]) for start, end in zip([0, *ends], ends)]
-    kinds = ((number, missing, "0"), (number, number, "1"))
+    # each row's (S, L) pairs; an undefined cell's NaN L fills a %.0s, which writes nothing
+    fills = np.stack([result.simon, result.log_neg], axis=2).reshape(len(defined), -1).tolist()
+    kinds = ((number, "%.0s" + missing, "0"), (number, number, "1"))
     axes = (result.times, result.thermal_cs)
     return _grid(("t", "c", "S,L,defined"), axes, kinds, defined.astype(int), fills, cfg)
 
@@ -455,7 +452,10 @@ def run(cfg: RunConfig) -> str:
         env, initial, cfg["t_max"], cfg["n_t"], cfg["c_min"], cfg["c_max"], cfg["n_c"]
     )
     if cfg.command == "sweep":
-        return _sweep_text(sweep(spec), cfg)
+        import warnings  # already loaded by experiments
+        with warnings.catch_warnings():  # classify_phase's advice, on labels sweep does not write
+            warnings.simplefilter("ignore", UserWarning)
+            return _sweep_text(sweep(spec), cfg)
     if cfg.command == "classify":
         return _run_classify(cfg, spec)
     raise ConfigError(f"unknown command {cfg.command!r}")

@@ -80,16 +80,19 @@ def _column_negativity(entries) -> list[float | None]:
     """log_negativity of each column of a (10, n) array of entries, with the
     same bits: the PT terms are one array pass, ``np.sqrt`` is correctly
     rounded like ``math.sqrt`` and a negative discriminant gives NaN, hence
-    None; L itself keeps ``math.log2``.  Raises a bare ``OverflowError`` when
-    a discriminant overflows; ``metrics`` names the cell.
+    None; L itself keeps ``math.log2``.  Where a discriminant is not finite,
+    raises what ``metrics`` raises for the first such column: an overflowing
+    S also overflows the discriminant, so that is the first column whose
+    ``metrics`` fails.
     """
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
         delta, _, disc = _pt_terms(entries)
         nu_minus_sq = 0.5 * (delta - np.sqrt(disc))
-    if not np.isfinite(disc).all():
-        raise OverflowError("PT symplectic spectrum overflows")
+    finite = np.isfinite(disc)
+    if not finite.all():
+        metrics(CovarianceMatrix._of(tuple(entries[:, finite.argmin()].tolist())))
     return [_negativity(nu) for nu in nu_minus_sq.tolist()]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import CovarianceMatrix, EnvironmentSpec, thermal_environment
 from .dynamics import _column_entries, evolve, steady_covariance
-from .entanglement import _column_negativity, _simon, _threshold, metrics, simon_function
+from .entanglement import _column_negativity, _simon, _threshold, simon_function
 
 #: Bisection window below which a crossing instant is considered resolved.
 EVENT_TIME_TOL = 1e-8
@@ -246,14 +246,8 @@ def sweep(spec: SweepSpec) -> SweepResult:
     for j, c in enumerate(cs):
         env_c = spec.environment_at(float(c))
         entries = _column_entries(spec.initial, env_c, instants, steady_covariance(env_c))
-        states = [CovarianceMatrix._of(v) for v in zip(*entries.tolist())]
-        try:
-            log_neg[:, j] = _column_negativity(entries)  # an undefined L (None) is stored as NaN
-        except OverflowError:
-            for state in states:  # raise what metrics raises first, cell by cell
-                metrics(state)
-            raise
-        simon[:, j] = [simon_function(state) for state in states]
+        log_neg[:, j] = _column_negativity(entries)  # an undefined L (None) is stored as NaN
+        simon[:, j] = [simon_function(CovarianceMatrix._of(v)) for v in zip(*entries.tolist())]
         classifications.append(classify_phase(spec.initial, env_c, spec.t_max, spec.n_t))
     return SweepResult(spec, times, cs, simon, log_neg, ~np.isnan(log_neg), tuple(classifications))
 

@@ -11,6 +11,7 @@ import gaussent as ge
 from gaussent.core import ENTRY_NAMES, EnvironmentSpec, covariance_from_entries, validate_diffusion
 from gaussent.dynamics import steady_covariance
 from gaussent.entanglement import (
+    _column_negativity,
     _invariants,
     asymptotic_simon,
     log_negativity,
@@ -496,6 +497,37 @@ class TestClosedFormKernels:
         column = np.array([sigma._values for sigma in kernel_states]).T
         floats = np.array([_invariants(sigma._values) for sigma in kernel_states]).T
         assert np.array_equal(np.array(_invariants(column)), floats)
+
+    def test_column_negativity_raises_or_returns_what_each_cell_gives(self):
+        # physical columns with a random share of their entries replaced by
+        # random-sign values of 1e70-1e80: the column raises the first failure
+        # of metrics cell by cell, message and all, or returns each cell's L
+        rng = np.random.default_rng(20261019)
+        outcomes = set()
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            states = [ge.CovarianceMatrix(random_physical_cm(rng, 1.0)) for _ in range(n)]
+            huge = rng.choice([-1.0, 1.0], (10, n)) * 10.0 ** rng.uniform(70.0, 80.0, (10, n))
+            share = np.where(rng.random(n) < 0.5, rng.random(n), 0.0)
+            entries = np.where(
+                rng.random((10, n)) < share, huge, np.array([s._values for s in states]).T
+            )
+            expected = []
+            try:
+                for values in entries.T.tolist():
+                    cell = ge.CovarianceMatrix._of(tuple(values))
+                    expected.append(ge.metrics(cell).log_negativity)
+            except OverflowError as exc:
+                with pytest.raises(OverflowError) as column:
+                    _column_negativity(entries)
+                assert str(column.value) == str(exc)
+                outcomes.add(str(exc).partition(" (")[0])
+            else:
+                assert list(map(repr, _column_negativity(entries))) == list(map(repr, expected))
+                outcomes.add("huge" if np.abs(entries).max() > 1e60 else "finite")
+        assert outcomes == {
+            "Simon function is not finite", "PT symplectic spectrum overflows", "huge", "finite"
+        }
 
     def test_pure_preset_has_zero_negativity(self):
         # fig1 is a pure product state: nu~_-^2 = 1/4 exactly, so L = 0 exactly

@@ -12,9 +12,12 @@ import json
 import pkgutil
 import re
 import runpy
+import signal
 import sys
 import warnings
 from pathlib import Path
+
+import pytest
 
 import gaussent
 from gaussent import cli
@@ -105,10 +108,27 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
     sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
+@contextlib.contextmanager
+def _time_limit(seconds, argv):
+    # a POSIX interval timer that fails the test naming ``argv``, so a hang fails
+    # instead of stalling the run; the previous SIGALRM handler is restored
+    def expire(signum, frame):
+        pytest.fail(f"{argv} still ran after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_cli_corpus_in_process_matches_the_recorded_digests(monkeypatch, tmp_path):
     # the recorded lines come from fresh processes (scripts/cli_corpus.py);
     # each argv runs here through cli.main, from a scratch directory holding
-    # the config file, with a fresh process's warning filter and registries
+    # the config file, with a fresh process's warning filter and registries,
+    # and within the script's time limit per argv
     script = runpy.run_path(str(ROOT / "scripts" / "cli_corpus.py"))
     recorded = (ROOT / "scripts" / "cli_corpus.jsonl").read_text(encoding="utf-8").splitlines()
     corpus = script["corpus"]()
@@ -122,15 +142,19 @@ def test_cli_corpus_in_process_matches_the_recorded_digests(monkeypatch, tmp_pat
     for argv, line in zip(corpus, recorded):
         out.unlink(missing_ok=True)
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            with warnings.catch_warnings():  # entering it resets the warning registries
-                warnings.resetwarnings()
-                warnings.simplefilter("default")
-                warnings.showwarning = _show_warning
-                try:
-                    code = main(list(argv))
-                except SystemExit as exc:  # argparse rejects the argv
-                    code = exc.code
+        with (
+            _time_limit(script["TIMEOUT_S"], argv),
+            contextlib.redirect_stdout(stdout),
+            contextlib.redirect_stderr(stderr),
+            warnings.catch_warnings(),  # entering it resets the warning registries
+        ):
+            warnings.resetwarnings()
+            warnings.simplefilter("default")
+            warnings.showwarning = _show_warning
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
         text = stderr.getvalue().replace(package, str(ROOT / "src" / "gaussent"))
         if script["record"](argv, code, stdout.getvalue().encode(), out, text) != line:
             changed.append(argv)
