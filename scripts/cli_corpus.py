@@ -88,6 +88,8 @@ def corpus() -> list[list[str]]:
     lines += both_formats("sweep", "initial=fig1", "n_t=25", "n_c=2")
     lines += both_formats("classify", "initial=fig3", "t_max=5", "n_t=20", "n_c=3")
     lines += both_formats("classify", "initial=fig1", "t_max=1", "n_t=100", "n_c=2")
+    # a fine grid whose horizon ends before fig2 turns entangled at t = 51.17
+    lines += both_formats("classify", "initial=fig2", "c_min=1.0975", "c_max=1.0975", "n_c=1")
     # explicit states, lenient and strict
     tmsv = ("sigma_xx=1.8810978455418157", "sigma_pxpx=1.8810978455418157",
             "sigma_yy=1.8810978455418155", "sigma_pypy=1.8810978455418157",

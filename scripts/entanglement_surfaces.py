@@ -9,7 +9,6 @@ labels (as ``gauss-ent classify``).
 
 import argparse
 import pathlib
-import warnings
 
 import gaussent as ge
 from gaussent.cli import classify_csv, sweep_csv
@@ -25,11 +24,7 @@ def write_surface(name: str, out_dir: pathlib.Path, t_max: float, n_t: int, n_c:
         c_max=1.5,
         n_c=n_c,
     )
-    with warnings.catch_warnings():
-        # classify_phase warns when a non-default --t-max or --n-t makes the
-        # grid coarse or the horizon short; sweep checks no physicality
-        warnings.simplefilter("ignore", category=UserWarning)
-        result = ge.sweep(spec)
+    result = ge.sweep(spec)
 
     surface_path = out_dir / f"surface_{name}.csv"
     surface_path.write_text(sweep_csv(result), newline="")

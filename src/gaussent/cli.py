@@ -172,6 +172,8 @@ def build_config(
 ) -> RunConfig:
     """Validate raw key=value strings and resolve them into a RunConfig, whose
     values are finite floats, ints and a preset name from ``PRESET_NAMES``."""
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
     for key in provided:
         if key not in _KEYS and key not in ENTRY_NAMES:
             raise ConfigError(f"unknown configuration key {key!r}")
@@ -360,10 +362,21 @@ def classify_csv(results) -> str:
 def _run_classify(cfg: RunConfig, spec: SweepSpec) -> str:
     from .experiments import classify_phase
 
+    if cfg["t_max"] * cfg["lambda"] < 5.0 or cfg["n_t"] < 100:
+        print(f"warning: classification grid is below the recommended resolution (t_max >= "
+              f"{5.0 / cfg['lambda']:.3g} and n_t >= 100); the result may miss crossings",
+              file=sys.stderr)
     results = [
         (c, classify_phase(spec.initial, spec.environment_at(c), spec.t_max, spec.n_t))
         for c in map(float, spec.thermal_cs())
     ]
+    # columns whose last sample disagrees with S∞, read as PhaseClassification says
+    short = sum((p.s_initial_sign < 0) ^ len(p.event_times) % 2 ^ (p.s_infinity_sign < 0)
+                for _, p in results)
+    if short:
+        print(f"warning: final sampled Simon sign disagrees with the asymptotic sign in {short} "
+              f"of {len(results)} columns; the sampling horizon is probably too short",
+              file=sys.stderr)
     if cfg.fmt == "csv":
         return classify_csv(results)
     rows = [
@@ -401,9 +414,9 @@ def _run_phase_diagram(cfg: RunConfig) -> str:
 def run(cfg: RunConfig) -> str:
     """Execute a resolved configuration and return the output text.
 
-    Raises ConfigError / PhysicalityError / ArithmeticError (overflow,
-    division by an underflowed value, or a failed Lyapunov check); the caller
-    maps those to exit codes.  numpy loads for the grid commands and for the
+    Raises PhysicalityError / ArithmeticError (overflow, division by an
+    underflowed value, or a failed Lyapunov check); the caller maps those to
+    exit codes.  numpy loads for the grid commands and for the
     eigenvalue quoted on an unphysical initial state.
     """
     if cfg.command == "phase-diagram":
@@ -426,10 +439,8 @@ def run(cfg: RunConfig) -> str:
         detail = f"min eigenvalue of rescaled sigma + i Omega/2 {state_report.min_eigenvalue:.6g}"
         if cfg.strict:
             raise PhysicalityError(f"unphysical initial state ({detail})")
-        print(
-            f"warning: unphysical initial state ({detail}); proceeding in lenient mode",
-            file=sys.stderr,
-        )
+        print(f"warning: unphysical initial state ({detail}); proceeding in lenient mode",
+              file=sys.stderr)
 
     if cfg.command == "evolve":
         entries = independent_entries(evolve(initial, env, cfg["t"]))
@@ -452,13 +463,8 @@ def run(cfg: RunConfig) -> str:
         env, initial, cfg["t_max"], cfg["n_t"], cfg["c_min"], cfg["c_max"], cfg["n_c"]
     )
     if cfg.command == "sweep":
-        import warnings  # already loaded by experiments
-        with warnings.catch_warnings():  # classify_phase's advice, on labels sweep does not write
-            warnings.simplefilter("ignore", UserWarning)
-            return _sweep_text(sweep(spec), cfg)
-    if cfg.command == "classify":
-        return _run_classify(cfg, spec)
-    raise ConfigError(f"unknown command {cfg.command!r}")
+        return _sweep_text(sweep(spec), cfg)
+    return _run_classify(cfg, spec)
 
 
 @functools.cache  # argparse copies the --set default list on each parse

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from collections import namedtuple
 from typing import Sequence
 
@@ -55,7 +54,10 @@ class PhaseClassification(
     - entangled start: 1 crossing -> ``sudden_death``,
       more -> ``collapse_revival``
 
-    Signs are -1/0/+1; the S = 0 boundary counts as separable.
+    Signs are -1/0/+1; the S = 0 boundary counts as separable.  Merging keeps
+    each crossing cluster's parity, so the last sample is entangled iff
+    ``(s_initial_sign < 0) ^ len(event_times) % 2``; where that is not
+    ``s_infinity_sign < 0``, the sampling horizon is probably too short.
     """
 
     __slots__ = ()
@@ -128,20 +130,10 @@ def classify_phase(
     S(t) is sampled on ``n_t`` uniform instants over [0, t_max]; every sign
     change between consecutive samples is refined by bisection on the exact
     flow, and the asymptotic sign is that of S at the solved steady state.
-    For a reliable asymptotic sign the horizon should cover several
-    dissipation times (t_max >= 5/lam) with n_t >= 100; shorter grids are
-    accepted with a warning.
     """
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     _check_size("n_t", n_t, 2)
-    if t_max * env.lam < 5.0 or n_t < 100:
-        warnings.warn(
-            "classification grid is below the recommended resolution "
-            f"(t_max >= {5.0 / env.lam:.3g} and n_t >= 100); the result may "
-            "miss crossings",
-            stacklevel=2,
-        )
     fixed = steady_covariance(env)
     times = np.linspace(0.0, t_max, n_t).tolist()
     entries = _column_entries(initial, env, times, fixed)
@@ -155,19 +147,12 @@ def classify_phase(
         ]
     )
 
-    s_infinity = _simon(fixed._values)
-    if bool(classes[-1]) != (s_infinity < 0.0):
-        warnings.warn(
-            "final sampled Simon sign disagrees with the asymptotic sign; "
-            "the sampling horizon is probably too short",
-            stacklevel=2,
-        )
     labels = _LABELS[bool(classes[0])]
     return PhaseClassification(
         label=labels[min(len(events), len(labels) - 1)],
         event_times=tuple(events),
         s_initial_sign=_sign(float(s_values[0])),
-        s_infinity_sign=_sign(s_infinity),
+        s_infinity_sign=_sign(_simon(fixed._values)),
     )
 
 

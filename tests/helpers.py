@@ -15,7 +15,9 @@ the package solves the steady state.  The writer oracles read every grid
 cell on its own, format every CSV cell on its own and pick each
 phase-diagram status from the two masks, where the package formats each grid
 axis once, reads whole grids through ``.tolist()`` and maps the masks
-through one table.
+through one table.  The one exception is the horizon oracle, which samples
+through the package's own column path: what it checks is how a
+classification record is read, not how S is sampled.
 """
 
 from __future__ import annotations
@@ -336,3 +338,18 @@ def phase_diagram_csv_oracle(diagram) -> str:
     lines = ["d_xpy,c,status"]
     lines += [f"{d:.17g},{c:.17g},{status}" for d, c, status in phase_diagram_rows_oracle(diagram)]
     return "\n".join(lines) + "\n"
+
+
+def last_sample_disagrees_oracle(initial, env, t_max: float, n_t: int) -> bool:
+    """Whether S at the last of ``n_t`` uniform instants over [0, t_max] and S
+    at the solved steady state fall in different sign classes (S < 0 is
+    entangled), with the last instant resampled as ``classify_phase`` samples
+    it, through ``_column_entries`` and ``simon_function``."""
+    from gaussent.core import CovarianceMatrix
+    from gaussent.dynamics import _column_entries, steady_covariance
+    from gaussent.entanglement import simon_function
+
+    fixed = steady_covariance(env)
+    entries = _column_entries(initial, env, np.linspace(0.0, t_max, n_t).tolist(), fixed)
+    last = simon_function(CovarianceMatrix._of(tuple(entries[:, -1].tolist())))
+    return (last < 0.0) != (simon_function(fixed) < 0.0)

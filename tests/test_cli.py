@@ -1,12 +1,15 @@
+import ast
 import contextlib
 import io
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from gaussent.experiments import LABELS
 from gaussent.cli import (
     _KEYS,
     COMMANDS,
+    ConfigError,
     _build_parser,
     _json,
     _parse_args,
@@ -33,9 +37,11 @@ from gaussent.presets import PRESET_NAMES
 from helpers import (
     diffusion_matrix,
     drift_matrix,
+    last_sample_disagrees_oracle,
     lyapunov_oracle,
     phase_diagram_csv_oracle,
     phase_diagram_rows_oracle,
+    random_physical_cm,
     sweep_csv_oracle,
     sweep_rows_oracle,
     temperature_from_thermal_c,
@@ -53,6 +59,34 @@ def parse_csv(text):
     lines = text.strip().splitlines()
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
+
+
+def test_library_modules_neither_warn_nor_print():
+    # the CLI alone writes to stderr: a caveat is a "warning:" line that cli
+    # builds from what the library returns, so no other module imports
+    # warnings, calls into it or prints
+    found, checked = [], []
+    for path in sorted(Path(ge.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        checked.append(path.stem)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                bad = any(alias.name.split(".")[0] == "warnings" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = (node.module or "").split(".")[0] == "warnings"
+            elif isinstance(node, ast.Call):
+                func = node.func
+                bad = isinstance(func, ast.Name) and func.id == "print" or (
+                    isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id == "warnings"
+                )
+            else:
+                bad = False
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert {"core", "dynamics", "entanglement", "experiments", "presets"} <= set(checked)
+    assert found == []
 
 
 class TestSteadyCommand:
@@ -132,7 +166,6 @@ class TestMetricsCommand:
         assert payload["result"]["log_negativity"] is None
         assert payload["result"]["defined"] is False
 
-    @pytest.mark.filterwarnings("ignore:classification grid is below the recommended resolution")
     def test_overflow_is_a_numerical_failure(self, capsys):
         for command, *entries in (
             ("metrics", "sigma_xx=1e200", "sigma_pxpx=1e200"),
@@ -198,7 +231,6 @@ class TestEvolveCommand:
 
 
 class TestSweepCommand:
-    @pytest.mark.filterwarnings("ignore:classification grid is below the recommended resolution")
     def test_row_count_and_header(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
         code, out, _ = run_cli(
@@ -216,7 +248,6 @@ class TestSweepCommand:
         assert all(row[0] == rows[0][0] for row in rows[:3])
         assert {row[4] for row in rows} <= {"0", "1"}
 
-    @pytest.mark.filterwarnings("ignore:classification grid is below the recommended resolution")
     def test_undefined_markers_in_csv(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -265,6 +296,68 @@ class TestClassifyCommand:
             for c, phase in expected
         ]
         assert {row["s_infinity_sign"] for row in rows} == {-1, 1}
+
+    def test_short_grid_warns(self, capsys):
+        resolution = (
+            "warning: classification grid is below the recommended resolution "
+            "(t_max >= {} and n_t >= 100); the result may miss crossings\n"
+        )
+        for sets, floor in (
+            (["--set", "t_max=10", "--set", "n_t=200"], "50"),
+            (["--set", "n_t=99"], "50"),
+            (["--set", "lambda=0.3", "--set", "t_max=16", "--set", "d_xpy=0"], "16.7"),
+        ):
+            code, out, err = run_cli(capsys, "classify", "--set", "initial=fig1", *sets)
+            assert code == 0 and out.startswith("c,label,event_times\n")
+            assert err.startswith(resolution.format(floor)), err
+        # the defaults cover 5 dissipation times with 500 samples: nothing to say
+        assert run_cli(capsys, "classify", "--set", "initial=fig1")[2] == ""
+
+    def test_horizon_count_matches_the_resampled_last_sign(self, capsys):
+        # 100 seeded runs of 20 columns: presets and random physical states on
+        # random thermal baths, horizons 0.5-100 and grids of 3-300 samples
+        rng = np.random.default_rng(20261019)
+        horizon = re.compile(
+            r"^warning: final sampled Simon sign disagrees with the asymptotic sign in "
+            r"(\d+) of 20 columns; the sampling horizon is probably too short$", re.M
+        )
+        counts, coarse = [], 0
+        while len(counts) < 100:
+            lam, c_min = rng.uniform(0.02, 0.5), rng.uniform(1.0, 1.6)
+            keys = {
+                "lambda": lam, "omega": rng.uniform(0.3, 3.0), "m": rng.choice([1.0, 1.7]).item(),
+                "d_xpy": rng.uniform(-0.6, 0.6) * lam, "c_min": c_min,
+                "c_max": c_min + rng.uniform(0.0, 1.0), "n_c": 20,
+                "t_max": math.exp(rng.uniform(math.log(0.5), math.log(100.0))),
+                "n_t": 3 if len(counts) % 10 == 0 else int(rng.integers(3, 301)),
+            }
+            if len(counts) % 2:
+                state = random_physical_cm(rng, 1.2)
+                keys.update(zip(ENTRY_NAMES, state[np.triu_indices(4)].tolist()))
+            else:
+                keys["initial"] = PRESET_NAMES[len(counts) // 2 % len(PRESET_NAMES)]
+            cfg = build_config("classify", {k: v if isinstance(v, str) else repr(v)
+                                            for k, v in keys.items()})
+            if not all(check.passed for check in validate_diffusion(cfg.environment())):
+                continue
+            spec = ge.SweepSpec(cfg.environment(), cfg.initial_state(), cfg["t_max"],
+                                cfg["n_t"], cfg["c_min"], cfg["c_max"], cfg["n_c"])
+            expected = sum(
+                last_sample_disagrees_oracle(spec.initial, spec.environment_at(c), spec.t_max,
+                                             spec.n_t)
+                for c in spec.thermal_cs().tolist()
+            )
+            argv = [arg for item in cfg.to_flat().items() for arg in ("--set", "=".join(item))]
+            code, out, err = run_cli(capsys, "classify", *argv)
+            assert code == 0 and out.startswith("c,label,event_times\n"), err
+            lines = horizon.findall(err)
+            assert lines == ([str(expected)] if expected else []), (keys, err)
+            counts.append(expected)
+            short = cfg["t_max"] * cfg["lambda"] < 5.0
+            assert ("below the recommended resolution" in err) == (short or cfg["n_t"] < 100)
+            coarse += short and cfg["n_t"] == 3
+        # coarse grids, and runs where none, some and all columns disagree
+        assert coarse > 0 and {0, 20} <= set(counts) and any(0 < k < 20 for k in counts)
 
 
 class TestPhaseDiagramCommand:
@@ -382,8 +475,28 @@ class TestConfigHandling:
 
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "metrics", "--set", "initial=fig9")
-        assert code == 2
-        assert "unknown initial-state preset" in err
+        names = "vacuum, fig1, fig2, fig3, fig4"
+        message = f"unknown initial-state preset 'fig9'; valid names: {names}"
+        assert (code, err) == (2, f"error: {message}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ge.presets.initial_state("fig9")
+
+    def test_unknown_format(self):
+        with pytest.raises(ConfigError, match="^format must be csv or json, got 'xml'$"):
+            build_config("steady", {}, fmt="xml")
+
+    def test_unknown_command_is_rejected_before_numpy_loads(self):
+        # -S: no .pth file loads numpy; the command is checked before any value
+        script = (
+            "import sys\n"
+            "from gaussent.cli import ConfigError, build_config\n"
+            "try:\n"
+            "    build_config('bogus', {})\n"
+            "except ConfigError as exc:\n"
+            "    print(exc, 'numpy' in sys.modules)\n"
+        )
+        proc = _python("-S", "-c", script)
+        assert proc.stdout == "unknown command 'bogus' False\n", proc.stderr
 
     def test_domain_errors(self, capsys):
         assert run_cli(capsys, "steady", "--set", "lambda=0")[0] == 2
@@ -584,12 +697,7 @@ class TestDeterminism:
         [
             ("steady", "--set", "c=1"),
             ("metrics", "--set", "initial=fig3", "--format", "json"),
-            pytest.param(
-                ("sweep", "--set", "initial=fig1", "--set", "n_t=25", "--set", "n_c=2"),
-                marks=pytest.mark.filterwarnings(
-                    "ignore:classification grid is below the recommended resolution"
-                ),
-            ),
+            ("sweep", "--set", "initial=fig1", "--set", "n_t=25", "--set", "n_c=2"),
             ("classify", "--set", "initial=fig1", "--set", "n_c=2"),
             ("phase-diagram", "--set", "n_d=2", "--set", "n_c=3"),
         ],
@@ -731,7 +839,6 @@ class TestWriters:
             expected = _json_text_oracle(cfg, axes, rows)
         assert run(cfg) == expected
 
-    @pytest.mark.filterwarnings("ignore:classification grid is below the recommended resolution")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("keys", [{"n_t": "2"}, {"n_c": "1"}])
     def test_sweep_grids_with_undefined_cells_match_cell_oracle(self, keys, fmt):
@@ -767,7 +874,6 @@ class TestWriters:
             with pytest.raises(OverflowError, match="not finite"):
                 _sweep_text(bad, cfg)
 
-    @pytest.mark.filterwarnings("ignore:classification grid is below the recommended resolution")
     @pytest.mark.parametrize(
         "command,keys",
         [
@@ -815,6 +921,13 @@ class TestWriters:
     @settings(max_examples=500, deadline=None)
     def test_json_writer_is_json_dumps(self, value):
         assert _json(value, "\n") == json.dumps(value, indent=2)
+
+    def test_json_writer_rejects_what_json_dumps_rejects(self):
+        value = object()
+        with pytest.raises(TypeError) as rejected:
+            json.dumps(value)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(rejected.value))}$"):
+            _json(value)
 
     @given(
         command=st.sampled_from(["steady", "evolve", "metrics"]),
@@ -1155,9 +1268,6 @@ class TestArgvProperty:
         flags=[],
     )
     @settings(max_examples=500, deadline=None)
-    # drawn grids are coarse and drawn horizons may be short
-    @pytest.mark.filterwarnings("ignore:classification grid is below the recommended resolution")
-    @pytest.mark.filterwarnings("ignore:final sampled Simon sign disagrees")
     def test_exit_code_is_documented(self, command, values, grid, flags):
         argv = [command, *flags]
         for key, value in {**values, **grid}.items():

@@ -497,6 +497,20 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError, match="unknown covariance entry"):
             covariance_from_entries({"sigma_zz": 1.0})
 
+    def test_rejects_a_wrong_shape_and_entries_that_are_not_finite(self):
+        shape = r"^covariance matrix must be 4x4, got shape \(3, 3\)$"
+        with pytest.raises(ValueError, match=shape):
+            ge.CovarianceMatrix(np.eye(3))
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^covariance matrix entries must be finite$"):
+                covariance_from_entries({"sigma_xx": value})
+
+    def test_equals_only_covariance_matrices(self):
+        sigma = ge.CovarianceMatrix(0.5 * np.eye(4))
+        assert sigma == ge.presets.initial_state("vacuum")
+        assert sigma.__eq__(1) is NotImplemented
+        assert not sigma == 1 and sigma != 1
+
     def test_complex_entries_are_rejected_not_truncated(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's ComplexWarning included

@@ -14,13 +14,11 @@ import re
 import runpy
 import signal
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
 
 import gaussent
-from gaussent import cli
 from gaussent.cli import COMMANDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,11 +101,6 @@ def test_cli_corpus_runs_every_command_in_both_formats_once_per_line():
             assert any(argv[0] == command and argv[-2:] == ["--format", fmt] for argv in corpus)
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    # as a fresh interpreter prints a warning, to the stderr of the moment
-    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
-
-
 @contextlib.contextmanager
 def _time_limit(seconds, argv):
     # a POSIX interval timer that fails the test naming ``argv``, so a hang fails
@@ -127,8 +120,7 @@ def _time_limit(seconds, argv):
 def test_cli_corpus_in_process_matches_the_recorded_digests(monkeypatch, tmp_path):
     # the recorded lines come from fresh processes (scripts/cli_corpus.py);
     # each argv runs here through cli.main, from a scratch directory holding
-    # the config file, with a fresh process's warning filter and registries,
-    # and within the script's time limit per argv
+    # the config file, and within the script's time limit per argv
     script = runpy.run_path(str(ROOT / "scripts" / "cli_corpus.py"))
     recorded = (ROOT / "scripts" / "cli_corpus.jsonl").read_text(encoding="utf-8").splitlines()
     corpus = script["corpus"]()
@@ -137,7 +129,6 @@ def test_cli_corpus_in_process_matches_the_recorded_digests(monkeypatch, tmp_pat
     monkeypatch.setenv("COLUMNS", "80")  # argparse's usage width on a pipe
     (tmp_path / script["CONFIG_FILE"]).write_text(script["CONFIG_TEXT"], encoding="utf-8")
     out = tmp_path / script["OUT_FILE"]
-    package = str(Path(cli.__file__).resolve().parent)
     changed = []
     for argv, line in zip(corpus, recorded):
         out.unlink(missing_ok=True)
@@ -146,16 +137,12 @@ def test_cli_corpus_in_process_matches_the_recorded_digests(monkeypatch, tmp_pat
             _time_limit(script["TIMEOUT_S"], argv),
             contextlib.redirect_stdout(stdout),
             contextlib.redirect_stderr(stderr),
-            warnings.catch_warnings(),  # entering it resets the warning registries
         ):
-            warnings.resetwarnings()
-            warnings.simplefilter("default")
-            warnings.showwarning = _show_warning
             try:
                 code = main(list(argv))
             except SystemExit as exc:  # argparse rejects the argv
                 code = exc.code
-        text = stderr.getvalue().replace(package, str(ROOT / "src" / "gaussent"))
+        text = stderr.getvalue()
         if script["record"](argv, code, stdout.getvalue().encode(), out, text) != line:
             changed.append(argv)
     assert changed == []

@@ -146,13 +146,13 @@ class TestClassifyPhase:
         env = ge.thermal_environment(0.1, 1.027612282028327, 0.0, 0.013875)
         assert asymptotic_threshold(env) == env.thermal_c
         s_inf = simon_function(steady_covariance(env))
-        with pytest.warns(UserWarning, match="horizon is probably too short"):
-            phase = ge.classify_phase(ge.presets.initial_state("vacuum"), env, 50.0, 100)
+        phase = ge.classify_phase(ge.presets.initial_state("vacuum"), env, 50.0, 100)
         assert phase.s_infinity_sign == (s_inf > 0) - (s_inf < 0)
-
-    def test_short_grid_warns(self, fig1_initial):
-        with pytest.warns(UserWarning, match="below the recommended resolution"):
-            ge.classify_phase(fig1_initial, _benchmark(1.0), 10.0, 200)
+        # one crossing leaves the last sample entangled, while S at infinity sits on
+        # the boundary, which counts as separable: the record shows the short horizon
+        assert len(phase.event_times) == 1 and phase.s_infinity_sign == 0
+        last_entangled = (phase.s_initial_sign < 0) ^ len(phase.event_times) % 2
+        assert last_entangled != (phase.s_infinity_sign < 0)
 
     def test_rejects_bad_grid(self, fig1_initial):
         with pytest.raises(ValueError):
@@ -195,10 +195,7 @@ class TestSweep:
             env_base=_benchmark(1.0), initial=fig1_initial,
             t_max=1.0, n_t=3, c_min=1.0, c_max=1.2, n_c=2,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = ge.sweep(spec)
-        rows = sweep_rows_oracle(result)
+        rows = sweep_rows_oracle(ge.sweep(spec))
         assert len(rows) == 6
         times = [row[0] for row in rows]
         assert times == sorted(times)
@@ -209,9 +206,7 @@ class TestSweep:
             env_base=_benchmark(1.0), initial=fig1_initial,
             t_max=1.0, n_t=2, c_min=1.0, c_max=1.0, n_c=1,
         )
-        with pytest.warns(UserWarning):
-            result = ge.sweep(spec)
-        rows = sweep_rows_oracle(result)
+        rows = sweep_rows_oracle(ge.sweep(spec))
         assert len(rows) == 2
         expected = ge.metrics(fig1_initial).log_negativity
         assert rows[0][3] == pytest.approx(expected, abs=1e-15)
@@ -314,7 +309,6 @@ class TestSweep:
             "label", "event_times", "s_initial_sign", "s_infinity_sign"
         )
 
-    @pytest.mark.filterwarnings("ignore:final sampled Simon sign:UserWarning")
     def test_cells_equal_scalar_metrics_bit_for_bit(self):
         # presets, seeded physical states and lenient unphysical ones (random
         # symmetric matrices), on the benchmark bath and an m*omega != 1 bath
