@@ -14,12 +14,13 @@ exactly when their corpus lines are equal:
 
 The corpus covers every command on every preset in both formats, point
 queries, grid shapes, negative cross diffusion, m * omega != 1, temperatures,
-under-resolved grids, explicit states (lenient and --strict), a failed
-Lyapunov residual check, overflowing and extreme baths, configuration errors,
-``--out``, ``--config`` and ``--dump-config``, baths on either side of the
-diffusion bound across a thermal grid, phase diagrams with a position cross
-coefficient d_xy, a crossing late enough that bisection reaches the float
-spacing, and seeded phase diagrams like the benchmark's.
+under-resolved grids, explicit states (lenient and --strict), states on either
+side of the physicality slack, a failed Lyapunov residual check, overflowing
+and extreme baths, configuration errors, ``--out``, ``--config`` and
+``--dump-config``, baths on either side of the diffusion bound across a
+thermal grid, phase diagrams with a position cross coefficient d_xy, a
+crossing late enough that bisection reaches the float spacing, and seeded
+phase diagrams like the benchmark's.
 
 ``scripts/cli_corpus.jsonl`` is this script's output, checked in; a change
 that alters CLI output on purpose regenerates it:
@@ -100,6 +101,11 @@ def corpus() -> list[list[str]]:
             lines += both_formats(command, *state, "t=2.5", "n_t=100", "n_c=3")
             lines.append([command, "--strict", *sets(*state, "t=2.5", "n_t=100", "n_c=3")])
     lines += [["metrics", "--strict", *sets(f"initial={preset}")] for preset in ("fig3", "fig4")]
+    # vacuum-like states just inside and just outside the physicality slack of 1e-12
+    for nu in ("0.4999999999991", "0.4999999999989"):
+        diagonal = ("sigma_xx", "sigma_pxpx", "sigma_yy", "sigma_pypy")
+        edge = sets(*(f"{name}={nu}" for name in diagonal))
+        lines += [["metrics", *edge], ["metrics", "--strict", *edge]]
     # JSON point queries whose config values print as exponent, negative-zero
     # and subnormal text
     for command, *pairs in (

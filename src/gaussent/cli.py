@@ -103,9 +103,23 @@ class RunConfig(
     float, an int or a validated preset name, whose ``str`` needs no JSON
     escaping.  The JSON config block relies on that and writes them
     unescaped: a key with other str values must change its template too.
+    It is an immutable named tuple whose ``command`` and ``fmt`` are checked
+    on construction, ``_make`` and ``_replace`` included.
     """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.command not in COMMANDS:
+            raise ConfigError(f"unknown command {self.command!r}")
+        if self.fmt not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> RunConfig:
+        return cls(*iterable)
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -172,8 +186,6 @@ def build_config(
 ) -> RunConfig:
     """Validate raw key=value strings and resolve them into a RunConfig, whose
     values are finite floats, ints and a preset name from ``PRESET_NAMES``."""
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
     for key in provided:
         if key not in _KEYS and key not in ENTRY_NAMES:
             raise ConfigError(f"unknown configuration key {key!r}")
@@ -212,8 +224,6 @@ def build_config(
         raise ConfigError("require c_min <= c_max")
     if values["d_xpy_max"] < values["d_xpy_min"]:
         raise ConfigError("require d_xpy_min <= d_xpy_max")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
     return RunConfig(command, values, strict, out, fmt)
 
 

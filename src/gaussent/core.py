@@ -7,6 +7,7 @@ the dimensionless parameter C = coth(omega / (2 T)) >= 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -256,45 +257,75 @@ def validate_diffusion(env: EnvironmentSpec) -> tuple[DiffusionCheck, ...]:
     ``OverflowError`` when a margin is not finite, since the bounds cannot be
     decided then.
     """
+    d_xx, d_pxpx, tol = env.d_xx, env.d_pxpx, MARGIN_TOL
     half = 0.5 * env.lam
-    # each margin is a - b - c over its terms (a, b, c), b and c squares
-    local = (env.d_xx * env.d_pxpx, env.d_xpx * env.d_xpx, half * half)
-    cross = (env.d_xx * env.d_pxpx, env.d_xpy * env.d_xpy, 0.0)
-    terms = dict(
-        xx_pxpx=local,
-        yy_pypy=local,
-        xx_yy=(env.d_xx * env.d_xx, env.d_xy * env.d_xy, 0.0),
-        pxpx_pypy=(env.d_pxpx * env.d_pxpx, env.d_pxpy * env.d_pxpy, 0.0),
-        xx_pypy=cross,
-        yy_pxpx=cross,
+    # each margin is a - b, or a - b - lam^2/4, over terms of which only a may
+    # be negative; the slack is scaled term by term, so it cannot overflow
+    # where the terms do not
+    product, xpx_sq, half_sq = d_xx * d_pxpx, env.d_xpx * env.d_xpx, half * half
+    xx_sq, xy_sq = d_xx * d_xx, env.d_xy * env.d_xy
+    pp_sq, pxpy_sq = d_pxpx * d_pxpx, env.d_pxpy * env.d_pxpy
+    xpy_sq = env.d_xpy * env.d_xpy
+    local = product - xpx_sq - half_sq
+    xx_yy, pxpx_pypy, cross = xx_sq - xy_sq, pp_sq - pxpy_sq, product - xpy_sq
+    if not (
+        math.isfinite(local) and math.isfinite(xx_yy)
+        and math.isfinite(pxpx_pypy) and math.isfinite(cross)
+    ):
+        margins = [local, local, xx_yy, pxpx_pypy, cross, cross]
+        raise OverflowError(f"diffusion bounds are not finite (margins {margins})")
+    local_ok = local >= -tol * abs(product) - tol * xpx_sq - tol * half_sq
+    cross_ok = cross >= -tol * abs(product) - tol * xpy_sq
+    return (
+        DiffusionCheck("xx_pxpx", local, local_ok),
+        DiffusionCheck("yy_pypy", local, local_ok),
+        DiffusionCheck("xx_yy", xx_yy, xx_yy >= -tol * xx_sq - tol * xy_sq),
+        DiffusionCheck("pxpx_pypy", pxpx_pypy, pxpx_pypy >= -tol * pp_sq - tol * pxpy_sq),
+        DiffusionCheck("xx_pypy", cross, cross_ok),
+        DiffusionCheck("yy_pxpx", cross, cross_ok),
     )
-    margins = {name: a - b - c for name, (a, b, c) in terms.items()}
-    if not all(map(math.isfinite, margins.values())):
-        raise OverflowError(f"diffusion bounds are not finite (margins {list(margins.values())})")
-    # the slack is scaled term by term: it cannot overflow where the terms do not
-    return tuple(
-        DiffusionCheck(name, v, v >= -MARGIN_TOL * abs(a) - MARGIN_TOL * b - MARGIN_TOL * c)
-        for (name, v), (a, b, c) in zip(margins.items(), terms.values())
-    )
+
+
+def _pivots(values, shift: float) -> tuple[float, ...]:
+    """Pivots of the LDL^H factorization of the Hermitian
+    H = sigma + (i/2) Omega + shift * I, sigma with upper triangle ``values``,
+    up to the first that is not positive (or NaN), in real arithmetic.
+
+    Omega = diag(J, J), J = [[0, 1], [-1, 0]], puts -i/2 at (1, 0) and (3, 2)
+    of the lower triangle, which is all that is read.  Entry by entry this is
+    the complex elimination h_ij -= (h_ik / h_kk) conj(h_jk) written out in
+    real and imaginary parts, in the same order, without the products whose
+    factor is an imaginary part that Omega leaves at zero: so every pivot has
+    the complex loop's bits wherever the elimination stays finite.
+    """
+    xx, xpx, xy, xpy, pxpx, ypx, pxpy, yy, ypy, pypy = values
+    p0 = xx + shift
+    if not p0 > 0.0:
+        return (p0,)
+    # column 0: the ratios h_i0 / p0 are (a1, b1), a2 and a3, real
+    a1, b1, a2, a3 = xpx / p0, -0.5 / p0, xy / p0, xpy / p0
+    p1 = (pxpx + shift) - (a1 * xpx - b1 * 0.5)
+    if not p1 > 0.0:
+        return (p0, p1)
+    re21, im21 = ypx - a2 * xpx, -(a2 * 0.5)
+    re31, im31 = pxpy - a3 * xpx, -(a3 * 0.5)
+    # column 1: the ratios (c2, d2) and (c3, d3); h32 keeps its -1/2 until here
+    c2, d2, c3, d3 = re21 / p1, im21 / p1, re31 / p1, im31 / p1
+    p2 = ((yy + shift) - a2 * xy) - (c2 * re21 + d2 * im21)
+    if not p2 > 0.0:
+        return (p0, p1, p2)
+    re32 = (ypy - a3 * xy) - (c3 * re21 + d3 * im21)
+    im32 = -0.5 - (d3 * re21 - c3 * im21)
+    # column 2: the ratio (e3, f3)
+    e3, f3 = re32 / p2, im32 / p2
+    p3 = (((pypy + shift) - a3 * xpy) - (c3 * re31 + d3 * im31)) - (e3 * re32 + f3 * im32)
+    return (p0, p1, p2, p3)
 
 
 def _positive_definite(values, shift: float) -> bool:
     """True when H = sigma + (i/2) Omega + shift * I, sigma with upper triangle
     ``values``, has only positive pivots in its LDL^H factorization."""
-    h = [[complex(v) for v in row] for row in _rows(values)]
-    h[1][0] -= 0.5j  # Omega = diag(J, J), J = [[0, 1], [-1, 0]]; only the
-    h[3][2] -= 0.5j  # lower triangle of H is read
-    for k in range(4):
-        h[k][k] += shift
-    for k in range(4):
-        pivot = h[k][k].real
-        if not pivot > 0.0:  # also NaN
-            return False
-        for i in range(k + 1, 4):
-            ratio = h[i][k] / pivot
-            for j in range(k + 1, i + 1):
-                h[i][j] -= ratio * h[j][k].conjugate()
-    return True
+    return _pivots(values, shift)[-1] > 0.0
 
 
 class StateReport(namedtuple("StateReport", "physical rescaled")):
@@ -309,8 +340,18 @@ class StateReport(namedtuple("StateReport", "physical rescaled")):
         """Smallest eigenvalue of the rescaled sigma + (i/2) Omega, by numpy."""
         import numpy as np
 
-        omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
-        return float(np.linalg.eigvalsh(np.array(_rows(self.rescaled)) + 0.5j * omega)[0])
+        return float(np.linalg.eigvalsh(np.array(_rows(self.rescaled)) + _half_i_omega())[0])
+
+
+@functools.cache  # numpy loads with the first eigenvalue read
+def _half_i_omega():
+    """(i/2) Omega, Omega = diag(J, J), J = [[0, 1], [-1, 0]], as a read-only
+    numpy array."""
+    import numpy as np
+
+    out = 0.5j * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    out.setflags(write=False)
+    return out
 
 
 def check_physical_state(sigma: CovarianceMatrix) -> StateReport:

@@ -83,18 +83,19 @@ def _check_block(env: EnvironmentSpec, block, diffusion) -> None:
     the three independent residual entries (the diagonal ones halved) must lie
     within 1e-12 of the sum of the magnitudes of its terms, a finite sum, or
     within the smallest normal float, where that bound underflows for a
-    subnormal term."""
+    subnormal term.  Sums run left to right, in the order of the terms."""
     (a, b, c), (d11, d12, d22) = block, diffusion
     lam, m = env.lam, env.m
     mw2 = m * _square(env, "omega")
-    for terms in (
-        (d11, -lam * a, b / m),
-        (2.0 * d12, -2.0 * lam * b, c / m, -mw2 * a),
-        (d22, -mw2 * b, -lam * c),
+    x1, x2 = -lam * a, b / m
+    y0, y1, y2, y3 = 2.0 * d12, -2.0 * lam * b, c / m, -mw2 * a
+    z1, z2 = -mw2 * b, -lam * c
+    for scale, total in (
+        (abs(d11) + abs(x1) + abs(x2), d11 + x1 + x2),
+        (abs(y0) + abs(y1) + abs(y2) + abs(y3), y0 + y1 + y2 + y3),
+        (abs(d22) + abs(z1) + abs(z2), d22 + z1 + z2),
     ):
-        scale = sum(map(abs, terms))
-        residual = abs(sum(terms))
-        bound = max(1e-12 * scale, sys.float_info.min)
+        residual, bound = abs(total), max(1e-12 * scale, sys.float_info.min)
         if scale < math.inf and residual <= bound:
             continue
         if not scale < math.inf:

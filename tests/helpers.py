@@ -17,12 +17,17 @@ phase-diagram status from the two masks, where the package formats each grid
 axis once, reads whole grids through ``.tolist()`` and maps the masks
 through one table.  The one exception is the horizon oracle, which samples
 through the package's own column path: what it checks is how a
-classification record is read, not how S is sampled.
+classification record is read, not how S is sampled.  Three oracles keep
+the package's earlier forms of its physical gates: the LDL^H pivots as the
+complex elimination loop that ``core._pivots`` writes out in real and
+imaginary parts, the Lyapunov residual check with term tuples and a
+left-to-right sum, and the diffusion bounds with a dict of margins.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -353,3 +358,84 @@ def last_sample_disagrees_oracle(initial, env, t_max: float, n_t: int) -> bool:
     entries = _column_entries(initial, env, np.linspace(0.0, t_max, n_t).tolist(), fixed)
     last = simon_function(CovarianceMatrix._of(tuple(entries[:, -1].tolist())))
     return (last < 0.0) != (simon_function(fixed) < 0.0)
+
+
+def ldl_pivots_oracle(values, shift: float) -> tuple[float, ...]:
+    """Pivots of the LDL^H factorization of sigma + (i/2) Omega + shift * I,
+    sigma with upper triangle ``values``, up to the first that is not
+    positive: the elimination in Python complex arithmetic, lower triangle
+    only."""
+    xx, xpx, xy, xpy, pxpx, ypx, pxpy, yy, ypy, pypy = values
+    rows = [[xx, xpx, xy, xpy], [xpx, pxpx, ypx, pxpy], [xy, ypx, yy, ypy], [xpy, pxpy, ypy, pypy]]
+    h = [[complex(v) for v in row] for row in rows]
+    h[1][0] -= 0.5j  # Omega = diag(J, J), J = [[0, 1], [-1, 0]]
+    h[3][2] -= 0.5j
+    for k in range(4):
+        h[k][k] += shift
+    pivots = []
+    for k in range(4):
+        pivot = h[k][k].real
+        pivots.append(pivot)
+        if not pivot > 0.0:  # also NaN
+            break
+        for i in range(k + 1, 4):
+            ratio = h[i][k] / pivot
+            for j in range(k + 1, i + 1):
+                h[i][j] -= ratio * h[j][k].conjugate()
+    return tuple(pivots)
+
+
+def _left_to_right(terms) -> float:
+    """sum(terms) as Python up to 3.11 adds floats: one rounding per term."""
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def check_block_oracle(env, block, diffusion) -> None:
+    """The Lyapunov residual check of one 2x2 block, term tuple by term
+    tuple: ``ArithmeticError`` with the package's messages, or None."""
+    (a, b, c), (d11, d12, d22) = block, diffusion
+    lam, m = env.lam, env.m
+    mw2 = m * env.omega**2
+    for terms in (
+        (d11, -lam * a, b / m),
+        (2.0 * d12, -2.0 * lam * b, c / m, -mw2 * a),
+        (d22, -mw2 * b, -lam * c),
+    ):
+        scale = _left_to_right(map(abs, terms))
+        residual = abs(_left_to_right(terms))
+        bound = max(1e-12 * scale, sys.float_info.min)
+        if scale < math.inf and residual <= bound:
+            continue
+        if not scale < math.inf:
+            raise ArithmeticError(
+                f"Lyapunov solve is not finite or its residual overflows: s = {list(block)}"
+            )
+        raise ArithmeticError(f"Lyapunov solve residual {residual:.3e} exceeds {bound:.3e}")
+
+
+def validate_diffusion_oracle(env, tol: float = 1e-12) -> list[tuple[str, float, bool]]:
+    """(name, margin, passed) of the six pairwise diffusion bounds, each
+    margin a - b - c of its own term triple, passing at
+    margin >= -tol (|a| + b + c) summed term by term; ``OverflowError`` with
+    the package's message when a margin is not finite."""
+    half = 0.5 * env.lam
+    local = (env.d_xx * env.d_pxpx, env.d_xpx * env.d_xpx, half * half)
+    cross = (env.d_xx * env.d_pxpx, env.d_xpy * env.d_xpy, 0.0)
+    terms = dict(
+        xx_pxpx=local,
+        yy_pypy=local,
+        xx_yy=(env.d_xx * env.d_xx, env.d_xy * env.d_xy, 0.0),
+        pxpx_pypy=(env.d_pxpx * env.d_pxpx, env.d_pxpy * env.d_pxpy, 0.0),
+        xx_pypy=cross,
+        yy_pxpx=cross,
+    )
+    margins = {name: a - b - c for name, (a, b, c) in terms.items()}
+    if not all(map(math.isfinite, margins.values())):
+        raise OverflowError(f"diffusion bounds are not finite (margins {list(margins.values())})")
+    return [
+        (name, v, v >= -tol * abs(a) - tol * b - tol * c)
+        for (name, v), (a, b, c) in zip(margins.items(), terms.values())
+    ]

@@ -24,6 +24,7 @@ from gaussent.cli import (
     _KEYS,
     COMMANDS,
     ConfigError,
+    RunConfig,
     _build_parser,
     _json,
     _parse_args,
@@ -485,8 +486,23 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="^format must be csv or json, got 'xml'$"):
             build_config("steady", {}, fmt="xml")
 
+    def test_run_config_checks_its_command_and_format(self):
+        values = build_config("classify", {"n_c": "1", "n_t": "100"}).values
+        with pytest.raises(ConfigError, match="^unknown command 'bogus'$"):
+            run(RunConfig("bogus", values))
+        with pytest.raises(ConfigError, match="^format must be csv or json, got 'xml'$"):
+            run(RunConfig("classify", values, fmt="xml"))
+        cfg = RunConfig("classify", values)
+        with pytest.raises(ConfigError, match="^unknown command 'bogus'$"):
+            cfg._replace(command="bogus")
+        with pytest.raises(ConfigError, match="^format must be csv or json, got 'xml'$"):
+            RunConfig._make(["classify", values, False, None, "xml"])
+        assert type(cfg._replace(fmt="json")) is RunConfig
+        assert cfg._replace(fmt="json") == ("classify", values, False, None, "json")
+
     def test_unknown_command_is_rejected_before_numpy_loads(self):
-        # -S: no .pth file loads numpy; the command is checked before any value
+        # -S: no .pth file loads numpy; RunConfig rejects the command, and
+        # nothing that resolves the values before it loads numpy
         script = (
             "import sys\n"
             "from gaussent.cli import ConfigError, build_config\n"

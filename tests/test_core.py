@@ -13,6 +13,8 @@ from gaussent.core import (
     SYMMETRY_TOL,
     EnvironmentSpec,
     StateReport,
+    _pivots,
+    _positive_definite,
     check_physical_state,
     covariance_from_entries,
     independent_entries,
@@ -20,13 +22,18 @@ from gaussent.core import (
     validate_diffusion,
 )
 from gaussent.cli import build_config
+from gaussent.dynamics import _check_block, steady_covariance
 from helpers import (
+    check_block_oracle,
     diffusion_matrix,
     drift_matrix,
+    ldl_pivots_oracle,
+    random_physical_cm,
     random_symplectic,
     semigroup_matrix,
     temperature_from_thermal_c,
     two_mode_squeezer,
+    validate_diffusion_oracle,
 )
 
 
@@ -417,6 +424,114 @@ class TestCheckPhysicalState:
             0.5 * thermal_c * np.diag([1.0 / mw, mw, 1.0 / mw, mw])
         )
         assert check_physical_state(sigma).physical
+
+
+def _bits(values) -> tuple[str, ...]:
+    return tuple(map(float.hex, values))
+
+
+def _outcome(gate, *args):
+    """What ``gate(*args)`` returns, or the type and message it raises."""
+    try:
+        return gate(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+class TestGateKernels:
+    """The physicality LDL^H, the Lyapunov residual check and the diffusion
+    bounds against their earlier forms in ``tests/helpers.py``."""
+
+    def test_pivots_equal_the_complex_loop_bit_for_bit(self):
+        rng = np.random.default_rng(2025)
+        upper = np.triu_indices(4)
+        physical = [tuple(random_physical_cm(rng, max_squeeze=3.0)[upper].tolist())
+                    for _ in range(17_000)]
+        scaled = [tuple((np.array(v) * rng.uniform(0.9, 1.0)).tolist()) for v in physical]
+        symmetric = [tuple(row) for row in rng.uniform(-2.0, 2.0, size=(17_000, 10)).tolist()]
+        tmsv = dict(sigma_xx=1.8810978455418157, sigma_pxpx=1.8810978455418157,
+                    sigma_yy=1.8810978455418155, sigma_pypy=1.8810978455418157,
+                    sigma_xy=1.8134302039235093, sigma_pxpy=-1.8134302039235093)
+        fixed = [ge.presets.initial_state(name)._values for name in ge.presets.PRESET_NAMES]
+        fixed.append(covariance_from_entries(tmsv)._values)
+        cases = rejected = 0
+        for values in physical + scaled + symmetric + fixed:
+            slack = MARGIN_TOL * max(1.0, *map(abs, values))
+            for shift in (0.0, slack, -slack, 1e3 * slack):
+                expected = ldl_pivots_oracle(values, shift)
+                assert _bits(_pivots(values, shift)) == _bits(expected), (values, shift)
+                assert _positive_definite(values, shift) is (expected[-1] > 0.0)
+                cases += 1
+                rejected += not expected[-1] > 0.0
+        assert cases >= 200_000
+        assert 0.1 * cases < rejected < 0.5 * cases
+
+    def test_an_overflowing_elimination_stops_at_the_same_pivot(self):
+        # entries of random sign and magnitude up to 1e308 with no shift:
+        # where an entry overflows, the complex loop's 0 * inf turns the
+        # failing pivot into NaN, which the real arithmetic leaves at -inf
+        rng = np.random.default_rng(2026)
+        overflowed = 0
+        for _ in range(5000):
+            values = rng.standard_normal(10) * 10.0 ** rng.uniform(-300.0, 308.0, size=10)
+            values[[0, 4, 7, 9]] = np.abs(values[[0, 4, 7, 9]])
+            values = tuple(values.tolist())
+            for shift in (0.0, MARGIN_TOL * max(1.0, *map(abs, values))):
+                expected, pivots = ldl_pivots_oracle(values, shift), _pivots(values, shift)
+                assert len(pivots) == len(expected), (values, shift)
+                assert _bits(pivots[:-1]) == _bits(expected[:-1]), (values, shift)
+                if _bits(pivots[-1:]) != _bits(expected[-1:]):
+                    assert math.isnan(expected[-1]) and pivots[-1] == -math.inf, (values, shift)
+                    overflowed += 1
+                assert _positive_definite(values, shift) is (expected[-1] > 0.0)
+        assert overflowed
+
+    def test_residual_check_and_diffusion_bounds_match_their_earlier_forms(self):
+        # random baths, thermal and not, with cross coefficients near their
+        # bounds, and both steady blocks checked against diffusion entries
+        # nudged across the residual bound
+        rng = np.random.default_rng(2027)
+        decisions = {True: 0, False: 0}
+        for k in range(20_000):
+            m, omega, lam = (10.0 ** rng.uniform(-2.0, 2.0, size=3)).tolist()
+            thermal_c = 1.0 + float(rng.exponential(0.5))
+            edge = 1.0 + float(rng.choice([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1e-11, -1e-11,
+                                           0.1, -0.1]))
+            if k % 2:
+                env = ge.thermal_environment(lam, thermal_c, m=m, omega=omega)
+                bound = 0.5 * lam * thermal_c
+                env = env._replace(d_xpy=float(rng.choice([-1.0, 1.0])) * bound * edge,
+                                   d_xy=float(rng.uniform(-1.2, 1.2)) * bound / (m * omega))
+            else:
+                d_xx, d_pxpx = (10.0 ** rng.uniform(-3.0, 1.0, size=2)).tolist()
+                d_xpx = math.sqrt(max(0.0, d_xx * d_pxpx - 0.25 * lam * lam)) * edge
+                env = EnvironmentSpec(m, omega, lam, thermal_c, d_xx, d_xpx, d_pxpx,
+                                      *(rng.uniform(-1.2, 1.2, size=3) * d_xx).tolist())
+            if k % 1000 == 0:  # margins that overflow
+                env = env._replace(d_xy=1e200 if k % 2000 else -1e200)
+            got = _outcome(lambda e: [tuple(c) for c in validate_diffusion(e)], env)
+            expected = _outcome(validate_diffusion_oracle, env)
+            if isinstance(expected, list):
+                assert [(n, v.hex(), p) for n, v, p in got] == \
+                    [(n, v.hex(), p) for n, v, p in expected], env
+            else:
+                assert got == expected, env
+            try:
+                v = steady_covariance(env)._values
+            except ArithmeticError:
+                continue
+            for block, diffusion in (
+                ((v[0], v[1], v[4]), (env.d_xx, env.d_xpx, env.d_pxpx)),
+                ((v[2], v[3], v[6]), (env.d_xy, env.d_xpy, env.d_pxpy)),
+            ):
+                nudged = [d * (1.0 + 1e-13 * int(rng.integers(-40, 41))) for d in diffusion]
+                for case in (diffusion, nudged):
+                    expected = _outcome(check_block_oracle, env, block, case)
+                    assert _outcome(_check_block, env, block, case) == expected, (env, case)
+                    decisions[expected is None] += 1
+        bad = (math.inf, 0.0, 1.0), (1.0, 0.0, 1.0)
+        assert _outcome(_check_block, env, *bad) == _outcome(check_block_oracle, env, *bad)
+        assert min(decisions.values()) > 1000, decisions
 
 
 class TestCovarianceMatrix:
