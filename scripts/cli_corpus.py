@@ -19,8 +19,9 @@ side of the physicality slack, a failed Lyapunov residual check, overflowing
 and extreme baths, configuration errors, ``--out``, ``--config`` and
 ``--dump-config``, baths on either side of the diffusion bound across a
 thermal grid, phase diagrams with a position cross coefficient d_xy, a
-crossing late enough that bisection reaches the float spacing, and seeded
-phase diagrams like the benchmark's.
+crossing late enough that bisection reaches the float spacing, seeded
+phase diagrams like the benchmark's, a crossing far inside a wide first
+bisection bracket and grids that end at the largest float.
 
 ``scripts/cli_corpus.jsonl`` is this script's output, checked in; a change
 that alters CLI output on purpose regenerates it:
@@ -232,6 +233,11 @@ def corpus() -> list[list[str]]:
                                     f"d_xpy_min={d_min!r}", f"d_xpy_max={d_max!r}", "n_d=200",
                                     "c_min=1.0", "c_max=2.0", "n_c=200")]
         )
+    # a crossing near t = 4e-8 in a first bracket of 2e9, whose float spacing is 2.4e-7
+    lines.append(["classify", *sets("t_max=1e12", "n_c=1")])
+    # float-max grid ends, where np.linspace overflows an inner step of a finite grid
+    lines.append(["sweep", *sets("t_max=1.7976931348623157e308", "n_t=4", "n_c=1")])
+    lines.append(["classify", *sets("c_max=1.7976931348623157e308", "n_t=100", "n_c=4")])
     return lines
 
 

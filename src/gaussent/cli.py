@@ -71,6 +71,13 @@ _KEYS: dict[str, tuple[type, object, tuple[str, int] | None]] = {
     "initial": (str, "vacuum", None),
 }
 _COMPARE = {">": operator.gt, ">=": operator.ge}
+#: The key table read once: every key a config may give, the default values in
+#: table order, and each bounded key with its comparison.
+_KNOWN = frozenset(_KEYS).union(ENTRY_NAMES)
+_DEFAULTS = {key: default for key, (_, default, _) in _KEYS.items()}
+_BOUNDED = tuple(
+    (key, _COMPARE[bound[0]], bound) for key, (_, _, bound) in _KEYS.items() if bound
+)
 
 #: The other spellings of a key's setting, which an override drops from the config file.
 _SPELLINGS = {
@@ -146,7 +153,7 @@ class RunConfig(
 def parse_flat_file(path: str) -> dict[str, str]:
     """Read a flat key=value configuration file ('#' starts a comment)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is not text
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
@@ -187,15 +194,15 @@ def build_config(
     """Validate raw key=value strings and resolve them into a RunConfig, whose
     values are finite floats, ints and a preset name from ``PRESET_NAMES``."""
     for key in provided:
-        if key not in _KEYS and key not in ENTRY_NAMES:
+        if key not in _KNOWN:
             raise ConfigError(f"unknown configuration key {key!r}")
-    values = {
-        key: _parse(key, provided[key]) if key in provided else default
-        for key, (_, default, _) in _KEYS.items()
-    }
-    for key, (_, _, bound) in _KEYS.items():
+    values = _DEFAULTS.copy()
+    for key in _DEFAULTS:
+        if key in provided:
+            values[key] = _parse(key, provided[key])
+    for key, compare, bound in _BOUNDED:
         value = values[key]
-        if bound and value is not None and not _COMPARE[bound[0]](value, bound[1]):
+        if value is not None and not compare(value, bound[1]):
             raise ConfigError(f"{key} must be {bound[0]} {bound[1]}, got {value}")
 
     temperature = values.pop("temperature")
@@ -400,7 +407,7 @@ def _run_classify(cfg: RunConfig, spec: SweepSpec) -> str:
 def _run_phase_diagram(cfg: RunConfig) -> str:
     import numpy as np
 
-    from .experiments import asymptotic_phase_diagram
+    from .experiments import _linspace, asymptotic_phase_diagram
 
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, as exit code 4
         d_xpy_values = np.linspace(cfg["d_xpy_min"], cfg["d_xpy_max"], cfg["n_d"])
@@ -410,7 +417,7 @@ def _run_phase_diagram(cfg: RunConfig) -> str:
         cfg["lambda"],
         cfg["omega"],
         d_xpy_values,
-        np.linspace(cfg["c_min"], cfg["c_max"], cfg["n_c"]),
+        _linspace(cfg["c_min"], cfg["c_max"], cfg["n_c"]),  # c_min >= 1: the width is finite
         m=cfg["m"],
         d_xy=cfg["d_xy"],
     )

@@ -79,6 +79,11 @@ class EnvironmentSpec(
     def _make(cls, iterable) -> EnvironmentSpec:
         return cls(*iterable)
 
+    @classmethod
+    def _of(cls, *values) -> EnvironmentSpec:
+        """The record of ten values its caller has validated, unchecked."""
+        return tuple.__new__(cls, values)
+
     def is_thermal(self) -> bool:
         """True when the coefficients give a Gibbs state at long times.
 
@@ -124,7 +129,9 @@ def thermal_environment(
             f"thermal diffusion coefficients overflow: m*omega={mw}, d_xx={d_xx}, "
             f"d_pxpx={d_pxpx}, d_pxpy={d_pxpy}"
         )
-    return EnvironmentSpec(m, omega, lam, thermal_c, d_xx, 0.0, d_pxpx, d_xy, d_xpy, d_pxpy)
+    # _check_parameters covered the inputs and the test above the derived
+    # coefficients, so the record skips EnvironmentSpec's second check
+    return EnvironmentSpec._of(m, omega, lam, thermal_c, d_xx, 0.0, d_pxpx, d_xy, d_xpy, d_pxpy)
 
 
 def _square(env: EnvironmentSpec, name: str) -> float:

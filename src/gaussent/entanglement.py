@@ -39,10 +39,10 @@ def _invariants(values) -> tuple:
     return a0 * a2 - a1 * a1, b0 * b2 - b1 * b1, c0 * c3 - c1 * c2, trace
 
 
-def _pt_terms(values) -> tuple:
+def _pt_terms(invariants) -> tuple:
     """Delta~, det sigma and the discriminant Delta~^2 - 4 det sigma of the
-    partial transpose, from the entries ``values`` (floats or arrays)."""
-    det_a, det_b, det_c, trace = _invariants(values)
+    partial transpose, from the ``_invariants`` (floats or arrays)."""
+    det_a, det_b, det_c, trace = invariants
     delta = det_a + det_b - 2.0 * det_c
     det_sigma = det_a * det_b + det_c * det_c - trace
     return delta, det_sigma, delta * delta - 4.0 * det_sigma
@@ -57,12 +57,13 @@ def simon_function(sigma: CovarianceMatrix) -> float:
     S >= 0 is necessary and sufficient for separability of physical states.
     Raises ``OverflowError`` when S overflows.
     """
-    return _simon(sigma._values)
+    return _simon(_invariants(sigma._values))
 
 
-def _simon(values) -> float:
-    """:func:`simon_function` of the ten float entries ``values``."""
-    det_a, det_b, det_c, trace = _invariants(values)
+def _simon(invariants) -> float:
+    """:func:`simon_function` from the float ``_invariants``, passed as one
+    tuple: a call that unpacks it into arguments costs more."""
+    det_a, det_b, det_c, trace = invariants
     mixed = 0.25 - abs(det_c)
     value = det_a * det_b + mixed * mixed - trace - 0.25 * (det_a + det_b)
     if not math.isfinite(value):
@@ -88,7 +89,7 @@ def _column_negativity(entries) -> list[float | None]:
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
-        delta, _, disc = _pt_terms(entries)
+        delta, _, disc = _pt_terms(_invariants(entries))
         nu_minus_sq = 0.5 * (delta - np.sqrt(disc))
     finite = np.isfinite(disc)
     if not finite.all():
@@ -129,8 +130,9 @@ def metrics(sigma: CovarianceMatrix) -> EntanglementMetrics:
     Raises ``OverflowError`` when S overflows, else when Delta~, det sigma
     or the discriminant does.
     """
-    s = simon_function(sigma)
-    delta, det_sigma, disc = _pt_terms(sigma._values)
+    invariants = _invariants(sigma._values)
+    s = _simon(invariants)  # an overflowing S raises first
+    delta, det_sigma, disc = _pt_terms(invariants)
     if not math.isfinite(disc):  # also when delta or det_sigma is not finite
         raise OverflowError(
             f"PT symplectic spectrum overflows (seralian {delta}, determinant {det_sigma})"
@@ -150,7 +152,7 @@ def asymptotic_simon(env: EnvironmentSpec) -> float:
     """S of the solved steady state of any bath, as ``classify_phase`` reads
     it; the thermal closed form is a test oracle.  Raises ``OverflowError``
     when S overflows."""
-    return _simon(steady_covariance(env)._values)
+    return _simon(_invariants(steady_covariance(env)._values))
 
 
 def _threshold(lam: float, omega: float, m: float, d_xy: float, d_xpy, ops=(max, min, math.sqrt)):

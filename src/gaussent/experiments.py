@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import CovarianceMatrix, EnvironmentSpec, thermal_environment
 from .dynamics import _column_entries, evolve, steady_covariance
-from .entanglement import _column_negativity, _simon, _threshold, simon_function
+from .entanglement import _column_negativity, _invariants, _simon, _threshold, simon_function
 
 #: Bisection window below which a crossing instant is considered resolved.
 EVENT_TIME_TOL = 1e-8
@@ -78,6 +78,14 @@ def _check_size(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def _linspace(start: float, stop: float, num: int) -> np.ndarray:
+    """``np.linspace`` of finite ends whose width is finite, without its
+    overflow warning: the last index times the step may round past the
+    largest float, but that point is then set to ``stop``."""
+    with np.errstate(over="ignore"):
+        return np.linspace(start, stop, num)
+
+
 def _refine_crossing(
     initial: CovarianceMatrix,
     env: EnvironmentSpec,
@@ -86,11 +94,13 @@ def _refine_crossing(
     t_hi: float,
     lo_entangled: bool,
 ) -> float:
-    """Bisect on the sign class of S over [t_lo, t_hi] down to EVENT_TIME_TOL,
-    or to the float spacing at t_hi, below which a midpoint is an endpoint."""
-    tol = max(EVENT_TIME_TOL, math.ulp(t_hi))
-    while t_hi - t_lo > tol:
+    """Bisect on the sign class of S over [t_lo, t_hi] while the bracket is
+    wider than EVENT_TIME_TOL and its midpoint lies strictly inside it, which
+    it does not once the ends are adjacent floats."""
+    while t_hi - t_lo > EVENT_TIME_TOL:
         mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < mid < t_hi:
+            break
         mid_entangled = simon_function(evolve(initial, env, mid, steady=fixed)) < 0.0
         if mid_entangled == lo_entangled:
             t_lo = mid
@@ -135,7 +145,7 @@ def classify_phase(
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     _check_size("n_t", n_t, 2)
     fixed = steady_covariance(env)
-    times = np.linspace(0.0, t_max, n_t).tolist()
+    times = _linspace(0.0, t_max, n_t).tolist()
     entries = _column_entries(initial, env, times, fixed)
     s_values = np.array([simon_function(CovarianceMatrix._of(v)) for v in zip(*entries.tolist())])
     classes = s_values < 0.0
@@ -152,7 +162,7 @@ def classify_phase(
         label=labels[min(len(events), len(labels) - 1)],
         event_times=tuple(events),
         s_initial_sign=_sign(float(s_values[0])),
-        s_infinity_sign=_sign(_simon(fixed._values)),
+        s_infinity_sign=_sign(_simon(_invariants(fixed._values))),
     )
 
 
@@ -194,10 +204,10 @@ class SweepSpec(
         return cls(*iterable)
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.n_t)
+        return _linspace(0.0, self.t_max, self.n_t)
 
     def thermal_cs(self) -> np.ndarray:
-        return np.linspace(self.c_min, self.c_max, self.n_c)
+        return _linspace(self.c_min, self.c_max, self.n_c)
 
     def environment_at(self, thermal_c: float) -> EnvironmentSpec:
         base = self.env_base

@@ -26,16 +26,20 @@ _INITIAL_ENTRIES: dict[str, dict[str, float]] = {
 
 PRESET_NAMES: tuple[str, ...] = tuple(_INITIAL_ENTRIES)
 
+#: One state per preset, built once: a ``CovarianceMatrix`` is immutable (its
+#: entries are a tuple, its ``entries`` array read-only), so lookups share it.
+_STATES = {name: covariance_from_entries(entries) for name, entries in _INITIAL_ENTRIES.items()}
+
 
 def initial_state(name: str) -> CovarianceMatrix:
-    """Look up a named initial covariance matrix (lenient construction)."""
+    """Look up a named initial covariance matrix (lenient construction); every
+    lookup of a name returns the same shared, immutable state."""
     try:
-        entries = _INITIAL_ENTRIES[name]
+        return _STATES[name]
     except KeyError:
         raise ValueError(
             f"unknown initial-state preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
         ) from None
-    return covariance_from_entries(entries)
 
 
 def benchmark_environment(thermal_c: float = 1.0) -> EnvironmentSpec:

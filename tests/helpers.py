@@ -17,11 +17,13 @@ phase-diagram status from the two masks, where the package formats each grid
 axis once, reads whole grids through ``.tolist()`` and maps the masks
 through one table.  The one exception is the horizon oracle, which samples
 through the package's own column path: what it checks is how a
-classification record is read, not how S is sampled.  Three oracles keep
+classification record is read, not how S is sampled.  Four oracles keep
 the package's earlier forms of its physical gates: the LDL^H pivots as the
 complex elimination loop that ``core._pivots`` writes out in real and
 imaginary parts, the Lyapunov residual check with term tuples and a
-left-to-right sum, and the diffusion bounds with a dict of margins.
+left-to-right sum, the diffusion bounds with a dict of margins, and the
+thermal bath built through the validating ``EnvironmentSpec(...)``, which
+checks its parameters a second time.
 """
 
 from __future__ import annotations
@@ -439,3 +441,23 @@ def validate_diffusion_oracle(env, tol: float = 1e-12) -> list[tuple[str, float,
         (name, v, v >= -tol * abs(a) - tol * b - tol * c)
         for (name, v), (a, b, c) in zip(margins.items(), terms.values())
     ]
+
+
+def thermal_environment_oracle(lam, thermal_c, d_xy=0.0, d_xpy=0.0, m=1.0, omega=1.0):
+    """``thermal_environment`` checked twice: its inputs and derived
+    coefficients as the package checks them, then all ten fields again by
+    ``EnvironmentSpec(...)``; the record, or the first check's error."""
+    from gaussent.core import EnvironmentSpec, _check_parameters
+
+    _check_parameters(m, omega, lam, thermal_c, d_xy, d_xpy)
+    half = 0.5 * lam * thermal_c
+    mw = m * omega
+    d_xx = half / mw if mw else math.inf
+    d_pxpx = half * mw
+    d_pxpy = mw * mw * d_xy
+    if not (0.0 < d_xx < math.inf and 0.0 < d_pxpx < math.inf and math.isfinite(d_pxpy)):
+        raise OverflowError(
+            f"thermal diffusion coefficients overflow: m*omega={mw}, d_xx={d_xx}, "
+            f"d_pxpx={d_pxpx}, d_pxpy={d_pxpy}"
+        )
+    return EnvironmentSpec(m, omega, lam, thermal_c, d_xx, 0.0, d_pxpx, d_xy, d_xpy, d_pxpy)

@@ -31,6 +31,7 @@ from gaussent.cli import (
     _sweep_text,
     build_config,
     main,
+    parse_flat_file,
     run,
     sweep_csv,
 )
@@ -424,6 +425,20 @@ class TestPhaseDiagramCommand:
             "9.9999999999999997e+199,1.0000000000000001e+300,unphysical",
         ]
 
+    @pytest.mark.parametrize(
+        "command, key, sizes",
+        [("phase-diagram", "c_max", ["n_c=4"]), ("sweep", "t_max", ["n_t=4", "n_c=1"])],
+    )
+    def test_float_max_grid_ends_warn_nothing(self, capsys, command, key, sizes):
+        # np.linspace overflows an inner product of these ranges; the grids are finite
+        pairs = [f"{key}={sys.float_info.max!r}", *sizes]
+        code, out, err = run_cli(capsys, command, *(arg for p in pairs for arg in ("--set", p)))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].split(",")[:2] in (
+            ["0.059999999999999998", "1.7976931348623157e+308"],
+            ["1.7976931348623157e+308", "1"],
+        )
+
 
 class TestConfigHandling:
     def test_unknown_key(self, capsys):
@@ -447,6 +462,17 @@ class TestConfigHandling:
         code, out, err = run_cli(capsys, "steady", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert "cannot read config file" in err and "utf-8" in err
+
+    def test_config_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        # a UTF-8 file may start with U+FEFF, which is no part of the first key
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text("c=1.2\ninitial=fig2\n", encoding="utf-8")
+        marked.write_text("c=1.2\ninitial=fig2\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_flat_file(str(marked)) == {"c": "1.2", "initial": "fig2"}
+        expected = run_cli(capsys, "metrics", "--config", str(plain))
+        assert expected[0] == 0
+        assert run_cli(capsys, "metrics", "--config", str(marked)) == expected
 
     @pytest.mark.parametrize("target", ["missing/x.csv", "."])
     def test_unwritable_out_path(self, capsys, tmp_path, target):

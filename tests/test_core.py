@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from helpers import (
     random_symplectic,
     semigroup_matrix,
     temperature_from_thermal_c,
+    thermal_environment_oracle,
     two_mode_squeezer,
     validate_diffusion_oracle,
 )
@@ -131,6 +133,40 @@ class TestThermalEnvironment:
             d_xx=0.06, d_xpx=0.0, d_pxpx=0.05, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0,
         )
         assert not lopsided.is_thermal()
+
+
+def test_thermal_environment_checks_once_what_it_checked_twice():
+    # seeded baths, valid and not: the record, bits and types, or the error
+    # type and message of the form that checked all ten fields again
+    rng = random.Random(20261020)
+    specials = [
+        0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-200, 1e200, 1e308,
+        np.float64(0.3), np.float32(1.5), np.int64(2), 3, np.complex128(1.0),
+    ]
+
+    def draw(low: float, high: float):
+        if rng.random() < 0.1:
+            return rng.choice(specials)
+        return 10.0 ** rng.uniform(low, high)
+
+    outcomes = set()
+    for _ in range(4000):
+        args = (draw(-4, 2), 1.0 + draw(-3, 3), rng.choice([1, -1]) * draw(-4, 0),
+                rng.choice([1, -1]) * draw(-4, 0), draw(-3, 3), draw(-3, 3))
+        try:
+            expected = thermal_environment_oracle(*args)
+        except Exception as exc:  # numpy's RuntimeWarning too, raised as an error here
+            with pytest.raises(type(exc)) as raised:
+                ge.thermal_environment(*args)
+            assert str(raised.value) == str(exc)
+            outcomes.add(type(exc).__name__)
+        else:
+            env = ge.thermal_environment(*args)
+            assert type(env) is EnvironmentSpec
+            assert repr(env) == repr(expected)
+            assert list(map(type, env)) == list(map(type, expected))
+            outcomes.add("record")
+    assert outcomes >= {"record", "TypeError", "ValueError", "OverflowError"}
 
 
 def test_environment_requires_positive_dissipation():
@@ -580,6 +616,18 @@ class TestCovarianceMatrix:
         sigma = ge.presets.initial_state("vacuum")
         with pytest.raises(ValueError):
             sigma.entries[0, 0] = 2.0
+
+    def test_presets_are_shared_read_only_states(self):
+        for name in ge.presets.PRESET_NAMES:
+            state = ge.presets.initial_state(name)
+            assert ge.presets.initial_state(name) is state
+            assert type(state._values) is tuple
+            for arr in (state.entries, np.asarray(state)):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 2.0
+        with pytest.raises(ValueError, match="^unknown initial-state preset 'fig9'; valid names: "):
+            ge.presets.initial_state("fig9")
 
     def test_array_conversion_takes_the_copy_keyword(self):
         sigma = ge.presets.initial_state("fig1")

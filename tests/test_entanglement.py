@@ -498,6 +498,34 @@ class TestClosedFormKernels:
         floats = np.array([_invariants(sigma._values) for sigma in kernel_states]).T
         assert np.array_equal(np.array(_invariants(column)), floats)
 
+    def test_metrics_reads_the_simon_function_bit_for_bit(self, kernel_states):
+        # the kernel states plus seeded ones with entries up to 1e160, so that
+        # S or only the PT terms overflow: metrics gives simon_function's S
+        # bit for bit, or raises what it raises, message and all
+        rng = np.random.default_rng(20261020)
+        scales = 10.0 ** rng.choice([0.0, 0.0, 40.0, 70.0, 80.0, 160.0], (2000, 10))
+        rows = (rng.normal(size=(2000, 10)) * scales).tolist()
+        states = kernel_states + [ge.CovarianceMatrix._of(tuple(row)) for row in rows]
+        outcomes = set()
+        for sigma in states:
+            try:
+                s = simon_function(sigma)
+            except OverflowError as exc:
+                with pytest.raises(OverflowError) as raised:
+                    ge.metrics(sigma)
+                assert str(raised.value) == str(exc)
+                outcomes.add("S overflows")
+                continue
+            try:
+                met = ge.metrics(sigma)
+            except OverflowError as exc:
+                assert str(exc).startswith("PT symplectic spectrum overflows (")
+                outcomes.add("PT overflows")
+            else:
+                assert met.simon_s.hex() == s.hex()
+                outcomes.add("finite")
+        assert outcomes == {"S overflows", "PT overflows", "finite"}
+
     def test_column_negativity_raises_or_returns_what_each_cell_gives(self):
         # physical columns with a random share of their entries replaced by
         # random-sign values of 1e70-1e80: the column raises the first failure

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from gaussent.dynamics import steady_covariance
 from gaussent.entanglement import asymptotic_simon, asymptotic_threshold, simon_function
 from gaussent.experiments import (
     EVENT_MERGE_TOL,
+    EVENT_TIME_TOL,
     PhaseClassification,
     PhaseDiagram,
     SweepResult,
@@ -153,6 +155,30 @@ class TestClassifyPhase:
         assert len(phase.event_times) == 1 and phase.s_infinity_sign == 0
         last_entangled = (phase.s_initial_sign < 0) ^ len(phase.event_times) % 2
         assert last_entangled != (phase.s_infinity_sign < 0)
+
+    @pytest.mark.parametrize("t_max", [1e12, 1e300])
+    def test_a_crossing_in_a_wide_bracket_is_resolved_to_the_tolerance(self, t_max):
+        # vacuum turns entangled near t = 4e-8, inside a first bracket of
+        # t_max / 99, where the float spacing is far above EVENT_TIME_TOL
+        vacuum, env = ge.presets.initial_state("vacuum"), _benchmark(1.0)
+        reference = ge.classify_phase(vacuum, env, 50.0, 100)
+        phase = ge.classify_phase(vacuum, env, t_max, 100)
+        assert phase.label == reference.label == "generation_persistent"
+        (event,), (expected,) = phase.event_times, reference.event_times
+        tol = EVENT_TIME_TOL
+        assert abs(event - expected) <= tol
+        before, after = (ge.evolve(vacuum, env, t) for t in (event - tol, event + tol))
+        assert simon_function(after) < 0.0 <= simon_function(before)
+
+    def test_float_max_grid_ends_warn_nothing(self, fig1_initial):
+        # np.linspace overflows an inner product of these ranges, and pytest
+        # raises its RuntimeWarning; the grids are finite and end where asked
+        top = sys.float_info.max
+        spec = ge.SweepSpec(_benchmark(1.0), fig1_initial, t_max=top, n_t=4, c_max=top, n_c=4)
+        for grid in (spec.times(), spec.thermal_cs()):
+            assert np.isfinite(grid).all() and grid[-1] == top
+        phase = ge.classify_phase(fig1_initial, _benchmark(1.0), top, 4)
+        assert phase.label == "generation_persistent"
 
     def test_rejects_bad_grid(self, fig1_initial):
         with pytest.raises(ValueError):
