@@ -21,7 +21,8 @@ and extreme baths, configuration errors, ``--out``, ``--config`` and
 thermal grid, phase diagrams with a position cross coefficient d_xy, a
 crossing late enough that bisection reaches the float spacing, seeded
 phase diagrams like the benchmark's, a crossing far inside a wide first
-bisection bracket and grids that end at the largest float.
+bisection bracket, grids that end at the largest float and a state whose
+``nu_tilde_minus_sq`` is not a number.
 
 ``scripts/cli_corpus.jsonl`` is this script's output, checked in; a change
 that alters CLI output on purpose regenerates it:
@@ -238,6 +239,14 @@ def corpus() -> list[list[str]]:
     # float-max grid ends, where np.linspace overflows an inner step of a finite grid
     lines.append(["sweep", *sets("t_max=1.7976931348623157e308", "n_t=4", "n_c=1")])
     lines.append(["classify", *sets("c_max=1.7976931348623157e308", "n_t=100", "n_c=4")])
+    # a lenient unphysical state whose partially transposed pair is complex:
+    # nu_tilde_minus_sq is written as nan (CSV) and NaN (JSON)
+    lines += both_formats(
+        "metrics", "sigma_xx=0.21050832388921256", "sigma_pxpx=0.7194126159259291",
+        "sigma_yy=1.4112040009843405", "sigma_pypy=1.3256221275528934",
+        "sigma_xy=1.2478167113324456", "sigma_pxpy=1.5660341743582724",
+        "sigma_xpy=-0.7385345213846071",
+    )
     return lines
 
 

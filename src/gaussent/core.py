@@ -34,9 +34,9 @@ def _rows(values) -> list[list[float]]:
     return [[xx, xpx, xy, xpy], [xpx, pxpx, ypx, pxpy], [xy, ypx, yy, ypy], [xpy, pxpy, ypy, pypy]]
 
 
-def _check_parameters(m, omega, lam, thermal_c, *coefficients) -> None:
-    """Raise ``TypeError`` for a complex numpy value and ``ValueError`` unless
-    all are finite, m, omega, lam > 0 and thermal_c >= 1."""
+def _check_parameters(m, omega, lam, thermal_c, *coefficients) -> tuple[float, ...]:
+    """The parameters as Python floats; raise ``TypeError`` for a complex numpy
+    value and ``ValueError`` unless all are finite, m, omega, lam > 0 and thermal_c >= 1."""
     values = (m, omega, lam, thermal_c, *coefficients)
     for value in values:  # math.isfinite casts a numpy complex; floats skip the lookup
         if type(value) is not float and "complex" in str(getattr(value, "dtype", "")):
@@ -51,6 +51,7 @@ def _check_parameters(m, omega, lam, thermal_c, *coefficients) -> None:
         raise ValueError(f"dissipation constant must be positive, got {lam}")
     if not thermal_c >= 1.0:
         raise ValueError(f"thermal parameter coth(omega/2T) must be >= 1, got {thermal_c}")
+    return tuple(map(float, values))
 
 
 class EnvironmentSpec(
@@ -64,16 +65,15 @@ class EnvironmentSpec(
 
     ``lam`` must be positive: the drift eigenvalues are -lam +/- i*omega and a
     decaying propagator (hence a steady state) exists only for lam > 0.  Every
-    parameter must be finite.  It is an immutable named tuple, validated on
-    construction, ``_make`` and ``_replace`` included.
+    parameter must be finite.  It is an immutable named tuple of floats, validated
+    and converted on construction, ``_make`` and ``_replace`` included.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        _check_parameters(*self)
-        return self
+        return tuple.__new__(cls, _check_parameters(*self))
 
     @classmethod
     def _make(cls, iterable) -> EnvironmentSpec:
@@ -81,7 +81,7 @@ class EnvironmentSpec(
 
     @classmethod
     def _of(cls, *values) -> EnvironmentSpec:
-        """The record of ten values its caller has validated, unchecked."""
+        """The record of ten floats its caller has validated, unchecked."""
         return tuple.__new__(cls, values)
 
     def is_thermal(self) -> bool:
@@ -118,7 +118,7 @@ def thermal_environment(
     ``OverflowError`` when valid parameters overflow m*omega or a coefficient,
     or underflow it to zero.
     """
-    _check_parameters(m, omega, lam, thermal_c, d_xy, d_xpy)
+    m, omega, lam, thermal_c, d_xy, d_xpy = _check_parameters(m, omega, lam, thermal_c, d_xy, d_xpy)
     half = 0.5 * lam * thermal_c
     mw = m * omega
     d_xx = half / mw if mw else math.inf
@@ -153,10 +153,10 @@ class CovarianceMatrix:
     genuinely asymmetric data is not.  Complex entries raise ``TypeError``
     and non-finite ones ``ValueError``.  Physicality is not required here; see
     :func:`check_physical_state`.  The state is its ten independent entries,
-    floats in ``ENTRY_NAMES`` order; numpy builds the 4x4 only when it is read.
+    floats in ``ENTRY_NAMES`` order; numpy builds the 4x4 each time it is read.
     """
 
-    __slots__ = ("_values", "_matrix")
+    __slots__ = ("_values",)
 
     def __init__(self, entries) -> None:
         import numpy as np
@@ -177,26 +177,23 @@ class CovarianceMatrix:
         if residual:
             arr = 0.5 * arr  # halving first: the sum below cannot overflow
             arr = arr + arr.T
-        arr.setflags(write=False)
         self._values = tuple(arr[np.triu_indices(4)].tolist())
-        self._matrix = arr
 
     @classmethod
     def _of(cls, values: tuple[float, ...]) -> CovarianceMatrix:
         """The matrix of ten finite floats in ``ENTRY_NAMES`` order, unchecked."""
         self = object.__new__(cls)
-        self._values, self._matrix = values, None
+        self._values = values
         return self
 
     @property
     def entries(self):
-        """The full matrix (read-only numpy array), built on first use."""
-        if self._matrix is None:
-            import numpy as np
+        """The full matrix, as a new read-only numpy array on each read."""
+        import numpy as np
 
-            self._matrix = np.array(_rows(self._values))
-            self._matrix.setflags(write=False)
-        return self._matrix
+        out = np.array(_rows(self._values))
+        out.setflags(write=False)
+        return out
 
     def __array__(self, dtype=None, copy=None):
         import numpy as np
@@ -329,12 +326,6 @@ def _pivots(values, shift: float) -> tuple[float, ...]:
     return (p0, p1, p2, p3)
 
 
-def _positive_definite(values, shift: float) -> bool:
-    """True when H = sigma + (i/2) Omega + shift * I, sigma with upper triangle
-    ``values``, has only positive pivots in its LDL^H factorization."""
-    return _pivots(values, shift)[-1] > 0.0
-
-
 class StateReport(namedtuple("StateReport", "physical rescaled")):
     """Result of :func:`check_physical_state`: the verdict, and the sigma it
     was reached on (rescaled when its diagonal is positive) as ten entries in
@@ -393,7 +384,7 @@ def check_physical_state(sigma: CovarianceMatrix) -> StateReport:
     if not all(map(math.isfinite, rescaled)):
         raise OverflowError("covariance matrix overflows when its modes are rescaled")
     slack = MARGIN_TOL * max(1.0, *map(abs, rescaled))
-    return StateReport(_positive_definite(rescaled, slack), rescaled)
+    return StateReport(_pivots(rescaled, slack)[-1] > 0.0, rescaled)
 
 
 def thermal_c_from_temperature(temperature: float, omega: float = 1.0) -> float:

@@ -37,7 +37,6 @@ _LABELS = {
     ),
     True: ("remains_entangled", "sudden_death", "collapse_revival"),
 }
-LABELS = tuple(dict.fromkeys(label for row in _LABELS.values() for label in row))
 
 
 class PhaseClassification(

@@ -26,8 +26,8 @@ _INITIAL_ENTRIES: dict[str, dict[str, float]] = {
 
 PRESET_NAMES: tuple[str, ...] = tuple(_INITIAL_ENTRIES)
 
-#: One state per preset, built once: a ``CovarianceMatrix`` is immutable (its
-#: entries are a tuple, its ``entries`` array read-only), so lookups share it.
+#: One state per preset, built once: a ``CovarianceMatrix`` is its ten floats,
+#: and each ``entries`` read builds a new array, so lookups share it.
 _STATES = {name: covariance_from_entries(entries) for name, entries in _INITIAL_ENTRIES.items()}
 
 

@@ -446,10 +446,12 @@ def validate_diffusion_oracle(env, tol: float = 1e-12) -> list[tuple[str, float,
 def thermal_environment_oracle(lam, thermal_c, d_xy=0.0, d_xpy=0.0, m=1.0, omega=1.0):
     """``thermal_environment`` checked twice: its inputs and derived
     coefficients as the package checks them, then all ten fields again by
-    ``EnvironmentSpec(...)``; the record, or the first check's error."""
+    ``EnvironmentSpec(...)``; the record, or the first check's error.  It
+    computes in Python floats whatever real type its parameters have."""
     from gaussent.core import EnvironmentSpec, _check_parameters
 
     _check_parameters(m, omega, lam, thermal_c, d_xy, d_xpy)
+    m, omega, lam, thermal_c, d_xy, d_xpy = map(float, (m, omega, lam, thermal_c, d_xy, d_xpy))
     half = 0.5 * lam * thermal_c
     mw = m * omega
     d_xx = half / mw if mw else math.inf

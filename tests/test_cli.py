@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import gaussent as ge
 from gaussent.core import ENTRY_NAMES, independent_entries, validate_diffusion
 from gaussent.entanglement import simon_function
-from gaussent.experiments import LABELS
+from gaussent.experiments import _LABELS
 from gaussent.cli import (
     _KEYS,
     COMMANDS,
@@ -273,7 +273,7 @@ class TestClassifyCommand:
         header, rows = parse_csv(out)
         assert header == ["c", "label", "event_times"]
         assert len(rows) == 3
-        assert rows[0][1] in LABELS
+        assert rows[0][1] in _LABELS[False] + _LABELS[True]
         assert rows[0][2]  # benchmark generates entanglement: events present
         for event in rows[0][2].split(";"):
             float(event)

@@ -15,7 +15,7 @@ from gaussent.core import (
     EnvironmentSpec,
     StateReport,
     _pivots,
-    _positive_definite,
+    _rows,
     check_physical_state,
     covariance_from_entries,
     independent_entries,
@@ -155,7 +155,7 @@ def test_thermal_environment_checks_once_what_it_checked_twice():
                 rng.choice([1, -1]) * draw(-4, 0), draw(-3, 3), draw(-3, 3))
         try:
             expected = thermal_environment_oracle(*args)
-        except Exception as exc:  # numpy's RuntimeWarning too, raised as an error here
+        except Exception as exc:
             with pytest.raises(type(exc)) as raised:
                 ge.thermal_environment(*args)
             assert str(raised.value) == str(exc)
@@ -164,9 +164,29 @@ def test_thermal_environment_checks_once_what_it_checked_twice():
             env = ge.thermal_environment(*args)
             assert type(env) is EnvironmentSpec
             assert repr(env) == repr(expected)
-            assert list(map(type, env)) == list(map(type, expected))
+            assert list(map(type, env)) == list(map(type, expected)) == [float] * 10
             outcomes.add("record")
     assert outcomes >= {"record", "TypeError", "ValueError", "OverflowError"}
+
+
+def test_numpy_and_integer_parameters_give_the_python_float_bath():
+    # numpy keeps float32 (and float16) arithmetic on such scalars, so the bath
+    # must be computed from float() of its parameters, and overflow unwarned
+    floats = (0.1, 1.2, 0.01, 0.049, 1.5, 0.8)
+    for kind, args in ((np.float32, floats), (np.float16, floats), (np.int64, (2, 3, 0, 1, 4, 5))):
+        narrow = tuple(map(kind, args))
+        env, wide = ge.thermal_environment(*narrow), ge.thermal_environment(*map(float, narrow))
+        assert list(map(type, env)) == [float] * 10
+        assert repr(env) == repr(wide)
+        spec = EnvironmentSpec(*map(kind, range(1, 11)))
+        assert list(map(type, spec)) == list(map(type, spec._replace(lam=kind(2)))) == [float] * 10
+        assert spec == EnvironmentSpec._make(range(1, 11))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="^thermal diffusion coefficients overflow"):
+            ge.thermal_environment(np.float32(1.5), 1.0, m=5e-324, omega=4.0)
+    with pytest.raises(TypeError):
+        ge.thermal_environment("0.1", 1.0)
 
 
 def test_environment_requires_positive_dissipation():
@@ -496,7 +516,7 @@ class TestGateKernels:
             for shift in (0.0, slack, -slack, 1e3 * slack):
                 expected = ldl_pivots_oracle(values, shift)
                 assert _bits(_pivots(values, shift)) == _bits(expected), (values, shift)
-                assert _positive_definite(values, shift) is (expected[-1] > 0.0)
+                assert (_pivots(values, shift)[-1] > 0.0) is (expected[-1] > 0.0)
                 cases += 1
                 rejected += not expected[-1] > 0.0
         assert cases >= 200_000
@@ -519,7 +539,7 @@ class TestGateKernels:
                 if _bits(pivots[-1:]) != _bits(expected[-1:]):
                     assert math.isnan(expected[-1]) and pivots[-1] == -math.inf, (values, shift)
                     overflowed += 1
-                assert _positive_definite(values, shift) is (expected[-1] > 0.0)
+                assert (_pivots(values, shift)[-1] > 0.0) is (expected[-1] > 0.0)
         assert overflowed
 
     def test_residual_check_and_diffusion_bounds_match_their_earlier_forms(self):
@@ -639,12 +659,29 @@ class TestCovarianceMatrix:
         for arr in (converted, view, copied):
             np.testing.assert_array_equal(arr, sigma.entries)
         assert not view.flags.writeable
-        assert np.shares_memory(view, sigma.entries)
         copied[0, 0] = -1.0
         assert copied.flags.writeable and sigma.entries[0, 0] != -1.0
         # numpy 1.x calls __array__ with no copy argument at all
         for arr in (sigma.__array__(), sigma.__array__(np.dtype(float))):
-            assert arr is sigma.entries
+            np.testing.assert_array_equal(arr, sigma.entries)
+            assert not arr.flags.writeable
+
+    def test_a_write_to_one_entries_read_reaches_no_later_lookup(self):
+        # presets are shared: a write to one entries array, even one made
+        # writable, must reach no later lookup, whose arrays mirror _values,
+        # which every computation reads
+        for name in ge.presets.PRESET_NAMES:
+            written = ge.presets.initial_state(name).entries
+            old = written[0, 0]
+            written.setflags(write=True)
+            try:
+                written[0, 0] = -1.0
+                state = ge.presets.initial_state(name)
+                for arr in (state.entries, np.asarray(state)):
+                    np.testing.assert_array_equal(arr, _rows(state._values))
+                    assert not arr.flags.writeable
+            finally:
+                written[0, 0] = old
 
     @given(data=st.lists(st.floats(-2.0, 2.0), min_size=10, max_size=10))
     @settings(max_examples=60, deadline=None)

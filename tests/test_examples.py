@@ -1,10 +1,12 @@
 """The scripts and the README's library sketch run against the current package.
 
 The scripts must write exactly what the CLI commands with the same keys
-write, the README sketch must run as printed, and the CLI corpus must write
-what ``scripts/cli_corpus.jsonl`` records.
+write, the README sketch must run as printed, the CLI corpus must write
+what ``scripts/cli_corpus.jsonl`` records, and every public name of the
+package must be read somewhere outside the tests.
 """
 
+import ast
 import contextlib
 import importlib
 import io
@@ -91,6 +93,57 @@ def test_readme_lists_every_named_tuple_record():
                     records[name] = info.name
     assert listed == records
     assert _COUNTS[count] == len(records) == 9
+
+
+def _defined(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Public module-level functions, classes and constants: name -> statement."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        out[name.id] = node
+    return {name: node for name, node in out.items() if not name.startswith("_")}
+
+
+def _read(node: ast.AST) -> set[str]:
+    """Every name ``node`` reads: loaded names, attributes, imported names and
+    string constants, which ``__all__`` and lazy imports hold."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a public name that only tests read is a second name for what src/
+    # already names: it is read in its own module outside its definition, by
+    # another module of the package, by a script, by the benchmark or in README
+    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src" / "gaussent").glob("*.py"))}
+    readers = [*ROOT.joinpath("scripts").glob("*.py"), *ROOT.joinpath("bench").glob("*.py")]
+    outside = set().union(*(_read(ast.parse(path.read_text(encoding="utf-8"))) for path in readers))
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    unread, checked = [], 0
+    for path, tree in modules.items():
+        others = set().union(*(_read(other) for p, other in modules.items() if p != path))
+        for name, definition in _defined(tree).items():
+            own = set().union(*(_read(node) for node in tree.body if node is not definition))
+            checked += 1
+            if name not in own | others | outside | readme:
+                unread.append(f"{path.stem}.{name}")
+    assert checked > 30
+    assert unread == []
 
 
 def test_cli_corpus_runs_every_command_in_both_formats_once_per_line():
