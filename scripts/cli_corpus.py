@@ -21,8 +21,9 @@ and extreme baths, configuration errors, ``--out``, ``--config`` and
 thermal grid, phase diagrams with a position cross coefficient d_xy, a
 crossing late enough that bisection reaches the float spacing, seeded
 phase diagrams like the benchmark's, a crossing far inside a wide first
-bisection bracket, grids that end at the largest float and a state whose
-``nu_tilde_minus_sq`` is not a number.
+bisection bracket, grids that end at the largest float, a state whose
+``nu_tilde_minus_sq`` is not a number and a time grid whose instants nearly
+all round to 0.
 
 ``scripts/cli_corpus.jsonl`` is this script's output, checked in; a change
 that alters CLI output on purpose regenerates it:
@@ -247,6 +248,8 @@ def corpus() -> list[list[str]]:
         "sigma_xy=1.2478167113324456", "sigma_pxpy=1.5660341743582724",
         "sigma_xpy=-0.7385345213846071",
     )
+    # a grid whose instants nearly all round to 0 and take the initial state
+    lines += both_formats("classify", "initial=fig2", "t_max=5e-324", "n_t=100", "n_c=2")
     return lines
 
 

@@ -343,13 +343,12 @@ class StateReport(namedtuple("StateReport", "physical rescaled")):
 
 @functools.cache  # numpy loads with the first eigenvalue read
 def _half_i_omega():
-    """(i/2) Omega, Omega = diag(J, J), J = [[0, 1], [-1, 0]], as a read-only
-    numpy array."""
+    """(i/2) Omega, Omega = diag(J, J), J = [[0, 1], [-1, 0]], as a numpy
+    view of immutable bytes, so no caller can make it writable."""
     import numpy as np
 
     out = 0.5j * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
-    out.setflags(write=False)
-    return out
+    return np.frombuffer(out.tobytes(), complex).reshape(4, 4)
 
 
 def check_physical_state(sigma: CovarianceMatrix) -> StateReport:

@@ -8,7 +8,9 @@ computed directly from t = 0, and a column of instants in one array pass.
 The rotations do not depend on the bath temperature, so a column's rotation
 array is built once per oscillator (lam, omega, m) and time grid and shared
 by every column and classification on that grid.  A whole column is
-propagated, and its t = 0 instants then take the initial entries.
+propagated, and its t = 0 instants then take the initial entries.  Scalar,
+column and bisection steps share one straight-line ``_propagate`` of
+``_offsets``, s0 - s_inf, which a bisection forms once per bracket.
 """
 
 from __future__ import annotations
@@ -40,29 +42,14 @@ def _rotation(lam: float, omega: float, m: float, t: float) -> tuple[float, floa
 
 @functools.lru_cache(maxsize=4)
 def _rotation_column(lam: float, omega: float, m: float, times: tuple[float, ...]):
-    """Read-only (4, len(times)) array of ``_rotation`` for each t of ``times``,
-    keyed on exactly what ``_rotation`` reads, with its bits (``math.exp`` is
-    not ``np.exp``).  A grid of n instants holds about 64 n bytes with its
-    key; errors are not cached."""
+    """Read-only view of immutable bytes, so no caller can make it writable:
+    the (4, len(times)) array of ``_rotation`` for each t of ``times``, keyed on
+    exactly what ``_rotation`` reads, with its bits (``math.exp`` is not
+    ``np.exp``).  A grid of n instants holds about 64 n bytes; errors are not cached."""
     import numpy as np
 
-    rot = np.array(list(zip(*[_rotation(lam, omega, m, t) for t in times]))).reshape(4, -1)
-    rot.flags.writeable = False
-    return rot
-
-
-def _congruence(rot, p: float, q: float, r: float, u: float) -> tuple[float, float, float, float]:
-    """Entries of R X R^T for X = [[p, q], [r, u]] and R = [[r00, r01], [r10, r11]];
-    +, - and x only, so R's entries may be floats or arrays."""
-    r00, r01, r10, r11 = rot
-    y00, y01 = r00 * p + r01 * r, r00 * q + r01 * u
-    y10, y11 = r10 * p + r11 * r, r10 * q + r11 * u
-    return (
-        y00 * r00 + y01 * r01,
-        y00 * r10 + y01 * r11,
-        y10 * r00 + y11 * r01,
-        y10 * r10 + y11 * r11,
-    )
+    rot = np.array(list(zip(*[_rotation(lam, omega, m, t) for t in times])))
+    return np.frombuffer(rot.tobytes()).reshape(4, -1)
 
 
 def propagator(env: EnvironmentSpec, t: float):
@@ -138,18 +125,34 @@ def steady_covariance(env: EnvironmentSpec) -> CovarianceMatrix:
     return CovarianceMatrix._of((xx, xp, cx, cm, pp, cm, cp, xx, xp, pp))
 
 
-def _propagate(initial, fixed, rot):
-    """Entries of M (s0 - s_inf) M^T + s_inf in ``ENTRY_NAMES`` order, from the
-    entry tuples of s0 and s_inf and the rotation entries ``rot`` (floats, or
-    arrays over a time column).  R X R^T acts on each 2x2 block of
-    X = s0 - s_inf; the mirror entries are not stored, so the state is exactly
-    symmetric."""
+def _offsets(initial, fixed):
+    """Entries of s0 - s_inf in ``ENTRY_NAMES`` order from those of s0 and s_inf."""
     xx, xpx, xy, xpy, pxpx, ypx, pxpy, yy, ypy, pypy = fixed
     a0, a1, c0, c1, a2, c2, c3, b0, b1, b2 = initial
-    a1, b1 = a1 - xpx, b1 - ypy
-    a0, a1, _, a2 = _congruence(rot, a0 - xx, a1, a1, a2 - pxpx)
-    b0, b1, _, b2 = _congruence(rot, b0 - yy, b1, b1, b2 - pypy)
-    c0, c1, c2, c3 = _congruence(rot, c0 - xy, c1 - xpy, c2 - ypx, c3 - pxpy)
+    return (
+        a0 - xx, a1 - xpx, c0 - xy, c1 - xpy, a2 - pxpx,
+        c2 - ypx, c3 - pxpy, b0 - yy, b1 - ypy, b2 - pypy,
+    )
+
+
+def _propagate(offsets, fixed, rot):
+    """Entries of M X M^T + s_inf in ``ENTRY_NAMES`` order: (R Y) R^T on each
+    2x2 block Y of X = s0 - s_inf, written out with +, - and x, so the entries
+    ``offsets`` of X (``_offsets``), those of s_inf and the rotation entries
+    ``rot`` may be floats or arrays.  The state is exactly symmetric."""
+    r00, r01, r10, r11 = rot
+    xx, xpx, xy, xpy, pxpx, ypx, pxpy, yy, ypy, pypy = fixed
+    a0, a1, c0, c1, a2, c2, c3, b0, b1, b2 = offsets
+    y00, y01 = r00 * a0 + r01 * a1, r00 * a1 + r01 * a2
+    y10, y11 = r10 * a0 + r11 * a1, r10 * a1 + r11 * a2
+    a0, a1, a2 = y00 * r00 + y01 * r01, y00 * r10 + y01 * r11, y10 * r10 + y11 * r11
+    y00, y01 = r00 * b0 + r01 * b1, r00 * b1 + r01 * b2
+    y10, y11 = r10 * b0 + r11 * b1, r10 * b1 + r11 * b2
+    b0, b1, b2 = y00 * r00 + y01 * r01, y00 * r10 + y01 * r11, y10 * r10 + y11 * r11
+    y00, y01 = r00 * c0 + r01 * c2, r00 * c1 + r01 * c3
+    y10, y11 = r10 * c0 + r11 * c2, r10 * c1 + r11 * c3
+    c0, c1 = y00 * r00 + y01 * r01, y00 * r10 + y01 * r11
+    c2, c3 = y10 * r00 + y11 * r01, y10 * r10 + y11 * r11
     return (
         a0 + xx, a1 + xpx, c0 + xy, c1 + xpy, a2 + pxpx,
         c2 + ypx, c3 + pxpy, b0 + yy, b1 + ypy, b2 + pypy,
@@ -175,7 +178,7 @@ def evolve(
         return initial
     rot = _rotation(env.lam, env.omega, env.m, t)
     fixed = steady if steady is not None else steady_covariance(env)
-    values = _propagate(initial._values, fixed._values, rot)
+    values = _propagate(_offsets(initial._values, fixed._values), fixed._values, rot)
     if not all(map(math.isfinite, values)):
         raise OverflowError(f"evolved covariance matrix is not finite at t = {t}")
     return CovarianceMatrix._of(values)
@@ -194,7 +197,7 @@ def _column_entries(
 
     rot = _rotation_column(env.lam, env.omega, env.m, tuple(times))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.array(_propagate(initial._values, fixed._values, rot))
+        out = np.array(_propagate(_offsets(initial._values, fixed._values), fixed._values, rot))
     out[:, np.equal(times, 0.0)] = np.array(initial._values)[:, None]
     finite = np.isfinite(out).all(axis=0)
     if not finite.all():

@@ -9,6 +9,7 @@ is refined by bisection on the exact flow, to a time independent of the grid.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import namedtuple
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import CovarianceMatrix, EnvironmentSpec, thermal_environment
-from .dynamics import _column_entries, evolve, steady_covariance
+from .dynamics import _column_entries, _offsets, _propagate, _rotation, steady_covariance
 from .entanglement import _column_negativity, _invariants, _simon, _threshold, simon_function
 
 #: Bisection window below which a crossing instant is considered resolved.
@@ -85,6 +86,12 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
         return np.linspace(start, stop, num)
 
 
+@functools.lru_cache(maxsize=4)
+def _instants(t_max: float, n_t: int) -> tuple[float, ...]:
+    """The ``n_t`` uniform instants over [0, t_max] as a tuple of floats."""
+    return tuple(_linspace(0.0, t_max, n_t).tolist())
+
+
 def _refine_crossing(
     initial: CovarianceMatrix,
     env: EnvironmentSpec,
@@ -95,12 +102,18 @@ def _refine_crossing(
 ) -> float:
     """Bisect on the sign class of S over [t_lo, t_hi] while the bracket is
     wider than EVENT_TIME_TOL and its midpoint lies strictly inside it, which
-    it does not once the ends are adjacent floats."""
+    it does not once the ends are adjacent floats.  Each step has the state
+    and the error of ``evolve`` at the midpoint, from s0 - s_inf formed once."""
+    offsets, fixed = _offsets(initial._values, fixed._values), fixed._values
+    lam, omega, m = env.lam, env.omega, env.m
     while t_hi - t_lo > EVENT_TIME_TOL:
         mid = 0.5 * (t_lo + t_hi)
         if not t_lo < mid < t_hi:
             break
-        mid_entangled = simon_function(evolve(initial, env, mid, steady=fixed)) < 0.0
+        values = _propagate(offsets, fixed, _rotation(lam, omega, m, mid))
+        if not all(map(math.isfinite, values)):
+            raise OverflowError(f"evolved covariance matrix is not finite at t = {mid}")
+        mid_entangled = simon_function(CovarianceMatrix._of(values)) < 0.0
         if mid_entangled == lo_entangled:
             t_lo = mid
         else:
@@ -144,7 +157,7 @@ def classify_phase(
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     _check_size("n_t", n_t, 2)
     fixed = steady_covariance(env)
-    times = _linspace(0.0, t_max, n_t).tolist()
+    times = _instants(float(t_max), n_t)
     entries = _column_entries(initial, env, times, fixed)
     s_values = np.array([simon_function(CovarianceMatrix._of(v)) for v in zip(*entries.tolist())])
     classes = s_values < 0.0

@@ -15,15 +15,20 @@ the package solves the steady state.  The writer oracles read every grid
 cell on its own, format every CSV cell on its own and pick each
 phase-diagram status from the two masks, where the package formats each grid
 axis once, reads whole grids through ``.tolist()`` and maps the masks
-through one table.  The one exception is the horizon oracle, which samples
-through the package's own column path: what it checks is how a
-classification record is read, not how S is sampled.  Four oracles keep
+through one table.  Two oracles call the package: the horizon oracle,
+which samples through its column path because what it checks is how a
+classification record is read, not how S is sampled, and the bisection
+oracle below, whose steps call ``evolve``.  Four oracles keep
 the package's earlier forms of its physical gates: the LDL^H pivots as the
 complex elimination loop that ``core._pivots`` writes out in real and
 imaginary parts, the Lyapunov residual check with term tuples and a
 left-to-right sum, the diffusion bounds with a dict of margins, and the
 thermal bath built through the validating ``EnvironmentSpec(...)``, which
-checks its parameters a second time.
+checks its parameters a second time.  Two keep earlier forms of the
+propagation step: one 2x2 congruence call per block, where
+``dynamics._propagate`` writes the three out, and the bisection with a full
+``evolve`` call per step, where ``experiments._refine_crossing`` forms
+s0 - s_inf once per bracket.
 """
 
 from __future__ import annotations
@@ -463,3 +468,52 @@ def thermal_environment_oracle(lam, thermal_c, d_xy=0.0, d_xpy=0.0, m=1.0, omega
             f"d_pxpx={d_pxpx}, d_pxpy={d_pxpy}"
         )
     return EnvironmentSpec(m, omega, lam, thermal_c, d_xx, 0.0, d_pxpx, d_xy, d_xpy, d_pxpy)
+
+
+def _congruence_oracle(rot, p, q, r, u):
+    """Entries of R X R^T for X = [[p, q], [r, u]] and R = [[r00, r01], [r10, r11]];
+    +, - and x only, so R's entries may be floats or arrays."""
+    r00, r01, r10, r11 = rot
+    y00, y01 = r00 * p + r01 * r, r00 * q + r01 * u
+    y10, y11 = r10 * p + r11 * r, r10 * q + r11 * u
+    return (
+        y00 * r00 + y01 * r01,
+        y00 * r10 + y01 * r11,
+        y10 * r00 + y11 * r01,
+        y10 * r10 + y11 * r11,
+    )
+
+
+def propagate_oracle(initial, fixed, rot):
+    """Entries of M (s0 - s_inf) M^T + s_inf in ``ENTRY_NAMES`` order from the
+    entry tuples of s0 and s_inf and the rotation entries ``rot`` (floats, or
+    arrays), one congruence call per 2x2 block of s0 - s_inf."""
+    xx, xpx, xy, xpy, pxpx, ypx, pxpy, yy, ypy, pypy = fixed
+    a0, a1, c0, c1, a2, c2, c3, b0, b1, b2 = initial
+    a1, b1 = a1 - xpx, b1 - ypy
+    a0, a1, _, a2 = _congruence_oracle(rot, a0 - xx, a1, a1, a2 - pxpx)
+    b0, b1, _, b2 = _congruence_oracle(rot, b0 - yy, b1, b1, b2 - pypy)
+    c0, c1, c2, c3 = _congruence_oracle(rot, c0 - xy, c1 - xpy, c2 - ypx, c3 - pxpy)
+    return (
+        a0 + xx, a1 + xpx, c0 + xy, c1 + xpy, a2 + pxpx,
+        c2 + ypx, c3 + pxpy, b0 + yy, b1 + ypy, b2 + pypy,
+    )
+
+
+def refine_crossing_oracle(initial, env, fixed, t_lo, t_hi, lo_entangled) -> float:
+    """``experiments._refine_crossing`` with a full ``evolve`` call per step.
+    It reads S through ``gaussent.experiments.simon_function`` at each step,
+    so a test that replaces that name sees the oracle's calls too."""
+    from gaussent import experiments
+    from gaussent.dynamics import evolve
+
+    while t_hi - t_lo > experiments.EVENT_TIME_TOL:
+        mid = 0.5 * (t_lo + t_hi)
+        if not t_lo < mid < t_hi:
+            break
+        mid_entangled = experiments.simon_function(evolve(initial, env, mid, steady=fixed)) < 0.0
+        if mid_entangled == lo_entangled:
+            t_lo = mid
+        else:
+            t_hi = mid
+    return 0.5 * (t_lo + t_hi)

@@ -14,6 +14,7 @@ from gaussent.core import (
     SYMMETRY_TOL,
     EnvironmentSpec,
     StateReport,
+    _half_i_omega,
     _pivots,
     _rows,
     check_physical_state,
@@ -484,6 +485,20 @@ class TestCheckPhysicalState:
 
 def _bits(values) -> tuple[str, ...]:
     return tuple(map(float.hex, values))
+
+
+def test_no_caller_can_make_the_cached_half_i_omega_writable():
+    # every min_eigenvalue read adds the same cached array: a write would reach them all
+    half = _half_i_omega()
+    for array in (half, half.base):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            array.setflags(write=True)
+        assert not array.flags.writeable
+    again = _half_i_omega()
+    assert again is half
+    assert np.array_equal(again, 0.5j * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
+    state = ge.presets.initial_state("vacuum")  # sigma + i Omega/2 has eigenvalues 0 and 1
+    assert abs(check_physical_state(state).min_eigenvalue) <= 1e-15
 
 
 def _outcome(gate, *args):

@@ -11,6 +11,8 @@ from gaussent.core import ENTRY_NAMES, EnvironmentSpec, covariance_from_entries
 from gaussent.dynamics import (
     _check_block,
     _column_entries,
+    _offsets,
+    _propagate,
     _rotation,
     _rotation_column,
     propagator,
@@ -23,6 +25,7 @@ from helpers import (
     lyapunov_oracle,
     matrix_exp_oracle,
     ode_residual_oracle,
+    propagate_oracle,
     random_physical_cm,
 )
 
@@ -283,6 +286,48 @@ class TestEvolve:
 
 
 
+def _hexes(entries) -> list[str]:
+    return [float.hex(v) for v in np.ravel(np.array(entries, dtype=float)).tolist()]
+
+
+class TestPropagate:
+    @staticmethod
+    def _draw(rng, shape):
+        # magnitudes up to 1e300, where products overflow to inf and inf - inf is NaN
+        scale = 10.0 ** rng.choice([0.0, 3.0, 150.0, 300.0], size=shape)
+        return rng.uniform(-2.0, 2.0, size=shape) * scale
+
+    def test_floats_match_the_congruence_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(2811)
+        outcomes = set()
+        for _ in range(2000):
+            initial, fixed = (tuple(self._draw(rng, 10).tolist()) for _ in range(2))
+            rot = tuple(self._draw(rng, 4).tolist())
+            out = _propagate(_offsets(initial, fixed), fixed, rot)
+            assert all(type(v) is float for v in out)
+            assert _hexes(out) == _hexes(propagate_oracle(initial, fixed, rot))
+            outcomes.update("nan" if math.isnan(v) else v if math.isinf(v) else 0 for v in out)
+        assert outcomes == {0, math.inf, -math.inf, "nan"}
+
+    @pytest.mark.parametrize("float_states", [False, True])
+    def test_arrays_match_the_congruence_oracle_bit_for_bit(self, float_states):
+        # (10, n) state entries with a (4, n) rotation, or float states with
+        # a rotation column, as _column_entries propagates a grid
+        rng = np.random.default_rng(2812 + float_states)
+        n = 3000
+        shape = 10 if float_states else (10, n)
+        initial, fixed = (self._draw(rng, shape) for _ in range(2))
+        if float_states:
+            initial, fixed = tuple(initial.tolist()), tuple(fixed.tolist())
+        rot = self._draw(rng, (4, n))
+        with np.errstate(all="ignore"):
+            out = np.array(_propagate(_offsets(initial, fixed), fixed, rot))
+            expected = np.array(propagate_oracle(initial, fixed, rot))
+        assert out.shape == (10, n)
+        assert _hexes(out) == _hexes(expected)
+        assert np.isnan(out).any() and np.isinf(out).any() and np.isfinite(out).any()
+
+
 class TestEvolveColumn:
     def test_matches_scalar_evolve_bit_for_bit(self):
         rng = np.random.default_rng(20261018)
@@ -345,6 +390,19 @@ class TestRotationColumn:
             assert column.shape == (4, len(times))
             assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
             assert not column.flags.writeable
+
+    def test_no_caller_can_make_a_cached_column_writable(self):
+        # every caller gets the same cached array: a write would reach them all
+        env = _env()
+        column = self._column(env, [0.5, 1.0, 2.0])
+        for array in (column, column.base):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.setflags(write=True)
+            assert not array.flags.writeable
+        again = self._column(env, [0.5, 1.0, 2.0])
+        expected = np.array([_rotation(env.lam, env.omega, env.m, t) for t in (0.5, 1.0, 2.0)]).T
+        assert again is column
+        assert np.array_equal(again.view(np.uint64), expected.view(np.uint64))
 
     def test_bath_temperature_shares_one_entry(self):
         times = np.linspace(0.0, 50.0, 100).tolist()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gaussent as ge
+from gaussent import experiments
 from gaussent.core import MARGIN_TOL, EnvironmentSpec, validate_diffusion
 from gaussent.dynamics import steady_covariance
 from gaussent.entanglement import asymptotic_simon, asymptotic_threshold, simon_function
@@ -24,6 +25,7 @@ from helpers import (
     merge_events_oracle,
     phase_status_oracle,
     random_physical_cm,
+    refine_crossing_oracle,
     simon_oracle_exact,
     sweep_rows_oracle,
 )
@@ -180,6 +182,15 @@ class TestClassifyPhase:
         phase = ge.classify_phase(fig1_initial, _benchmark(1.0), top, 4)
         assert phase.label == "generation_persistent"
 
+    def test_a_time_grid_is_built_once(self, fig1_initial):
+        # a sweep classifies every column on its own time grid
+        experiments._instants.cache_clear()
+        spec = ge.SweepSpec(env_base=_benchmark(1.0), initial=fig1_initial, n_t=100, n_c=3)
+        ge.sweep(spec)
+        info = experiments._instants.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert experiments._instants(50.0, 100) == tuple(spec.times().tolist())
+
     def test_rejects_bad_grid(self, fig1_initial):
         with pytest.raises(ValueError):
             ge.classify_phase(fig1_initial, _benchmark(1.0), -1.0, 500)
@@ -192,6 +203,80 @@ class TestClassifyPhase:
             ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, 100.0)
         phase = ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, np.int64(500))
         assert phase == ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, 500)
+        # a grid is cached by (t_max, n_t): an unhashable 0-d array still works
+        for t_max in (np.array(50.0), np.float64(50.0), 50):
+            assert ge.classify_phase(fig1_initial, _benchmark(1.0), t_max, 500) == phase
+
+
+def _bisection_columns():
+    """(initial, env, t_max, n_t) of 320 seeded columns, presets and random
+    states on random baths and grids, then the named edge cases."""
+    rng = np.random.default_rng(2820)
+    presets = [ge.presets.initial_state(name) for name in ge.presets.PRESET_NAMES]
+    for k in range(320):
+        if k % 2:
+            initial = presets[k // 2 % len(presets)]
+        else:
+            initial = ge.CovarianceMatrix(random_physical_cm(rng, 1.5))
+        lam, c = float(rng.choice([0.02, 0.1, 0.3])), float(rng.uniform(1.0, 2.0))
+        m, omega = (1.0, 1.0) if k % 3 else (float(x) for x in rng.uniform(0.5, 2.0, 2))
+        bound = 0.5 * lam * c
+        d_xy = float(rng.uniform(-1.0, 1.0)) * bound / (m * omega) if k % 5 == 0 else 0.0
+        d_xpy = float(rng.uniform(-1.0, 1.0)) * bound
+        env = ge.thermal_environment(lam, c, d_xy, d_xpy, m, omega)
+        t_max = float(rng.choice([5.0, 50.0, 400.0, 5000.0]))
+        yield initial, env, t_max, int(rng.choice([2, 9, 40, 100, 300]))
+    vacuum, fig1, fig3 = (ge.presets.initial_state(n) for n in ("vacuum", "fig1", "fig3"))
+    # crossings near t = 4e-8 in first brackets far wider than EVENT_TIME_TOL
+    yield vacuum, _benchmark(1.0), 1e12, 100
+    yield vacuum, _benchmark(1.0), 1e300, 100
+    # a crossing near t = 6.8e7, where bisection reaches the float spacing
+    yield fig1, ge.thermal_environment(1e-7, 1.0, d_xpy=4.9e-8), 1e9, 1000
+    # most instants round to 0 and take the initial state
+    yield ge.presets.initial_state("fig2"), _benchmark(1.0), 5e-324, 100
+    yield fig1, _benchmark(1.0), sys.float_info.max, 4
+    # overflow on the grid, at a bisection step's state and at its S
+    huge = ge.CovarianceMatrix(np.diag([1e200, 1.0, 1.0, 1.0]))
+    yield huge, ge.thermal_environment(0.1, 1.0, m=1e100), 50.0, 100
+    yield fig3, ge.thermal_environment(1.0, 1.0, m=1e-300), 400.0, 2
+    light = ge.thermal_environment(0.1, 1.1326131950883198, m=6.890214336533412e-97)
+    yield fig3, light, 2 * math.pi, 3
+
+
+class TestBisectionSteps:
+    def test_records_and_simon_calls_match_the_evolve_oracle(self, monkeypatch):
+        # each bisection step propagates from constants formed once per
+        # bracket; the oracle calls evolve at each step
+        package_refine, simon = experiments._refine_crossing, experiments.simon_function
+        calls = [0]
+
+        def counted(sigma):
+            calls[0] += 1
+            return simon(sigma)
+
+        monkeypatch.setattr(experiments, "simon_function", counted)
+        errors, steps, columns = set(), 0, list(_bisection_columns())
+        for initial, env, t_max, n_t in columns:
+            outcomes = []
+            for refine in (package_refine, refine_crossing_oracle):
+                monkeypatch.setattr(experiments, "_refine_crossing", refine)
+                calls[0] = 0
+                try:
+                    outcome = experiments.classify_phase(initial, env, t_max, n_t)
+                except ArithmeticError as exc:
+                    outcome = type(exc), str(exc)
+                outcomes.append((outcome, calls[0]))
+            assert outcomes[0] == outcomes[1], (initial, env, t_max, n_t)
+            outcome, count = outcomes[0]
+            if isinstance(outcome, PhaseClassification):
+                steps += count - n_t  # S is read once per instant, then per step
+            else:
+                errors.add(outcome[1].split(" at t = ")[0].split(" (")[0])
+        assert len(columns) >= 300 and steps > 8000
+        assert errors == {
+            "evolved covariance matrix is not finite",
+            "Simon function is not finite",
+        }
 
 
 class TestSweep:
