@@ -22,8 +22,9 @@ thermal grid, phase diagrams with a position cross coefficient d_xy, a
 crossing late enough that bisection reaches the float spacing, seeded
 phase diagrams like the benchmark's, a crossing far inside a wide first
 bisection bracket, grids that end at the largest float, a state whose
-``nu_tilde_minus_sq`` is not a number and a time grid whose instants nearly
-all round to 0.
+``nu_tilde_minus_sq`` is not a number, a time grid whose instants nearly
+all round to 0 and the sweep and classification of an oscillator with
+m * omega != 1 and lambda != 0.1.
 
 ``scripts/cli_corpus.jsonl`` is this script's output, checked in; a change
 that alters CLI output on purpose regenerates it:
@@ -250,6 +251,13 @@ def corpus() -> list[list[str]]:
     )
     # a grid whose instants nearly all round to 0 and take the initial state
     lines += both_formats("classify", "initial=fig2", "t_max=5e-324", "n_t=100", "n_c=2")
+    # the time column of an oscillator with m * omega != 1 and lambda != 0.1, where
+    # fig3 is not a physical state (lenient mode warns) and classify finds events
+    for command in ("sweep", "classify"):
+        lines += both_formats(
+            command, "lambda=0.2", "m=1.5", "omega=0.8", "d_xpy=0.09", "initial=fig3",
+            "n_t=60", "n_c=3", "c_max=2",
+        )
     return lines
 
 

@@ -409,8 +409,7 @@ def _run_phase_diagram(cfg: RunConfig) -> str:
 
     from .experiments import _linspace, asymptotic_phase_diagram
 
-    with np.errstate(over="ignore", invalid="ignore"):  # reported once, as exit code 4
-        d_xpy_values = np.linspace(cfg["d_xpy_min"], cfg["d_xpy_max"], cfg["n_d"])
+    d_xpy_values = _linspace(cfg["d_xpy_min"], cfg["d_xpy_max"], cfg["n_d"])
     if not np.isfinite(d_xpy_values).all():  # the width d_xpy_max - d_xpy_min overflowed
         raise OverflowError(f"d_xpy grid is not finite: {d_xpy_values.tolist()}")
     diagram = asymptotic_phase_diagram(

@@ -5,17 +5,17 @@ exp(Y t) = e^{-lam t} * diag(R(t), R(t)) with
 R(t) = [[cos(omega t), sin(omega t)/(m omega)], [-m omega sin(omega t), cos(omega t)]],
 so trajectories are sampled without any ODE integration: every instant is
 computed directly from t = 0, and a column of instants in one array pass.
-The rotations do not depend on the bath temperature, so a column's rotation
-array is built once per oscillator (lam, omega, m) and time grid and shared
-by every column and classification on that grid.  A whole column is
-propagated, and its t = 0 instants then take the initial entries.  Scalar,
-column and bisection steps share one straight-line ``_propagate`` of
-``_offsets``, s0 - s_inf, which a bisection forms once per bracket.
+The rotations do not depend on the bath temperature, so a time column (a
+grid's instants, their rotations and its t = 0 mask) is built once per
+oscillator (lam, omega, m) and grid by ``experiments._time_column``.  A whole
+column is propagated, and its t = 0 instants then take the initial entries.
+Scalar, column and bisection steps share one straight-line ``_propagate`` of
+``_offsets``, s0 - s_inf, which a bisection forms once per bracket; a scalar
+step, for ``evolve`` or a bisection, is ``_evolved``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -38,18 +38,6 @@ def _rotation(lam: float, omega: float, m: float, t: float) -> tuple[float, floa
     diagonal = decay * math.cos(phase)
     sin = math.sin(phase)
     return diagonal, decay * (sin / mw), decay * (-mw * sin), diagonal
-
-
-@functools.lru_cache(maxsize=4)
-def _rotation_column(lam: float, omega: float, m: float, times: tuple[float, ...]):
-    """Read-only view of immutable bytes, so no caller can make it writable:
-    the (4, len(times)) array of ``_rotation`` for each t of ``times``, keyed on
-    exactly what ``_rotation`` reads, with its bits (``math.exp`` is not
-    ``np.exp``).  A grid of n instants holds about 64 n bytes; errors are not cached."""
-    import numpy as np
-
-    rot = np.array(list(zip(*[_rotation(lam, omega, m, t) for t in times])))
-    return np.frombuffer(rot.tobytes()).reshape(4, -1)
 
 
 def propagator(env: EnvironmentSpec, t: float):
@@ -159,46 +147,44 @@ def _propagate(offsets, fixed, rot):
     )
 
 
-def evolve(
-    initial: CovarianceMatrix,
-    env: EnvironmentSpec,
-    t: float,
-    *,
-    steady: CovarianceMatrix | None = None,
-) -> CovarianceMatrix:
-    """Propagate ``initial`` for time ``t``: M(t) (s0 - s_inf) M(t)^T + s_inf.
-
-    ``t = 0`` returns ``initial`` unchanged; ``t`` must be finite and
-    nonnegative.  ``steady`` may carry a precomputed steady-state covariance
-    to avoid repeated Lyapunov solves.  The result is exactly symmetric;
-    ``OverflowError`` is raised when it is not finite.  This is float
-    arithmetic on the ten entries, with no numpy.
-    """
-    if t == 0:
-        return initial
-    rot = _rotation(env.lam, env.omega, env.m, t)
-    fixed = steady if steady is not None else steady_covariance(env)
-    values = _propagate(_offsets(initial._values, fixed._values), fixed._values, rot)
+def _evolved(offsets, fixed, rot, t: float) -> CovarianceMatrix:
+    """The state at t from the entries ``offsets`` of s0 - s_inf, those of s_inf
+    and the rotation ``rot`` at t; ``OverflowError`` when it is not finite."""
+    values = _propagate(offsets, fixed, rot)
     if not all(map(math.isfinite, values)):
         raise OverflowError(f"evolved covariance matrix is not finite at t = {t}")
     return CovarianceMatrix._of(values)
 
 
-def _column_entries(
-    initial: CovarianceMatrix, env: EnvironmentSpec, times: list[float], fixed: CovarianceMatrix
-):
-    """(10, len(times)) array of the entries of evolve(initial, env, t, steady=fixed)
-    for each t of ``times``, in one numpy pass with the same bits: the rotations
-    are the cached ``_rotation_column`` of the time grid, and +, - and x round
-    alike in numpy and in floats.  The whole grid is propagated, and each t = 0
-    column then takes ``initial``'s entries, as ``evolve`` returns ``initial``.
+def evolve(initial: CovarianceMatrix, env: EnvironmentSpec, t: float) -> CovarianceMatrix:
+    """Propagate ``initial`` for time ``t``: M(t) (s0 - s_inf) M(t)^T + s_inf.
+
+    ``t = 0`` returns ``initial`` unchanged; ``t`` must be finite and
+    nonnegative.  The result is exactly symmetric; ``OverflowError`` is
+    raised when it is not finite.  This is float arithmetic on the ten
+    entries, with no numpy.
+    """
+    if t == 0:
+        return initial
+    rot = _rotation(env.lam, env.omega, env.m, t)
+    fixed = steady_covariance(env)._values
+    return _evolved(_offsets(initial._values, fixed), fixed, rot, t)
+
+
+def _column_entries(initial: CovarianceMatrix, fixed: CovarianceMatrix, column):
+    """(10, n) array of the entries of ``evolve`` of ``initial`` at each of
+    the n instants of the time ``column`` (``experiments._time_column``) on a
+    bath whose steady state is ``fixed``, in one numpy pass with the same
+    bits: the rotations are the column's, and +, - and x round alike in numpy
+    and in floats.  The whole grid is propagated, and the column's t = 0
+    instants then take ``initial``'s entries, as ``evolve`` returns ``initial``.
     """
     import numpy as np
 
-    rot = _rotation_column(env.lam, env.omega, env.m, tuple(times))
+    times, rot, at_zero = column
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.array(_propagate(_offsets(initial._values, fixed._values), fixed._values, rot))
-    out[:, np.equal(times, 0.0)] = np.array(initial._values)[:, None]
+    out[:, at_zero] = np.array(initial._values)[:, None]
     finite = np.isfinite(out).all(axis=0)
     if not finite.all():
         raise OverflowError(

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import CovarianceMatrix, EnvironmentSpec, thermal_environment
-from .dynamics import _column_entries, _offsets, _propagate, _rotation, steady_covariance
+from .dynamics import _column_entries, _evolved, _offsets, _rotation, steady_covariance
 from .entanglement import _column_negativity, _invariants, _simon, _threshold, simon_function
 
 #: Bisection window below which a crossing instant is considered resolved.
@@ -67,29 +67,40 @@ def _sign(value: float) -> int:
     return (value > 0) - (value < 0)
 
 
-def _check_size(name: str, value, least: int) -> None:
-    """Raise ``TypeError`` unless the grid size ``value`` is an integer (by
-    ``operator.index``) and ``ValueError`` if it is below ``least``."""
+def _check_size(name: str, value, least: int) -> int:
+    """The grid size ``value`` as an ``int``, by ``operator.index``; raise
+    ``TypeError`` unless it is an integer and ``ValueError`` if it is below
+    ``least``."""
     try:
         size = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if size < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+    return size
 
 
 def _linspace(start: float, stop: float, num: int) -> np.ndarray:
-    """``np.linspace`` of finite ends whose width is finite, without its
-    overflow warning: the last index times the step may round past the
-    largest float, but that point is then set to ``stop``."""
-    with np.errstate(over="ignore"):
+    """``np.linspace`` without its overflow and invalid warnings.  For finite
+    ends whose width is finite the grid is finite: the last index times the
+    step may round past the largest float, but that point is then set to
+    ``stop``.  A width that overflows gives points that are not finite, which
+    the caller checks."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.linspace(start, stop, num)
 
 
 @functools.lru_cache(maxsize=4)
-def _instants(t_max: float, n_t: int) -> tuple[float, ...]:
-    """The ``n_t`` uniform instants over [0, t_max] as a tuple of floats."""
-    return tuple(_linspace(0.0, t_max, n_t).tolist())
+def _time_column(lam: float, omega: float, m: float, t_max: float, n_t: int):
+    """The ``n_t`` uniform instants over [0, t_max] as a tuple of floats, the
+    (4, n_t) array of their ``_rotation`` for the oscillator (lam, omega, m),
+    with the scalar bits, and the mask of the instants equal to 0.  Both arrays are
+    read-only views of immutable bytes, so no caller can make them writable.
+    A column holds about 65 n_t bytes; errors are not cached."""
+    times = tuple(_linspace(0.0, t_max, n_t).tolist())
+    rot = np.array([_rotation(lam, omega, m, t) for t in times]).T.tobytes()
+    at_zero = np.equal(times, 0.0).tobytes()
+    return times, np.frombuffer(rot).reshape(4, -1), np.frombuffer(at_zero, dtype=bool)
 
 
 def _refine_crossing(
@@ -102,19 +113,16 @@ def _refine_crossing(
 ) -> float:
     """Bisect on the sign class of S over [t_lo, t_hi] while the bracket is
     wider than EVENT_TIME_TOL and its midpoint lies strictly inside it, which
-    it does not once the ends are adjacent floats.  Each step has the state
-    and the error of ``evolve`` at the midpoint, from s0 - s_inf formed once."""
+    it does not once the ends are adjacent floats.  Each step is ``evolve``'s
+    scalar step, ``_evolved``, at the midpoint, from s0 - s_inf formed once."""
     offsets, fixed = _offsets(initial._values, fixed._values), fixed._values
     lam, omega, m = env.lam, env.omega, env.m
     while t_hi - t_lo > EVENT_TIME_TOL:
         mid = 0.5 * (t_lo + t_hi)
         if not t_lo < mid < t_hi:
             break
-        values = _propagate(offsets, fixed, _rotation(lam, omega, m, mid))
-        if not all(map(math.isfinite, values)):
-            raise OverflowError(f"evolved covariance matrix is not finite at t = {mid}")
-        mid_entangled = simon_function(CovarianceMatrix._of(values)) < 0.0
-        if mid_entangled == lo_entangled:
+        state = _evolved(offsets, fixed, _rotation(lam, omega, m, mid), mid)
+        if (simon_function(state) < 0.0) == lo_entangled:
             t_lo = mid
         else:
             t_hi = mid
@@ -149,16 +157,18 @@ def classify_phase(
 ) -> PhaseClassification:
     """Classify the entanglement time pattern of one trajectory.
 
-    S(t) is sampled on ``n_t`` uniform instants over [0, t_max]; every sign
-    change between consecutive samples is refined by bisection on the exact
-    flow, and the asymptotic sign is that of S at the solved steady state.
+    S(t) is sampled on the ``n_t`` uniform instants over [0, t_max] of the
+    cached time column of the bath's oscillator; every sign change between
+    consecutive samples is refined by bisection on the exact flow, and the
+    asymptotic sign is that of S at the solved steady state.
     """
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    _check_size("n_t", n_t, 2)
+    n_t = _check_size("n_t", n_t, 2)
     fixed = steady_covariance(env)
-    times = _instants(float(t_max), n_t)
-    entries = _column_entries(initial, env, times, fixed)
+    column = _time_column(env.lam, env.omega, env.m, float(t_max), n_t)
+    times = column[0]
+    entries = _column_entries(initial, fixed, column)
     s_values = np.array([simon_function(CovarianceMatrix._of(v)) for v in zip(*entries.tolist())])
     classes = s_values < 0.0
 
@@ -215,9 +225,6 @@ class SweepSpec(
     def _make(cls, iterable) -> SweepSpec:
         return cls(*iterable)
 
-    def times(self) -> np.ndarray:
-        return _linspace(0.0, self.t_max, self.n_t)
-
     def thermal_cs(self) -> np.ndarray:
         return _linspace(self.c_min, self.c_max, self.n_c)
 
@@ -244,18 +251,20 @@ class SweepResult(
 
 def sweep(spec: SweepSpec) -> SweepResult:
     """Fill the (t, c) grid with S and L and classify each thermal column."""
-    times = spec.times()
-    instants = times.tolist()
+    t_max, n_t = float(spec.t_max), operator.index(spec.n_t)
     cs = spec.thermal_cs()
-    simon = np.empty((spec.n_t, spec.n_c))
-    log_neg = np.empty((spec.n_t, spec.n_c))
+    simon = np.empty((n_t, spec.n_c))
+    log_neg = np.empty((n_t, spec.n_c))
     classifications = []
     for j, c in enumerate(cs):
         env_c = spec.environment_at(float(c))
-        entries = _column_entries(spec.initial, env_c, instants, steady_covariance(env_c))
+        fixed = steady_covariance(env_c)
+        column = _time_column(env_c.lam, env_c.omega, env_c.m, t_max, n_t)
+        entries = _column_entries(spec.initial, fixed, column)
         log_neg[:, j] = _column_negativity(entries)  # an undefined L (None) is stored as NaN
         simon[:, j] = [simon_function(CovarianceMatrix._of(v)) for v in zip(*entries.tolist())]
         classifications.append(classify_phase(spec.initial, env_c, spec.t_max, spec.n_t))
+    times = np.array(column[0])
     return SweepResult(spec, times, cs, simon, log_neg, ~np.isnan(log_neg), tuple(classifications))
 
 

@@ -360,9 +360,10 @@ def last_sample_disagrees_oracle(initial, env, t_max: float, n_t: int) -> bool:
     from gaussent.core import CovarianceMatrix
     from gaussent.dynamics import _column_entries, steady_covariance
     from gaussent.entanglement import simon_function
+    from gaussent.experiments import _time_column
 
     fixed = steady_covariance(env)
-    entries = _column_entries(initial, env, np.linspace(0.0, t_max, n_t).tolist(), fixed)
+    entries = _column_entries(initial, fixed, _time_column(env.lam, env.omega, env.m, t_max, n_t))
     last = simon_function(CovarianceMatrix._of(tuple(entries[:, -1].tolist())))
     return (last < 0.0) != (simon_function(fixed) < 0.0)
 
@@ -500,10 +501,27 @@ def propagate_oracle(initial, fixed, rot):
     )
 
 
+def rotation_instants(monkeypatch) -> list[float]:
+    """A list that records the instant of every ``_rotation`` call made
+    through ``gaussent.dynamics`` or ``gaussent.experiments`` from now on."""
+    from gaussent import dynamics, experiments
+
+    rotation, instants = dynamics._rotation, []
+
+    def recorded(lam, omega, m, t):
+        instants.append(t)
+        return rotation(lam, omega, m, t)
+
+    for module in (dynamics, experiments):
+        monkeypatch.setattr(module, "_rotation", recorded)
+    return instants
+
+
 def refine_crossing_oracle(initial, env, fixed, t_lo, t_hi, lo_entangled) -> float:
-    """``experiments._refine_crossing`` with a full ``evolve`` call per step.
-    It reads S through ``gaussent.experiments.simon_function`` at each step,
-    so a test that replaces that name sees the oracle's calls too."""
+    """``experiments._refine_crossing`` with a full ``evolve`` call per step,
+    which solves the steady state ``fixed`` of ``env`` again.  It reads S
+    through ``gaussent.experiments.simon_function`` at each step, so a test
+    that replaces that name sees the oracle's calls too."""
     from gaussent import experiments
     from gaussent.dynamics import evolve
 
@@ -511,7 +529,7 @@ def refine_crossing_oracle(initial, env, fixed, t_lo, t_hi, lo_entangled) -> flo
         mid = 0.5 * (t_lo + t_hi)
         if not t_lo < mid < t_hi:
             break
-        mid_entangled = experiments.simon_function(evolve(initial, env, mid, steady=fixed)) < 0.0
+        mid_entangled = experiments.simon_function(evolve(initial, env, mid)) < 0.0
         if mid_entangled == lo_entangled:
             t_lo = mid
         else:

@@ -278,11 +278,10 @@ def test_c10_ode_residual_convergence():
     """Centered-difference residual of the covariance ODE drops ~4x when dt halves."""
     env = ge.presets.benchmark_environment(1.0)
     initial = ge.presets.initial_state("fig1")
-    fixed = steady_covariance(env)
 
     def residual(n_steps):
         return ode_residual_oracle(
-            lambda t: ge.evolve(initial, env, t, steady=fixed).entries,
+            lambda t: ge.evolve(initial, env, t).entries,
             drift_matrix(env),
             diffusion_matrix(env),
             10.0,

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -14,10 +15,10 @@ from gaussent.dynamics import (
     _offsets,
     _propagate,
     _rotation,
-    _rotation_column,
     propagator,
     steady_covariance,
 )
+from gaussent.experiments import _time_column
 from helpers import (
     diffusion_matrix,
     drift_matrix,
@@ -27,6 +28,7 @@ from helpers import (
     ode_residual_oracle,
     propagate_oracle,
     random_physical_cm,
+    rotation_instants,
 )
 
 LAM = st.floats(0.01, 1.0)
@@ -277,7 +279,7 @@ class TestEvolve:
                 for t in (0.1, 7.25, 500.0):
                     mat = propagator(env, t)
                     for initial in states:
-                        out = ge.evolve(initial, env, t, steady=fixed).entries
+                        out = ge.evolve(initial, env, t).entries
                         assert np.array_equal(out, out.T)
                         expected = evolve_oracle(initial.entries, mat, fixed.entries)
                         # each entry against its Cauchy-Schwarz scale sqrt(s_ii s_jj)
@@ -328,6 +330,16 @@ class TestPropagate:
         assert np.isnan(out).any() and np.isinf(out).any() and np.isfinite(out).any()
 
 
+#: (t_max, n_t) time grids: two plain ones, one whose instants nearly all
+#: round to 0, so its t = 0 mask goes past index 0, and one that ends at the
+#: largest float
+GRIDS = ((50.0, 50), (7.25, 3), (5e-324, 20), (sys.float_info.max, 4))
+
+
+def _column(env, t_max, n_t):
+    return _time_column(env.lam, env.omega, env.m, t_max, n_t)
+
+
 class TestEvolveColumn:
     def test_matches_scalar_evolve_bit_for_bit(self):
         rng = np.random.default_rng(20261018)
@@ -337,28 +349,34 @@ class TestEvolveColumn:
             for max_squeeze in (1.0, 2.0)
             for _ in range(100)
         ]
-        times = [0.0, 0.1, 7.25, 500.0] + np.linspace(0.0, 50.0, 50).tolist()
-        # m*omega = 1e-3, 1 and 1e3, through m and through omega
+        # m*omega = 1e-3, 1 and 1e3, through m and through omega; at omega = 1e3
+        # the phase overflows on the largest-float grid, so that grid is left out
         for m, omega in ((1e-3, 1.0), (1.0, 1.0), (1.0, 1e3)):
             env = _env(d_xpy=0.049, m=m, omega=omega)
             fixed = steady_covariance(env)
-            for initial in states:
-                entries = _column_entries(initial, env, times, fixed)
-                scalar = [ge.evolve(initial, env, t, steady=fixed) for t in times]
-                # the grid has t = 0 at positions 0 and 4: initial's entries, bit for bit
-                start = np.array(initial._values).view(np.uint64)
-                for k in (0, 4):
-                    assert np.array_equal(entries[:, k].view(np.uint64), start)
-                column = [ge.CovarianceMatrix._of(v) for v in zip(*entries.tolist())]
-                out = np.array([state.entries for state in column])
-                assert np.array_equal(out, np.array([state.entries for state in scalar]))
-                assert np.array_equal(out, out.transpose(0, 2, 1))
-                assert not any(state.entries.flags.writeable for state in column)
-                # the checked constructor stores the same bits
-                assert all(ge.CovarianceMatrix(state.entries) == state for state in column)
+            for t_max, n_t in GRIDS[: 3 if omega > 1.0 else 4]:
+                times, _, at_zero = column = _column(env, t_max, n_t)
+                zeros = [k for k, t in enumerate(times) if t == 0.0]
+                assert np.flatnonzero(at_zero).tolist() == zeros
+                assert len(zeros) == (10 if t_max == 5e-324 else 1)
+                for initial in states:
+                    entries = _column_entries(initial, fixed, column)
+                    scalar = [ge.evolve(initial, env, t) for t in times]
+                    # the t = 0 instants hold initial's entries, bit for bit
+                    start = np.array(initial._values).view(np.uint64)
+                    for k in zeros:
+                        assert np.array_equal(entries[:, k].view(np.uint64), start)
+                    states_t = [ge.CovarianceMatrix._of(v) for v in zip(*entries.tolist())]
+                    out = np.array([state.entries for state in states_t])
+                    assert np.array_equal(out, np.array([state.entries for state in scalar]))
+                    assert np.array_equal(out, out.transpose(0, 2, 1))
+                    assert not any(state.entries.flags.writeable for state in states_t)
+                    # the checked constructor stores the same bits
+                    assert all(ge.CovarianceMatrix(state.entries) == state for state in states_t)
 
     def test_overflow_raises_without_a_numpy_warning(self):
-        # m*omega = 1e100 rotates sigma_xx = 1e200 into p_x as ~1e400
+        # m*omega = 1e100 rotates sigma_xx = 1e200 into p_x as ~1e400; a column
+        # has no negative instant (t_max > 0), so ge.evolve alone meets one
         env = ge.thermal_environment(0.1, 1.0, m=1e100)
         initial = ge.CovarianceMatrix(np.diag([1e200, 1.0, 1.0, 1.0]))
         fixed = steady_covariance(env)
@@ -367,88 +385,89 @@ class TestEvolveColumn:
             with pytest.raises(OverflowError, match=r"not finite at t = 0\.5050505050505051$"):
                 ge.classify_phase(initial, env, 50.0, 100)
             with pytest.raises(OverflowError, match=r"not finite at t = 1\.0$"):
-                _column_entries(initial, env, [0.0, 1e-300, 1.0, 2.0], fixed)
-            # the t and phase checks of the scalar path come first
-            with pytest.raises(ValueError, match="nonnegative, got -1.0"):
-                _column_entries(initial, env, [1.0, -1.0], fixed)
+                _column_entries(initial, fixed, _column(env, 2.0, 3))
+            # the phase check of the scalar path comes first, as the column is built
             far = ge.thermal_environment(0.1, 1.0, m=1e-200, omega=1e200)
             with pytest.raises(OverflowError, match="phase"):
-                _column_entries(initial, far, [1e200], fixed)
+                _column(far, 1e200, 2)
 
 
 class TestRotationColumn:
-    @staticmethod
-    def _column(env, times):
-        return _rotation_column(env.lam, env.omega, env.m, tuple(times))
+    """The rotations of ``experiments._time_column``, with its instants and mask."""
 
     def test_equals_scalar_rotation_bit_for_bit_and_is_read_only(self):
-        times = np.linspace(0.0, 50.0, 37).tolist()[1:] + [1e-300, 0.1, 7.25, 500.0]
         for m, omega in ((1e-3, 1.0), (1.0, 1.0), (1.0, 1e3), (2.0, 0.7)):
             env = _env(m=m, omega=omega)
-            column = self._column(env, times)
-            expected = np.array([_rotation(env.lam, env.omega, env.m, t) for t in times]).T
-            assert column.shape == (4, len(times))
-            assert np.array_equal(column.view(np.uint64), expected.view(np.uint64))
-            assert not column.flags.writeable
+            for t_max, n_t in GRIDS[: 3 if omega > 1.0 else 4]:
+                times, rot, at_zero = _column(env, t_max, n_t)
+                with np.errstate(over="ignore"):
+                    grid = np.linspace(0.0, t_max, n_t)
+                assert type(times) is tuple and all(type(t) is float for t in times)
+                assert _hexes(times) == _hexes(grid)
+                expected = np.array([_rotation(env.lam, env.omega, env.m, t) for t in times]).T
+                assert rot.shape == (4, n_t)
+                assert np.array_equal(rot.view(np.uint64), expected.view(np.uint64))
+                assert at_zero.dtype == bool and at_zero.tolist() == [t == 0.0 for t in times]
+                assert not rot.flags.writeable and not at_zero.flags.writeable
 
     def test_no_caller_can_make_a_cached_column_writable(self):
-        # every caller gets the same cached array: a write would reach them all
+        # every caller gets the same cached column: a write would reach them all
         env = _env()
-        column = self._column(env, [0.5, 1.0, 2.0])
-        for array in (column, column.base):
+        times, rot, at_zero = column = _column(env, 2.0, 3)
+        for array in (rot, rot.base, at_zero):
             with pytest.raises(ValueError, match="WRITEABLE"):
                 array.setflags(write=True)
             assert not array.flags.writeable
-        again = self._column(env, [0.5, 1.0, 2.0])
-        expected = np.array([_rotation(env.lam, env.omega, env.m, t) for t in (0.5, 1.0, 2.0)]).T
-        assert again is column
-        assert np.array_equal(again.view(np.uint64), expected.view(np.uint64))
+        assert type(rot.base.base) is bytes and type(at_zero.base) is bytes
+        with pytest.raises(TypeError):
+            times[0] = 5.0
+        again = _column(env, 2.0, 3)
+        expected = np.array([_rotation(env.lam, env.omega, env.m, t) for t in (0.0, 1.0, 2.0)]).T
+        assert again is column and again[0] == (0.0, 1.0, 2.0)
+        assert np.array_equal(again[1].view(np.uint64), expected.view(np.uint64))
+        assert again[2].tolist() == [True, False, False]
 
-    def test_bath_temperature_shares_one_entry(self):
-        times = np.linspace(0.0, 50.0, 100).tolist()
+    def test_bath_temperature_shares_one_entry(self, monkeypatch):
+        # the column is keyed on the oscillator and the grid, not on the bath's
+        # temperature or diffusion: a second bath builds no rotation
         initial = ge.presets.initial_state("fig1")
-        cold, warm = _env(c=1.0, d_xpy=0.049), _env(c=1.5, d_xpy=0.049)
-        _column_entries(initial, cold, times, steady_covariance(cold))
-        hits = _rotation_column.cache_info().hits
-        _column_entries(initial, warm, times, steady_covariance(warm))
-        assert _rotation_column.cache_info().hits == hits + 1
-        # a sweep and its classifications hit one entry: one miss per grid
-        spec = ge.SweepSpec(env_base=cold, initial=initial, n_t=100, n_c=3)
-        _rotation_column.cache_clear()
-        ge.sweep(spec)
-        info = _rotation_column.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+        cold, warm = _env(c=1.0, d_xpy=0.049), _env(c=1.5, d_xy=0.01)
+        _time_column.cache_clear()
+        instants = rotation_instants(monkeypatch)
+        for env in (cold, warm):
+            column = _column(env, 50.0, 100)
+            _column_entries(initial, steady_covariance(env), column)
+            assert len(instants) == 100
+        assert _column(cold, 50.0, 100) is column
 
     def test_distinct_dynamics_and_grids_get_their_own_columns(self):
+        # each of lam, omega, m, t_max and n_t is part of the key
         envs = [_env(), _env(lam=0.2), _env(omega=2.0), _env(m=2.0)]
-        grids = [[0.5, 1.0, 2.0], [0.5, 1.0, 2.5]]
+        grids = [(2.0, 3), (2.5, 3), (2.0, 4)]
         seen = set()
         for env in envs:
-            for times in grids:
-                column = self._column(env, times)
+            for t_max, n_t in grids:
+                times, rot, _ = _column(env, t_max, n_t)
                 expected = [_rotation(env.lam, env.omega, env.m, t) for t in times]
-                assert np.array_equal(column, np.array(expected).T)
-                seen.add(column.tobytes())
+                assert times == tuple(np.linspace(0.0, t_max, n_t).tolist())
+                assert np.array_equal(rot, np.array(expected).T)
+                seen.add((times, rot.tobytes()))
         assert len(seen) == len(envs) * len(grids)
 
-    def test_errors_are_not_cached(self):
-        env = _env()
-        initial = ge.presets.initial_state("fig1")
-        fixed = steady_covariance(env)
-        for _ in range(3):
-            with pytest.raises(ValueError, match="nonnegative, got -1.0"):
-                self._column(env, [1.0, -1.0])
-            with pytest.raises(ValueError, match="nonnegative, got -1.0"):
-                _column_entries(initial, env, [0.0, 1.0, -1.0], fixed)
-            far = _env(m=1e-200, omega=1e200)
+    def test_errors_are_not_cached(self, monkeypatch):
+        far = _env(m=1e-200, omega=1e200)
+        _time_column.cache_clear()
+        instants = rotation_instants(monkeypatch)
+        for k in range(1, 4):
             with pytest.raises(OverflowError, match="phase"):
-                self._column(far, [1e200])
+                _column(far, 1e200, 2)
+            assert instants == [0.0, 1e200] * k  # the overflowing instant is the last
+        assert _time_column.cache_info().currsize == 0
 
 
 def _residual(initial, env, t_max, n_steps):
-    fixed = steady_covariance(env)
     return ode_residual_oracle(
-        lambda t: ge.evolve(initial, env, t, steady=fixed).entries,
+        lambda t: ge.evolve(initial, env, t).entries,
         drift_matrix(env),
         diffusion_matrix(env),
         t_max,

@@ -2,8 +2,9 @@
 
 The scripts must write exactly what the CLI commands with the same keys
 write, the README sketch must run as printed, the CLI corpus must write
-what ``scripts/cli_corpus.jsonl`` records, and every public name of the
-package must be read somewhere outside the tests.
+what ``scripts/cli_corpus.jsonl`` records, every public name of the
+package must be read somewhere outside the tests, and every option of a
+public function must be passed somewhere outside them.
 """
 
 import ast
@@ -144,6 +145,60 @@ def test_every_public_name_is_read_outside_the_tests():
                 unread.append(f"{path.stem}.{name}")
     assert checked > 30
     assert unread == []
+
+
+def _options(tree: ast.Module) -> dict[str, list[tuple[int | None, str]]]:
+    """Defaulted and keyword-only parameters of the public module-level
+    functions: name -> [(position, or None if keyword-only, parameter)]."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            out[node.name] = [(k, a.arg) for k, a in enumerate(positional) if k >= first]
+            out[node.name] += [(None, a.arg) for a in args.kwonlyargs]
+    return out
+
+
+def _passed(tree: ast.AST) -> set[tuple[str, int | str]]:
+    """(callee name, position or keyword) of every argument a call passes; a
+    ``*`` or ``**`` argument counts as passing every position or keyword."""
+    out = set()
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for k, arg in enumerate(call.args):
+                out.add((name, "*" if isinstance(arg, ast.Starred) else k))
+            out.update((name, keyword.arg or "**") for keyword in call.keywords)
+    return out
+
+
+def test_every_option_is_passed_outside_the_tests():
+    # a defaulted or keyword-only parameter that only tests set is a knob with
+    # one value in use: some call in the package, a script, the benchmark or
+    # a README python block passes it, by position or by name
+    package = [path.read_text(encoding="utf-8") for path in ROOT.joinpath("src").glob("*/*.py")]
+    readers = [*ROOT.joinpath("scripts").glob("*.py"), *ROOT.joinpath("bench").glob("*.py")]
+    sources = package + [path.read_text(encoding="utf-8") for path in readers]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources += re.findall(r"```python\n(.*?)```", readme, re.S)
+    passed = set().union(*(_passed(ast.parse(source)) for source in sources))
+    options = [
+        (name, position, parameter)
+        for source in package
+        for name, params in _options(ast.parse(source)).items()
+        for position, parameter in params
+    ]
+    unpassed = [
+        (name, parameter)
+        for name, position, parameter in options
+        if not {(name, parameter), (name, "**")} & passed
+        and (position is None or not {(name, position), (name, "*")} & passed)
+    ]
+    assert len(options) > 10
+    assert unpassed == []
 
 
 def test_cli_corpus_runs_every_command_in_both_formats_once_per_line():

@@ -7,6 +7,7 @@ import pytest
 
 import gaussent as ge
 from gaussent import experiments
+from gaussent.cli import main
 from gaussent.core import MARGIN_TOL, EnvironmentSpec, validate_diffusion
 from gaussent.dynamics import steady_covariance
 from gaussent.entanglement import asymptotic_simon, asymptotic_threshold, simon_function
@@ -26,6 +27,7 @@ from helpers import (
     phase_status_oracle,
     random_physical_cm,
     refine_crossing_oracle,
+    rotation_instants,
     simon_oracle_exact,
     sweep_rows_oracle,
 )
@@ -83,13 +85,12 @@ class TestClassifyPhase:
 
     def test_events_bracket_true_sign_changes(self, fig1_initial):
         env = _benchmark(1.5)
-        fixed = steady_covariance(env)
         phase = ge.classify_phase(fig1_initial, env, 50.0, 500)
         for event in phase.event_times:
             lo = max(0.0, event - 1e-6)
             hi = event + 1e-6
-            s_lo = simon_function(ge.evolve(fig1_initial, env, lo, steady=fixed))
-            s_hi = simon_function(ge.evolve(fig1_initial, env, hi, steady=fixed))
+            s_lo = simon_function(ge.evolve(fig1_initial, env, lo))
+            s_hi = simon_function(ge.evolve(fig1_initial, env, hi))
             assert (s_lo < 0) != (s_hi < 0)
 
     def test_stable_under_grid_refinement(self, fig3_initial):
@@ -175,21 +176,41 @@ class TestClassifyPhase:
     def test_float_max_grid_ends_warn_nothing(self, fig1_initial):
         # np.linspace overflows an inner product of these ranges, and pytest
         # raises its RuntimeWarning; the grids are finite and end where asked
-        top = sys.float_info.max
-        spec = ge.SweepSpec(_benchmark(1.0), fig1_initial, t_max=top, n_t=4, c_max=top, n_c=4)
-        for grid in (spec.times(), spec.thermal_cs()):
+        top, env = sys.float_info.max, _benchmark(1.0)
+        spec = ge.SweepSpec(env, fig1_initial, t_max=top, n_t=4, c_max=top, n_c=4)
+        times = experiments._time_column(env.lam, env.omega, env.m, top, 4)[0]
+        for grid in (np.array(times), spec.thermal_cs()):
             assert np.isfinite(grid).all() and grid[-1] == top
-        phase = ge.classify_phase(fig1_initial, _benchmark(1.0), top, 4)
+        phase = ge.classify_phase(fig1_initial, env, top, 4)
         assert phase.label == "generation_persistent"
 
-    def test_a_time_grid_is_built_once(self, fig1_initial):
-        # a sweep classifies every column on its own time grid
-        experiments._instants.cache_clear()
-        spec = ge.SweepSpec(env_base=_benchmark(1.0), initial=fig1_initial, n_t=100, n_c=3)
-        ge.sweep(spec)
-        info = experiments._instants.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-        assert experiments._instants(50.0, 100) == tuple(spec.times().tolist())
+    def test_a_time_grid_is_built_once(self, fig1_initial, monkeypatch, capsys):
+        # CLI sweep at its defaults (500 x 20, fig1): the surface and the
+        # classifications of all 20 columns read one time column, so _rotation
+        # runs once per instant of the grid, then once per bisection step
+        times = rotation_instants(monkeypatch)
+        experiments._time_column.cache_clear()
+        assert main(["sweep", "--set", "initial=fig1"]) == 0
+        capsys.readouterr()
+        assert len(times) == 500 + 1296
+        assert times[:500] == np.linspace(0.0, 50.0, 500).tolist()
+        # the library sweep at the same defaults reads that column, whose
+        # instants are its times: only its 1,296 bisection steps rotate
+        spec = ge.SweepSpec(env_base=_benchmark(1.0), initial=fig1_initial)
+        assert ge.sweep(spec).times.tolist() == times[:500]
+        assert len(times) == 1796 + 1296
+
+    @pytest.mark.parametrize("size", [np.array, np.int64, np.int32])
+    def test_numpy_integer_grid_sizes_give_the_int_results(self, fig1_initial, size):
+        # a 0-d array passes operator.index, and the cache is keyed on the int
+        phase = ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, 100)
+        assert ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, size(100)) == phase
+        spec = ge.SweepSpec(_benchmark(1.0), fig1_initial, 50.0, 10, 1.0, 1.5, 2)
+        expected = ge.sweep(spec)
+        result = ge.sweep(spec._replace(n_t=size(10), n_c=size(2)))
+        for name in ("times", "thermal_cs", "simon", "log_neg", "defined"):
+            assert np.array_equal(getattr(result, name), getattr(expected, name), equal_nan=True)
+        assert result.classifications == expected.classifications
 
     def test_rejects_bad_grid(self, fig1_initial):
         with pytest.raises(ValueError):
@@ -469,7 +490,7 @@ class TestSweep:
                 c_min=env.thermal_c, c_max=env.thermal_c, n_c=1,
             )
             with pytest.raises(OverflowError) as scalar:
-                for t in spec.times().tolist():
+                for t in np.linspace(0.0, spec.t_max, spec.n_t).tolist():
                     ge.metrics(ge.evolve(initial, env, t))
             with pytest.raises(OverflowError, match=message) as column:
                 ge.sweep(spec)
