@@ -23,8 +23,9 @@ crossing late enough that bisection reaches the float spacing, seeded
 phase diagrams like the benchmark's, a crossing far inside a wide first
 bisection bracket, grids that end at the largest float, a state whose
 ``nu_tilde_minus_sq`` is not a number, a time grid whose instants nearly
-all round to 0 and the sweep and classification of an oscillator with
-m * omega != 1 and lambda != 0.1.
+all round to 0, the sweep and classification of an oscillator with
+m * omega != 1 and lambda != 0.1, and argparse's own text: ``--help``, an
+option without its value and an unknown option.
 
 ``scripts/cli_corpus.jsonl`` is this script's output, checked in; a change
 that alters CLI output on purpose regenerates it:
@@ -258,6 +259,8 @@ def corpus() -> list[list[str]]:
             command, "lambda=0.2", "m=1.5", "omega=0.8", "d_xpy=0.09", "initial=fig3",
             "n_t=60", "n_c=3", "c_max=2",
         )
+    # argparse's own text: the help, a missing option value and an unknown option
+    lines += [["--help"], ["metrics", "--set"], ["metrics", "--no-such-flag"]]
     return lines
 
 

@@ -16,7 +16,7 @@ from gaussent.cli import classify_csv, sweep_csv
 
 def write_surface(name: str, out_dir: pathlib.Path, t_max: float, n_t: int, n_c: int):
     spec = ge.SweepSpec(
-        env_base=ge.presets.benchmark_environment(thermal_c=1.0),
+        env_base=ge.presets.benchmark_environment(),
         initial=ge.presets.initial_state(name),
         t_max=t_max,
         n_t=n_t,

@@ -4,9 +4,9 @@ Commands: evolve, steady, metrics, sweep, classify, phase-diagram.
 Configuration is a flat key=value file plus repeatable --set overrides
 (flags win); outputs are deterministic CSV (floats to 17 significant digits)
 or JSON (shortest round-trip floats): identical configurations, identical bytes.
-Exact option spellings (``--set VALUE``, ``--format json``, ...) are parsed
-directly; abbreviations, ``--opt=value``, ``--help`` and usage errors go
-through argparse, with the same results.
+One table, ``_OPTIONS``, declares every option.  Exact spellings (``--set
+VALUE``, ``--format json``, ...) are parsed directly, with argparse's results;
+abbreviations, ``--opt=value``, ``--help`` and usage errors go through argparse.
 
 Exit codes: 0 success, 2 configuration error, 3 physicality violation,
 4 numerical failure.
@@ -89,6 +89,26 @@ _SPELLINGS = {
 MAX_GRID_CELLS = 10**6
 _GRID_ROWS = {"sweep": "n_t", "classify": "n_t", "phase-diagram": "n_d"}
 
+#: Every option, in --help order: flag -> (dest, default, further argparse keywords).
+_OPTIONS: dict[str, tuple[str, object, dict]] = {
+    "--config": ("config", None, dict(metavar="FILE", help="flat key=value configuration file")),
+    "--set": ("overrides", [], dict(
+        metavar="KEY=VALUE", action="append",
+        help="override one configuration key (repeatable; wins over --config)")),
+    "--out": ("out", None, dict(metavar="PATH", help="write the result to PATH instead of stdout")),
+    "--format": ("format", "csv", dict(choices=("csv", "json"))),
+    "--strict": ("strict", False, dict(
+        action="store_true", help="reject unphysical initial states instead of warning")),
+    "--dump-config": ("dump_config", False, dict(
+        action="store_true", help="print the resolved configuration as key=value lines and exit")),
+}
+#: The table read once, for the direct parser and for RunConfig.
+_ARGS = {"command": None, **{dest: default for dest, default, _ in _OPTIONS.values()}}
+_READS = {flag: (d, kw.get("action"), kw.get("choices")) for flag, (d, _, kw) in _OPTIONS.items()}
+_APPENDS = tuple(dest for dest, action, _ in _READS.values() if action == "append")
+_FORMATS = _OPTIONS["--format"][2]["choices"]
+_RUN_DEFAULTS = (_ARGS["strict"], _ARGS["out"], _ARGS["format"])
+
 
 class ConfigError(Exception):
     """Invalid configuration: unknown key, bad value, or conflicting options."""
@@ -99,7 +119,7 @@ class PhysicalityError(Exception):
 
 
 class RunConfig(
-    namedtuple("RunConfig", "command values strict out fmt", defaults=(False, None, "csv"))
+    namedtuple("RunConfig", "command values strict out fmt", defaults=_RUN_DEFAULTS)
 ):
     """A fully resolved run: command, configuration values and output options.
 
@@ -120,8 +140,8 @@ class RunConfig(
         self = super().__new__(cls, *args, **kwargs)
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        if self.fmt not in _FORMATS:
+            raise ConfigError(f"format must be {' or '.join(_FORMATS)}, got {self.fmt!r}")
         return self
 
     @classmethod
@@ -187,9 +207,9 @@ def build_config(
     command: str,
     provided: dict[str, str],
     *,
-    strict: bool = False,
-    out: str | None = None,
-    fmt: str = "csv",
+    strict: bool = _ARGS["strict"],
+    out: str | None = _ARGS["out"],
+    fmt: str = _ARGS["format"],
 ) -> RunConfig:
     """Validate raw key=value strings and resolve them into a RunConfig, whose
     values are finite floats, ints and a preset name from ``PRESET_NAMES``."""
@@ -500,52 +520,30 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", metavar="FILE", help="flat key=value configuration file")
-    parser.add_argument(
-        "--set",
-        dest="overrides",
-        metavar="KEY=VALUE",
-        action="append",
-        default=[],
-        help="override one configuration key (repeatable; wins over --config)",
-    )
-    parser.add_argument("--out", metavar="PATH", help="write the result to PATH instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="reject unphysical initial states instead of warning",
-    )
-    parser.add_argument(
-        "--dump-config",
-        action="store_true",
-        help="print the resolved configuration as key=value lines and exit",
-    )
+    for flag, (dest, default, keywords) in _OPTIONS.items():
+        parser.add_argument(flag, dest=dest, default=default, **keywords)
     return parser
-
-
-_VALUED = {"--set": "overrides", "--config": "config", "--out": "out", "--format": "format"}
-_FLAGS = {"--strict": "strict", "--dump-config": "dump_config"}
 
 
 def _parse_args(argv: list[str]) -> dict | None:
     """``vars(_build_parser().parse_args(argv))`` for an argv of one command,
     exact option spellings and values that do not start with ``-``; None for
     any other argv, which argparse then parses or rejects."""
-    args = dict(command=None, config=None, overrides=[], out=None, format="csv",
-                strict=False, dump_config=False)
+    args = _ARGS.copy()
+    for dest in _APPENDS:  # a new list to append to, not the table's default
+        args[dest] = [*args[dest]]
     tokens = iter(argv)
     for token in tokens:
-        if token in _FLAGS:
-            args[_FLAGS[token]] = True
-        elif token in _VALUED:
-            value = next(tokens, "-")  # a missing value is declined like "-..."
-            if value.startswith("-") or token == "--format" and value not in ("csv", "json"):
-                return None
-            if token == "--set":
-                args["overrides"].append(value)
+        if token in _READS:
+            dest, action, choices = _READS[token]
+            if action == "store_true":
+                args[dest] = True
+            elif (value := next(tokens, "-")).startswith("-") or choices and value not in choices:
+                return None  # a missing value reads as "-", so it is declined too
+            elif action == "append":
+                args[dest].append(value)
             else:
-                args[_VALUED[token]] = value
+                args[dest] = value
         elif token in COMMANDS and args["command"] is None:
             args["command"] = token
         else:

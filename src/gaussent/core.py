@@ -17,9 +17,6 @@ SYMMETRY_TOL = 1e-12
 #: Slack applied to physicality margins so exact boundary cases pass.
 MARGIN_TOL = 1e-12
 
-#: Relative tolerance of the Gibbs-state relations tested by ``is_thermal``.
-THERMAL_RTOL = 1e-12
-
 #: Names of the ten independent entries of a symmetric 4x4 covariance matrix:
 #: its upper triangle in row order.
 ENTRY_NAMES: tuple[str, ...] = (
@@ -85,20 +82,14 @@ class EnvironmentSpec(
         return tuple.__new__(cls, values)
 
     def is_thermal(self) -> bool:
-        """True when the coefficients give a Gibbs state at long times.
-
-        Checks m*omega*d_xx == d_pxpx/(m*omega) == lam*thermal_c/2, d_xpx == 0
-        and d_pxpy == m^2*omega^2*d_xy, all within ``THERMAL_RTOL``.
-        """
-        ref = 0.5 * self.lam * self.thermal_c
-        mw = self.m * self.omega
-        tol = THERMAL_RTOL * max(1.0, abs(ref))
-        return (
-            abs(mw * self.d_xx - ref) <= tol
-            and abs(self.d_pxpx / mw - ref) <= tol
-            and abs(self.d_xpx) <= tol
-            and abs(self.d_pxpy - mw * mw * self.d_xy) <= THERMAL_RTOL * max(1.0, abs(self.d_pxpy))
-        )
+        """True exactly when :func:`thermal_environment`, whose baths have a Gibbs
+        asymptote, builds this record from its own parameters; False otherwise."""
+        try:
+            return self == thermal_environment(
+                self.lam, self.thermal_c, self.d_xy, self.d_xpy, self.m, self.omega
+            )
+        except OverflowError:
+            return False
 
 
 def thermal_environment(

@@ -172,6 +172,7 @@ def asymptotic_threshold(env: EnvironmentSpec) -> float:
     (sqrt(1 + 4b^2) -/+ 2a)^2.  The lower one lies below the pairwise bounds
     C >= 2|d_xpy|/lam and C >= 2s, so a bath within them is entangled at
     infinity iff thermal_c < C*+ = sqrt(1 + 4b^2) + 2a, 1 + 2p at d_xy = 0.
+    Raises ``ValueError`` unless ``env`` is a bath ``thermal_environment`` builds.
     """
     if not env.is_thermal():
         raise ValueError(

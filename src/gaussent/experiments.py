@@ -197,12 +197,12 @@ class SweepSpec(
 ):
     """Grid specification for a (time, thermal parameter) surface.
 
-    The environment's thermal parameter is overridden at each grid column, so
-    ``env_base`` must be thermal and its ``thermal_c`` is not read; its
-    dissipation and cross-diffusion coefficients are reused as-is.  The time
-    grid has ``n_t`` samples including t = 0; the thermal grid has ``n_c``
-    columns.  It is an immutable named tuple, validated on construction,
-    ``_make`` and ``_replace`` included.
+    The thermal parameter is overridden at each grid column, so ``env_base``
+    must be a bath that ``thermal_environment`` builds; its ``thermal_c`` is
+    not read, and its lam, m, omega, d_xy and d_xpy are reused.  The time grid
+    has ``n_t`` samples including t = 0; the thermal grid has ``n_c`` columns.
+    It is an immutable named tuple, validated on construction, ``_make`` and
+    ``_replace`` included.
     """
 
     __slots__ = ()

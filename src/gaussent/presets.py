@@ -42,7 +42,7 @@ def initial_state(name: str) -> CovarianceMatrix:
         ) from None
 
 
-def benchmark_environment(thermal_c: float = 1.0) -> EnvironmentSpec:
-    """The reference bath used by the surface studies: thermal at ``thermal_c``,
+def benchmark_environment() -> EnvironmentSpec:
+    """The reference bath used by the surface studies: thermal at C = 1,
     lam = 0.1, d_xy = 0, d_xpy = 0.049 and m = omega = 1."""
-    return thermal_environment(0.1, thermal_c, 0.0, 0.049)
+    return thermal_environment(0.1, 1.0, 0.0, 0.049)

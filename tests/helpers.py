@@ -535,3 +535,11 @@ def refine_crossing_oracle(initial, env, fixed, t_lo, t_hi, lo_entangled) -> flo
         else:
             t_hi = mid
     return 0.5 * (t_lo + t_hi)
+
+
+def reference_bath(thermal_c: float):
+    """The bath of ``presets.benchmark_environment`` at the thermal parameter
+    ``thermal_c``, where that preset is at C = 1."""
+    from gaussent import thermal_environment
+
+    return thermal_environment(0.1, thermal_c, 0.0, 0.049)

@@ -26,6 +26,7 @@ from helpers import (
     ode_residual_oracle,
     pt_symplectic_eigs_oracle,
     random_physical_cm,
+    reference_bath,
     simon_oracle_exact,
 )
 
@@ -167,7 +168,7 @@ def test_c05_asymptotic_degree_convergence():
 def test_c06_benchmark_regime_reproduction():
     """Entanglement generation at C = 1; separable asymptote at C = 1.5; sweep speed."""
     initial = ge.presets.initial_state("fig1")
-    phase = ge.classify_phase(initial, ge.presets.benchmark_environment(1.0), 50.0, 500)
+    phase = ge.classify_phase(initial, ge.presets.benchmark_environment(), 50.0, 500)
     generated = (
         phase.s_initial_sign >= 0
         and len(phase.event_times) >= 1
@@ -175,11 +176,11 @@ def test_c06_benchmark_regime_reproduction():
         and phase.s_infinity_sign == -1
         and phase.label in ("generation_persistent", "collapse_revival")
     )
-    separable_tail = asymptotic_simon(ge.presets.benchmark_environment(1.5)) > 0
+    separable_tail = asymptotic_simon(reference_bath(1.5)) > 0
     start = time.perf_counter()
     ge.sweep(
         ge.SweepSpec(
-            env_base=ge.presets.benchmark_environment(1.0),
+            env_base=ge.presets.benchmark_environment(),
             initial=initial,
             t_max=50.0,
             n_t=500,
@@ -276,7 +277,7 @@ def test_c09_fixed_point_and_flow():
 
 def test_c10_ode_residual_convergence():
     """Centered-difference residual of the covariance ODE drops ~4x when dt halves."""
-    env = ge.presets.benchmark_environment(1.0)
+    env = ge.presets.benchmark_environment()
     initial = ge.presets.initial_state("fig1")
 
     def residual(n_steps):

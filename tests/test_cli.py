@@ -22,6 +22,7 @@ from gaussent.entanglement import simon_function
 from gaussent.experiments import _LABELS
 from gaussent.cli import (
     _KEYS,
+    _OPTIONS,
     COMMANDS,
     ConfigError,
     RunConfig,
@@ -44,6 +45,7 @@ from helpers import (
     phase_diagram_csv_oracle,
     phase_diagram_rows_oracle,
     random_physical_cm,
+    reference_bath,
     sweep_csv_oracle,
     sweep_rows_oracle,
     temperature_from_thermal_c,
@@ -204,7 +206,7 @@ class TestMetricsCommand:
         code, out, _ = run_cli(capsys, "metrics", "--set", "initial=fig1", "--set", "t=30")
         assert code == 0
         values = dict(parse_csv(out)[1])
-        env = ge.presets.benchmark_environment(thermal_c=1.0)
+        env = ge.presets.benchmark_environment()
         state = ge.evolve(ge.presets.initial_state("fig1"), env, 30.0)
         assert float(values["simon_s"]) == pytest.approx(simon_function(state), abs=0)
 
@@ -227,7 +229,7 @@ class TestEvolveCommand:
         )
         assert code == 0
         values = {name: float(v) for name, v in parse_csv(out)[1]}
-        env = ge.presets.benchmark_environment(thermal_c=1.0)
+        env = ge.presets.benchmark_environment()
         expected = ge.evolve(ge.presets.initial_state("fig1"), env, 5.0)
         assert values == pytest.approx(independent_entries(expected), abs=1e-15)
 
@@ -286,7 +288,7 @@ class TestClassifyCommand:
         )
         assert code == 0
         rows = json.loads(out)["result"]["rows"]
-        initial, env = ge.presets.initial_state("fig3"), ge.presets.benchmark_environment
+        initial, env = ge.presets.initial_state("fig3"), reference_bath
         expected = [(c, ge.classify_phase(initial, env(c), 50.0, 500)) for c in (1.0, 1.5, 2.0)]
         assert rows == [
             {
@@ -1217,7 +1219,7 @@ class TestParserReuse:
 _ARGV_TOKENS = [
     *COMMANDS,
     *COMMANDS,
-    *("--set", "--config", "--out", "--format", "--strict", "--dump-config"),
+    *_OPTIONS,
     *("--form", "--se", "--s", "--str", "--set=k=v", "--", "-h", "--help", "-"),
     *("-5", "-x y", "", "fig1", "initial=fig1", "t=3", "csv", "json", "xml"),
 ]

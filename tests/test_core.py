@@ -135,6 +135,67 @@ class TestThermalEnvironment:
         )
         assert not lopsided.is_thermal()
 
+    def test_near_gibbs_records_are_not_thermal(self):
+        # an absolute tolerance below 1 once let each of these pass as thermal
+        # and gave the zero-diffusion bath the threshold C*+ = 1
+        no_diffusion = EnvironmentSpec(
+            m=1.0, omega=1.0, lam=1e-13, thermal_c=1.0,
+            d_xx=0.0, d_xpx=0.0, d_pxpx=0.0, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0,
+        )
+        near = (
+            no_diffusion,
+            ge.thermal_environment(0.1, 1.2)._replace(d_pxpy=1e-13),
+            ge.thermal_environment(1e-3, 1.0)._replace(d_xpx=9e-13),
+        )
+        for env in near:
+            assert not env.is_thermal(), env
+        with pytest.raises(ValueError, match="requires thermal"):
+            ge.asymptotic_threshold(no_diffusion)
+        with pytest.raises(ValueError, match="need a thermal env_base"):
+            ge.SweepSpec(no_diffusion, ge.presets.initial_state("vacuum"))
+
+    def test_thermal_exactly_when_thermal_environment_builds_the_record(self):
+        # seeded baths over wide scales, numpy and signed-zero parameters
+        # included, are thermal; one ulp off in any derived coefficient is not
+        rng = random.Random(3030)
+        kinds = (float, float, np.float32, np.int64)
+        derived = ("d_xx", "d_xpx", "d_pxpx", "d_pxpy")
+        checked = 0
+        for _ in range(1000):
+            kind = rng.choice(kinds)
+            lam, c, m, omega = (10.0 ** rng.uniform(-8, 8) for _ in range(4))
+            d_xy, d_xpy = (rng.choice([1, -1, 0.0, -0.0]) * 10.0 ** rng.uniform(-8, 8)
+                           for _ in range(2))
+            args = [lam, 1.0 + c, d_xy, d_xpy, m, omega]
+            if kind is np.int64:
+                args = [max(1, round(value)) if value > 0 else 0 for value in args]
+            try:
+                env = ge.thermal_environment(*map(kind, args))
+            except OverflowError:
+                continue
+            assert env.is_thermal(), env
+            for name in derived:
+                for toward in (-math.inf, math.inf):
+                    value = math.nextafter(getattr(env, name), toward)
+                    if math.isfinite(value):
+                        assert not env._replace(**{name: value}).is_thermal(), (env, name)
+            checked += 1
+        assert checked > 500
+        # a signed zero equals zero: either sign of a zero coefficient is thermal
+        signed = ge.thermal_environment(0.1, 1.2, -0.0, -0.0)
+        assert signed.is_thermal()
+        assert signed._replace(d_xpx=-0.0, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0).is_thermal()
+
+    def test_an_overflowing_recomputation_is_not_thermal(self):
+        for fields in (dict(m=1e200, omega=1e200), dict(m=1e200, d_xy=1.0)):
+            env = EnvironmentSpec(
+                m=1.0, omega=1.0, lam=1.0, thermal_c=1.0,
+                d_xx=1.0, d_xpx=0.0, d_pxpx=1.0, d_xy=0.0, d_xpy=0.0, d_pxpy=0.0,
+            )._replace(**fields)
+            with pytest.raises(OverflowError):
+                ge.thermal_environment(env.lam, env.thermal_c, env.d_xy, env.d_xpy, env.m, env.omega)
+            assert env.is_thermal() is False
+
 
 def test_thermal_environment_checks_once_what_it_checked_twice():
     # seeded baths, valid and not: the record, bits and types, or the error

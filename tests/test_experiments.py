@@ -26,15 +26,12 @@ from helpers import (
     merge_events_oracle,
     phase_status_oracle,
     random_physical_cm,
+    reference_bath,
     refine_crossing_oracle,
     rotation_instants,
     simon_oracle_exact,
     sweep_rows_oracle,
 )
-
-
-def _benchmark(c):
-    return ge.presets.benchmark_environment(thermal_c=c)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +46,7 @@ def fig3_initial():
 
 class TestClassifyPhase:
     def test_benchmark_generates_entanglement(self, fig1_initial):
-        phase = ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, 500)
+        phase = ge.classify_phase(fig1_initial, reference_bath(1.0), 50.0, 500)
         assert phase.label in ("generation_persistent", "collapse_revival")
         assert phase.event_times
         assert phase.event_times[0] > 0.0
@@ -57,7 +54,7 @@ class TestClassifyPhase:
         assert phase.s_infinity_sign == -1
 
     def test_high_temperature_ends_separable(self, fig1_initial):
-        phase = ge.classify_phase(fig1_initial, _benchmark(1.5), 50.0, 500)
+        phase = ge.classify_phase(fig1_initial, reference_bath(1.5), 50.0, 500)
         assert phase.s_infinity_sign == 1
         # crossings come in a generate/decay pair: transient entanglement
         assert phase.label == "generation_transient"
@@ -72,19 +69,19 @@ class TestClassifyPhase:
         assert phase.s_infinity_sign >= 0
 
     def test_entangled_initial_low_temperature_stays_entangled(self, fig3_initial):
-        phase = ge.classify_phase(fig3_initial, _benchmark(1.0), 50.0, 500)
+        phase = ge.classify_phase(fig3_initial, reference_bath(1.0), 50.0, 500)
         assert phase.s_initial_sign == -1
         assert phase.s_infinity_sign == -1
         assert phase.label in ("remains_entangled", "collapse_revival")
 
     def test_entangled_initial_sudden_death(self, fig3_initial):
-        phase = ge.classify_phase(fig3_initial, _benchmark(2.0), 50.0, 500)
+        phase = ge.classify_phase(fig3_initial, reference_bath(2.0), 50.0, 500)
         assert phase.label == "sudden_death"
         assert len(phase.event_times) == 1
         assert phase.s_infinity_sign == 1
 
     def test_events_bracket_true_sign_changes(self, fig1_initial):
-        env = _benchmark(1.5)
+        env = reference_bath(1.5)
         phase = ge.classify_phase(fig1_initial, env, 50.0, 500)
         for event in phase.event_times:
             lo = max(0.0, event - 1e-6)
@@ -94,7 +91,7 @@ class TestClassifyPhase:
             assert (s_lo < 0) != (s_hi < 0)
 
     def test_stable_under_grid_refinement(self, fig3_initial):
-        env = _benchmark(1.2)
+        env = reference_bath(1.2)
         coarse = ge.classify_phase(fig3_initial, env, 50.0, 250)
         fine = ge.classify_phase(fig3_initial, env, 50.0, 500)
         step = 50.0 / 249
@@ -163,7 +160,7 @@ class TestClassifyPhase:
     def test_a_crossing_in_a_wide_bracket_is_resolved_to_the_tolerance(self, t_max):
         # vacuum turns entangled near t = 4e-8, inside a first bracket of
         # t_max / 99, where the float spacing is far above EVENT_TIME_TOL
-        vacuum, env = ge.presets.initial_state("vacuum"), _benchmark(1.0)
+        vacuum, env = ge.presets.initial_state("vacuum"), reference_bath(1.0)
         reference = ge.classify_phase(vacuum, env, 50.0, 100)
         phase = ge.classify_phase(vacuum, env, t_max, 100)
         assert phase.label == reference.label == "generation_persistent"
@@ -176,7 +173,7 @@ class TestClassifyPhase:
     def test_float_max_grid_ends_warn_nothing(self, fig1_initial):
         # np.linspace overflows an inner product of these ranges, and pytest
         # raises its RuntimeWarning; the grids are finite and end where asked
-        top, env = sys.float_info.max, _benchmark(1.0)
+        top, env = sys.float_info.max, reference_bath(1.0)
         spec = ge.SweepSpec(env, fig1_initial, t_max=top, n_t=4, c_max=top, n_c=4)
         times = experiments._time_column(env.lam, env.omega, env.m, top, 4)[0]
         for grid in (np.array(times), spec.thermal_cs()):
@@ -196,16 +193,16 @@ class TestClassifyPhase:
         assert times[:500] == np.linspace(0.0, 50.0, 500).tolist()
         # the library sweep at the same defaults reads that column, whose
         # instants are its times: only its 1,296 bisection steps rotate
-        spec = ge.SweepSpec(env_base=_benchmark(1.0), initial=fig1_initial)
+        spec = ge.SweepSpec(env_base=reference_bath(1.0), initial=fig1_initial)
         assert ge.sweep(spec).times.tolist() == times[:500]
         assert len(times) == 1796 + 1296
 
     @pytest.mark.parametrize("size", [np.array, np.int64, np.int32])
     def test_numpy_integer_grid_sizes_give_the_int_results(self, fig1_initial, size):
         # a 0-d array passes operator.index, and the cache is keyed on the int
-        phase = ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, 100)
-        assert ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, size(100)) == phase
-        spec = ge.SweepSpec(_benchmark(1.0), fig1_initial, 50.0, 10, 1.0, 1.5, 2)
+        phase = ge.classify_phase(fig1_initial, reference_bath(1.0), 50.0, 100)
+        assert ge.classify_phase(fig1_initial, reference_bath(1.0), 50.0, size(100)) == phase
+        spec = ge.SweepSpec(reference_bath(1.0), fig1_initial, 50.0, 10, 1.0, 1.5, 2)
         expected = ge.sweep(spec)
         result = ge.sweep(spec._replace(n_t=size(10), n_c=size(2)))
         for name in ("times", "thermal_cs", "simon", "log_neg", "defined"):
@@ -214,19 +211,19 @@ class TestClassifyPhase:
 
     def test_rejects_bad_grid(self, fig1_initial):
         with pytest.raises(ValueError):
-            ge.classify_phase(fig1_initial, _benchmark(1.0), -1.0, 500)
+            ge.classify_phase(fig1_initial, reference_bath(1.0), -1.0, 500)
         with pytest.raises(ValueError):
-            ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, 1)
+            ge.classify_phase(fig1_initial, reference_bath(1.0), 50.0, 1)
         for t_max in (math.inf, math.nan):
             with pytest.raises(ValueError, match="t_max must be positive and finite"):
-                ge.classify_phase(fig1_initial, _benchmark(1.0), t_max, 500)
+                ge.classify_phase(fig1_initial, reference_bath(1.0), t_max, 500)
         with pytest.raises(TypeError, match="^n_t must be an integer, got 100.0$"):
-            ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, 100.0)
-        phase = ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, np.int64(500))
-        assert phase == ge.classify_phase(fig1_initial, _benchmark(1.0), 50.0, 500)
+            ge.classify_phase(fig1_initial, reference_bath(1.0), 50.0, 100.0)
+        phase = ge.classify_phase(fig1_initial, reference_bath(1.0), 50.0, np.int64(500))
+        assert phase == ge.classify_phase(fig1_initial, reference_bath(1.0), 50.0, 500)
         # a grid is cached by (t_max, n_t): an unhashable 0-d array still works
         for t_max in (np.array(50.0), np.float64(50.0), 50):
-            assert ge.classify_phase(fig1_initial, _benchmark(1.0), t_max, 500) == phase
+            assert ge.classify_phase(fig1_initial, reference_bath(1.0), t_max, 500) == phase
 
 
 def _bisection_columns():
@@ -249,13 +246,13 @@ def _bisection_columns():
         yield initial, env, t_max, int(rng.choice([2, 9, 40, 100, 300]))
     vacuum, fig1, fig3 = (ge.presets.initial_state(n) for n in ("vacuum", "fig1", "fig3"))
     # crossings near t = 4e-8 in first brackets far wider than EVENT_TIME_TOL
-    yield vacuum, _benchmark(1.0), 1e12, 100
-    yield vacuum, _benchmark(1.0), 1e300, 100
+    yield vacuum, reference_bath(1.0), 1e12, 100
+    yield vacuum, reference_bath(1.0), 1e300, 100
     # a crossing near t = 6.8e7, where bisection reaches the float spacing
     yield fig1, ge.thermal_environment(1e-7, 1.0, d_xpy=4.9e-8), 1e9, 1000
     # most instants round to 0 and take the initial state
-    yield ge.presets.initial_state("fig2"), _benchmark(1.0), 5e-324, 100
-    yield fig1, _benchmark(1.0), sys.float_info.max, 4
+    yield ge.presets.initial_state("fig2"), reference_bath(1.0), 5e-324, 100
+    yield fig1, reference_bath(1.0), sys.float_info.max, 4
     # overflow on the grid, at a bisection step's state and at its S
     huge = ge.CovarianceMatrix(np.diag([1e200, 1.0, 1.0, 1.0]))
     yield huge, ge.thermal_environment(0.1, 1.0, m=1e100), 50.0, 100
@@ -303,7 +300,7 @@ class TestBisectionSteps:
 class TestSweep:
     def test_benchmark_surface(self, fig1_initial):
         spec = ge.SweepSpec(
-            env_base=_benchmark(1.0),
+            env_base=reference_bath(1.0),
             initial=fig1_initial,
             t_max=50.0,
             n_t=200,
@@ -324,7 +321,7 @@ class TestSweep:
 
     def test_rows_are_t_major(self, fig1_initial):
         spec = ge.SweepSpec(
-            env_base=_benchmark(1.0), initial=fig1_initial,
+            env_base=reference_bath(1.0), initial=fig1_initial,
             t_max=1.0, n_t=3, c_min=1.0, c_max=1.2, n_c=2,
         )
         rows = sweep_rows_oracle(ge.sweep(spec))
@@ -335,7 +332,7 @@ class TestSweep:
 
     def test_degenerate_grid(self, fig1_initial):
         spec = ge.SweepSpec(
-            env_base=_benchmark(1.0), initial=fig1_initial,
+            env_base=reference_bath(1.0), initial=fig1_initial,
             t_max=1.0, n_t=2, c_min=1.0, c_max=1.0, n_c=1,
         )
         rows = sweep_rows_oracle(ge.sweep(spec))
@@ -345,7 +342,7 @@ class TestSweep:
 
     def test_mixed_state_preset_surface(self):
         spec = ge.SweepSpec(
-            env_base=_benchmark(1.0),
+            env_base=reference_bath(1.0),
             initial=ge.presets.initial_state("fig2"),
             t_max=50.0,
             n_t=120,
@@ -362,7 +359,7 @@ class TestSweep:
         # the entangled presets start outside the physical set: L is undefined
         # at t = 0 and the marker must survive into the grid
         spec = ge.SweepSpec(
-            env_base=_benchmark(1.0), initial=fig3_initial,
+            env_base=reference_bath(1.0), initial=fig3_initial,
             t_max=50.0, n_t=120, c_min=1.0, c_max=1.0, n_c=1,
         )
         result = ge.sweep(spec)
@@ -372,7 +369,7 @@ class TestSweep:
 
     def test_pointwise_ppt_consistency(self, fig1_initial):
         spec = ge.SweepSpec(
-            env_base=_benchmark(1.0), initial=fig1_initial,
+            env_base=reference_bath(1.0), initial=fig1_initial,
             t_max=50.0, n_t=150, c_min=1.0, c_max=1.5, n_c=5,
         )
         for _, _, s, degree, defined in sweep_rows_oracle(ge.sweep(spec)):
@@ -382,7 +379,7 @@ class TestSweep:
 
     def test_spec_validation(self, fig1_initial):
         with pytest.raises(ValueError, match="c_min"):
-            ge.SweepSpec(env_base=_benchmark(1.0), initial=fig1_initial, c_min=0.5)
+            ge.SweepSpec(env_base=reference_bath(1.0), initial=fig1_initial, c_min=0.5)
         with pytest.raises(ValueError, match="thermal"):
             lopsided = EnvironmentSpec(
                 m=1.0, omega=1.0, lam=0.1, thermal_c=1.0,
@@ -399,28 +396,28 @@ class TestSweep:
             ("c_min", math.nan),
         ):
             with pytest.raises(ValueError, match=f"^{key} must"):
-                ge.SweepSpec(env_base=_benchmark(1.0), initial=fig1_initial, **{key: value})
+                ge.SweepSpec(env_base=reference_bath(1.0), initial=fig1_initial, **{key: value})
         for key, value in (("n_t", 100.0), ("n_t", "100"), ("n_c", 2.0), ("n_c", None)):
             with pytest.raises(TypeError, match=f"^{key} must be an integer, got {value!r}$"):
-                ge.SweepSpec(env_base=_benchmark(1.0), initial=fig1_initial, **{key: value})
-        spec = ge.SweepSpec(_benchmark(1.0), fig1_initial, n_t=np.int64(100), n_c=np.int32(2))
+                ge.SweepSpec(env_base=reference_bath(1.0), initial=fig1_initial, **{key: value})
+        spec = ge.SweepSpec(reference_bath(1.0), fig1_initial, n_t=np.int64(100), n_c=np.int32(2))
         assert ge.sweep(spec).simon.shape == (100, 2)
 
     def test_spec_is_validated_however_built(self, fig1_initial):
-        spec = ge.SweepSpec(_benchmark(1.0), fig1_initial)
+        spec = ge.SweepSpec(reference_bath(1.0), fig1_initial)
         assert ge.SweepSpec._fields == (
             "env_base", "initial", "t_max", "n_t", "c_min", "c_max", "n_c"
         )
         assert tuple(spec)[2:] == (50.0, 500, 1.0, 1.5, 20)
-        assert spec._replace(n_c=3) == ge.SweepSpec(_benchmark(1.0), fig1_initial, n_c=3)
+        assert spec._replace(n_c=3) == ge.SweepSpec(reference_bath(1.0), fig1_initial, n_c=3)
         with pytest.raises(ValueError, match="^n_t must be at least 2, got 1$"):
             spec._replace(n_t=1)
         with pytest.raises(ValueError, match="^c_min must be >= 1, got 0.5$"):
-            ge.SweepSpec._make([_benchmark(1.0), fig1_initial, 50.0, 500, 0.5, 1.5, 20])
+            ge.SweepSpec._make([reference_bath(1.0), fig1_initial, 50.0, 500, 0.5, 1.5, 20])
 
     def test_results_equal_only_themselves(self, fig1_initial):
         # their arrays have no truth value: comparing fields would raise
-        spec = ge.SweepSpec(_benchmark(1.0), fig1_initial, n_t=100, n_c=2)
+        spec = ge.SweepSpec(reference_bath(1.0), fig1_initial, n_t=100, n_c=2)
         grid = (0.1, 1.0, [0.0, 0.049], [1.0, 1.2])
         pairs = (
             (ge.sweep(spec), ge.sweep(spec)),
@@ -450,7 +447,9 @@ class TestSweep:
             noise = rng.normal(size=(4, 4))
             states.append(ge.CovarianceMatrix(0.5 * (noise + noise.T)))
         states += [ge.CovarianceMatrix(random_physical_cm(rng, 1.5)) for _ in range(4)]
-        baths = (_benchmark(1.0), ge.thermal_environment(0.1, 1.0, 0.0, 0.049, m=2.0, omega=0.7))
+        baths = (
+            reference_bath(1.0), ge.thermal_environment(0.1, 1.0, 0.0, 0.049, m=2.0, omega=0.7)
+        )
         complex_pairs = nonpositive = 0
         for env in baths:
             for initial in states:
@@ -476,9 +475,9 @@ class TestSweep:
         fig1 = ge.presets.initial_state("fig1")
         cases = (
             # det C = 1e154 at t = 0: S ~ det C^2 is finite, Delta~^2 ~ 4 det C^2 is not
-            (ge.CovarianceMatrix(big_c), _benchmark(1.0), "^PT symplectic"),
+            (ge.CovarianceMatrix(big_c), reference_bath(1.0), "^PT symplectic"),
             # det A = det B = 1e160 at t = 0: S overflows first
-            (ge.CovarianceMatrix(1e80 * np.eye(4)), _benchmark(1.0), "^Simon function"),
+            (ge.CovarianceMatrix(1e80 * np.eye(4)), reference_bath(1.0), "^Simon function"),
             # a huge steady state: the discriminant overflows at a later cell, and
             # at C = 5e77 S overflows at a still later one
             (fig1, ge.thermal_environment(0.1, 2e77, 0.0, 1e76), "^PT symplectic"),
