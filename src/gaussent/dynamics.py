@@ -9,14 +9,19 @@ The rotations do not depend on the bath temperature, so a time column (a
 grid's instants, their rotations and its t = 0 mask) is built once per
 oscillator (lam, omega, m) and grid by ``experiments._time_column``.  A whole
 column is propagated, and its t = 0 instants then take the initial entries.
-Scalar, column and bisection steps share one straight-line ``_propagate`` of
-``_offsets``, s0 - s_inf, which a bisection forms once per bracket; a scalar
-step, for ``evolve`` or a bisection, is ``_evolved``.
+Every step propagates ``_offsets``, s0 - s_inf, which a bisection forms once
+per bracket.  The congruence is written twice, once per input kind, since
+one array form would put numpy on every bisection step; both do the same
+rounded operations in the same order, so both give the same bits: the
+straight-line ``_propagate`` on floats, for the scalar step ``_evolved`` of
+``evolve`` and of each bisection step, and ``_congruences`` on a rotation
+column, for ``_column_entries``, which batches the three 2x2 blocks.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import sys
 
 from .core import CovarianceMatrix, EnvironmentSpec, _square
@@ -125,9 +130,9 @@ def _offsets(initial, fixed):
 
 def _propagate(offsets, fixed, rot):
     """Entries of M X M^T + s_inf in ``ENTRY_NAMES`` order: (R Y) R^T on each
-    2x2 block Y of X = s0 - s_inf, written out with +, - and x, so the entries
-    ``offsets`` of X (``_offsets``), those of s_inf and the rotation entries
-    ``rot`` may be floats or arrays.  The state is exactly symmetric."""
+    2x2 block Y of X = s0 - s_inf, written out in floats with +, - and x, from
+    the entries ``offsets`` of X (``_offsets``), those of s_inf and the
+    rotation entries ``rot``.  The state is exactly symmetric."""
     r00, r01, r10, r11 = rot
     xx, xpx, xy, xpy, pxpx, ypx, pxpy, yy, ypy, pypy = fixed
     a0, a1, c0, c1, a2, c2, c3, b0, b1, b2 = offsets
@@ -171,19 +176,46 @@ def evolve(initial: CovarianceMatrix, env: EnvironmentSpec, t: float) -> Covaria
     return _evolved(_offsets(initial._values, fixed), fixed, rot, t)
 
 
+#: Flat indices, in ``ENTRY_NAMES`` order, of the entries of the
+#: (3, 2, 2) stack of blocks (A, B, C) that ``_congruences`` returns.
+_BLOCK_ENTRIES = (0, 1, 8, 9, 3, 10, 11, 4, 5, 7)
+
+
+def _congruences(offsets, fixed, rot):
+    """(10, n) array of ``_propagate`` at each rotation of the (4, n) column
+    ``rot``, with its bits: the three 2x2 blocks (A, B, C) of X are one
+    (3, 2, 2) stack, Y = R X is y_ij = r_i0 x_0j + r_i1 x_1j and Y R^T is
+    y_i0 r_j0 + y_i1 r_j1, each as one broadcast product, the same rounded
+    operations in the same order as ``_propagate``'s; where it overflows the
+    entries are inf or NaN, and numpy warns."""
+    import numpy as np
+
+    a0, a1, c0, c1, a2, c2, c3, b0, b1, b2 = offsets
+    # x[b, 0, k, j, 0] is entry (k, j) of block b; r[i, k, t] that of R at instant t
+    x = np.array(((a0, a1, a1, a2), (b0, b1, b1, b2), (c0, c1, c2, c3))).reshape(3, 1, 2, 2, 1)
+    r = rot.reshape(2, 2, -1)
+    y = r[:, 0, None] * x[:, :, 0]  # y[b, i, j, t]
+    y += r[:, 1, None] * x[:, :, 1]
+    z = y[:, :, 0, None] * r[:, 0]  # z[b, i, j, t]
+    z += y[:, :, 1, None] * r[:, 1]
+    out = z.reshape(12, -1)[_BLOCK_ENTRIES,]
+    out += np.array(fixed)[:, None]
+    return out
+
+
 def _column_entries(initial: CovarianceMatrix, fixed: CovarianceMatrix, column):
     """(10, n) array of the entries of ``evolve`` of ``initial`` at each of
     the n instants of the time ``column`` (``experiments._time_column``) on a
-    bath whose steady state is ``fixed``, in one numpy pass with the same
-    bits: the rotations are the column's, and +, - and x round alike in numpy
-    and in floats.  The whole grid is propagated, and the column's t = 0
-    instants then take ``initial``'s entries, as ``evolve`` returns ``initial``.
+    bath whose steady state is ``fixed``, with the same bits: the rotations
+    are the column's and ``_congruences`` rounds as ``_propagate`` does.  The
+    whole grid is propagated, and the column's t = 0 instants then take
+    ``initial``'s entries, as ``evolve`` returns ``initial``.
     """
     import numpy as np
 
     times, rot, at_zero = column
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.array(_propagate(_offsets(initial._values, fixed._values), fixed._values, rot))
+        out = _congruences(_offsets(initial._values, fixed._values), fixed._values, rot)
     out[:, at_zero] = np.array(initial._values)[:, None]
     finite = np.isfinite(out).all(axis=0)
     if not finite.all():
@@ -191,3 +223,9 @@ def _column_entries(initial: CovarianceMatrix, fixed: CovarianceMatrix, column):
             f"evolved covariance matrix is not finite at t = {times[finite.argmin()]}"
         )
     return out
+
+
+def _column_states(entries):
+    """The states of a (10, n) array of ``_column_entries``, instant by
+    instant, each of ten floats unpacked from the array's bytes."""
+    return map(CovarianceMatrix._of, struct.iter_unpack("10d", entries.T.tobytes()))

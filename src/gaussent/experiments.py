@@ -18,7 +18,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import CovarianceMatrix, EnvironmentSpec, thermal_environment
-from .dynamics import _column_entries, _evolved, _offsets, _rotation, steady_covariance
+from .dynamics import (
+    _column_entries,
+    _column_states,
+    _evolved,
+    _offsets,
+    _rotation,
+    steady_covariance,
+)
 from .entanglement import _column_negativity, _invariants, _simon, _threshold, simon_function
 
 #: Bisection window below which a crossing instant is considered resolved.
@@ -169,7 +176,7 @@ def classify_phase(
     column = _time_column(env.lam, env.omega, env.m, float(t_max), n_t)
     times = column[0]
     entries = _column_entries(initial, fixed, column)
-    s_values = np.array([simon_function(CovarianceMatrix._of(v)) for v in zip(*entries.tolist())])
+    s_values = np.array([simon_function(state) for state in _column_states(entries)])
     classes = s_values < 0.0
 
     events = _merge_events(
@@ -262,7 +269,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
         column = _time_column(env_c.lam, env_c.omega, env_c.m, t_max, n_t)
         entries = _column_entries(spec.initial, fixed, column)
         log_neg[:, j] = _column_negativity(entries)  # an undefined L (None) is stored as NaN
-        simon[:, j] = [simon_function(CovarianceMatrix._of(v)) for v in zip(*entries.tolist())]
+        simon[:, j] = [simon_function(state) for state in _column_states(entries)]
         classifications.append(classify_phase(spec.initial, env_c, spec.t_max, spec.n_t))
     times = np.array(column[0])
     return SweepResult(spec, times, cs, simon, log_neg, ~np.isnan(log_neg), tuple(classifications))

@@ -26,9 +26,10 @@ left-to-right sum, the diffusion bounds with a dict of margins, and the
 thermal bath built through the validating ``EnvironmentSpec(...)``, which
 checks its parameters a second time.  Two keep earlier forms of the
 propagation step: one 2x2 congruence call per block, where
-``dynamics._propagate`` writes the three out, and the bisection with a full
-``evolve`` call per step, where ``experiments._refine_crossing`` forms
-s0 - s_inf once per bracket.
+``dynamics._propagate`` writes the three out in floats and
+``dynamics._congruences`` stacks them over a rotation column, and the
+bisection with a full ``evolve`` call per step, where
+``experiments._refine_crossing`` forms s0 - s_inf once per bracket.
 """
 
 from __future__ import annotations

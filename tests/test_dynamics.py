@@ -12,6 +12,8 @@ from gaussent.core import ENTRY_NAMES, EnvironmentSpec, covariance_from_entries
 from gaussent.dynamics import (
     _check_block,
     _column_entries,
+    _column_states,
+    _congruences,
     _offsets,
     _propagate,
     _rotation,
@@ -311,24 +313,26 @@ class TestPropagate:
             outcomes.update("nan" if math.isnan(v) else v if math.isinf(v) else 0 for v in out)
         assert outcomes == {0, math.inf, -math.inf, "nan"}
 
-    @pytest.mark.parametrize("float_states", [False, True])
-    def test_arrays_match_the_congruence_oracle_bit_for_bit(self, float_states):
-        # (10, n) state entries with a (4, n) rotation, or float states with
-        # a rotation column, as _column_entries propagates a grid
-        rng = np.random.default_rng(2812 + float_states)
-        n = 3000
-        shape = 10 if float_states else (10, n)
-        initial, fixed = (self._draw(rng, shape) for _ in range(2))
-        if float_states:
-            initial, fixed = tuple(initial.tolist()), tuple(fixed.tolist())
-        rot = self._draw(rng, (4, n))
-        with np.errstate(all="ignore"):
-            out = np.array(_propagate(_offsets(initial, fixed), fixed, rot))
-            expected = np.array(propagate_oracle(initial, fixed, rot))
-        assert out.shape == (10, n)
-        assert _hexes(out) == _hexes(expected)
-        assert np.isnan(out).any() and np.isinf(out).any() and np.isfinite(out).any()
+    def test_columns_match_the_congruence_oracle_bit_for_bit(self):
+        # the batched congruences of _column_entries: float states with a
+        # rotation column
+        rng = np.random.default_rng(2813)
+        n, outcomes = 300, set()
+        for _ in range(20):
+            initial, fixed = (tuple(self._draw(rng, 10).tolist()) for _ in range(2))
+            rot = self._draw(rng, (4, n))
+            with np.errstate(all="ignore"):
+                out = _congruences(_offsets(initial, fixed), fixed, rot)
+                expected = np.array(propagate_oracle(initial, fixed, rot))
+            assert out.shape == (10, n)
+            assert _hexes(out) == _hexes(expected)
+            kinds = np.where(np.isnan(out), 2.0, np.sign(out) * np.isinf(out))
+            outcomes.update(kinds.ravel().tolist())
+        assert outcomes == {0.0, 1.0, -1.0, 2.0}  # finite, inf, -inf and NaN
 
+
+#: The entries of the local blocks A and B, in ``ENTRY_NAMES`` order.
+LOCAL = np.array([("x" in name) != ("y" in name) for name in ENTRY_NAMES])
 
 #: (t_max, n_t) time grids: two plain ones, one whose instants nearly all
 #: round to 0, so its t = 0 mask goes past index 0, and one that ends at the
@@ -354,21 +358,36 @@ class TestEvolveColumn:
         for m, omega in ((1e-3, 1.0), (1.0, 1.0), (1.0, 1e3)):
             env = _env(d_xpy=0.049, m=m, omega=omega)
             fixed = steady_covariance(env)
+            # states that share entries with s_inf, whose offsets are then
+            # +0.0, or -0.0 where s_inf's entry is 0.0 and the state's -0.0
+            signed = tuple(-0.0 if v == 0.0 else v for v in fixed._values)
+            assert 0.0 in signed
+            shared = [fixed, ge.CovarianceMatrix._of(signed)] + [
+                ge.CovarianceMatrix._of(
+                    tuple(np.where(mask, fixed._values, other._values).tolist())
+                )
+                for other in states[:3]
+                for mask in (LOCAL, ~LOCAL)
+            ]
             for t_max, n_t in GRIDS[: 3 if omega > 1.0 else 4]:
                 times, _, at_zero = column = _column(env, t_max, n_t)
                 zeros = [k for k, t in enumerate(times) if t == 0.0]
                 assert np.flatnonzero(at_zero).tolist() == zeros
                 assert len(zeros) == (10 if t_max == 5e-324 else 1)
-                for initial in states:
+                for initial in states + shared:
                     entries = _column_entries(initial, fixed, column)
                     scalar = [ge.evolve(initial, env, t) for t in times]
                     # the t = 0 instants hold initial's entries, bit for bit
                     start = np.array(initial._values).view(np.uint64)
                     for k in zeros:
                         assert np.array_equal(entries[:, k].view(np.uint64), start)
-                    states_t = [ge.CovarianceMatrix._of(v) for v in zip(*entries.tolist())]
+                    states_t = list(_column_states(entries))
+                    assert all(type(v) is float for state in states_t for v in state._values)
+                    # uint64 views tell -0.0 from 0.0, which == does not
+                    out = np.array([state._values for state in states_t])
+                    expected = np.array([state._values for state in scalar])
+                    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
                     out = np.array([state.entries for state in states_t])
-                    assert np.array_equal(out, np.array([state.entries for state in scalar]))
                     assert np.array_equal(out, out.transpose(0, 2, 1))
                     assert not any(state.entries.flags.writeable for state in states_t)
                     # the checked constructor stores the same bits

@@ -296,6 +296,39 @@ class TestBisectionSteps:
             "Simon function is not finite",
         }
 
+    def test_brackets_are_the_sign_changes_of_s_of_evolve(self, monkeypatch):
+        # the column path hands _refine_crossing the brackets that S of evolve
+        # at every instant gives; a bracket's midpoint stands in for its refinement
+        brackets = []
+
+        def recorded(initial, env, fixed, t_lo, t_hi, lo_entangled):
+            brackets.append((t_lo, t_hi, lo_entangled))
+            return 0.5 * (t_lo + t_hi)
+
+        monkeypatch.setattr(experiments, "_refine_crossing", recorded)
+        counts = [0, 0]
+        for initial, env, t_max, n_t in _bisection_columns():
+            with np.errstate(over="ignore"):
+                times = np.linspace(0.0, t_max, n_t).tolist()
+            try:
+                classes = [simon_function(ge.evolve(initial, env, t)) < 0.0 for t in times]
+                expected = [
+                    (times[k], times[k + 1], classes[k])
+                    for k in range(n_t - 1)
+                    if classes[k] != classes[k + 1]
+                ]
+            except OverflowError as exc:
+                expected = type(exc), str(exc)
+            brackets.clear()
+            try:
+                experiments.classify_phase(initial, env, t_max, n_t)
+                found = brackets[:]
+            except OverflowError as exc:
+                found = type(exc), str(exc)
+            assert found == expected, (initial, env, t_max, n_t)
+            counts[isinstance(found, list) and bool(found)] += 1
+        assert counts[1] >= 100 and sum(counts) >= 300
+
 
 class TestSweep:
     def test_benchmark_surface(self, fig1_initial):
