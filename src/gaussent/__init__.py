@@ -9,7 +9,7 @@ experiments, presets and cli.  experiments is imported, with numpy, when one
 of its names is first read from the package.  Elsewhere numpy loads only to
 build a ``CovarianceMatrix`` from a matrix, to read ``.entries`` or
 ``np.asarray(state)``, for an unphysical state's ``min_eigenvalue``, in
-``propagator`` and on the column path that experiments drives.
+``propagator`` and in the cli functions that write experiments' grids.
 """
 
 from .core import CovarianceMatrix, thermal_environment

@@ -31,13 +31,20 @@ def _rows(values) -> list[list[float]]:
     return [[xx, xpx, xy, xpy], [xpx, pxpx, ypx, pxpy], [xy, ypx, yy, ypy], [xpy, pxpy, ypy, pypy]]
 
 
+def _check_real(what: str, values) -> None:
+    """Raise ``TypeError``, named by ``what`` formatted with its key in a dict, for a numpy
+    complex in ``values``, which ``float`` and ``math`` cut to its real part with a warning."""
+    for value in values.values() if type(values) is dict else values:
+        if type(value) is not float and "complex" in str(getattr(value, "dtype", "")):
+            keys = [key for key in values if values[key] is value] if type(values) is dict else ()
+            raise TypeError(f"{what.format(*keys)} must be real, got {value!r}")
+
+
 def _check_parameters(m, omega, lam, thermal_c, *coefficients) -> tuple[float, ...]:
     """The parameters as Python floats; raise ``TypeError`` for a complex numpy
     value and ``ValueError`` unless all are finite, m, omega, lam > 0 and thermal_c >= 1."""
     values = (m, omega, lam, thermal_c, *coefficients)
-    for value in values:  # math.isfinite casts a numpy complex; floats skip the lookup
-        if type(value) is not float and "complex" in str(getattr(value, "dtype", "")):
-            raise TypeError(f"environment parameters must be real, got {value!r}")
+    _check_real("environment parameters", values)
     if not all(map(math.isfinite, values)):
         raise ValueError(f"environment parameters are not finite: {values}")
     if not m > 0:
@@ -215,14 +222,12 @@ def covariance_from_entries(values) -> CovarianceMatrix:
             raise ValueError(
                 f"unknown covariance entry {name!r}; valid names: {', '.join(ENTRY_NAMES)}"
             )
-        # float() truncates a numpy complex to its real part (a Python complex
-        # fails); Python reals skip the slow attribute lookup
-        if not isinstance(value, (float, int)) and "complex" in str(getattr(value, "dtype", "")):
-            raise TypeError(f"covariance entry {name!r} must be real, got {value!r}")
-        out[name] = float(value)
-    if not all(map(math.isfinite, out.values())):
+        out[name] = value
+    _check_real("covariance entry {!r}", out)
+    entries = tuple(map(float, out.values()))
+    if not all(map(math.isfinite, entries)):
         raise ValueError("covariance matrix entries must be finite")
-    return CovarianceMatrix._of(tuple(out.values()))
+    return CovarianceMatrix._of(entries)
 
 
 def independent_entries(sigma: CovarianceMatrix) -> dict[str, float]:
@@ -380,11 +385,14 @@ def check_physical_state(sigma: CovarianceMatrix) -> StateReport:
 def thermal_c_from_temperature(temperature: float, omega: float = 1.0) -> float:
     """Convert a temperature (k = 1) to the thermal parameter coth(omega/2T).
 
-    Raises ``ValueError`` for a negative or non-finite temperature and
-    ``OverflowError`` when omega/T is so small that C overflows.
+    Raises ``TypeError`` for a numpy complex, ``ValueError`` unless 0 <= temperature < inf
+    and 0 < omega < inf, and ``OverflowError`` when omega/T is so small that C overflows.
     """
+    _check_real("temperature and frequency", (temperature, omega))
     if not 0 <= temperature < math.inf:
         raise ValueError(f"temperature must be finite and nonnegative, got {temperature}")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"frequency must be positive and finite, got {omega}")
     if temperature == 0:
         return 1.0
     tanh = math.tanh(0.5 * omega / temperature)

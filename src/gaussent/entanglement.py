@@ -3,7 +3,7 @@
 The Simon PPT function decides separability (S >= 0 separable, S < 0
 entangled) and the logarithmic negativity L = max{0, -log2(2 nu~_-)}
 quantifies the entanglement degree, with nu~_- the smaller symplectic
-eigenvalue of the partially transposed covariance matrix.
+eigenvalue of the partially transposed covariance matrix.  It imports no numpy.
 """
 
 from __future__ import annotations
@@ -75,26 +75,6 @@ def _negativity(nu_minus_sq: float) -> float | None:
     if not nu_minus_sq > 0.0:
         return None
     return max(0.0, -0.5 * math.log2(4.0 * nu_minus_sq))
-
-
-def _column_negativity(entries) -> list[float | None]:
-    """log_negativity of each column of a (10, n) array of entries, with the
-    same bits: the PT terms are one array pass, ``np.sqrt`` is correctly
-    rounded like ``math.sqrt`` and a negative discriminant gives NaN, hence
-    None; L itself keeps ``math.log2``.  Where a discriminant is not finite,
-    raises what ``metrics`` raises for the first such column: an overflowing
-    S also overflows the discriminant, so that is the first column whose
-    ``metrics`` fails.
-    """
-    import numpy as np
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta, _, disc = _pt_terms(_invariants(entries))
-        nu_minus_sq = 0.5 * (delta - np.sqrt(disc))
-    finite = np.isfinite(disc)
-    if not finite.all():
-        metrics(CovarianceMatrix._of(tuple(entries[:, finite.argmin()].tolist())))
-    return [_negativity(nu) for nu in nu_minus_sq.tolist()]
 
 
 def log_negativity(sigma: CovarianceMatrix) -> float | None:

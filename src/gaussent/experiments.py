@@ -5,6 +5,7 @@ function: where it starts, how often it crosses zero, and where it ends up
 asymptotically.  Crossings are detected between grid samples of unequal sign,
 so a grid too coarse for two nearby crossings misses both; each one detected
 is refined by bisection on the exact flow, to a time independent of the grid.
+Only this module reads a time column: instants, (4, n) rotations, (10, n) states.
 """
 
 from __future__ import annotations
@@ -12,21 +13,16 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
 
-from .core import CovarianceMatrix, EnvironmentSpec, thermal_environment
-from .dynamics import (
-    _column_entries,
-    _column_states,
-    _evolved,
-    _offsets,
-    _rotation,
-    steady_covariance,
-)
-from .entanglement import _column_negativity, _invariants, _simon, _threshold, simon_function
+from .core import CovarianceMatrix, EnvironmentSpec, _check_real, thermal_environment
+from .dynamics import _evolved, _offsets, _rotation, steady_covariance
+from .entanglement import _invariants, _negativity, _pt_terms, _simon, _threshold
+from .entanglement import metrics, simon_function
 
 #: Bisection window below which a crossing instant is considered resolved.
 EVENT_TIME_TOL = 1e-8
@@ -101,13 +97,80 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
 def _time_column(lam: float, omega: float, m: float, t_max: float, n_t: int):
     """The ``n_t`` uniform instants over [0, t_max] as a tuple of floats, the
     (4, n_t) array of their ``_rotation`` for the oscillator (lam, omega, m),
-    with the scalar bits, and the mask of the instants equal to 0.  Both arrays are
-    read-only views of immutable bytes, so no caller can make them writable.
-    A column holds about 65 n_t bytes; errors are not cached."""
+    with the scalar bits, and the number of instants equal to 0, which lead the
+    grid, as it starts at 0 and does not decrease.  The array is a read-only
+    view of immutable bytes, so no caller can make it writable.  A column
+    holds about 65 n_t bytes; errors are not cached."""
     times = tuple(_linspace(0.0, t_max, n_t).tolist())
     rot = np.array([_rotation(lam, omega, m, t) for t in times]).T.tobytes()
-    at_zero = np.equal(times, 0.0).tobytes()
-    return times, np.frombuffer(rot).reshape(4, -1), np.frombuffer(at_zero, dtype=bool)
+    return times, np.frombuffer(rot).reshape(4, -1), times.count(0.0)
+
+
+#: Flat indices, in ``ENTRY_NAMES`` order, of the entries of the
+#: (3, 2, 2) stack of blocks (A, B, C) that ``_congruences`` returns.
+_BLOCK_ENTRIES = (0, 1, 8, 9, 3, 10, 11, 4, 5, 7)
+
+
+def _congruences(offsets, fixed, rot):
+    """(10, n) array of ``dynamics._propagate`` at each rotation of the (4, n) column
+    ``rot``, with its bits: the blocks (A, B, C) of X are one (3, 2, 2) stack, and Y = R X
+    (y_ij = r_i0 x_0j + r_i1 x_1j) and Y R^T (y_i0 r_j0 + y_i1 r_j1) are each one broadcast
+    product, the same rounded operations in the same order.  Where it overflows the
+    entries are inf or NaN, and numpy warns.  It stays apart from ``_propagate``, since one
+    array form of both would put numpy on every bisection step."""
+    a0, a1, c0, c1, a2, c2, c3, b0, b1, b2 = offsets
+    # x[b, 0, k, j, 0] is entry (k, j) of block b; r[i, k, t] that of R at instant t
+    x = np.array(((a0, a1, a1, a2), (b0, b1, b1, b2), (c0, c1, c2, c3))).reshape(3, 1, 2, 2, 1)
+    r = rot.reshape(2, 2, -1)
+    y = r[:, 0, None] * x[:, :, 0]  # y[b, i, j, t]
+    y += r[:, 1, None] * x[:, :, 1]
+    z = y[:, :, 0, None] * r[:, 0]  # z[b, i, j, t]
+    z += y[:, :, 1, None] * r[:, 1]
+    out = z.reshape(12, -1)[_BLOCK_ENTRIES,]
+    out += np.array(fixed)[:, None]
+    return out
+
+
+def _column(initial: CovarianceMatrix, env: EnvironmentSpec, t_max: float, n_t: int):
+    """The steady state of ``env``, the instants of its time column over
+    [0, t_max] and the (10, n_t) array of ``evolve`` of ``initial`` at each,
+    with its bits: the t = 0 instants take ``initial``'s entries.  The steady
+    solve comes first, so a bath error is raised before a phase overflow."""
+    fixed = steady_covariance(env)
+    times, rot, zeros = _time_column(env.lam, env.omega, env.m, t_max, n_t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = _congruences(_offsets(initial._values, fixed._values), fixed._values, rot)
+    entries[:, :zeros] = np.array(initial._values)[:, None]
+    finite = np.isfinite(entries).all(axis=0)
+    if not finite.all():
+        raise OverflowError(
+            f"evolved covariance matrix is not finite at t = {times[finite.argmin()]}"
+        )
+    return fixed, times, entries
+
+
+def _column_states(entries):
+    """The states of a (10, n) array of ``_column`` entries, instant by
+    instant, each of ten floats unpacked from the array's bytes."""
+    return map(CovarianceMatrix._of, struct.iter_unpack("10d", entries.T.tobytes()))
+
+
+def _column_negativity(entries) -> list[float | None]:
+    """log_negativity of each column of a (10, n) array of entries, with the
+    same bits: the PT terms are one array pass, ``np.sqrt`` is correctly
+    rounded like ``math.sqrt`` and a negative discriminant gives NaN, hence
+    None; L itself keeps ``math.log2``.  Where a discriminant is not finite,
+    raises what ``metrics`` raises for the first such column: an overflowing
+    S also overflows the discriminant, so that is the first column whose
+    ``metrics`` fails.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta, _, disc = _pt_terms(_invariants(entries))
+        nu_minus_sq = 0.5 * (delta - np.sqrt(disc))
+    finite = np.isfinite(disc)
+    if not finite.all():
+        metrics(CovarianceMatrix._of(tuple(entries[:, finite.argmin()].tolist())))
+    return [_negativity(nu) for nu in nu_minus_sq.tolist()]
 
 
 def _refine_crossing(
@@ -169,13 +232,11 @@ def classify_phase(
     consecutive samples is refined by bisection on the exact flow, and the
     asymptotic sign is that of S at the solved steady state.
     """
+    _check_real("t_max", (t_max,))
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     n_t = _check_size("n_t", n_t, 2)
-    fixed = steady_covariance(env)
-    column = _time_column(env.lam, env.omega, env.m, float(t_max), n_t)
-    times = column[0]
-    entries = _column_entries(initial, fixed, column)
+    fixed, times, entries = _column(initial, env, float(t_max), n_t)
     s_values = np.array([simon_function(state) for state in _column_states(entries)])
     classes = s_values < 0.0
 
@@ -218,6 +279,7 @@ class SweepSpec(
         self = super().__new__(cls, *args, **kwargs)
         if not self.env_base.is_thermal():
             raise ValueError("sweeps override thermal_c and need a thermal env_base")
+        _check_real("{}", self._asdict())
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         _check_size("n_t", self.n_t, 2)
@@ -265,13 +327,11 @@ def sweep(spec: SweepSpec) -> SweepResult:
     classifications = []
     for j, c in enumerate(cs):
         env_c = spec.environment_at(float(c))
-        fixed = steady_covariance(env_c)
-        column = _time_column(env_c.lam, env_c.omega, env_c.m, t_max, n_t)
-        entries = _column_entries(spec.initial, fixed, column)
+        _, times, entries = _column(spec.initial, env_c, t_max, n_t)
         log_neg[:, j] = _column_negativity(entries)  # an undefined L (None) is stored as NaN
         simon[:, j] = [simon_function(state) for state in _column_states(entries)]
         classifications.append(classify_phase(spec.initial, env_c, spec.t_max, spec.n_t))
-    times = np.array(column[0])
+    times = np.array(times)
     return SweepResult(spec, times, cs, simon, log_neg, ~np.isnan(log_neg), tuple(classifications))
 
 

@@ -27,7 +27,7 @@ thermal bath built through the validating ``EnvironmentSpec(...)``, which
 checks its parameters a second time.  Two keep earlier forms of the
 propagation step: one 2x2 congruence call per block, where
 ``dynamics._propagate`` writes the three out in floats and
-``dynamics._congruences`` stacks them over a rotation column, and the
+``experiments._congruences`` stacks them over a rotation column, and the
 bisection with a full ``evolve`` call per step, where
 ``experiments._refine_crossing`` forms s0 - s_inf once per bracket.
 """
@@ -357,14 +357,12 @@ def last_sample_disagrees_oracle(initial, env, t_max: float, n_t: int) -> bool:
     """Whether S at the last of ``n_t`` uniform instants over [0, t_max] and S
     at the solved steady state fall in different sign classes (S < 0 is
     entangled), with the last instant resampled as ``classify_phase`` samples
-    it, through ``_column_entries`` and ``simon_function``."""
+    it, through ``_column`` and ``simon_function``."""
     from gaussent.core import CovarianceMatrix
-    from gaussent.dynamics import _column_entries, steady_covariance
     from gaussent.entanglement import simon_function
-    from gaussent.experiments import _time_column
+    from gaussent.experiments import _column
 
-    fixed = steady_covariance(env)
-    entries = _column_entries(initial, fixed, _time_column(env.lam, env.omega, env.m, t_max, n_t))
+    fixed, _, entries = _column(initial, env, t_max, n_t)
     last = simon_function(CovarianceMatrix._of(tuple(entries[:, -1].tolist())))
     return (last < 0.0) != (simon_function(fixed) < 0.0)
 

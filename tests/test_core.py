@@ -824,5 +824,10 @@ class TestTemperatureConversion:
         for temperature in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 thermal_c_from_temperature(temperature)
+        # as thermal_environment rejects the same frequency, at T = 0 too
+        for temperature in (1.0, 0.0):
+            for omega in (-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="frequency must be positive and finite"):
+                    thermal_c_from_temperature(temperature, omega)
         with pytest.raises(ValueError):
             temperature_from_thermal_c(0.5)

@@ -11,16 +11,13 @@ import gaussent as ge
 from gaussent.core import ENTRY_NAMES, EnvironmentSpec, covariance_from_entries
 from gaussent.dynamics import (
     _check_block,
-    _column_entries,
-    _column_states,
-    _congruences,
     _offsets,
     _propagate,
     _rotation,
     propagator,
     steady_covariance,
 )
-from gaussent.experiments import _time_column
+from gaussent.experiments import _column, _column_states, _congruences, _time_column
 from helpers import (
     diffusion_matrix,
     drift_matrix,
@@ -314,7 +311,7 @@ class TestPropagate:
         assert outcomes == {0, math.inf, -math.inf, "nan"}
 
     def test_columns_match_the_congruence_oracle_bit_for_bit(self):
-        # the batched congruences of _column_entries: float states with a
+        # the batched congruences of experiments._column: float states with a
         # rotation column
         rng = np.random.default_rng(2813)
         n, outcomes = 300, set()
@@ -335,12 +332,12 @@ class TestPropagate:
 LOCAL = np.array([("x" in name) != ("y" in name) for name in ENTRY_NAMES])
 
 #: (t_max, n_t) time grids: two plain ones, one whose instants nearly all
-#: round to 0, so its t = 0 mask goes past index 0, and one that ends at the
-#: largest float
+#: round to 0, so its leading t = 0 instants go past index 0, and one that
+#: ends at the largest float
 GRIDS = ((50.0, 50), (7.25, 3), (5e-324, 20), (sys.float_info.max, 4))
 
 
-def _column(env, t_max, n_t):
+def _grid(env, t_max, n_t):
     return _time_column(env.lam, env.omega, env.m, t_max, n_t)
 
 
@@ -370,12 +367,13 @@ class TestEvolveColumn:
                 for mask in (LOCAL, ~LOCAL)
             ]
             for t_max, n_t in GRIDS[: 3 if omega > 1.0 else 4]:
-                times, _, at_zero = column = _column(env, t_max, n_t)
+                times, _, n_zero = _grid(env, t_max, n_t)
                 zeros = [k for k, t in enumerate(times) if t == 0.0]
-                assert np.flatnonzero(at_zero).tolist() == zeros
+                assert list(range(n_zero)) == zeros
                 assert len(zeros) == (10 if t_max == 5e-324 else 1)
                 for initial in states + shared:
-                    entries = _column_entries(initial, fixed, column)
+                    steady, column_times, entries = _column(initial, env, t_max, n_t)
+                    assert steady == fixed and column_times is times
                     scalar = [ge.evolve(initial, env, t) for t in times]
                     # the t = 0 instants hold initial's entries, bit for bit
                     start = np.array(initial._values).view(np.uint64)
@@ -398,27 +396,27 @@ class TestEvolveColumn:
         # has no negative instant (t_max > 0), so ge.evolve alone meets one
         env = ge.thermal_environment(0.1, 1.0, m=1e100)
         initial = ge.CovarianceMatrix(np.diag([1e200, 1.0, 1.0, 1.0]))
-        fixed = steady_covariance(env)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=r"not finite at t = 0\.5050505050505051$"):
                 ge.classify_phase(initial, env, 50.0, 100)
             with pytest.raises(OverflowError, match=r"not finite at t = 1\.0$"):
-                _column_entries(initial, fixed, _column(env, 2.0, 3))
+                _column(initial, env, 2.0, 3)
             # the phase check of the scalar path comes first, as the column is built
             far = ge.thermal_environment(0.1, 1.0, m=1e-200, omega=1e200)
             with pytest.raises(OverflowError, match="phase"):
-                _column(far, 1e200, 2)
+                _grid(far, 1e200, 2)
 
 
 class TestRotationColumn:
-    """The rotations of ``experiments._time_column``, with its instants and mask."""
+    """The rotations of ``experiments._time_column``, with its instants and
+    the number of its leading t = 0 instants."""
 
     def test_equals_scalar_rotation_bit_for_bit_and_is_read_only(self):
         for m, omega in ((1e-3, 1.0), (1.0, 1.0), (1.0, 1e3), (2.0, 0.7)):
             env = _env(m=m, omega=omega)
             for t_max, n_t in GRIDS[: 3 if omega > 1.0 else 4]:
-                times, rot, at_zero = _column(env, t_max, n_t)
+                times, rot, n_zero = _grid(env, t_max, n_t)
                 with np.errstate(over="ignore"):
                     grid = np.linspace(0.0, t_max, n_t)
                 assert type(times) is tuple and all(type(t) is float for t in times)
@@ -426,25 +424,25 @@ class TestRotationColumn:
                 expected = np.array([_rotation(env.lam, env.omega, env.m, t) for t in times]).T
                 assert rot.shape == (4, n_t)
                 assert np.array_equal(rot.view(np.uint64), expected.view(np.uint64))
-                assert at_zero.dtype == bool and at_zero.tolist() == [t == 0.0 for t in times]
-                assert not rot.flags.writeable and not at_zero.flags.writeable
+                assert type(n_zero) is int and n_zero == sum(t == 0.0 for t in times)
+                assert 0.0 not in times[n_zero:] and not rot.flags.writeable
 
     def test_no_caller_can_make_a_cached_column_writable(self):
         # every caller gets the same cached column: a write would reach them all
         env = _env()
-        times, rot, at_zero = column = _column(env, 2.0, 3)
-        for array in (rot, rot.base, at_zero):
+        times, rot, _ = column = _grid(env, 2.0, 3)
+        for array in (rot, rot.base):
             with pytest.raises(ValueError, match="WRITEABLE"):
                 array.setflags(write=True)
             assert not array.flags.writeable
-        assert type(rot.base.base) is bytes and type(at_zero.base) is bytes
+        assert type(rot.base.base) is bytes
         with pytest.raises(TypeError):
             times[0] = 5.0
-        again = _column(env, 2.0, 3)
+        again = _grid(env, 2.0, 3)
         expected = np.array([_rotation(env.lam, env.omega, env.m, t) for t in (0.0, 1.0, 2.0)]).T
         assert again is column and again[0] == (0.0, 1.0, 2.0)
         assert np.array_equal(again[1].view(np.uint64), expected.view(np.uint64))
-        assert again[2].tolist() == [True, False, False]
+        assert again[2] == 1
 
     def test_bath_temperature_shares_one_entry(self, monkeypatch):
         # the column is keyed on the oscillator and the grid, not on the bath's
@@ -454,10 +452,10 @@ class TestRotationColumn:
         _time_column.cache_clear()
         instants = rotation_instants(monkeypatch)
         for env in (cold, warm):
-            column = _column(env, 50.0, 100)
-            _column_entries(initial, steady_covariance(env), column)
+            column = _grid(env, 50.0, 100)
+            _column(initial, env, 50.0, 100)
             assert len(instants) == 100
-        assert _column(cold, 50.0, 100) is column
+        assert _grid(cold, 50.0, 100) is column
 
     def test_distinct_dynamics_and_grids_get_their_own_columns(self):
         # each of lam, omega, m, t_max and n_t is part of the key
@@ -466,7 +464,7 @@ class TestRotationColumn:
         seen = set()
         for env in envs:
             for t_max, n_t in grids:
-                times, rot, _ = _column(env, t_max, n_t)
+                times, rot, _ = _grid(env, t_max, n_t)
                 expected = [_rotation(env.lam, env.omega, env.m, t) for t in times]
                 assert times == tuple(np.linspace(0.0, t_max, n_t).tolist())
                 assert np.array_equal(rot, np.array(expected).T)
@@ -479,7 +477,7 @@ class TestRotationColumn:
         instants = rotation_instants(monkeypatch)
         for k in range(1, 4):
             with pytest.raises(OverflowError, match="phase"):
-                _column(far, 1e200, 2)
+                _grid(far, 1e200, 2)
             assert instants == [0.0, 1e200] * k  # the overflowing instant is the last
         assert _time_column.cache_info().currsize == 0
 

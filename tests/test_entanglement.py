@@ -11,12 +11,12 @@ import gaussent as ge
 from gaussent.core import ENTRY_NAMES, EnvironmentSpec, covariance_from_entries, validate_diffusion
 from gaussent.dynamics import steady_covariance
 from gaussent.entanglement import (
-    _column_negativity,
     _invariants,
     asymptotic_simon,
     log_negativity,
     simon_function,
 )
+from gaussent.experiments import _column_negativity
 from helpers import (
     asymptotic_log_negativity_oracle,
     asymptotic_simon_oracle,

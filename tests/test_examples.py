@@ -4,7 +4,9 @@ The scripts must write exactly what the CLI commands with the same keys
 write, the README sketch must run as printed, the CLI corpus must write
 what ``scripts/cli_corpus.jsonl`` records, every public name of the
 package must be read somewhere outside the tests, and every option of a
-public function must be passed somewhere outside them.
+public function must be passed somewhere outside them.  The sources parse
+as the oldest Python that ``pyproject.toml`` admits, and numpy is imported
+only where a test below lists it.
 """
 
 import ast
@@ -199,6 +201,61 @@ def test_every_option_is_passed_outside_the_tests():
     ]
     assert len(options) > 10
     assert unpassed == []
+
+
+def _numpy_imports(tree: ast.Module) -> set[str]:
+    """Qualified names of the functions that import numpy, with ``<module>``
+    for an import at module level."""
+    out = set()
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                if isinstance(child, ast.Import):
+                    names = [alias.name for alias in child.names]
+                else:
+                    names = [child.module or ""]
+                if any(name.partition(".")[0] == "numpy" for name in names):
+                    out.add(".".join(scope) or "<module>")
+            else:
+                visit(child, scope)
+
+    visit(tree, [])
+    return out
+
+
+def test_numpy_is_imported_only_where_listed():
+    # experiments owns the time-column arrays, so it imports numpy at module
+    # level; dynamics imports it only to return the 4x4 propagator and
+    # entanglement not at all, so a point request stays numpy-free
+    sites = {
+        path.stem: _numpy_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((ROOT / "src" / "gaussent").glob("*.py"))
+    }
+    assert sites == {
+        "__init__": set(),
+        "cli": {"_grid", "_sweep_text", "_run_phase_diagram"},
+        "core": {
+            "CovarianceMatrix.__init__", "CovarianceMatrix.entries",
+            "CovarianceMatrix.__array__", "StateReport.min_eigenvalue", "_half_i_omega",
+        },
+        "dynamics": {"propagator"},
+        "entanglement": set(),
+        "experiments": {"<module>"},
+        "presets": set(),
+    }
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    # no interpreter that old need be installed: ast checks the grammar alone
+    major, minor = map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups())
+    paths = sorted([*ROOT.joinpath("src").rglob("*.py"), *ROOT.joinpath("scripts").rglob("*.py")])
+    assert len(paths) >= 9
+    for path in paths:
+        ast.parse(path.read_bytes(), filename=str(path), feature_version=(major, minor))
 
 
 def test_cli_corpus_runs_every_command_in_both_formats_once_per_line():

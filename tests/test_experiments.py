@@ -8,8 +8,13 @@ import pytest
 import gaussent as ge
 from gaussent import experiments
 from gaussent.cli import main
-from gaussent.core import MARGIN_TOL, EnvironmentSpec, validate_diffusion
-from gaussent.dynamics import steady_covariance
+from gaussent.core import (
+    MARGIN_TOL,
+    EnvironmentSpec,
+    thermal_c_from_temperature,
+    validate_diffusion,
+)
+from gaussent.dynamics import propagator, steady_covariance
 from gaussent.entanglement import asymptotic_simon, asymptotic_threshold, simon_function
 from gaussent.experiments import (
     EVENT_MERGE_TOL,
@@ -666,3 +671,38 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError, match=message):
             ge.asymptotic_phase_diagram(0.1, 1.0, d_xpy_grid, c_grid)
 
+
+def test_complex_scalars_are_rejected_not_truncated(fig1_initial):
+    # float() and math keep a numpy complex's real part with only a
+    # ComplexWarning; every public scalar entry raises TypeError instead, as
+    # thermal_environment and asymptotic_phase_diagram do
+    env = reference_bath(1.0)
+    spec = ge.SweepSpec(env, fig1_initial, 5.0, 3, 1.0, 1.5, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's ComplexWarning included
+        for value in (np.complex128(5 + 1j), np.complex64(5.0), np.array(5 + 0j)):
+            with pytest.raises(TypeError, match="t_max must be real"):
+                ge.classify_phase(fig1_initial, env, value, 100)
+            with pytest.raises(TypeError, match="propagation time must be real"):
+                ge.evolve(fig1_initial, env, value)
+            with pytest.raises(TypeError, match="propagation time must be real"):
+                propagator(env, value)
+            with pytest.raises(TypeError, match="temperature and frequency must be real"):
+                thermal_c_from_temperature(value)
+            with pytest.raises(TypeError, match="temperature and frequency must be real"):
+                thermal_c_from_temperature(1.0, value)
+            for field in ("t_max", "c_min", "c_max"):
+                with pytest.raises(TypeError, match=f"^{field} must be real"):
+                    spec._replace(**{field: value})
+        for call in (
+            lambda: ge.classify_phase(fig1_initial, env, 5 + 1j, 100),
+            lambda: ge.evolve(fig1_initial, env, 5 + 1j),
+            lambda: thermal_c_from_temperature(1 + 1j),
+            lambda: spec._replace(c_max=1.5 + 2j),
+        ):
+            with pytest.raises(TypeError):  # a Python complex fails the range checks
+                call()
+    # real numpy scalars and Python ints give the float results
+    assert ge.evolve(fig1_initial, env, np.float32(5.0)) == ge.evolve(fig1_initial, env, 5)
+    assert thermal_c_from_temperature(np.float64(2.0), np.int64(1)) == thermal_c_from_temperature(2.0)
+    assert spec._replace(t_max=np.float64(5.0), c_max=np.int64(2)).c_max == 2
