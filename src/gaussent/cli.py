@@ -472,7 +472,9 @@ def run(cfg: RunConfig) -> str:
     initial = cfg.initial_state()
     state_report = check_physical_state(initial)
     if not state_report.physical:
-        detail = f"min eigenvalue of rescaled sigma + i Omega/2 {state_report.min_eigenvalue:.6g}"
+        v = state_report.rescaled  # rescaled only where all four variances are positive
+        matrix = "rescaled sigma" if min(v[0], v[4], v[7], v[9]) > 0.0 else "sigma"
+        detail = f"min eigenvalue of {matrix} + i Omega/2 {state_report.min_eigenvalue:.6g}"
         if cfg.strict:
             raise PhysicalityError(f"unphysical initial state ({detail})")
         print(f"warning: unphysical initial state ({detail}); proceeding in lenient mode",
@@ -503,7 +505,6 @@ def run(cfg: RunConfig) -> str:
     return _run_classify(cfg, spec)
 
 
-@functools.cache  # argparse copies the --set default list on each parse
 def _build_parser() -> argparse.ArgumentParser:
     import argparse  # only argvs that _parse_args declines need it
 

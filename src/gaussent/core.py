@@ -7,7 +7,6 @@ the dimensionless parameter C = coth(omega / (2 T)) >= 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 
@@ -148,10 +147,11 @@ class CovarianceMatrix:
     Construction stores an exactly symmetric input as given, symmetrizes one
     whose asymmetry residual is at most ``SYMMETRY_TOL`` via (M + M^T)/2 and
     rejects it otherwise, so small floating-point drift is absorbed but
-    genuinely asymmetric data is not.  Complex entries raise ``TypeError``
-    and non-finite ones ``ValueError``.  Physicality is not required here; see
-    :func:`check_physical_state`.  The state is its ten independent entries,
-    floats in ``ENTRY_NAMES`` order; numpy builds the 4x4 each time it is read.
+    genuinely asymmetric data is not.  Complex or text entries raise
+    ``TypeError`` and non-finite ones ``ValueError``.  Physicality is not
+    required here; see :func:`check_physical_state`.  The state is its ten
+    independent entries, floats in ``ENTRY_NAMES`` order; numpy builds the
+    4x4 each time it is read.
     """
 
     __slots__ = ("_values",)
@@ -160,8 +160,8 @@ class CovarianceMatrix:
         import numpy as np
 
         arr = np.array(entries)
-        if arr.dtype.kind == "c":  # a cast to float would drop the imaginary parts
-            raise TypeError("covariance matrix entries must be real, got complex values")
+        if arr.dtype.kind in "cSU":  # a cast to float would drop imaginary parts or parse text
+            raise TypeError(f"covariance matrix entries must be real numbers, got dtype {arr.dtype}")
         arr = arr.astype(float, copy=False)
         if arr.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got shape {arr.shape}")
@@ -214,7 +214,7 @@ def covariance_from_entries(values) -> CovarianceMatrix:
 
     ``values`` maps entry names (``sigma_xx`` ... ``sigma_pypy``) to finite
     real numbers; missing entries default to zero, unknown names are rejected,
-    and complex values raise ``TypeError``.
+    and complex or text values raise ``TypeError``.
     """
     out = dict.fromkeys(ENTRY_NAMES, 0.0)
     for name, value in dict(values).items():
@@ -224,10 +224,9 @@ def covariance_from_entries(values) -> CovarianceMatrix:
             )
         out[name] = value
     _check_real("covariance entry {!r}", out)
-    entries = tuple(map(float, out.values()))
-    if not all(map(math.isfinite, entries)):
+    if not all(map(math.isfinite, out.values())):  # a TypeError for text, which float would parse
         raise ValueError("covariance matrix entries must be finite")
-    return CovarianceMatrix._of(entries)
+    return CovarianceMatrix._of(tuple(map(float, out.values())))
 
 
 def independent_entries(sigma: CovarianceMatrix) -> dict[str, float]:
@@ -331,20 +330,13 @@ class StateReport(namedtuple("StateReport", "physical rescaled")):
 
     @property
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the rescaled sigma + (i/2) Omega, by numpy."""
+        """Smallest eigenvalue of ``rescaled`` + (i/2) Omega, by numpy."""
         import numpy as np
 
-        return float(np.linalg.eigvalsh(np.array(_rows(self.rescaled)) + _half_i_omega())[0])
-
-
-@functools.cache  # numpy loads with the first eigenvalue read
-def _half_i_omega():
-    """(i/2) Omega, Omega = diag(J, J), J = [[0, 1], [-1, 0]], as a numpy
-    view of immutable bytes, so no caller can make it writable."""
-    import numpy as np
-
-    out = 0.5j * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
-    return np.frombuffer(out.tobytes(), complex).reshape(4, 4)
+        h = np.array(_rows(self.rescaled), complex)
+        h[1, 0] -= 0.5j  # the lower triangle, which eigvalsh reads, as in _pivots
+        h[3, 2] -= 0.5j
+        return float(np.linalg.eigvalsh(h)[0])
 
 
 def check_physical_state(sigma: CovarianceMatrix) -> StateReport:

@@ -83,6 +83,15 @@ def _check_size(name: str, value, least: int) -> int:
     return size
 
 
+def _check_horizon(t_max, n_t) -> tuple[float, int]:
+    """``t_max`` as a float and ``n_t`` as an int, checked as every time column
+    needs them: a real 0 < t_max < inf and an integer n_t >= 2."""
+    _check_real("t_max", (t_max,))
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    return float(t_max), _check_size("n_t", n_t, 2)
+
+
 def _linspace(start: float, stop: float, num: int) -> np.ndarray:
     """``np.linspace`` without its overflow and invalid warnings.  For finite
     ends whose width is finite the grid is finite: the last index times the
@@ -232,11 +241,7 @@ def classify_phase(
     consecutive samples is refined by bisection on the exact flow, and the
     asymptotic sign is that of S at the solved steady state.
     """
-    _check_real("t_max", (t_max,))
-    if not 0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    n_t = _check_size("n_t", n_t, 2)
-    fixed, times, entries = _column(initial, env, float(t_max), n_t)
+    fixed, times, entries = _column(initial, env, *_check_horizon(t_max, n_t))
     s_values = np.array([simon_function(state) for state in _column_states(entries)])
     classes = s_values < 0.0
 
@@ -280,9 +285,7 @@ class SweepSpec(
         if not self.env_base.is_thermal():
             raise ValueError("sweeps override thermal_c and need a thermal env_base")
         _check_real("{}", self._asdict())
-        if not 0 < self.t_max < math.inf:
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        _check_size("n_t", self.n_t, 2)
+        _check_horizon(self.t_max, self.n_t)
         _check_size("n_c", self.n_c, 1)
         if not self.c_min >= 1.0:
             raise ValueError(f"c_min must be >= 1, got {self.c_min}")
@@ -358,15 +361,15 @@ def asymptotic_phase_diagram(
 ) -> PhaseDiagram:
     """Mark each (d_xpy, thermal_c) cell entangled iff the asymptote has S < 0.
 
-    Raises ``TypeError`` for a complex grid, ``ValueError`` unless both grids
-    are 1-D, and what ``thermal_environment`` raises for its parameters,
+    Raises ``TypeError`` for complex or text grids, ``ValueError`` unless both
+    grids are 1-D, and what ``thermal_environment`` raises for its parameters,
     checked once, also for an empty grid, on the environment at the largest
     thermal_c and |d_xpy|, whose coefficients are every cell's largest.
     """
     grids = {"d_xpy_grid": np.asarray(d_xpy_grid), "c_grid": np.asarray(c_grid)}
     for name, grid in grids.items():
-        if grid.dtype.kind == "c":  # a cast to float would drop the imaginary parts
-            raise TypeError(f"{name} must be real, got complex values")
+        if grid.dtype.kind in "cSU":  # a cast to float would drop imaginary parts or parse text
+            raise TypeError(f"{name} must be real numbers, got dtype {grid.dtype}")
         if grid.ndim != 1:
             raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")
     d_values, cs = (grid.astype(float, copy=False) for grid in grids.values())

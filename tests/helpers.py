@@ -18,13 +18,16 @@ axis once, reads whole grids through ``.tolist()`` and maps the masks
 through one table.  Two oracles call the package: the horizon oracle,
 which samples through its column path because what it checks is how a
 classification record is read, not how S is sampled, and the bisection
-oracle below, whose steps call ``evolve``.  Four oracles keep
+oracle below, whose steps call ``evolve``.  Five oracles keep
 the package's earlier forms of its physical gates: the LDL^H pivots as the
 complex elimination loop that ``core._pivots`` writes out in real and
-imaginary parts, the Lyapunov residual check with term tuples and a
-left-to-right sum, the diffusion bounds with a dict of margins, and the
-thermal bath built through the validating ``EnvironmentSpec(...)``, which
-checks its parameters a second time.  Two keep earlier forms of the
+imaginary parts, the quoted smallest eigenvalue of sigma + (i/2) Omega with
+(i/2) Omega added to the whole matrix, where ``StateReport.min_eigenvalue``
+writes only the lower triangle that ``eigvalsh`` reads, the Lyapunov
+residual check with term tuples and a left-to-right sum, the diffusion
+bounds with a dict of margins, and the thermal bath built through the
+validating ``EnvironmentSpec(...)``, which checks its parameters a second
+time.  Two keep earlier forms of the
 propagation step: one 2x2 congruence call per block, where
 ``dynamics._propagate`` writes the three out in floats and
 ``experiments._congruences`` stacks them over a rotation column, and the
@@ -390,6 +393,15 @@ def ldl_pivots_oracle(values, shift: float) -> tuple[float, ...]:
             for j in range(k + 1, i + 1):
                 h[i][j] -= ratio * h[j][k].conjugate()
     return tuple(pivots)
+
+
+def min_eigenvalue_oracle(values) -> float:
+    """Smallest eigenvalue of sigma + (i/2) Omega, sigma with upper triangle
+    ``values``: (i/2) Omega added to the whole matrix, as a complex array, before
+    ``eigvalsh`` reads its lower triangle."""
+    xx, xpx, xy, xpy, pxpx, ypx, pxpy, yy, ypy, pypy = values
+    rows = [[xx, xpx, xy, xpy], [xpx, pxpx, ypx, pxpy], [xy, ypx, yy, ypy], [xpy, pxpy, ypy, pypy]]
+    return float(np.linalg.eigvalsh(np.array(rows) + 0.5j * OMEGA_4)[0])
 
 
 def _left_to_right(terms) -> float:

@@ -156,6 +156,20 @@ class TestMetricsCommand:
         assert code == 3
         assert "unphysical initial state" in err
 
+    def test_the_quote_names_the_matrix_it_was_taken_on(self, capsys):
+        # a zero variance leaves sigma unrescaled, and its sigma_yy = sigma_pypy = 0
+        # give the eigenvalue -1/2; four positive variances are rescaled first
+        for sets, quoted in (
+            (("sigma_xx=1e200", "sigma_pxpx=1e200"), "sigma + i Omega/2 -0.5"),
+            (("sigma_xx=0.5", "sigma_pxpx=0.5", "sigma_yy=-0.5", "sigma_pypy=0.5"),
+             "sigma + i Omega/2 -0.707107"),
+            (("sigma_xx=0.25", "sigma_pxpx=0.25", "sigma_yy=0.5", "sigma_pypy=0.5"),
+             "rescaled sigma + i Omega/2 -0.25"),
+        ):
+            argv = [arg for pair in sets for arg in ("--set", pair)]
+            err = run_cli(capsys, "metrics", "--strict", *argv)[2]
+            assert err == f"error: unphysical initial state (min eigenvalue of {quoted})\n"
+
     def test_lenient_accepts_physical_preset_silently(self, capsys):
         code, _, err = run_cli(capsys, "metrics", "--set", "initial=fig1")
         assert code == 0
@@ -1226,6 +1240,12 @@ _ARGV_TOKENS = [
 _ARGV_PAIRS = [["--set", "t=3"], ["--format", "json"], ["--out", "fig1"], ["--config", ""]]
 
 
+@pytest.fixture(scope="module")
+def parser():
+    # one parser for every example: argparse copies the --set default list on each parse
+    return _build_parser()
+
+
 class TestDirectParser:
     @given(
         chunks=st.lists(
@@ -1236,12 +1256,12 @@ class TestDirectParser:
     )
     @example(chunks=[["metrics", "--strict", "--dump-config"], *_ARGV_PAIRS])
     @settings(max_examples=1000, deadline=None)
-    def test_matches_argparse(self, chunks):
+    def test_matches_argparse(self, parser, chunks):
         argv = [token for chunk in chunks for token in chunk]
         direct = _parse_args(argv)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
-                expected = vars(_build_parser().parse_args(argv))
+                expected = vars(parser.parse_args(argv))
             except SystemExit:
                 assert direct is None, argv
                 return

@@ -14,7 +14,6 @@ from gaussent.core import (
     SYMMETRY_TOL,
     EnvironmentSpec,
     StateReport,
-    _half_i_omega,
     _pivots,
     _rows,
     check_physical_state,
@@ -30,6 +29,7 @@ from helpers import (
     diffusion_matrix,
     drift_matrix,
     ldl_pivots_oracle,
+    min_eigenvalue_oracle,
     random_physical_cm,
     random_symplectic,
     semigroup_matrix,
@@ -529,6 +529,39 @@ class TestCheckPhysicalState:
             scale = 10.0 ** rng.uniform(-300.0, 300.0)
             values = tuple((scale * rng.standard_normal(10)).tolist())
             assert math.isfinite(StateReport(False, values).min_eigenvalue)
+        state = ge.presets.initial_state("vacuum")  # sigma + i Omega/2 has eigenvalues 0 and 1
+        assert abs(check_physical_state(state).min_eigenvalue) <= 1e-15
+
+    def test_min_eigenvalue_matches_the_whole_matrix_sum(self):
+        # the quote subtracts i/2 at the two lower-triangle entries that eigvalsh
+        # reads; the oracle adds (i/2) Omega to the whole complex matrix.  Reports
+        # of physical states, of random states with four positive variances
+        # (rescaled) and of random states with one that is not (unrescaled), with
+        # -0.0 entries, at scales 1e-100 to 1e100.  The two matrices are equal,
+        # but the oracle's sum turns a -0.0 entry into 0.0, and the sign of a zero
+        # steers LAPACK's Householder reflections: a few quotes move by up to 5
+        # ulp of the largest entry, within eigvalsh's backward error
+        rng = np.random.default_rng(33)
+        diagonal = [0, 4, 7, 9]
+        rescaled = identical = 0
+        for k in range(12000):
+            scale = 10.0 ** rng.uniform(-100.0, 100.0)
+            if k % 3 == 0:
+                values = random_physical_cm(rng, max_squeeze=2.0)[np.triu_indices(4)]
+            else:
+                values = rng.standard_normal(10)
+                values[rng.random(10) < 0.3] = 0.0
+                values = np.copysign(values, rng.choice([-1.0, 1.0], size=10))
+                values[diagonal] = np.abs(values[diagonal]) + 0.01
+                if k % 3 == 2:
+                    values[diagonal[k % 4]] = rng.choice([-0.0, 0.0, -values[diagonal[k % 4]]])
+            sigma = covariance_from_entries(dict(zip(ENTRY_NAMES, (scale * values).tolist())))
+            report = check_physical_state(sigma)
+            rescaled += report.rescaled is not sigma._values
+            quote, oracle = report.min_eigenvalue, min_eigenvalue_oracle(report.rescaled)
+            assert abs(quote - oracle) <= 8 * math.ulp(max(1.0, *map(abs, report.rescaled))), k
+            identical += quote == oracle
+        assert rescaled == 8000 and identical >= 11990
 
     @given(
         thermal_c=st.floats(1.0, 50.0),
@@ -546,20 +579,6 @@ class TestCheckPhysicalState:
 
 def _bits(values) -> tuple[str, ...]:
     return tuple(map(float.hex, values))
-
-
-def test_no_caller_can_make_the_cached_half_i_omega_writable():
-    # every min_eigenvalue read adds the same cached array: a write would reach them all
-    half = _half_i_omega()
-    for array in (half, half.base):
-        with pytest.raises(ValueError, match="WRITEABLE"):
-            array.setflags(write=True)
-        assert not array.flags.writeable
-    again = _half_i_omega()
-    assert again is half
-    assert np.array_equal(again, 0.5j * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
-    state = ge.presets.initial_state("vacuum")  # sigma + i Omega/2 has eigenvalues 0 and 1
-    assert abs(check_physical_state(state).min_eigenvalue) <= 1e-15
 
 
 def _outcome(gate, *args):
@@ -786,6 +805,17 @@ class TestCovarianceMatrix:
         assert sigma == ge.presets.initial_state("vacuum")
         assert sigma.__eq__(1) is NotImplemented
         assert not sigma == 1 and sigma != 1
+
+    def test_text_entries_are_rejected_not_parsed(self):
+        # float() and numpy's cast to float would parse them, where
+        # thermal_environment and evolve raise TypeError for text
+        for text in ("0.5", b"0.5", np.str_("0.5")):
+            entries = dict.fromkeys(ENTRY_NAMES[1:], 0.0) | {"sigma_xx": text}
+            with pytest.raises(TypeError, match="real number"):
+                covariance_from_entries(entries)
+        for matrix in ([["0.5"] * 4] * 4, (0.5 * np.eye(4)).astype(str), np.eye(4).astype(bytes)):
+            with pytest.raises(TypeError, match="entries must be real"):
+                ge.CovarianceMatrix(matrix)
 
     def test_complex_entries_are_rejected_not_truncated(self):
         with warnings.catch_warnings():

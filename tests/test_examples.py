@@ -239,7 +239,7 @@ def test_numpy_is_imported_only_where_listed():
         "cli": {"_grid", "_sweep_text", "_run_phase_diagram"},
         "core": {
             "CovarianceMatrix.__init__", "CovarianceMatrix.entries",
-            "CovarianceMatrix.__array__", "StateReport.min_eigenvalue", "_half_i_omega",
+            "CovarianceMatrix.__array__", "StateReport.min_eigenvalue",
         },
         "dynamics": {"propagator"},
         "entanglement": set(),

@@ -629,6 +629,16 @@ class TestPhaseDiagram:
         diagram = ge.asymptotic_phase_diagram(0.1, 1.0, [0.0, 0.049], [1.0, 1.5], d_xy=0.3)
         assert diagram.unphysical.all() and not diagram.entangled.any()
 
+    def test_text_input_is_rejected_not_parsed(self):
+        # numpy's cast to float would parse it, where thermal_environment raises
+        for d_grid, c_grid, name in (
+            (["0.0", "0.04"], [1.0, 1.2], "d_xpy_grid"),
+            ([0.0, 0.04], ["1.0", "1.2"], "c_grid"),
+            ([b"0.0"], np.array([1.0]).astype(bytes), "d_xpy_grid"),
+        ):
+            with pytest.raises(TypeError, match=f"{name} must be real"):
+                ge.asymptotic_phase_diagram(0.1, 1.0, d_grid, c_grid)
+
     def test_complex_input_is_rejected_not_truncated(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's ComplexWarning included
