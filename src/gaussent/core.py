@@ -39,6 +39,14 @@ def _check_real(what: str, values) -> None:
             raise TypeError(f"{what.format(*keys)} must be real, got {value!r}")
 
 
+def _check_real_array(what: str, arr) -> None:
+    """Raise ``TypeError`` for a complex or text numpy array, whose cast to float would drop
+    imaginary parts or parse the text; an object array is scanned for str and bytes."""
+    kind = arr.dtype.kind
+    if kind in "cSU" or (kind == "O" and any(isinstance(item, (str, bytes)) for item in arr.flat)):
+        raise TypeError(f"{what} must be real numbers, got dtype {arr.dtype}")
+
+
 def _check_parameters(m, omega, lam, thermal_c, *coefficients) -> tuple[float, ...]:
     """The parameters as Python floats; raise ``TypeError`` for a complex numpy
     value and ``ValueError`` unless all are finite, m, omega, lam > 0 and thermal_c >= 1."""
@@ -160,8 +168,7 @@ class CovarianceMatrix:
         import numpy as np
 
         arr = np.array(entries)
-        if arr.dtype.kind in "cSU":  # a cast to float would drop imaginary parts or parse text
-            raise TypeError(f"covariance matrix entries must be real numbers, got dtype {arr.dtype}")
+        _check_real_array("covariance matrix entries", arr)
         arr = arr.astype(float, copy=False)
         if arr.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got shape {arr.shape}")

@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CovarianceMatrix, EnvironmentSpec, _check_real, thermal_environment
+from .core import CovarianceMatrix, EnvironmentSpec, thermal_environment
+from .core import _check_real, _check_real_array
 from .dynamics import _evolved, _offsets, _rotation, steady_covariance
-from .entanglement import _invariants, _negativity, _pt_terms, _simon, _threshold
+from .entanglement import _invariants, _pt_terms, _simon, _threshold
 from .entanglement import metrics, simon_function
 
 #: Bisection window below which a crossing instant is considered resolved.
@@ -164,22 +165,29 @@ def _column_states(entries):
     return map(CovarianceMatrix._of, struct.iter_unpack("10d", entries.T.tobytes()))
 
 
-def _column_negativity(entries) -> list[float | None]:
+def _column_negativity(entries) -> np.ndarray:
     """log_negativity of each column of a (10, n) array of entries, with the
-    same bits: the PT terms are one array pass, ``np.sqrt`` is correctly
-    rounded like ``math.sqrt`` and a negative discriminant gives NaN, hence
-    None; L itself keeps ``math.log2``.  Where a discriminant is not finite,
-    raises what ``metrics`` raises for the first such column: an overflowing
-    S also overflows the discriminant, so that is the first column whose
-    ``metrics`` fails.
+    same bits, and NaN where it is None: the PT terms are one array pass and
+    ``np.sqrt`` is correctly rounded like ``math.sqrt``.  L maps ``math.log2``
+    over the cells with nu~_-^2 > 0, since the vectorised ``np.log2`` rounds
+    some arguments differently, and clamps -0.0 and below to 0.0 as
+    ``max(0.0, h)`` does.  Where a discriminant is not finite, raises what
+    ``metrics`` raises for the first such column: an overflowing S also
+    overflows the discriminant, so that is the first column whose ``metrics``
+    fails.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         delta, _, disc = _pt_terms(_invariants(entries))
         nu_minus_sq = 0.5 * (delta - np.sqrt(disc))
+        quadrupled = 4.0 * nu_minus_sq
     finite = np.isfinite(disc)
     if not finite.all():
         metrics(CovarianceMatrix._of(tuple(entries[:, finite.argmin()].tolist())))
-    return [_negativity(nu) for nu in nu_minus_sq.tolist()]
+    defined = nu_minus_sq > 0.0
+    h = -0.5 * np.fromiter(map(math.log2, quadrupled[defined].tolist()), float)
+    log_neg = np.full(nu_minus_sq.shape, math.nan)
+    log_neg[defined] = np.where(h > 0.0, h, 0.0)
+    return log_neg
 
 
 def _refine_crossing(
@@ -322,7 +330,9 @@ class SweepResult(
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
-    """Fill the (t, c) grid with S and L and classify each thermal column."""
+    """Fill the (t, c) grid with S and L and classify each thermal column.
+    Each column of L is the array ``_column_negativity`` returns, NaN where
+    L is undefined."""
     t_max, n_t = float(spec.t_max), operator.index(spec.n_t)
     cs = spec.thermal_cs()
     simon = np.empty((n_t, spec.n_c))
@@ -331,7 +341,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
     for j, c in enumerate(cs):
         env_c = spec.environment_at(float(c))
         _, times, entries = _column(spec.initial, env_c, t_max, n_t)
-        log_neg[:, j] = _column_negativity(entries)  # an undefined L (None) is stored as NaN
+        log_neg[:, j] = _column_negativity(entries)
         simon[:, j] = [simon_function(state) for state in _column_states(entries)]
         classifications.append(classify_phase(spec.initial, env_c, spec.t_max, spec.n_t))
     times = np.array(times)
@@ -368,8 +378,7 @@ def asymptotic_phase_diagram(
     """
     grids = {"d_xpy_grid": np.asarray(d_xpy_grid), "c_grid": np.asarray(c_grid)}
     for name, grid in grids.items():
-        if grid.dtype.kind in "cSU":  # a cast to float would drop imaginary parts or parse text
-            raise TypeError(f"{name} must be real numbers, got dtype {grid.dtype}")
+        _check_real_array(name, grid)
         if grid.ndim != 1:
             raise ValueError(f"{name} must be 1-D, got shape {grid.shape}")
     d_values, cs = (grid.astype(float, copy=False) for grid in grids.values())

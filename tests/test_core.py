@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -816,6 +817,19 @@ class TestCovarianceMatrix:
         for matrix in ([["0.5"] * 4] * 4, (0.5 * np.eye(4)).astype(str), np.eye(4).astype(bytes)):
             with pytest.raises(TypeError, match="entries must be real"):
                 ge.CovarianceMatrix(matrix)
+
+    def test_text_in_object_arrays_is_rejected_but_numbers_are_not(self):
+        # an object array's cast to float calls float() on each element
+        for text in ((0.5 * np.eye(4)).astype(str), np.eye(4).astype(bytes)):
+            matrix = text.astype(object)
+            with pytest.raises(TypeError, match="entries must be real numbers, got dtype object"):
+                ge.CovarianceMatrix(matrix)
+            matrix[1:] = 0.5 * np.eye(4)[1:]  # one text row is enough
+            with pytest.raises(TypeError, match="entries must be real"):
+                ge.CovarianceMatrix(matrix)
+        halves = np.diag([Fraction(1, 2)] * 4)
+        assert halves.dtype == object
+        assert ge.CovarianceMatrix(halves)._values == ge.CovarianceMatrix(0.5 * np.eye(4))._values
 
     def test_complex_entries_are_rejected_not_truncated(self):
         with warnings.catch_warnings():

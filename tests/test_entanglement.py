@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gaussent as ge
+from gaussent import experiments
 from gaussent.core import ENTRY_NAMES, EnvironmentSpec, covariance_from_entries, validate_diffusion
 from gaussent.dynamics import steady_covariance
 from gaussent.entanglement import (
     _invariants,
+    _negativity,
     asymptotic_simon,
     log_negativity,
     simon_function,
@@ -551,11 +554,82 @@ class TestClosedFormKernels:
                 assert str(column.value) == str(exc)
                 outcomes.add(str(exc).partition(" (")[0])
             else:
-                assert list(map(repr, _column_negativity(entries))) == list(map(repr, expected))
+                column = _column_negativity(entries).tolist()
+                assert list(map(repr, column)) == [repr(math.nan if v is None else v) for v in expected]
                 outcomes.add("huge" if np.abs(entries).max() > 1e60 else "finite")
         assert outcomes == {
             "Simon function is not finite", "PT symplectic spectrum overflows", "huge", "finite"
         }
+
+    def test_column_negativity_matches_metrics_cell_by_cell(self):
+        # seeded columns of 1 to 6 instants mixing physical states, unphysical
+        # symmetric matrices and exact cells: vacuum (nu~_-^2 = 1/4, so L is
+        # +0.0 and not -0.0), the zero matrix (0), diag(-1, 1, -1, 1) (-1) and a
+        # complex PT pair (NaN); L is compared by float.hex, NaN where metrics
+        # gives None
+        rng = np.random.default_rng(20261021)
+        exact = [0.5 * np.eye(4), np.zeros((4, 4)), np.diag([-1.0, 1.0, -1.0, 1.0])]
+        exact.append(COMPLEX_PAIR_EXAMPLE)
+        outcomes = set()
+        for n in [1, 2] * 20 + rng.integers(1, 7, 400).tolist():
+            states = []
+            for kind in rng.integers(0, 3, n).tolist():
+                if kind == 0:
+                    matrix = exact[int(rng.integers(len(exact)))]
+                elif kind == 1:
+                    matrix = random_physical_cm(rng, 1.5)
+                else:
+                    matrix = rng.normal(size=(4, 4))
+                states.append(ge.CovarianceMatrix(matrix + matrix.T if kind == 2 else matrix))
+            column = _column_negativity(np.array([s._values for s in states]).T)
+            expected = [ge.metrics(sigma).log_negativity for sigma in states]
+            assert column.shape == (n,)
+            assert [v.hex() for v in column.tolist()] == [
+                math.nan.hex() if v is None else v.hex() for v in expected
+            ]
+            outcomes.update("undefined" if v is None else v.hex() if v == 0.0 else "+" for v in expected)
+        assert outcomes == {"undefined", "0x0.0p+0", "+"}
+
+    def test_column_negativity_keeps_math_log2_bits(self):
+        # diag(a, 1, a, 1) has nu~_-^2 = a exactly: Delta~ = 2a and the
+        # discriminant is 0.  Of a seeded draw of 200,000 values, those where
+        # np.log2(4a) differs from math.log2(4a) on the running host are
+        # checked against metrics as well
+        rng = np.random.default_rng(20261022)
+        a = np.concatenate([rng.uniform(0.0, 0.3, 200_000), [0.25, 0.0, -0.0, -1.0, 5e-324]])
+        entries = np.zeros((10, a.size))
+        entries[[0, 7]], entries[[4, 9]] = a, 1.0
+        column = _column_negativity(entries).tolist()
+        quadrupled = (4.0 * a).tolist()
+        expected = [_negativity(nu) for nu in a.tolist()]
+        assert [v.hex() for v in column] == [
+            math.nan.hex() if v is None else v.hex() for v in expected
+        ]
+        differ = [k for k, x in enumerate(quadrupled) if 0.0 < x and np.log2(x) != math.log2(x)]
+        for k in differ:
+            cell = ge.CovarianceMatrix._of(tuple(entries[:, k].tolist()))
+            assert ge.metrics(cell).log_negativity.hex() == column[k].hex()
+
+    def test_column_negativity_takes_one_math_log2_per_defined_cell(self, monkeypatch):
+        # a finite discriminant bounds nu~_-^2 by about 1e154, so no entries
+        # make 4 nu~_-^2 overflow; fed through the PT terms, nu~_-^2 = 5e307
+        # and the largest float / 2 give inf there and L = 0.0 as in metrics,
+        # without a warning.  np.log2 is never called.
+        values = [5e307, sys.float_info.max / 2, 0.25, 0.0, -2.0, 0.1, math.nan]
+        nu = np.array(values)
+        disc = np.where(np.isnan(nu), -1.0, 0.0)
+        monkeypatch.setattr(experiments, "_pt_terms", lambda _: (2.0 * nu, None, disc))
+        calls = []
+        monkeypatch.setattr(math, "log2", lambda x, log2=math.log2: calls.append(x) or log2(x))
+        monkeypatch.setattr(np, "log2", None)
+        column = _column_negativity(np.zeros((10, nu.size))).tolist()
+        assert calls == [math.inf, math.inf, 1.0, 0.4]
+        monkeypatch.undo()
+        expected = [_negativity(v) for v in values]
+        assert [v.hex() for v in column] == [
+            math.nan.hex() if v is None else v.hex() for v in expected
+        ]
+        assert column[:3] == [0.0, 0.0, 0.0]
 
     def test_pure_preset_has_zero_negativity(self):
         # fig1 is a pure product state: nu~_-^2 = 1/4 exactly, so L = 0 exactly

@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -638,6 +639,20 @@ class TestPhaseDiagram:
         ):
             with pytest.raises(TypeError, match=f"{name} must be real"):
                 ge.asymptotic_phase_diagram(0.1, 1.0, d_grid, c_grid)
+
+    def test_text_in_object_arrays_is_rejected_but_numbers_are_not(self):
+        for d_grid, c_grid, name in (
+            (np.array(["0.0", "0.04"], dtype=object), [1.0, 1.2], "d_xpy_grid"),
+            ([0.0, 0.04], np.array([1.0, b"1.2"], dtype=object), "c_grid"),
+        ):
+            with pytest.raises(TypeError, match=f"{name} must be real numbers, got dtype object"):
+                ge.asymptotic_phase_diagram(0.1, 1.0, d_grid, c_grid)
+        exact = ge.asymptotic_phase_diagram(
+            0.1, 1.0, np.array([Fraction(0), Fraction(1, 25)]), np.array([1, Fraction(6, 5)])
+        )
+        floats = ge.asymptotic_phase_diagram(0.1, 1.0, [0.0, 0.04], [1.0, 1.2])
+        for got, want in zip(exact, floats):
+            assert np.array_equal(got, want)
 
     def test_complex_input_is_rejected_not_truncated(self):
         with warnings.catch_warnings():
