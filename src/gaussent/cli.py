@@ -405,7 +405,7 @@ def _run_classify(cfg: RunConfig, spec: SweepSpec) -> str:
               file=sys.stderr)
     results = [
         (c, classify_phase(spec.initial, spec.environment_at(c), spec.t_max, spec.n_t))
-        for c in map(float, spec.thermal_cs())
+        for c in spec.thermal_cs()
     ]
     # columns whose last sample disagrees with S∞, read as PhaseClassification says
     short = sum((p.s_initial_sign < 0) ^ len(p.event_times) % 2 ^ (p.s_infinity_sign < 0)

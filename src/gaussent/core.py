@@ -30,28 +30,37 @@ def _rows(values) -> list[list[float]]:
     return [[xx, xpx, xy, xpy], [xpx, pxpx, ypx, pxpy], [xy, ypx, yy, ypy], [xpy, pxpy, ypy, pypy]]
 
 
-def _check_real(what: str, values) -> None:
-    """Raise ``TypeError``, named by ``what`` formatted with its key in a dict, for a numpy
-    complex in ``values``, which ``float`` and ``math`` cut to its real part with a warning."""
-    for value in values.values() if type(values) is dict else values:
-        if type(value) is not float and "complex" in str(getattr(value, "dtype", "")):
-            keys = [key for key in values if values[key] is value] if type(values) is dict else ()
-            raise TypeError(f"{what.format(*keys)} must be real, got {value!r}")
+def _not_real(value) -> bool:
+    """True for text, which ``float`` would parse, and a complex, whose real part it keeps."""
+    kind = getattr(getattr(value, "dtype", None), "kind", "f")  # no dtype: __float__ decides
+    return kind not in "biuf" or not hasattr(type(value), "__float__")
+
+
+def _check_real(what: str, values) -> tuple[float, ...]:
+    """``values`` (or a dict's values) as Python floats, the one conversion of a public real
+    input; ``TypeError``, ``what`` formatted with a dict's key, where ``_not_real`` holds."""
+    items = values.values() if type(values) is dict else values
+    exact = True  # only Python floats, returned as they are
+    for value in items:
+        if type(value) is not float:
+            exact = False
+            if _not_real(value):
+                k = [key for key in values if values[key] is value] if type(values) is dict else ()
+                raise TypeError(f"{what.format(*k)} must be real, got {value!r}, not a real number")
+    return tuple(items) if exact else tuple(map(float, items))
 
 
 def _check_real_array(what: str, arr) -> None:
     """Raise ``TypeError`` for a complex or text numpy array, whose cast to float would drop
-    imaginary parts or parse the text; an object array is scanned for str and bytes."""
-    kind = arr.dtype.kind
-    if kind in "cSU" or (kind == "O" and any(isinstance(item, (str, bytes)) for item in arr.flat)):
+    imaginary parts or parse the text, and for an object array holding a ``_not_real`` item."""
+    if arr.dtype.kind in "cSU" or (arr.dtype.kind == "O" and any(map(_not_real, arr.flat))):
         raise TypeError(f"{what} must be real numbers, got dtype {arr.dtype}")
 
 
-def _check_parameters(m, omega, lam, thermal_c, *coefficients) -> tuple[float, ...]:
-    """The parameters as Python floats; raise ``TypeError`` for a complex numpy
-    value and ``ValueError`` unless all are finite, m, omega, lam > 0 and thermal_c >= 1."""
-    values = (m, omega, lam, thermal_c, *coefficients)
-    _check_real("environment parameters", values)
+def _check_parameters(*values) -> tuple[float, ...]:
+    """m, omega, lam, thermal_c and any coefficients as Python floats, by ``_check_real``;
+    raise ``ValueError`` unless all are finite, m, omega, lam > 0 and thermal_c >= 1."""
+    m, omega, lam, thermal_c, *_ = values = _check_real("environment parameters", values)
     if not all(map(math.isfinite, values)):
         raise ValueError(f"environment parameters are not finite: {values}")
     if not m > 0:
@@ -62,7 +71,7 @@ def _check_parameters(m, omega, lam, thermal_c, *coefficients) -> tuple[float, .
         raise ValueError(f"dissipation constant must be positive, got {lam}")
     if not thermal_c >= 1.0:
         raise ValueError(f"thermal parameter coth(omega/2T) must be >= 1, got {thermal_c}")
-    return tuple(map(float, values))
+    return values
 
 
 class EnvironmentSpec(
@@ -219,9 +228,8 @@ class CovarianceMatrix:
 def covariance_from_entries(values) -> CovarianceMatrix:
     """Build a covariance matrix from named independent entries.
 
-    ``values`` maps entry names (``sigma_xx`` ... ``sigma_pypy``) to finite
-    real numbers; missing entries default to zero, unknown names are rejected,
-    and complex or text values raise ``TypeError``.
+    ``values`` maps entry names (``sigma_xx`` ... ``sigma_pypy``) to finite reals, which
+    ``_check_real`` converts; missing entries default to zero, unknown names are rejected.
     """
     out = dict.fromkeys(ENTRY_NAMES, 0.0)
     for name, value in dict(values).items():
@@ -230,10 +238,10 @@ def covariance_from_entries(values) -> CovarianceMatrix:
                 f"unknown covariance entry {name!r}; valid names: {', '.join(ENTRY_NAMES)}"
             )
         out[name] = value
-    _check_real("covariance entry {!r}", out)
-    if not all(map(math.isfinite, out.values())):  # a TypeError for text, which float would parse
+    values = _check_real("covariance entry {!r}", out)
+    if not all(map(math.isfinite, values)):
         raise ValueError("covariance matrix entries must be finite")
-    return CovarianceMatrix._of(tuple(map(float, out.values())))
+    return CovarianceMatrix._of(values)
 
 
 def independent_entries(sigma: CovarianceMatrix) -> dict[str, float]:
@@ -384,10 +392,10 @@ def check_physical_state(sigma: CovarianceMatrix) -> StateReport:
 def thermal_c_from_temperature(temperature: float, omega: float = 1.0) -> float:
     """Convert a temperature (k = 1) to the thermal parameter coth(omega/2T).
 
-    Raises ``TypeError`` for a numpy complex, ``ValueError`` unless 0 <= temperature < inf
+    Both become Python floats by ``_check_real``; ``ValueError`` unless 0 <= temperature < inf
     and 0 < omega < inf, and ``OverflowError`` when omega/T is so small that C overflows.
     """
-    _check_real("temperature and frequency", (temperature, omega))
+    temperature, omega = _check_real("temperature and frequency", (temperature, omega))
     if not 0 <= temperature < math.inf:
         raise ValueError(f"temperature must be finite and nonnegative, got {temperature}")
     if not 0 < omega < math.inf:

@@ -36,12 +36,12 @@ def _rotation(lam: float, omega: float, m: float, t: float) -> tuple[float, floa
 
 
 def propagator(env: EnvironmentSpec, t: float):
-    """Closed-form exp(Y t) as a numpy 4x4; identity at t = 0, determinant
-    e^{-4 lam t}.  Raises ``OverflowError`` when the phase omega*t overflows.
+    """Closed-form exp(Y t) as a numpy 4x4, ``t`` a Python float by ``_check_real``; identity
+    at t = 0, determinant e^{-4 lam t}; ``OverflowError`` when the phase omega*t overflows.
     """
     import numpy as np
 
-    _check_real("propagation time", (t,))
+    t, = _check_real("propagation time", (t,))
     r00, r01, r10, r11 = _rotation(env.lam, env.omega, env.m, t)
     return np.array(
         [[r00, r01, 0.0, 0.0], [r10, r11, 0.0, 0.0], [0.0, 0.0, r00, r01], [0.0, 0.0, r10, r11]]
@@ -155,12 +155,11 @@ def _evolved(offsets, fixed, rot, t: float) -> CovarianceMatrix:
 def evolve(initial: CovarianceMatrix, env: EnvironmentSpec, t: float) -> CovarianceMatrix:
     """Propagate ``initial`` for time ``t``: M(t) (s0 - s_inf) M(t)^T + s_inf.
 
-    ``t = 0`` returns ``initial`` unchanged; ``t`` must be finite and
-    nonnegative, and a complex numpy value raises ``TypeError``.  The result
-    is exactly symmetric; ``OverflowError`` is raised when it is not finite.
-    This is float arithmetic on the ten entries, with no numpy.
+    ``t = 0`` returns ``initial`` unchanged; ``t``, a Python float by ``_check_real``, must be
+    finite and nonnegative.  The result is exactly symmetric; ``OverflowError`` is raised
+    when it is not finite.  This is float arithmetic on the ten entries, with no numpy.
     """
-    _check_real("propagation time", (t,))
+    t, = _check_real("propagation time", (t,))
     if t == 0:
         return initial
     rot = _rotation(env.lam, env.omega, env.m, t)

@@ -87,10 +87,10 @@ def _check_size(name: str, value, least: int) -> int:
 def _check_horizon(t_max, n_t) -> tuple[float, int]:
     """``t_max`` as a float and ``n_t`` as an int, checked as every time column
     needs them: a real 0 < t_max < inf and an integer n_t >= 2."""
-    _check_real("t_max", (t_max,))
+    t_max, = _check_real("t_max", (t_max,))
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    return float(t_max), _check_size("n_t", n_t, 2)
+    return t_max, _check_size("n_t", n_t, 2)
 
 
 def _linspace(start: float, stop: float, num: int) -> np.ndarray:
@@ -282,8 +282,8 @@ class SweepSpec(
     must be a bath that ``thermal_environment`` builds; its ``thermal_c`` is
     not read, and its lam, m, omega, d_xy and d_xpy are reused.  The time grid
     has ``n_t`` samples including t = 0; the thermal grid has ``n_c`` columns.
-    It is an immutable named tuple, validated on construction, ``_make`` and
-    ``_replace`` included.
+    It is an immutable named tuple, validated and converted on construction, ``_make`` and
+    ``_replace`` included: t_max, c_min and c_max are stored as floats, n_t and n_c as ints.
     """
 
     __slots__ = ()
@@ -292,14 +292,14 @@ class SweepSpec(
         self = super().__new__(cls, *args, **kwargs)
         if not self.env_base.is_thermal():
             raise ValueError("sweeps override thermal_c and need a thermal env_base")
-        _check_real("{}", self._asdict())
-        _check_horizon(self.t_max, self.n_t)
-        _check_size("n_c", self.n_c, 1)
-        if not self.c_min >= 1.0:
-            raise ValueError(f"c_min must be >= 1, got {self.c_min}")
-        if not self.c_min <= self.c_max < math.inf:
-            raise ValueError(f"c_max must be finite and >= c_min, got {self.c_max}")
-        return self
+        t_max, n_t = _check_horizon(self.t_max, self.n_t)
+        c_min, c_max = _check_real("{}", {"c_min": self.c_min, "c_max": self.c_max})
+        n_c = _check_size("n_c", self.n_c, 1)
+        if not c_min >= 1.0:
+            raise ValueError(f"c_min must be >= 1, got {c_min}")
+        if not c_min <= c_max < math.inf:
+            raise ValueError(f"c_max must be finite and >= c_min, got {c_max}")
+        return tuple.__new__(cls, (self.env_base, self.initial, t_max, n_t, c_min, c_max, n_c))
 
     @classmethod
     def _make(cls, iterable) -> SweepSpec:
@@ -333,14 +333,13 @@ def sweep(spec: SweepSpec) -> SweepResult:
     """Fill the (t, c) grid with S and L and classify each thermal column.
     Each column of L is the array ``_column_negativity`` returns, NaN where
     L is undefined."""
-    t_max, n_t = float(spec.t_max), operator.index(spec.n_t)
     cs = spec.thermal_cs()
-    simon = np.empty((n_t, spec.n_c))
-    log_neg = np.empty((n_t, spec.n_c))
+    simon = np.empty((spec.n_t, spec.n_c))
+    log_neg = np.empty((spec.n_t, spec.n_c))
     classifications = []
     for j, c in enumerate(cs):
-        env_c = spec.environment_at(float(c))
-        _, times, entries = _column(spec.initial, env_c, t_max, n_t)
+        env_c = spec.environment_at(c)
+        _, times, entries = _column(spec.initial, env_c, spec.t_max, spec.n_t)
         log_neg[:, j] = _column_negativity(entries)
         simon[:, j] = [simon_function(state) for state in _column_states(entries)]
         classifications.append(classify_phase(spec.initial, env_c, spec.t_max, spec.n_t))
@@ -385,8 +384,8 @@ def asymptotic_phase_diagram(
     if not np.all(cs >= 1.0):
         raise ValueError(f"thermal parameters must be >= 1, got {cs.min()}")
     magnitudes = np.abs(d_values)
-    c_top, d_top = float(cs.max(initial=1.0)), float(magnitudes.max(initial=0.0))
-    thermal_environment(lam, c_top, d_xy, d_top, m, omega)
+    env = thermal_environment(lam, cs.max(initial=1.0), d_xy, magnitudes.max(initial=0.0), m, omega)
+    lam, omega, m, d_xy = env.lam, env.omega, env.m, env.d_xy  # as Python floats
     unphysical = 0.5 * lam * cs[None, :] < np.maximum(magnitudes, m * omega * abs(d_xy))[:, None]
     with np.errstate(over="ignore"):  # a C* past the float range is inf and compares as it does
         thresholds = _threshold(lam, omega, m, d_xy, magnitudes, (np.maximum, np.minimum, np.sqrt))

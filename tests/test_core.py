@@ -113,7 +113,7 @@ class TestThermalEnvironment:
                     ge.thermal_environment(0.1, 1.2, d_xy=value)
                 with pytest.raises(TypeError, match="parameters must be real"):
                     env._replace(d_xpy=value)
-            with pytest.raises(TypeError):  # a Python complex fails math.isfinite
+            with pytest.raises(TypeError):  # a Python complex is rejected as well
                 ge.thermal_environment(0.1, 1.2 + 1j)
         # numpy reals and Python ints pass, as they did
         real = ge.thermal_environment(np.float64(0.1), np.int64(1), 0, np.float32(0.0))
@@ -842,6 +842,10 @@ class TestCovarianceMatrix:
                 entries = dict.fromkeys(ENTRY_NAMES[1:], 0.0) | {"sigma_xx": value}
                 with pytest.raises(TypeError, match="'sigma_xx' must be real"):
                     covariance_from_entries(entries)
+                matrix = (0.5 * np.eye(4)).astype(object)  # cast element by element
+                matrix[2, 2] = value[()]
+                with pytest.raises(TypeError, match="entries must be real numbers, got dtype"):
+                    ge.CovarianceMatrix(matrix)
 
 
 class TestTemperatureConversion:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -10,13 +11,16 @@ import gaussent as ge
 from gaussent import experiments
 from gaussent.cli import main
 from gaussent.core import (
+    ENTRY_NAMES,
     MARGIN_TOL,
     EnvironmentSpec,
+    covariance_from_entries,
     thermal_c_from_temperature,
     validate_diffusion,
 )
 from gaussent.dynamics import propagator, steady_covariance
-from gaussent.entanglement import asymptotic_simon, asymptotic_threshold, simon_function
+from gaussent.entanglement import _threshold, asymptotic_simon, asymptotic_threshold
+from gaussent.entanglement import simon_function
 from gaussent.experiments import (
     EVENT_MERGE_TOL,
     EVENT_TIME_TOL,
@@ -665,6 +669,12 @@ class TestPhaseDiagram:
                 ge.asymptotic_phase_diagram(0.1, 1.0, [0.01], [1.0 + 0j])
             with pytest.raises(TypeError, match="parameters must be real"):
                 ge.asymptotic_phase_diagram(0.1, 1.0, [0.01], [1.0], d_xy=np.complex128(0.01))
+            for value in (np.complex128(0.01 + 1j), np.complex64(1.2), 1.2 + 0j):
+                grid = np.array([1.0, value], dtype=object)  # cast element by element
+                with pytest.raises(TypeError, match="d_xpy_grid must be real numbers, got dtype"):
+                    ge.asymptotic_phase_diagram(0.1, 1.0, grid, [1.0, 1.2])
+                with pytest.raises(TypeError, match="c_grid must be real numbers, got dtype"):
+                    ge.asymptotic_phase_diagram(0.1, 1.0, [0.01], grid)
 
     def test_rejects_what_environments_reject(self):
         for args in (
@@ -725,9 +735,100 @@ def test_complex_scalars_are_rejected_not_truncated(fig1_initial):
             lambda: thermal_c_from_temperature(1 + 1j),
             lambda: spec._replace(c_max=1.5 + 2j),
         ):
-            with pytest.raises(TypeError):  # a Python complex fails the range checks
+            with pytest.raises(TypeError):  # a Python complex is rejected as well
                 call()
     # real numpy scalars and Python ints give the float results
     assert ge.evolve(fig1_initial, env, np.float32(5.0)) == ge.evolve(fig1_initial, env, 5)
     assert thermal_c_from_temperature(np.float64(2.0), np.int64(1)) == thermal_c_from_temperature(2.0)
     assert spec._replace(t_max=np.float64(5.0), c_max=np.int64(2)).c_max == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["5", b"5", np.str_("5"), np.bytes_("5"), bytearray(b"5"), np.array("5"), np.array(b"5")],
+    ids=["str", "bytes", "str_", "bytes_", "bytearray", "0-d str", "0-d bytes"],
+)
+def test_text_scalars_are_rejected_not_parsed(fig1_initial, text):
+    # float() would parse the text; every public real scalar raises the one
+    # TypeError of core._check_real instead, with the entry's name
+    env = reference_bath(1.0)
+    spec = ge.SweepSpec(env, fig1_initial, 5.0, 3, 1.0, 1.5, 2)
+    entries = dict.fromkeys(ENTRY_NAMES, 0.5) | {"sigma_xx": text}
+    for call, name in (
+        (lambda: ge.evolve(fig1_initial, env, text), "propagation time"),
+        (lambda: propagator(env, text), "propagation time"),
+        (lambda: thermal_c_from_temperature(text), "temperature and frequency"),
+        (lambda: thermal_c_from_temperature(1.0, text), "temperature and frequency"),
+        (lambda: ge.classify_phase(fig1_initial, env, text, 100), "t_max"),
+        (lambda: spec._replace(t_max=text), "t_max"),
+        (lambda: spec._replace(c_min=text), "c_min"),
+        (lambda: spec._replace(c_max=text), "c_max"),
+        (lambda: ge.thermal_environment(0.1, text), "environment parameters"),
+        (lambda: env._replace(d_xpy=text), "environment parameters"),
+        (lambda: ge.asymptotic_phase_diagram(text, 1.0, [0.0], [1.0]), "environment parameters"),
+        (lambda: covariance_from_entries(entries), "covariance entry 'sigma_xx'"),
+    ):
+        with pytest.raises(TypeError, match=f"^{name} must be real, got {re.escape(repr(text))}"):
+            call()
+
+
+def _same(got, want) -> bool:
+    """True when ``got`` has the type and the bits of ``want``: arrays by dtype, shape
+    and bytes, anything else by repr, which shows a numpy scalar's type."""
+    if isinstance(want, np.ndarray):
+        return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    return repr(got) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "kind,values",
+    [
+        (np.float32, (37.3, 0.3, 1.3)),
+        (np.float16, (37.3, 0.3, 1.3)),
+        (np.int64, (37, 2, 3)),
+        (Fraction, ("37.3", "0.3", "1.3")),
+    ],
+)
+def test_every_real_scalar_gives_the_result_of_its_python_float(fig1_initial, kind, values):
+    # numpy keeps float32 (and float16) arithmetic on such scalars through the
+    # float kernels, so every public real scalar is computed as float() of itself;
+    # 37.3, 0.3 and 1.3 are not exact in float32, so a leak shows in the bits
+    t, temperature, c = map(kind, values)
+    wide_t, wide_temperature, wide_c = map(float, (t, temperature, c))
+    env = ge.thermal_environment(0.1, 1.2, 0.0, 0.049)
+    for call, args, wide_args in (
+        (lambda t: ge.evolve(fig1_initial, env, t), (t,), (wide_t,)),
+        (lambda t: propagator(env, t), (t,), (wide_t,)),
+        (thermal_c_from_temperature, (temperature,), (wide_temperature,)),
+        (thermal_c_from_temperature, (temperature, c), (wide_temperature, wide_c)),
+        (thermal_c_from_temperature, (1.0, c), (1.0, wide_c)),
+        (lambda t: ge.classify_phase(fig1_initial, env, t, 100), (t,), (wide_t,)),
+    ):
+        assert _same(call(*args), call(*wide_args))
+
+    # SweepSpec stores what it checked, however it is built
+    fields = (env, fig1_initial, t, np.int64(40), kind(1), c, np.int64(4))
+    wide = ge.SweepSpec(env, fig1_initial, wide_t, 40, 1.0, wide_c, 4)
+    narrowed = wide._replace(**dict(zip(ge.SweepSpec._fields[2:], fields[2:])))
+    spec = ge.SweepSpec(*fields)
+    for built in (spec, narrowed, ge.SweepSpec._make(fields)):
+        assert list(map(type, built[2:])) == [float, int, float, float, int]
+        assert repr(built) == repr(wide)
+        assert _same(built.thermal_cs(), wide.thermal_cs())
+    got, want = ge.sweep(spec), ge.sweep(wide)
+    assert all(_same(g, w) for g, w in zip(got[1:], want[1:]))
+
+    # one cell between C*+ computed in the narrow type and in floats, which
+    # a leak into _threshold moves across the threshold
+    params = tuple(map(kind, (1, 2, 1, 0) if kind is np.int64 else ("0.1", "1", "1", "0.003")))
+    floats = tuple(map(float, params))
+    magnitudes, ops = np.array([0.049]), (np.maximum, np.minimum, np.sqrt)
+    wide_star = float(_threshold(*floats, magnitudes, ops)[0])
+    leaked_star = float(_threshold(*params, magnitudes, ops)[0])
+    if kind in (np.float32, np.float16):
+        assert leaked_star != wide_star
+    cs = [1.0, 0.5 * (wide_star + leaked_star), 2.0 * wide_star]
+    (lam, omega, m, d_xy), grid = params, [0.0, 0.049]
+    got = ge.asymptotic_phase_diagram(lam, omega, grid, cs, m, d_xy)
+    want = ge.asymptotic_phase_diagram(floats[0], floats[1], grid, cs, floats[2], floats[3])
+    assert all(_same(g, w) for g, w in zip(got, want))
